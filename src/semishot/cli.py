@@ -43,13 +43,13 @@ from .experiment import (
     SOLVER_NAMES,
     SamplingSpec,
     SyntheticSpec,
+    _draw_split,
     evaluate_prototypes,
     fit_solver,
     rows_to_csv,
     rows_to_json,
     run_benchmark,
     silhouette_score,
-    split_indices,
     synthetic_dataset,
 )
 from .objectives import LambdaPolicy
@@ -272,21 +272,14 @@ def _adapt_split(dataset: Dataset, args) -> tuple[SupportSet, UnlabeledSet,
     true unlabeled marginal when hidden labels are available (needed
     for --marginal-source oracle).
     """
-    pool = dataset.pool()
     use_dedicated = dataset.unlabeled_count > 0 and args.unlabeled_mult > 0
     mult = 0 if use_dedicated else args.unlabeled_mult
     spec = SamplingSpec(shots=args.shots, unlabeled_multiplier=mult,
                         seed=args.seed, stratified=args.stratified)
-    sup_idx, unl_idx, _ = split_indices(pool.labels, pool.class_count, spec)
-    support = SupportSet.from_indices(
-        pool.embeddings[sup_idx], pool.labels[sup_idx], pool.class_count)
+    support, unlabeled, _, oracle_marginal = _draw_split(dataset.pool(), spec)
     if use_dedicated:
         return support, UnlabeledSet.from_embeddings(dataset.unlabeled), None
-    if unl_idx.size:
-        hidden = np.bincount(pool.labels[unl_idx], minlength=pool.class_count)
-        unlabeled = UnlabeledSet.from_embeddings(pool.embeddings[unl_idx])
-        return support, unlabeled, hidden / hidden.sum()
-    return support, UnlabeledSet.empty(dataset.dim), None
+    return support, unlabeled, oracle_marginal
 
 
 def cmd_adapt(args) -> int:

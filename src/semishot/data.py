@@ -327,8 +327,56 @@ def validate(dataset: Dataset) -> ValidationReport:
     return ValidationReport(violations=tuple(out))
 
 
+_ABSENT = object()
+
+
+def _read_manifest(manifest_path: Path, what: str, required: tuple[str, ...]) -> dict:
+    """Parse a JSON manifest object that declares ``required`` keys and
+    the f32le dtype."""
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except FileNotFoundError:
+        raise FormatError(f"{what} not found: {manifest_path}")
+    except OSError as exc:
+        raise FormatError(f"cannot read {what} {manifest_path}: {exc}")
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{what} is not valid JSON: {exc}")
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{what} must be a JSON object")
+    missing = [k for k in required if k not in manifest]
+    if missing:
+        raise FormatError(f"{what} missing keys: {missing}")
+    if manifest["dtype"] != "f32le":
+        raise FormatError(f"unsupported dtype {manifest['dtype']!r}; expected 'f32le'")
+    return manifest
+
+
+def _field(manifest: dict, key: str, kind: type, default=_ABSENT):
+    """One typed manifest field: an integral number for shapes (kind
+    int), a number for tau (kind float), or a blob name (kind str) that
+    must be a plain file name in the manifest's directory."""
+    if key not in manifest:
+        if default is _ABSENT:
+            raise FormatError(f"manifest missing key {key!r}")
+        return default
+    value = manifest[key]
+    if kind is str:
+        if not isinstance(value, str) or value in ("", "..") or Path(value).name != value:
+            raise FormatError(f"manifest field {key!r} must be a plain file name, "
+                              f"got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FormatError(f"manifest field {key!r} must be a number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise FormatError(f"manifest field {key!r} must be an integer, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise FormatError(f"manifest field {key!r} is out of range, got {value!r}")
+
+
 def _read_blob(path: Path, dtype: np.dtype, count: int, what: str) -> np.ndarray:
-    if not path.exists():
+    if not path.is_file():
         raise FormatError(f"{what} blob missing: {path}")
     raw = path.read_bytes()
     expected = count * dtype.itemsize
@@ -374,60 +422,49 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     ``NORM_WARN_TOL`` are reported in ``Dataset.warnings``.
     """
     manifest_path = Path(manifest_path)
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except FileNotFoundError:
-        raise FormatError(f"manifest not found: {manifest_path}")
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"manifest is not valid JSON: {exc}")
-
-    missing = [k for k in _REQUIRED_MANIFEST_KEYS if k not in manifest]
-    if missing:
-        raise FormatError(f"manifest missing keys: {missing}")
-    if manifest["dtype"] != "f32le":
-        raise FormatError(f"unsupported dtype {manifest['dtype']!r}; expected 'f32le'")
-    n, d, c = (int(manifest[k]) for k in ("n", "d", "c"))
+    manifest = _read_manifest(manifest_path, "manifest", _REQUIRED_MANIFEST_KEYS)
+    n, d, c = (_field(manifest, k, int) for k in ("n", "d", "c"))
     if n < 1 or d < 1 or c < 1:
         raise FormatError(f"manifest shape fields must be positive, got n={n} d={d} c={c}")
 
     base = manifest_path.parent
     warnings: list[str] = []
 
-    emb_raw = _read_blob(base / manifest["embeddings"], EMBEDDING_DTYPE, n * d, "embeddings")
+    def blob(key: str, dtype: np.dtype, count: int) -> np.ndarray:
+        return _read_blob(base / _field(manifest, key, str), dtype, count, key)
+
+    emb_raw = blob("embeddings", EMBEDDING_DTYPE, n * d)
     embeddings = _ingest_unit_rows(emb_raw, n, d, "embeddings", warnings)
 
-    lab_raw = _read_blob(base / manifest["labels"], LABEL_DTYPE, n, "labels")
+    lab_raw = blob("labels", LABEL_DTYPE, n)
     labels = lab_raw.astype(np.int64)
     if labels.size and labels.max() >= c:
         raise DataError(f"label index {int(labels.max())} out of range for c={c}")
 
-    proto_raw = _read_blob(base / manifest["prototypes"], EMBEDDING_DTYPE, c * d, "prototypes")
+    proto_raw = blob("prototypes", EMBEDDING_DTYPE, c * d)
     prototypes = proto_raw.astype(np.float64).reshape(c, d)
     if not np.all(np.isfinite(prototypes)):
         raise DataError("prototypes blob contains NaN or Inf")
 
-    m = int(manifest.get("m", 0))
+    m = _field(manifest, "m", int, 0)
     if m < 0:
         raise FormatError("manifest field 'm' must be >= 0")
     if m > 0 or "unlabeled" in manifest:
-        unl_raw = _read_blob(base / manifest["unlabeled"], EMBEDDING_DTYPE, m * d, "unlabeled")
+        unl_raw = blob("unlabeled", EMBEDDING_DTYPE, m * d)
         unlabeled = _ingest_unit_rows(unl_raw, m, d, "unlabeled", warnings)
     else:
         unlabeled = np.zeros((0, d), dtype=np.float64)
 
-    tau = manifest.get("tau")
-    if tau is not None:
-        tau = float(tau)
-        if not np.isfinite(tau) or tau <= 0:
-            raise FormatError(f"manifest tau must be a positive finite number, got {tau}")
+    tau = _field(manifest, "tau", float, None)
+    if tau is not None and (not np.isfinite(tau) or tau <= 0):
+        raise FormatError(f"manifest tau must be a positive finite number, got {tau}")
 
     templates = None
+    j = _field(manifest, "j", int, 0)
     if "templates" in manifest:
-        j = int(manifest.get("j", 0))
         if j < 1:
             raise FormatError("manifest with 'templates' must declare 'j' >= 1")
-        tmpl_raw = _read_blob(base / manifest["templates"], EMBEDDING_DTYPE, c * j * d,
-                              "templates")
+        tmpl_raw = blob("templates", EMBEDDING_DTYPE, c * j * d)
         templates = tmpl_raw.astype(np.float64).reshape(c, j, d)
         if not np.all(np.isfinite(templates)):
             raise DataError("templates blob contains NaN or Inf")
@@ -516,22 +553,13 @@ def save_prototypes(prototypes: np.ndarray, manifest_path: str | Path,
 def load_prototypes(manifest_path: str | Path) -> np.ndarray:
     """Load a prototype matrix written by save_prototypes."""
     manifest_path = Path(manifest_path)
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except FileNotFoundError:
-        raise FormatError(f"prototype manifest not found: {manifest_path}")
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"prototype manifest is not valid JSON: {exc}")
-    for key in ("c", "d", "dtype", "prototypes"):
-        if key not in manifest:
-            raise FormatError(f"prototype manifest missing key {key!r}")
-    if manifest["dtype"] != "f32le":
-        raise FormatError(f"unsupported dtype {manifest['dtype']!r}; expected 'f32le'")
-    c, d = int(manifest["c"]), int(manifest["d"])
+    manifest = _read_manifest(manifest_path, "prototype manifest",
+                              ("c", "d", "dtype", "prototypes"))
+    c, d = _field(manifest, "c", int), _field(manifest, "d", int)
     if c < 1 or d < 1:
         raise FormatError(f"prototype manifest shape must be positive, got c={c} d={d}")
-    raw = _read_blob(manifest_path.parent / manifest["prototypes"], EMBEDDING_DTYPE,
-                     c * d, "prototypes")
+    raw = _read_blob(manifest_path.parent / _field(manifest, "prototypes", str),
+                     EMBEDDING_DTYPE, c * d, "prototypes")
     protos = raw.astype(np.float64).reshape(c, d)
     if not np.all(np.isfinite(protos)):
         raise DataError("prototypes blob contains NaN or Inf")

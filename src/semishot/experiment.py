@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import io
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -202,19 +202,30 @@ def sample_support(pool: EvalSet, spec: SamplingSpec) -> tuple[SupportSet,
     the remainder becomes the eval split. Splits are pairwise disjoint
     (unless replacement mode repeats support items) and fully
     determined by the seed."""
+    return _draw_split(pool, spec)[:3]
+
+
+def _draw_split(pool: EvalSet, spec: SamplingSpec) -> tuple[
+        SupportSet, UnlabeledSet, EvalSet, np.ndarray | None]:
+    """sample_support's three sets plus the hidden-label class marginal
+    of the unlabeled draw (None when it is empty), which the oracle
+    marginal source reads."""
     sup_idx, unl_idx, eval_idx = split_indices(pool.labels, pool.class_count, spec)
     support = SupportSet.from_indices(
         pool.embeddings[sup_idx], pool.labels[sup_idx], pool.class_count)
     if unl_idx.size:
         unlabeled = UnlabeledSet.from_embeddings(pool.embeddings[unl_idx])
+        hidden = np.bincount(pool.labels[unl_idx], minlength=pool.class_count)
+        oracle_marginal = hidden / hidden.sum()
     else:
         unlabeled = UnlabeledSet.empty(pool.embeddings.shape[1])
+        oracle_marginal = None
     eval_set = EvalSet(
         embeddings=pool.embeddings[eval_idx],
         labels=pool.labels[eval_idx],
         class_count=pool.class_count,
     )
-    return support, unlabeled, eval_set
+    return support, unlabeled, eval_set, oracle_marginal
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[EvalSet, np.ndarray]:
@@ -371,34 +382,20 @@ def fit_solver(name: str, dataset: Dataset, support: SupportSet,
     raise ConfigError(f"unknown solver {name!r}; expected one of {SOLVER_NAMES}")
 
 
-def _run_cell(dataset: Dataset, dataset_name: str, solver: str, shots: int,
-              unlabeled_multiplier: int, seed: int, cfg: SolverConfig,
-              include_timing: bool, eval_set: EvalSet | None = None) -> BenchmarkRow:
-    spec = SamplingSpec(shots=shots, unlabeled_multiplier=unlabeled_multiplier,
-                        seed=seed)
-    pool = dataset.pool()
-    sup_idx, unl_idx, eval_idx = split_indices(pool.labels, pool.class_count, spec)
-    support = SupportSet.from_indices(
-        pool.embeddings[sup_idx], pool.labels[sup_idx], pool.class_count)
-    if unl_idx.size:
-        unlabeled = UnlabeledSet.from_embeddings(pool.embeddings[unl_idx])
-        hidden = np.bincount(pool.labels[unl_idx], minlength=pool.class_count)
-        oracle_marginal = hidden / hidden.sum()
-    else:
-        unlabeled = UnlabeledSet.empty(pool.embeddings.shape[1])
-        oracle_marginal = None
+def _run_cell(dataset: Dataset, dataset_name: str, solver: str,
+              spec: SamplingSpec, cfg: SolverConfig, include_timing: bool,
+              eval_set: EvalSet | None = None) -> BenchmarkRow:
+    support, unlabeled, remainder, oracle_marginal = _draw_split(dataset.pool(), spec)
     if eval_set is None:
-        eval_set = EvalSet(embeddings=pool.embeddings[eval_idx],
-                           labels=pool.labels[eval_idx],
-                           class_count=pool.class_count)
+        eval_set = remainder
     fit = fit_solver(solver, dataset, support, unlabeled, cfg, oracle_marginal)
     report = evaluate_prototypes(fit.prototypes, eval_set, cfg.tau)
     return BenchmarkRow(
         solver=solver,
         dataset=dataset_name,
-        shots=shots,
+        shots=spec.shots,
         unlabeled_count=unlabeled.count,
-        seed=seed,
+        seed=spec.seed,
         aca=report.aca,
         acc=report.acc,
         runtime_ms=fit.runtime_ms if include_timing else 0.0,
@@ -418,7 +415,8 @@ def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
     the same support/unlabeled/eval draw and rows are comparable
     seed-by-seed. A failed cell is recorded with its error message and
     the sweep continues. Rows come back in grid order regardless of
-    scheduling.
+    scheduling. An empty seed list, or a shot count or multiplier that
+    SamplingSpec rejects, raises ConfigError before any cell runs.
 
     By default every seed evaluates on the pool remainder left after its
     own support/unlabeled draw. Passing ``eval_set`` scores every cell
@@ -427,15 +425,20 @@ def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
     """
     cfg = cfg or SolverConfig()
     seed_list = list(range(seeds)) if isinstance(seeds, int) else list(seeds)
+    if not seed_list:
+        raise ConfigError(f"benchmark needs at least one seed, got {seeds!r}")
+    # a bad shot count or multiplier is a config error, not a cell failure
+    specs = {shots: SamplingSpec(shots=shots, unlabeled_multiplier=unlabeled_multiplier)
+             for shots in shot_grid}
     cells = [(solver, shots, seed)
              for solver in solvers for shots in shot_grid for seed in seed_list]
 
     def work(cell):
         solver, shots, seed = cell
         try:
-            return _run_cell(dataset, dataset_name, solver, shots,
-                             unlabeled_multiplier, seed, cfg, include_timing,
-                             eval_set)
+            return _run_cell(dataset, dataset_name, solver,
+                             replace(specs[shots], seed=seed), cfg,
+                             include_timing, eval_set)
         except Exception as exc:
             return BenchmarkRow(
                 solver=solver, dataset=dataset_name, shots=shots,

@@ -16,11 +16,16 @@ excluded from reported objective values, which keeps every reported
 number finite and keeps the closed-form update the exact minimizer of
 what is reported (the solver still moves those prototypes using the
 unlabeled term's finite limit coefficient).
+
+The combined objective is linear in the labeled class sums Y^T V and
+the code-weighted unlabeled sums Z^T U, so its value, its gradient and
+the closed-form prototype update are all read off one record of those
+sums and the per-class weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -140,24 +145,100 @@ def eval_ce(labels: np.ndarray, embeddings: np.ndarray,
     return float(-(y * (s - logz)).sum(axis=1).mean())
 
 
-def _text_penalty(prototypes: np.ndarray, text_prototypes: np.ndarray,
-                  lam_text: np.ndarray) -> float:
-    """Weighted squared-distance penalty; infinite-weight classes excluded."""
-    diff = np.asarray(prototypes, dtype=np.float64) - np.asarray(text_prototypes,
-                                                                 dtype=np.float64)
-    sq = (diff * diff).sum(axis=1)
+@dataclass(frozen=True, eq=False)
+class _ClassSums:
+    """The per-class quantities the combined objective is linear in.
+
+    labeled: Y^T V / (N tau), fixed for a fit.
+    unlabeled: Z^T U / (M tau), zeros without unlabeled points or codes.
+    lam_text, lam_unl: per-class weights of the reported objective.
+    step_labeled, step_unlabeled: per-class scales of the two sums in
+        the closed-form step.
+    """
+
+    labeled: np.ndarray
+    unlabeled: np.ndarray
+    lam_text: np.ndarray
+    lam_unl: np.ndarray
+    step_labeled: np.ndarray
+    step_unlabeled: np.ndarray
+
+    def with_codes(self, unlabeled: UnlabeledSet | None, codes: np.ndarray | None,
+                   tau: float) -> "_ClassSums":
+        """This record with the unlabeled sums of ``codes``."""
+        sums = np.zeros_like(self.labeled)
+        if unlabeled is not None and unlabeled.count > 0 and codes is not None:
+            z = np.asarray(codes, dtype=np.float64)
+            if z.shape != (unlabeled.count, sums.shape[0]) or unlabeled.dim != sums.shape[1]:
+                raise DataError(f"codes {z.shape} and unlabeled embeddings "
+                                f"{unlabeled.embeddings.shape} do not fit {sums.shape}")
+            sums = (z.T @ unlabeled.embeddings) / (unlabeled.count * tau)
+        return replace(self, unlabeled=sums)
+
+    def objective(self, prototypes: np.ndarray, text_prototypes: np.ndarray) -> ObjectiveValue:
+        diff = prototypes - text_prototypes
+        tight = -float((prototypes * self.labeled).sum())
+        penalty = float(self.lam_text @ (diff * diff).sum(axis=1))
+        unl = -float(self.lam_unl @ (prototypes * self.unlabeled).sum(axis=1))
+        return ObjectiveValue(total=tight + penalty + unl, fewshot_term=tight,
+                              text_penalty_term=penalty, unlabeled_term=unl)
+
+    def gradient(self, prototypes: np.ndarray, text_prototypes: np.ndarray) -> np.ndarray:
+        return (-self.labeled - self.lam_unl[:, None] * self.unlabeled
+                + 2.0 * self.lam_text[:, None] * (prototypes - text_prototypes))
+
+    def minimizer(self, text_prototypes: np.ndarray) -> np.ndarray:
+        return (text_prototypes + self.step_labeled[:, None] * self.labeled
+                + self.step_unlabeled[:, None] * self.unlabeled)
+
+
+def _class_sums(support: SupportSet, tau: float, lambdas: LambdaPolicy) -> _ClassSums:
+    """The labeled sums and per-class weights of a support set, with zero
+    unlabeled sums.
+
+    This is the one place that handles unobserved classes (infinite text
+    weight): zero reported weights drop them from the objective, and with
+    their zero labeled sums their gradient rows are zero; the closed-form
+    step keeps the adaptive weight ratio's finite limit, 2.
+    """
+    counts = support.shot_counts
+    lam_text = lambdas.text_weights(counts)
+    lam_unl = lambdas.unlabeled_weights(counts)
     observed = np.isfinite(lam_text)
-    return float((lam_text[observed] * sq[observed]).sum())
+    ratio = np.divide(lam_unl, lam_text, out=np.full(counts.shape, 2.0), where=observed)
+    labeled = (support.labels.T @ support.embeddings) / (support.n * tau)
+    return _ClassSums(labeled=labeled, unlabeled=np.zeros_like(labeled),
+                      lam_text=np.where(observed, lam_text, 0.0),
+                      lam_unl=np.where(observed, lam_unl, 0.0),
+                      step_labeled=0.5 / lam_text, step_unlabeled=0.5 * ratio)
+
+
+def _check_prototypes(support: SupportSet, prototypes: np.ndarray,
+                      what: str = "prototypes") -> np.ndarray:
+    w = np.asarray(prototypes, dtype=np.float64)
+    if w.shape != (support.class_count, support.dim):
+        raise DataError(f"{what} shape {w.shape}, expected "
+                        f"{(support.class_count, support.dim)}")
+    if not np.all(np.isfinite(w)):
+        raise DataError(f"{what} contain non-finite entries")
+    return w
+
+
+def _checked_sums(support, unlabeled, codes, prototypes, text_prototypes, tau, lambdas):
+    """The public evaluators' input checks, then their class sums."""
+    tau = check_tau(tau)
+    w = _check_prototypes(support, prototypes)
+    t = _check_prototypes(support, text_prototypes, "text prototypes")
+    return _class_sums(support, tau, lambdas).with_codes(unlabeled, codes, tau), w, t
 
 
 def eval_fewshot_objective(support: SupportSet, prototypes: np.ndarray,
                            text_prototypes: np.ndarray, tau: float,
                            lambdas: LambdaPolicy) -> float:
     """Supervised tightness plus the text-anchor penalty."""
-    tau = check_tau(tau)
-    lam_text = lambdas.text_weights(support.shot_counts)
-    tight = eval_tightness(support.labels, support.embeddings, prototypes, tau)
-    return tight + _text_penalty(prototypes, text_prototypes, lam_text)
+    sums, w, t = _checked_sums(support, None, None, prototypes, text_prototypes,
+                               tau, lambdas)
+    return sums.objective(w, t).total
 
 
 def eval_unlabeled_objective(unlabeled: UnlabeledSet, codes: np.ndarray,
@@ -172,40 +253,15 @@ def eval_unlabeled_objective(unlabeled: UnlabeledSet, codes: np.ndarray,
     return eval_tightness(codes, unlabeled.embeddings, prototypes, tau)
 
 
-def _unlabeled_term(unlabeled: UnlabeledSet, codes: np.ndarray | None,
-                    prototypes: np.ndarray, tau: float,
-                    lam_unlabeled: np.ndarray) -> float:
-    """Per-class weighted unlabeled tightness; infinite weights excluded."""
-    if unlabeled.count == 0 or codes is None:
-        return 0.0
-    s = _logits(unlabeled.embeddings, prototypes, tau)
-    z = np.asarray(codes, dtype=np.float64)
-    if z.shape != s.shape:
-        raise DataError(f"codes shape {z.shape} does not match logits {s.shape}")
-    per_class = -(z * s).mean(axis=0)
-    observed = np.isfinite(lam_unlabeled)
-    return float((lam_unlabeled[observed] * per_class[observed]).sum())
-
-
 def eval_semi_objective(support: SupportSet, unlabeled: UnlabeledSet,
                         codes: np.ndarray | None, prototypes: np.ndarray,
                         text_prototypes: np.ndarray, tau: float,
                         lambdas: LambdaPolicy) -> ObjectiveValue:
     """Combined objective: supervised tightness + text penalty + weighted
     unlabeled tightness, with each part reported separately."""
-    tau = check_tau(tau)
-    counts = support.shot_counts
-    lam_text = lambdas.text_weights(counts)
-    lam_unl = lambdas.unlabeled_weights(counts)
-    tight = eval_tightness(support.labels, support.embeddings, prototypes, tau)
-    penalty = _text_penalty(prototypes, text_prototypes, lam_text)
-    unl = _unlabeled_term(unlabeled, codes, prototypes, tau, lam_unl)
-    return ObjectiveValue(
-        total=tight + penalty + unl,
-        fewshot_term=tight,
-        text_penalty_term=penalty,
-        unlabeled_term=unl,
-    )
+    sums, w, t = _checked_sums(support, unlabeled, codes, prototypes,
+                               text_prototypes, tau, lambdas)
+    return sums.objective(w, t)
 
 
 def semi_objective_gradient(support: SupportSet, unlabeled: UnlabeledSet,
@@ -218,24 +274,6 @@ def semi_objective_gradient(support: SupportSet, unlabeled: UnlabeledSet,
     policy, K_c = 0) are zero: the reported value does not depend on
     those prototypes.
     """
-    tau = check_tau(tau)
-    counts = support.shot_counts
-    lam_text = lambdas.text_weights(counts)
-    lam_unl = lambdas.unlabeled_weights(counts)
-    w = np.asarray(prototypes, dtype=np.float64)
-    t = np.asarray(text_prototypes, dtype=np.float64)
-
-    grad = -(support.labels.T @ support.embeddings) / (support.n * tau)
-    observed = np.isfinite(lam_text)
-    pen = np.zeros_like(w)
-    pen[observed] = 2.0 * lam_text[observed, None] * (w[observed] - t[observed])
-    grad = grad + pen
-    if unlabeled.count and codes is not None:
-        z = np.asarray(codes, dtype=np.float64)
-        unl = -(z.T @ unlabeled.embeddings) / (unlabeled.count * tau)
-        weighted = np.zeros_like(w)
-        obs_u = np.isfinite(lam_unl)
-        weighted[obs_u] = lam_unl[obs_u, None] * unl[obs_u]
-        grad = grad + weighted
-    grad[~observed] = 0.0
-    return grad
+    sums, w, t = _checked_sums(support, unlabeled, codes, prototypes,
+                               text_prototypes, tau, lambdas)
+    return sums.gradient(w, t)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DegeneratePlanError
-from .zeroshot import check_tau
+from .zeroshot import check_marginal, check_tau
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,11 +132,7 @@ def sinkhorn(plan0: np.ndarray, row_marginal: np.ndarray,
         raise DataError(f"plan must be 2-d and nonempty, got {q.shape}")
     if np.any(q < 0) or not np.all(np.isfinite(q)):
         raise DataError("plan entries must be finite and nonnegative")
-    m = np.asarray(row_marginal, dtype=np.float64)
-    if m.shape != (q.shape[0],):
-        raise DataError(f"row marginal shape {m.shape} does not match plan {q.shape}")
-    if np.any(m < 0) or not np.isclose(m.sum(), 1.0, atol=1e-9):
-        raise DataError("row marginal must be nonnegative and sum to one")
+    m = check_marginal(row_marginal, q.shape[0], "row marginal")
 
     n_cols = q.shape[1]
     col_target = 1.0 / n_cols
@@ -203,11 +199,7 @@ def solve_transport(similarities: np.ndarray, row_marginal: np.ndarray,
         raise DataError(f"similarity matrix must be 2-d and nonempty, got {s.shape}")
     if not np.all(np.isfinite(s)):
         raise DataError("similarity matrix contains non-finite entries")
-    m = np.asarray(row_marginal, dtype=np.float64)
-    if m.shape != (s.shape[0],):
-        raise DataError(f"row marginal shape {m.shape} does not match scores {s.shape}")
-    if np.any(m < 0) or not np.isclose(m.sum(), 1.0, atol=1e-9):
-        raise DataError("row marginal must be nonnegative and sum to one")
+    m = check_marginal(row_marginal, s.shape[0], "row marginal")
 
     n_cols = s.shape[1]
     log_u = -np.log(n_cols)

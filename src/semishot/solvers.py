@@ -12,6 +12,8 @@ The closed-form step is the exact minimizer of the combined objective at
 fixed codes, since that objective is a convex quadratic per prototype
 row. fit_sstextu therefore never increases the objective during a
 prototype step; the recorded trace tracks the objective across rounds.
+Step and trace are read off the class sums of the objectives module,
+labeled sums once per fit and unlabeled sums once per round.
 """
 
 from __future__ import annotations
@@ -23,13 +25,9 @@ import numpy as np
 
 from .data import SupportSet, UnlabeledSet
 from .errors import ConfigError, DataError, DegeneratePlanError, SolverError
-from .objectives import (
-    LambdaPolicy,
-    eval_fewshot_objective,
-    eval_semi_objective,
-)
+from .objectives import LambdaPolicy, _check_prototypes, _class_sums
 from .sinkhorn import extract_pseudolabels, similarity_matrix, solve_transport
-from .zeroshot import check_tau
+from .zeroshot import check_marginal, check_tau
 
 MARGINAL_SOURCES = ("support_estimate", "support_raw", "oracle")
 
@@ -141,16 +139,6 @@ def fit_simpleshot(support: SupportSet) -> FitResult:
     )
 
 
-def _check_text_prototypes(support: SupportSet, text_prototypes: np.ndarray) -> np.ndarray:
-    t = np.asarray(text_prototypes, dtype=np.float64)
-    expected = (support.class_count, support.dim)
-    if t.shape != expected:
-        raise DataError(f"text prototypes shape {t.shape}, expected {expected}")
-    if not np.all(np.isfinite(t)):
-        raise DataError("text prototypes contain non-finite entries")
-    return t
-
-
 def update_prototypes(support: SupportSet, unlabeled: UnlabeledSet | None,
                       codes: np.ndarray | None, text_prototypes: np.ndarray,
                       tau: float, lambdas: LambdaPolicy) -> np.ndarray:
@@ -165,29 +153,11 @@ def update_prototypes(support: SupportSet, unlabeled: UnlabeledSet | None,
     anchor and pseudo-labels still place unobserved classes.
     """
     tau = check_tau(tau)
-    t = _check_text_prototypes(support, text_prototypes)
-    counts = support.shot_counts
-    lam_text = lambdas.text_weights(counts)
-    lam_unl = lambdas.unlabeled_weights(counts)
-
-    sup_scale = 1.0 / (2.0 * lam_text * support.n * tau)
-    prototypes = t + sup_scale[:, None] * (support.labels.T @ support.embeddings)
-
-    if unlabeled is not None and unlabeled.count > 0:
-        if codes is None:
-            raise DataError("unlabeled embeddings given without codes")
-        z = np.asarray(codes, dtype=np.float64)
-        if z.shape != (unlabeled.count, support.class_count):
-            raise DataError(
-                f"codes shape {z.shape}, expected "
-                f"{(unlabeled.count, support.class_count)}")
-        finite = np.isfinite(lam_text)
-        weight_ratio = np.empty_like(lam_text)
-        weight_ratio[finite] = lam_unl[finite] / lam_text[finite]
-        weight_ratio[~finite] = 2.0
-        unl_scale = weight_ratio / (2.0 * unlabeled.count * tau)
-        prototypes = prototypes + unl_scale[:, None] * (z.T @ unlabeled.embeddings)
-    return prototypes
+    t = _check_prototypes(support, text_prototypes, "text prototypes")
+    if unlabeled is not None and unlabeled.count > 0 and codes is None:
+        raise DataError("unlabeled embeddings given without codes")
+    sums = _class_sums(support, tau, lambdas).with_codes(unlabeled, codes, tau)
+    return sums.minimizer(t)
 
 
 def fit_sstext(support: SupportSet, text_prototypes: np.ndarray,
@@ -195,10 +165,11 @@ def fit_sstext(support: SupportSet, text_prototypes: np.ndarray,
     """One closed-form step from text prototypes using labeled data only."""
     cfg = cfg or SolverConfig()
     start = time.perf_counter()
-    t = _check_text_prototypes(support, text_prototypes)
-    initial = eval_fewshot_objective(support, t, t, cfg.tau, cfg.lambdas)
-    prototypes = update_prototypes(support, None, None, t, cfg.tau, cfg.lambdas)
-    final = eval_fewshot_objective(support, prototypes, t, cfg.tau, cfg.lambdas)
+    t = _check_prototypes(support, text_prototypes, "text prototypes")
+    sums = _class_sums(support, cfg.tau, cfg.lambdas)
+    initial = sums.objective(t, t).total
+    prototypes = sums.minimizer(t)
+    final = sums.objective(prototypes, t).total
     elapsed = (time.perf_counter() - start) * 1e3
     return FitResult(
         prototypes=prototypes,
@@ -212,13 +183,7 @@ def _resolve_marginal(support: SupportSet, cfg: SolverConfig,
     if cfg.marginal_source == "oracle":
         if oracle_marginal is None:
             raise ConfigError("marginal_source 'oracle' needs oracle_marginal")
-        m = np.asarray(oracle_marginal, dtype=np.float64)
-        if m.shape != (support.class_count,):
-            raise DataError(
-                f"oracle marginal shape {m.shape}, expected ({support.class_count},)")
-        if np.any(m < 0) or not np.isclose(m.sum(), 1.0, atol=1e-9):
-            raise DataError("oracle marginal must be nonnegative and sum to one")
-        return m
+        return check_marginal(oracle_marginal, support.class_count, "oracle marginal")
     estimate = estimate_marginal(support)
     if cfg.marginal_source == "support_raw":
         return estimate
@@ -242,13 +207,13 @@ def fit_sstextu(support: SupportSet, unlabeled: UnlabeledSet,
     """
     cfg = cfg or SolverConfig()
     start = time.perf_counter()
-    t = _check_text_prototypes(support, text_prototypes)
+    t = _check_prototypes(support, text_prototypes, "text prototypes")
     if unlabeled.count > 0 and unlabeled.dim != support.dim:
         raise DataError(
             f"unlabeled dim {unlabeled.dim} does not match support dim {support.dim}")
 
     if cfg.bcm_iters == 0:
-        initial = eval_fewshot_objective(support, t, t, cfg.tau, cfg.lambdas)
+        initial = _class_sums(support, cfg.tau, cfg.lambdas).objective(t, t).total
         elapsed = (time.perf_counter() - start) * 1e3
         return FitResult(
             prototypes=t,
@@ -257,19 +222,19 @@ def fit_sstextu(support: SupportSet, unlabeled: UnlabeledSet,
         )
 
     if unlabeled.count == 0:
-        initial = eval_fewshot_objective(support, t, t, cfg.tau, cfg.lambdas)
-        prototypes = update_prototypes(support, None, None, t, cfg.tau, cfg.lambdas)
-        final = eval_fewshot_objective(support, prototypes, t, cfg.tau, cfg.lambdas)
+        labeled_only = fit_sstext(support, t, cfg)
+        initial, final = labeled_only.objective_trace
         # prototype step ignores the current prototypes, so every round
         # lands on the same point and the trace is flat after step 1
         trace = [initial] + [final] * cfg.bcm_iters
         elapsed = (time.perf_counter() - start) * 1e3
         return FitResult(
-            prototypes=prototypes,
+            prototypes=labeled_only.prototypes,
             objective_trace=np.array(trace, dtype=np.float64),
             runtime_ms=elapsed,
         )
 
+    base = _class_sums(support, cfg.tau, cfg.lambdas)
     marginal = _resolve_marginal(support, cfg, oracle_marginal)
     prototypes = t
     trace: list[float] = []
@@ -286,15 +251,11 @@ def fit_sstextu(support: SupportSet, unlabeled: UnlabeledSet,
                 f"pseudo-label step failed at round {round_idx}: {exc}",
                 iteration=round_idx) from exc
         residuals.append(plan.residual)
+        sums = base.with_codes(unlabeled, codes, cfg.tau)
         if round_idx == 1:
-            trace.append(eval_semi_objective(
-                support, unlabeled, codes, prototypes, t, cfg.tau,
-                cfg.lambdas).total)
-        prototypes = update_prototypes(support, unlabeled, codes, t,
-                                       cfg.tau, cfg.lambdas)
-        trace.append(eval_semi_objective(
-            support, unlabeled, codes, prototypes, t, cfg.tau,
-            cfg.lambdas).total)
+            trace.append(sums.objective(prototypes, t).total)
+        prototypes = sums.minimizer(t)
+        trace.append(sums.objective(prototypes, t).total)
         if cfg.track_codes:
             code_snaps.append(codes)
             proto_snaps.append(prototypes)

@@ -16,6 +16,16 @@ def check_tau(tau: float) -> float:
     return tau
 
 
+def check_marginal(marginal: np.ndarray, size: int, what: str = "marginal") -> np.ndarray:
+    """A length-``size`` class distribution: nonnegative, summing to one."""
+    m = np.asarray(marginal, dtype=np.float64)
+    if m.shape != (size,):
+        raise DataError(f"{what} shape {m.shape}, expected ({size},)")
+    if np.any(m < 0) or not np.isclose(m.sum(), 1.0, atol=1e-9):
+        raise DataError(f"{what} must be nonnegative and sum to one")
+    return m
+
+
 def ensemble_text_prototypes(per_class_templates: np.ndarray) -> np.ndarray:
     """Average per-class template embeddings and renormalize to unit norm.
 

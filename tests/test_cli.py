@@ -258,6 +258,10 @@ def test_benchmark_flag_validation(dataset_dir, tmp_path):
     assert main(["benchmark", *data, "--solvers", "protonet", *out]) == EXIT_CONFIG
     assert main(["benchmark", *data, "--shots-grid", "a,b", *out]) == EXIT_CONFIG
     assert main(["benchmark", *data, "--solvers", "", *out]) == EXIT_CONFIG
+    # a grid that cannot run is a config error, not a set of failed cells
+    for flags in (["--seeds", "0"], ["--seeds", "-2"], ["--shots-grid", "0"],
+                  ["--shots-grid", "1,0"], ["--unlabeled-mult", "-1"]):
+        assert main(["benchmark", *data, *flags, *out]) == EXIT_CONFIG, flags
 
 
 # ---------------------------------------------------------------- misc

@@ -258,6 +258,74 @@ def test_prototype_file_round_trip(tmp_path, rng):
     assert manifest["c"] == 4 and manifest["d"] == 6
 
 
+@pytest.mark.parametrize("loader,field,value,loads", [
+    ("dataset", "n", "abc", False),
+    ("dataset", "n", None, False),
+    ("dataset", "n", True, False),
+    ("dataset", "n", 4.5, False),
+    ("dataset", "n", [4], False),
+    ("dataset", "n", 0, False),
+    ("dataset", "n", 4.0, True),
+    ("dataset", "n", 10**400, False),
+    ("dataset", "d", 2.9, False),
+    ("dataset", "d", 2.0, True),
+    ("dataset", "c", "2", False),
+    ("dataset", "c", 3, False),
+    ("dataset", "m", 2.5, False),
+    ("dataset", "m", -1, False),
+    ("dataset", "m", None, False),
+    ("dataset", "m", 0, True),
+    ("dataset", "j", "x", False),
+    ("dataset", "j", 1.5, False),
+    ("dataset", "tau", "x", False),
+    ("dataset", "tau", None, False),
+    ("dataset", "tau", False, False),
+    ("dataset", "tau", float("nan"), False),
+    ("dataset", "tau", 0, False),
+    ("dataset", "tau", 10**400, False),
+    ("dataset", "tau", 1, True),
+    ("dataset", "tau", 0.05, True),
+    ("dataset", "embeddings", "../embeddings.f32", False),
+    ("dataset", "labels", "/labels.u32", False),
+    ("dataset", "prototypes", "sub/prototypes.f32", False),
+    ("dataset", "prototypes", 7, False),
+    ("dataset", "unlabeled", "..", False),
+    ("dataset", "embeddings", "embeddings.f32", True),
+    ("prototypes", "c", "abc", False),
+    ("prototypes", "c", None, False),
+    ("prototypes", "d", 6.5, False),
+    ("prototypes", "d", 6.0, True),
+    ("prototypes", "prototypes", "../p.f32", False),
+])
+def test_manifest_fields_load_or_fail_typed(tmp_path, rng, loader, field, value, loads):
+    # every blob name also exists one directory up, so an escaping name
+    # would load if it were followed
+    data_dir = tmp_path / "ds"
+    data_dir.mkdir()
+    if loader == "dataset":
+        path = _write_raw_dataset(data_dir)
+        load = load_dataset
+    else:
+        path = data_dir / "p.json"
+        save_prototypes(rng.standard_normal((4, 6)), path)
+        load = load_prototypes
+    for blob in data_dir.glob("*.*32"):
+        (tmp_path / blob.name).write_bytes(blob.read_bytes())
+    manifest = json.loads(path.read_text())
+    manifest[field] = value
+    path.write_text(json.dumps(manifest))
+    if not loads:
+        with pytest.raises((FormatError, DataError)):
+            load(path)
+        return
+    out = load(path)
+    if loader == "dataset":
+        assert (out.n, out.dim, out.class_count) == (4, 2, 2)
+        assert out.tau == (None if field != "tau" else float(value))
+    else:
+        assert out.shape == (4, 6)
+
+
 def test_load_prototypes_rejects_bad_manifest(tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"c": 2, "d": 2, "dtype": "f32le"}))

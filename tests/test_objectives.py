@@ -274,6 +274,34 @@ def test_semi_parts_sum_to_total(rng):
         val.fewshot_term + val.text_penalty_term + val.unlabeled_term, abs=1e-10)
 
 
+def test_semi_matches_naive_per_class_loop(rng):
+    # class 2 is unobserved: the adaptive policy drops its penalty and
+    # unlabeled parts from the reported value
+    c, d, m = 4, 5, 9
+    emb = unit_rows(rng, 7, d)
+    sup = SupportSet.from_indices(emb, np.array([0, 1, 1, 3, 0, 3, 3]), c)
+    unl = random_unlabeled(rng, m, d)
+    codes = random_codes(rng, m, c)
+    w = unit_rows(rng, c, d) * 1.5
+    t = unit_rows(rng, c, d)
+    tau = 0.2
+    val = eval_semi_objective(sup, unl, codes, w, t, tau, LambdaPolicy.adaptive())
+    tight = penalty = unl_term = 0.0
+    for k in range(c):
+        only_k = np.zeros(c)
+        only_k[k] = 1.0
+        tight += eval_tightness(sup.labels * only_k, sup.embeddings, w, tau)
+        if sup.shot_counts[k] == 0:
+            continue
+        lam = 1.0 / sup.shot_counts[k]
+        penalty += lam * float(((w[k] - t[k]) ** 2).sum())
+        unl_term += 2.0 * lam * eval_tightness(codes * only_k, unl.embeddings, w, tau)
+    assert val.fewshot_term == pytest.approx(tight, abs=1e-12)
+    assert val.text_penalty_term == pytest.approx(penalty, abs=1e-12)
+    assert val.unlabeled_term == pytest.approx(unl_term, abs=1e-12)
+    assert val.total == pytest.approx(tight + penalty + unl_term, abs=1e-12)
+
+
 def test_semi_midpoint_convexity(rng):
     # linear tightness terms plus a quadratic penalty: convex in W
     sup = random_support(rng, 10, 3, 6, ensure_all_classes=True)

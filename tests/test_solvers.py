@@ -311,6 +311,31 @@ def test_sstextu_each_round_minimizes_its_codes(rng):
         assert base <= other + 1e-12
 
 
+@pytest.mark.parametrize("case", ["unobserved", "fixed"])
+def test_sstextu_trace_matches_public_objective(rng, case):
+    # every trace entry is the public objective at the round's codes:
+    # entry 0 at the text start under round 1's codes, entry r after
+    # round r's prototype step
+    c, d = 3, 6
+    if case == "unobserved":
+        emb = unit_rows(rng, 6, d)
+        sup = SupportSet.from_indices(emb, np.array([0, 1, 1, 0, 0, 1]), c)
+        lambdas = LambdaPolicy.adaptive()
+    else:
+        sup = random_support(rng, 9, c, d, ensure_all_classes=True)
+        lambdas = LambdaPolicy.fixed([0.7, 1.3, 0.4], [0.5, 0.0, 2.0])
+    unl = random_unlabeled(rng, 30, d)
+    t = unit_rows(rng, c, d)
+    cfg = SolverConfig(tau=0.05, bcm_iters=3, lambdas=lambdas, track_codes=True)
+    result = fit_sstextu(sup, unl, t, cfg)
+    starts = [t, *result.prototype_trace]
+    codes = [result.pseudolabel_trace[0], *result.pseudolabel_trace]
+    assert result.objective_trace.shape == (4,)
+    for entry, z, w in zip(result.objective_trace, codes, starts):
+        direct = eval_semi_objective(sup, unl, z, w, t, cfg.tau, lambdas).total
+        assert entry == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+
 def test_sstextu_marginal_sources(rng):
     emb = unit_rows(rng, 4, 5)
     sup = SupportSet.from_indices(emb, np.array([0, 0, 1, 1]), 3)
