@@ -108,16 +108,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fixed unlabeled weight (lambda-mode fixed)")
         p.add_argument("--marginal-source", choices=MARGINAL_SOURCES,
                        default="support_estimate")
-        p.add_argument("--shots", type=int, default=1)
         p.add_argument("--unlabeled-mult", type=int, default=24)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--stratified", action="store_true",
-                       help="force exactly --shots per class (contrast mode)")
 
     adapt = sub.add_parser("adapt", help="fit prototypes on a sampled split")
     adapt.add_argument("--data", type=Path, required=True, help="dataset manifest")
     adapt.add_argument("--solver", choices=SOLVER_NAMES, required=True)
     _fit_flags(adapt)
+    adapt.add_argument("--shots", type=int, default=1)
+    adapt.add_argument("--seed", type=int, default=0)
+    adapt.add_argument("--stratified", action="store_true",
+                       help="force exactly --shots per class (contrast mode)")
     adapt.add_argument("--out", type=Path, required=True, help="output directory")
 
     ev = sub.add_parser("eval", help="score saved prototypes on a dataset pool")
@@ -130,7 +130,10 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out", type=Path, default=None,
                     help="report path (default: stdout)")
 
-    bench = sub.add_parser("benchmark", help="run a (solver, shots, seed) grid")
+    # no prefix matching: --shots and --seed would otherwise silently
+    # stand for --shots-grid and --seeds
+    bench = sub.add_parser("benchmark", help="run a (solver, shots, seed) grid",
+                           allow_abbrev=False)
     bench.add_argument("--data", type=Path, default=None,
                        help="dataset manifest (default: built-in synthetic)")
     bench.add_argument("--eval-data", type=Path, default=None,
@@ -255,10 +258,7 @@ def _fit_config_echo(args, tau: float) -> dict:
         "lambda_text": args.lambda_text,
         "lambda_unlabeled": args.lambda_unlabeled,
         "marginal_source": args.marginal_source,
-        "shots": args.shots,
         "unlabeled_mult": args.unlabeled_mult,
-        "seed": args.seed,
-        "stratified": args.stratified,
     }
 
 
@@ -291,7 +291,8 @@ def cmd_adapt(args) -> int:
                      oracle_marginal)
     config = {"command": "adapt", "data": str(args.data),
               "solver": args.solver, "out": str(args.out),
-              **_fit_config_echo(args, tau)}
+              "shots": args.shots, "seed": args.seed,
+              "stratified": args.stratified, **_fit_config_echo(args, tau)}
     out: Path = args.out
     save_prototypes(fit.prototypes, out / "prototypes.json",
                     extra={"version": __version__, "config": config})
@@ -383,8 +384,6 @@ def cmd_benchmark(args) -> int:
               "seeds": args.seeds, "threads": args.threads,
               "no_timing": args.no_timing, "out_csv": str(args.out_csv),
               **_fit_config_echo(args, tau)}
-    config.pop("shots", None)
-    config.pop("seed", None)
     if args.out_json is not None:
         _write_json(args.out_json, rows_to_json(rows, {"version": __version__,
                                                        **config}))

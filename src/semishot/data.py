@@ -67,6 +67,16 @@ def normalize_rows(x: np.ndarray) -> np.ndarray:
     return arr / norms[:, None]
 
 
+def _check_unit_rows(embeddings: np.ndarray, what: str) -> None:
+    """Finite rows with norm within ``NORM_VALID_TOL`` of 1. A NaN or Inf
+    entry fails the norm test too; einsum makes no full-size temporary."""
+    norms = np.sqrt(np.einsum("ij,ij->i", embeddings, embeddings))
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_VALID_TOL))
+    if bad.size:
+        raise DataError(f"{what} rows {bad[:8].tolist()} are not finite and "
+                        f"unit-norm within {NORM_VALID_TOL:g}")
+
+
 @dataclass(frozen=True, eq=False)
 class SupportSet:
     """Labeled adaptation set: embeddings with one-hot labels."""
@@ -89,6 +99,7 @@ class SupportSet:
             raise DataError("support labels must be one-hot (entries in {0,1})")
         if not np.all(lab.sum(axis=1) == 1.0):
             raise DataError("every support label row must sum to exactly 1")
+        _check_unit_rows(self.embeddings, "support embeddings")
 
     @classmethod
     def from_indices(
@@ -134,13 +145,11 @@ class UnlabeledSet:
     def __post_init__(self):
         if self.embeddings.ndim != 2:
             raise DataError("unlabeled embeddings must be 2-d")
+        _check_unit_rows(self.embeddings, "unlabeled embeddings")
 
     @classmethod
     def from_embeddings(cls, embeddings: np.ndarray) -> "UnlabeledSet":
-        emb = np.asarray(embeddings, dtype=np.float64)
-        if emb.shape[0] == 0:
-            return cls(embeddings=_readonly(emb.reshape(0, emb.shape[1])))
-        return cls(embeddings=_readonly(normalize_rows(emb)))
+        return cls(embeddings=_readonly(normalize_rows(embeddings)))
 
     @classmethod
     def empty(cls, dim: int) -> "UnlabeledSet":
@@ -223,9 +232,7 @@ class Dataset:
         if unlabeled is None:
             unl = np.zeros((0, emb.shape[1]), dtype=np.float64)
         else:
-            unl = np.asarray(unlabeled, dtype=np.float64)
-            if unl.shape[0]:
-                unl = normalize_rows(unl)
+            unl = normalize_rows(unlabeled)
         if unl.shape[1] != emb.shape[1]:
             raise DataError("unlabeled embeddings dimension mismatch")
         if templates is not None:

@@ -277,6 +277,18 @@ def synthetic_dataset(spec: SyntheticSpec,
     )
 
 
+def _per_class_recall(predictions: np.ndarray, truth: np.ndarray,
+                      class_count: int) -> tuple[np.ndarray, float]:
+    """Recall of each class (NaN for classes absent from the truth) and
+    its mean over the present classes."""
+    totals = np.bincount(truth, minlength=class_count)
+    hits = np.bincount(truth[predictions == truth], minlength=class_count)
+    present = totals > 0
+    recall = np.full(class_count, np.nan)
+    recall[present] = hits[present] / totals[present]
+    return recall, float(recall[present].mean())
+
+
 def balanced_accuracy(predictions: np.ndarray, truth: np.ndarray,
                       class_count: int) -> float:
     """Mean per-class recall over the classes present in the truth."""
@@ -284,10 +296,7 @@ def balanced_accuracy(predictions: np.ndarray, truth: np.ndarray,
     true = np.asarray(truth)
     if pred.shape != true.shape or pred.ndim != 1 or pred.size == 0:
         raise DataError("predictions and truth must be equal-length nonempty vectors")
-    totals = np.bincount(true, minlength=class_count)
-    hits = np.bincount(true[pred == true], minlength=class_count)
-    present = totals > 0
-    return float((hits[present] / totals[present]).mean())
+    return _per_class_recall(pred, true, class_count)[1]
 
 
 def evaluate_prototypes(prototypes: np.ndarray, eval_set: EvalSet,
@@ -297,14 +306,9 @@ def evaluate_prototypes(prototypes: np.ndarray, eval_set: EvalSet,
         raise DataError("eval split is empty")
     probs = predict_probs(eval_set.embeddings, prototypes, tau)
     pred = predict_labels(probs)
-    totals = np.bincount(eval_set.labels, minlength=eval_set.class_count)
-    hits = np.bincount(eval_set.labels[pred == eval_set.labels],
-                       minlength=eval_set.class_count)
-    present = totals > 0
-    recall = np.full(eval_set.class_count, np.nan)
-    recall[present] = hits[present] / totals[present]
+    recall, aca = _per_class_recall(pred, eval_set.labels, eval_set.class_count)
     return MetricReport(
-        aca=float(recall[present].mean()),
+        aca=aca,
         acc=float((pred == eval_set.labels).mean()),
         per_class_recall=recall,
     )

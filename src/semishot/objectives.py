@@ -31,7 +31,7 @@ import numpy as np
 
 from .data import SupportSet, UnlabeledSet
 from .errors import ConfigError, DataError
-from .zeroshot import check_tau
+from .zeroshot import _logsumexp, check_tau, similarity_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,22 +102,13 @@ class ObjectiveValue:
     unlabeled_term: float
 
 
-def _logits(embeddings: np.ndarray, prototypes: np.ndarray, tau: float) -> np.ndarray:
-    v = np.asarray(embeddings, dtype=np.float64)
-    w = np.asarray(prototypes, dtype=np.float64)
-    if v.ndim != 2 or w.ndim != 2 or v.shape[1] != w.shape[1]:
-        raise DataError(f"shape mismatch: embeddings {v.shape} vs prototypes {w.shape}")
-    return (v @ w.T) / tau
-
-
 def eval_tightness(weights: np.ndarray, embeddings: np.ndarray,
                    prototypes: np.ndarray, tau: float) -> float:
     """Mean over samples of -sum_c weights[i, c] * (v_i . w_c) / tau.
 
     ``weights`` rows are one-hot labels or soft assignment codes.
     """
-    tau = check_tau(tau)
-    s = _logits(embeddings, prototypes, tau)
+    s = similarity_matrix(prototypes, embeddings, tau).T
     wts = np.asarray(weights, dtype=np.float64)
     if wts.shape != s.shape:
         raise DataError(f"weights shape {wts.shape} does not match logits {s.shape}")
@@ -126,22 +117,18 @@ def eval_tightness(weights: np.ndarray, embeddings: np.ndarray,
 
 def eval_contrast(embeddings: np.ndarray, prototypes: np.ndarray, tau: float) -> float:
     """Mean over samples of log sum_c exp((v_i . w_c) / tau)."""
-    tau = check_tau(tau)
-    s = _logits(embeddings, prototypes, tau)
-    mx = s.max(axis=1)
-    return float((mx + np.log(np.exp(s - mx[:, None]).sum(axis=1))).mean())
+    s = similarity_matrix(prototypes, embeddings, tau).T
+    return float(_logsumexp(s, axis=1).mean())
 
 
 def eval_ce(labels: np.ndarray, embeddings: np.ndarray,
             prototypes: np.ndarray, tau: float) -> float:
     """Mean softmax cross-entropy; equals tightness + contrast."""
-    tau = check_tau(tau)
-    s = _logits(embeddings, prototypes, tau)
+    s = similarity_matrix(prototypes, embeddings, tau).T
     y = np.asarray(labels, dtype=np.float64)
     if y.shape != s.shape:
         raise DataError(f"labels shape {y.shape} does not match logits {s.shape}")
-    mx = s.max(axis=1, keepdims=True)
-    logz = mx + np.log(np.exp(s - mx).sum(axis=1, keepdims=True))
+    logz = _logsumexp(s, axis=1)[:, None]
     return float(-(y * (s - logz)).sum(axis=1).mean())
 
 

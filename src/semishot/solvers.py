@@ -26,8 +26,8 @@ import numpy as np
 from .data import SupportSet, UnlabeledSet
 from .errors import ConfigError, DataError, DegeneratePlanError, SolverError
 from .objectives import LambdaPolicy, _check_prototypes, _class_sums
-from .sinkhorn import extract_pseudolabels, similarity_matrix, solve_transport
-from .zeroshot import check_marginal, check_tau
+from .transport import extract_pseudolabels, solve_transport
+from .zeroshot import check_marginal, check_tau, similarity_matrix
 
 MARGINAL_SOURCES = ("support_estimate", "support_raw", "oracle")
 

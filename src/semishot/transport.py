@@ -13,6 +13,11 @@ constraint exactly (up to roundoff) while the row constraint holds
 approximately, with the gap shrinking as iterations increase. With zero
 iterations the plan is a per-column softmax carrying mass 1/M, which
 ignores the row marginal entirely.
+
+Two routes compute the same plan: ``init_plan`` plus ``sinkhorn`` scale
+an explicit kernel and are the tests' reference; ``solve_transport``
+scales the scores of ``zeroshot.similarity_matrix`` in log space and is
+what the solvers run. Both share one input check and one plan builder.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DegeneratePlanError
-from .zeroshot import check_marginal, check_tau
+from .zeroshot import _logsumexp, check_marginal
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,20 +81,6 @@ class TransportPlan:
         return self.values.shape[1]
 
 
-def similarity_matrix(prototypes: np.ndarray, embeddings: np.ndarray,
-                      tau: float) -> np.ndarray:
-    """Scaled cosine-style scores, classes by points: (W @ V.T) / tau."""
-    tau = check_tau(tau)
-    w = np.asarray(prototypes, dtype=np.float64)
-    v = np.asarray(embeddings, dtype=np.float64)
-    if w.ndim != 2 or v.ndim != 2 or w.shape[1] != v.shape[1]:
-        raise DataError(f"shape mismatch: prototypes {w.shape} vs embeddings {v.shape}")
-    s = (w @ v.T) / tau
-    if not np.all(np.isfinite(s)):
-        raise DataError("similarity matrix contains non-finite entries")
-    return s
-
-
 def init_plan(similarities: np.ndarray) -> np.ndarray:
     """Exponential of the scores, shifted by the global max and normalized
     so all entries sum to one. Shifting first keeps exp in range; the
@@ -114,6 +105,38 @@ def marginal_residual(plan, row_marginal: np.ndarray) -> float:
     return float(np.abs(rows - np.asarray(row_marginal, dtype=np.float64)).sum())
 
 
+def _checked_inputs(matrix: np.ndarray, row_marginal: np.ndarray, iterations: int,
+                    what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The input check both scaling routes share: iteration count, a 2-d
+    nonempty finite matrix and a row marginal that fits it."""
+    if iterations < 0:
+        raise ConfigError(f"iteration count must be >= 0, got {iterations}")
+    a = np.asarray(matrix, dtype=np.float64)
+    if a.ndim != 2 or a.size == 0:
+        raise DataError(f"{what} must be 2-d and nonempty, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise DataError(f"{what} contains non-finite entries")
+    return a, check_marginal(row_marginal, a.shape[0], "row marginal")
+
+
+def _build_plan(values: np.ndarray, row_marginal: np.ndarray, iterations: int,
+                row_scale: np.ndarray, col_scale: np.ndarray) -> TransportPlan:
+    """A plan with its residual, and its scaling vectors when
+    ScalingVectors accepts them as positive and finite."""
+    try:
+        scaling = ScalingVectors(row=row_scale, col=col_scale)
+    except DataError:
+        scaling = None
+    return TransportPlan(
+        values=values,
+        row_marginal=row_marginal,
+        col_total=1.0 / values.shape[1],
+        residual=marginal_residual(values, row_marginal),
+        iterations=iterations,
+        scaling=scaling,
+    )
+
+
 def sinkhorn(plan0: np.ndarray, row_marginal: np.ndarray,
              iterations: int = 10) -> TransportPlan:
     """Alternate row and column scaling of plan0 toward the marginals.
@@ -125,57 +148,26 @@ def sinkhorn(plan0: np.ndarray, row_marginal: np.ndarray,
     denominator vanishes for a target that needs mass (zero-mass rows
     are allowed: their scale is pinned to zero).
     """
-    if iterations < 0:
-        raise ConfigError(f"iteration count must be >= 0, got {iterations}")
-    q = np.asarray(plan0, dtype=np.float64)
-    if q.ndim != 2 or q.size == 0:
-        raise DataError(f"plan must be 2-d and nonempty, got {q.shape}")
-    if np.any(q < 0) or not np.all(np.isfinite(q)):
-        raise DataError("plan entries must be finite and nonnegative")
-    m = check_marginal(row_marginal, q.shape[0], "row marginal")
+    q, m = _checked_inputs(plan0, row_marginal, iterations, "plan")
+    if np.any(q < 0):
+        raise DataError("plan entries must be nonnegative")
 
     n_cols = q.shape[1]
     col_target = 1.0 / n_cols
     r = np.ones(q.shape[0])
     c = np.ones(n_cols)
     positive = m > 0
-    for _ in range(iterations):
-        row_mass = q @ c
-        if np.any(positive & (row_mass <= 0)):
-            raise DegeneratePlanError("row scaling denominator vanished")
-        r = np.where(positive, m / np.where(row_mass > 0, row_mass, 1.0), 0.0)
+    for _ in range(max(iterations, 1)):
+        if iterations:
+            row_mass = q @ c
+            if np.any(positive & (row_mass <= 0)):
+                raise DegeneratePlanError("row scaling denominator vanished")
+            r = np.where(positive, m / np.where(row_mass > 0, row_mass, 1.0), 0.0)
         col_mass = q.T @ r
         if np.any(col_mass <= 0):
             raise DegeneratePlanError("column scaling denominator vanished")
         c = col_target / col_mass
-    if iterations == 0:
-        col_mass = q.T @ r
-        if np.any(col_mass <= 0):
-            raise DegeneratePlanError("column scaling denominator vanished")
-        c = col_target / col_mass
-    values = r[:, None] * q * c[None, :]
-    return TransportPlan(
-        values=values,
-        row_marginal=m,
-        col_total=col_target,
-        residual=marginal_residual(values, m),
-        iterations=iterations,
-        scaling=_scaling_or_none(r, c),
-    )
-
-
-def _scaling_or_none(r: np.ndarray, c: np.ndarray) -> ScalingVectors | None:
-    if np.all(np.isfinite(r)) and np.all(r > 0) and np.all(np.isfinite(c)) and np.all(c > 0):
-        return ScalingVectors(row=r, col=c)
-    return None
-
-
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    mx = a.max(axis=axis, keepdims=True)
-    shift = np.where(np.isfinite(mx), mx, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.exp(a - shift).sum(axis=axis, keepdims=True)) + shift
-    return np.squeeze(out, axis=axis)
+    return _build_plan(r[:, None] * q * c[None, :], m, iterations, r, c)
 
 
 def solve_transport(similarities: np.ndarray, row_marginal: np.ndarray,
@@ -192,14 +184,7 @@ def solve_transport(similarities: np.ndarray, row_marginal: np.ndarray,
     to matter flush to zero instead of dragging whole rows or columns
     to zero and killing the scaling denominators.
     """
-    if iterations < 0:
-        raise ConfigError(f"iteration count must be >= 0, got {iterations}")
-    s = np.asarray(similarities, dtype=np.float64)
-    if s.ndim != 2 or s.size == 0:
-        raise DataError(f"similarity matrix must be 2-d and nonempty, got {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise DataError("similarity matrix contains non-finite entries")
-    m = check_marginal(row_marginal, s.shape[0], "row marginal")
+    s, m = _checked_inputs(similarities, row_marginal, iterations, "similarity matrix")
 
     n_cols = s.shape[1]
     log_u = -np.log(n_cols)
@@ -207,22 +192,14 @@ def solve_transport(similarities: np.ndarray, row_marginal: np.ndarray,
         log_m = np.log(m)  # -inf rows carry zero mass throughout
     log_r = np.zeros(s.shape[0])
     log_c = np.zeros(n_cols)
-    for _ in range(iterations):
-        log_r = log_m - _logsumexp(s + log_c[None, :], axis=1)
+    for _ in range(max(iterations, 1)):
+        if iterations:
+            log_r = log_m - _logsumexp(s + log_c[None, :], axis=1)
         log_c = log_u - _logsumexp(s + log_r[:, None], axis=0)
-    if iterations == 0:
-        log_c = log_u - _logsumexp(s, axis=0)
     values = np.exp(log_r[:, None] + s + log_c[None, :])
     with np.errstate(over="ignore", under="ignore"):
-        scaling = _scaling_or_none(np.exp(log_r), np.exp(log_c))
-    return TransportPlan(
-        values=values,
-        row_marginal=m,
-        col_total=1.0 / n_cols,
-        residual=marginal_residual(values, m),
-        iterations=iterations,
-        scaling=scaling,
-    )
+        row_scale, col_scale = np.exp(log_r), np.exp(log_c)
+    return _build_plan(values, m, iterations, row_scale, col_scale)
 
 
 def extract_pseudolabels(plan: TransportPlan) -> np.ndarray:

@@ -1,4 +1,9 @@
-"""Text-prototype ensembling and softmax prediction over prototype similarities."""
+"""Text-prototype ensembling, the scoring rule and softmax prediction.
+
+``similarity_matrix`` (scores (W @ V.T) / tau, classes by points) and
+``_logsumexp`` are the one scoring rule that prediction, the loss
+evaluators and the transport step read.
+"""
 
 from __future__ import annotations
 
@@ -51,20 +56,36 @@ def ensemble_text_prototypes(per_class_templates: np.ndarray) -> np.ndarray:
     return means / norms[:, None]
 
 
+def similarity_matrix(prototypes: np.ndarray, embeddings: np.ndarray,
+                      tau: float) -> np.ndarray:
+    """Scaled cosine-style scores, classes by points: (W @ V.T) / tau."""
+    tau = check_tau(tau)
+    w = np.asarray(prototypes, dtype=np.float64)
+    v = np.asarray(embeddings, dtype=np.float64)
+    if w.ndim != 2 or v.ndim != 2 or w.shape[1] != v.shape[1]:
+        raise DataError(f"shape mismatch: prototypes {w.shape} vs embeddings {v.shape}")
+    s = (w @ v.T) / tau
+    if not np.all(np.isfinite(s)):
+        raise DataError("similarity matrix contains non-finite entries")
+    return s
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along ``axis``, shifted by the max; -inf slices stay -inf."""
+    mx = a.max(axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(mx), mx, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.exp(a - shift).sum(axis=axis, keepdims=True)) + shift
+    return np.squeeze(out, axis=axis)
+
+
 def predict_probs(embeddings: np.ndarray, prototypes: np.ndarray, tau: float) -> np.ndarray:
     """Softmax class probabilities from prototype similarities.
 
     Row i is softmax over classes of (v_i . w_c) / tau, computed with
     per-row max subtraction so small temperatures cannot overflow.
     """
-    tau = check_tau(tau)
-    v = np.asarray(embeddings, dtype=np.float64)
-    w = np.asarray(prototypes, dtype=np.float64)
-    if v.ndim != 2 or w.ndim != 2 or v.shape[1] != w.shape[1]:
-        raise DataError(f"shape mismatch: embeddings {v.shape} vs prototypes {w.shape}")
-    logits = (v @ w.T) / tau
-    if not np.all(np.isfinite(logits)):
-        raise DataError("non-finite logits")
+    logits = similarity_matrix(prototypes, embeddings, tau).T
     shifted = logits - logits.max(axis=1, keepdims=True)
     expd = np.exp(shifted)
     return expd / expd.sum(axis=1, keepdims=True)

@@ -264,6 +264,18 @@ def test_benchmark_flag_validation(dataset_dir, tmp_path):
         assert main(["benchmark", *data, *flags, *out]) == EXIT_CONFIG, flags
 
 
+@pytest.mark.parametrize("flags", [["--stratified"], ["--shots", "7"],
+                                   ["--seed", "9"]],
+                         ids=["stratified", "shots", "seed"])
+def test_benchmark_rejects_split_flags(dataset_dir, tmp_path, flags):
+    # the grid sets shots and seeds itself; these adapt-only flags would
+    # be ignored, or taken as prefixes of --shots-grid and --seeds
+    with pytest.raises(SystemExit) as info:
+        main(["benchmark", "--data", str(dataset_dir / "manifest.json"),
+              *flags, "--out-csv", str(tmp_path / "v.csv")])
+    assert info.value.code == EXIT_CONFIG
+
+
 # ---------------------------------------------------------------- misc
 
 

@@ -75,6 +75,30 @@ def test_support_rejects_bad_onehot():
         SupportSet.from_indices(emb, np.array([0, 2]), 2)
 
 
+@pytest.mark.parametrize("build", [
+    lambda e: SupportSet(embeddings=e, labels=np.eye(2)),
+    lambda e: UnlabeledSet(embeddings=e),
+], ids=["support", "unlabeled"])
+@pytest.mark.parametrize("rows", [
+    [[np.nan, 0.0], [0.0, 1.0]],
+    [[np.inf, 0.0], [0.0, 1.0]],
+    [[3.0, 4.0], [0.0, 1.0]],
+    [[0.0, 0.0], [0.0, 1.0]],
+    [[1.0 + 1e-3, 0.0], [0.0, 1.0]],
+], ids=["nan", "inf", "norm5", "zero", "norm_off"])
+def test_direct_construction_rejects_bad_rows(build, rows):
+    # the constructors hold the same finite, unit-norm contract as the
+    # factories, so a bad row fails here and not rounds later in a fit
+    with pytest.raises(DataError):
+        build(np.array(rows))
+
+
+def test_direct_construction_accepts_unit_rows_within_tolerance():
+    emb = np.array([[1.0 + 5e-5, 0.0], [0.0, 1.0]])
+    assert SupportSet(embeddings=emb, labels=np.eye(2)).n == 2
+    assert UnlabeledSet(embeddings=emb).count == 2
+
+
 def test_unlabeled_empty_is_legal():
     unl = UnlabeledSet.empty(4)
     assert unl.count == 0

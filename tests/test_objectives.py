@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from semishot import (
     ConfigError,
+    DataError,
     LambdaPolicy,
     SupportSet,
     UnlabeledSet,
@@ -101,6 +102,21 @@ def test_contrast_zero_prototypes_is_log_c(rng):
     for c in (1, 2, 7):
         got = eval_contrast(v, np.zeros((c, 3)), tau=0.01)
         assert got == pytest.approx(math.log(c), abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("evaluate", [
+    lambda y, v, w: eval_tightness(y, v, w, tau=0.1),
+    lambda y, v, w: eval_contrast(v, w, tau=0.1),
+    lambda y, v, w: eval_ce(y, v, w, tau=0.1),
+], ids=["tightness", "contrast", "ce"])
+def test_logit_evaluators_reject_nonfinite_prototypes(rng, evaluate, bad):
+    v = unit_rows(rng, 4, 3)
+    y = np.eye(2)[[0, 1, 0, 1]]
+    w = unit_rows(rng, 2, 3)
+    w[1, 2] = bad
+    with pytest.raises(DataError):
+        evaluate(y, v, w)
 
 
 # ---------------------------------------------------------------- cross-entropy

@@ -1,0 +1,29 @@
+import importlib
+import pkgutil
+import types
+
+import semishot
+
+
+SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(semishot.__path__))
+
+
+def test_submodules_are_listed():
+    assert {"transport", "zeroshot", "solvers"} <= set(SUBMODULES)
+    assert "sinkhorn" not in SUBMODULES
+
+
+def test_every_submodule_imports_under_its_own_name():
+    # an exported function named like its module would shadow it as a
+    # package attribute, and ``import semishot.<name> as m`` would bind
+    # the function
+    for name in SUBMODULES:
+        module = importlib.import_module(f"semishot.{name}")
+        assert isinstance(module, types.ModuleType), name
+        assert getattr(semishot, name) is module, name
+    import semishot.transport as transport
+    assert isinstance(transport, types.ModuleType)
+
+
+def test_no_exported_name_is_a_submodule_name():
+    assert not set(semishot.__all__) & set(SUBMODULES)
