@@ -38,8 +38,17 @@ NORM_VALID_TOL = 1e-4
 _REQUIRED_MANIFEST_KEYS = ("n", "d", "c", "dtype", "embeddings", "labels", "prototypes")
 
 
+def _as_array(x, dtype, name: str) -> np.ndarray:
+    """``x`` as an ndarray of ``dtype`` (None keeps its own), with no copy
+    when it already is one; ragged or non-numeric input is a DataError."""
+    try:
+        return np.asarray(x, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{name} must be a numeric array: {exc}") from None
+
+
 def _as_float64(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
+    arr = _as_array(x, np.float64, name)
     if not np.all(np.isfinite(arr)):
         raise DataError(f"{name} contains NaN or Inf entries")
     return arr
@@ -85,6 +94,10 @@ class SupportSet:
     labels: np.ndarray  # (N, C), one-hot
 
     def __post_init__(self):
+        object.__setattr__(self, "embeddings",
+                           _as_array(self.embeddings, np.float64, "support embeddings"))
+        object.__setattr__(self, "labels",
+                           _as_array(self.labels, np.float64, "support labels"))
         if self.embeddings.ndim != 2 or self.labels.ndim != 2:
             raise DataError("support embeddings and labels must be 2-d")
         if self.embeddings.shape[0] != self.labels.shape[0]:
@@ -143,6 +156,8 @@ class UnlabeledSet:
     embeddings: np.ndarray  # (M, D)
 
     def __post_init__(self):
+        object.__setattr__(self, "embeddings",
+                           _as_array(self.embeddings, np.float64, "unlabeled embeddings"))
         if self.embeddings.ndim != 2:
             raise DataError("unlabeled embeddings must be 2-d")
         _check_unit_rows(self.embeddings, "unlabeled embeddings")
@@ -173,6 +188,11 @@ class EvalSet:
     class_count: int
 
     def __post_init__(self):
+        object.__setattr__(self, "embeddings",
+                           _as_array(self.embeddings, np.float64, "eval embeddings"))
+        object.__setattr__(self, "labels", _as_array(self.labels, None, "eval labels"))
+        if self.labels.dtype.kind not in "iu":
+            raise DataError(f"eval labels must be integers, got dtype {self.labels.dtype}")
         if self.embeddings.ndim != 2 or self.labels.ndim != 1:
             raise DataError("eval set needs 2-d embeddings and 1-d labels")
         if self.embeddings.shape[0] != self.labels.shape[0]:
@@ -395,12 +415,21 @@ def _read_blob(path: Path, dtype: np.dtype, count: int, what: str) -> np.ndarray
     return np.frombuffer(raw, dtype=dtype).copy()
 
 
+def _widen_finite(raw32: np.ndarray, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """Blob values widened to float64 in ``shape``; NaN or Inf is a
+    DataError. A signalling NaN sets the invalid flag in the cast, which
+    is silenced so that this check is the only signal."""
+    with np.errstate(invalid="ignore"):
+        arr = raw32.astype(np.float64).reshape(shape)
+    if not np.all(np.isfinite(arr)):
+        raise DataError(f"{what} blob contains NaN or Inf")
+    return arr
+
+
 def _ingest_unit_rows(raw32: np.ndarray, n: int, d: int, what: str,
                       warnings: list[str]) -> np.ndarray:
     """Widen to float64 and apply the load-time normalization policy."""
-    arr = raw32.astype(np.float64).reshape(n, d)
-    if not np.all(np.isfinite(arr)):
-        raise DataError(f"{what} blob contains NaN or Inf")
+    arr = _widen_finite(raw32, (n, d), what)
     if n == 0:
         return arr
     norms = np.linalg.norm(arr, axis=1)
@@ -448,10 +477,8 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     if labels.size and labels.max() >= c:
         raise DataError(f"label index {int(labels.max())} out of range for c={c}")
 
-    proto_raw = blob("prototypes", EMBEDDING_DTYPE, c * d)
-    prototypes = proto_raw.astype(np.float64).reshape(c, d)
-    if not np.all(np.isfinite(prototypes)):
-        raise DataError("prototypes blob contains NaN or Inf")
+    prototypes = _widen_finite(blob("prototypes", EMBEDDING_DTYPE, c * d), (c, d),
+                               "prototypes")
 
     m = _field(manifest, "m", int, 0)
     if m < 0:
@@ -471,10 +498,8 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     if "templates" in manifest:
         if j < 1:
             raise FormatError("manifest with 'templates' must declare 'j' >= 1")
-        tmpl_raw = blob("templates", EMBEDDING_DTYPE, c * j * d)
-        templates = tmpl_raw.astype(np.float64).reshape(c, j, d)
-        if not np.all(np.isfinite(templates)):
-            raise DataError("templates blob contains NaN or Inf")
+        templates = _widen_finite(blob("templates", EMBEDDING_DTYPE, c * j * d),
+                                  (c, j, d), "templates")
 
     return Dataset(
         embeddings=_readonly(embeddings),
@@ -567,7 +592,4 @@ def load_prototypes(manifest_path: str | Path) -> np.ndarray:
         raise FormatError(f"prototype manifest shape must be positive, got c={c} d={d}")
     raw = _read_blob(manifest_path.parent / _field(manifest, "prototypes", str),
                      EMBEDDING_DTYPE, c * d, "prototypes")
-    protos = raw.astype(np.float64).reshape(c, d)
-    if not np.all(np.isfinite(protos)):
-        raise DataError("prototypes blob contains NaN or Inf")
-    return protos
+    return _widen_finite(raw, (c, d), "prototypes")

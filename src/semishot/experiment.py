@@ -13,16 +13,15 @@ their center (renormalized), and derives text prototypes as noisy
 copies of the centers. It stands in for embedding datasets at desk
 scale while keeping difficulty tunable through the noise level.
 
-Benchmarks run a (solver, shots, seed) grid. Cells are independent and
-may run in threads; the table is assembled in grid order, so output is
-identical however the work is scheduled.
+Benchmarks run a (solver, shots, seed) grid serially, drawing each
+(shots, seed) split once for every solver; rows come back in grid order.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -386,14 +385,25 @@ def fit_solver(name: str, dataset: Dataset, support: SupportSet,
     raise ConfigError(f"unknown solver {name!r}; expected one of {SOLVER_NAMES}")
 
 
+def _failed_row(solver: str, dataset_name: str, spec: SamplingSpec,
+                dataset: Dataset, exc: Exception) -> BenchmarkRow:
+    return BenchmarkRow(
+        solver=solver, dataset=dataset_name, shots=spec.shots,
+        unlabeled_count=spec.unlabeled_multiplier * dataset.class_count,
+        seed=spec.seed, aca=float("nan"), acc=float("nan"),
+        runtime_ms=0.0, error=f"{type(exc).__name__}: {exc}")
+
+
 def _run_cell(dataset: Dataset, dataset_name: str, solver: str,
-              spec: SamplingSpec, cfg: SolverConfig, include_timing: bool,
-              eval_set: EvalSet | None = None) -> BenchmarkRow:
-    support, unlabeled, remainder, oracle_marginal = _draw_split(dataset.pool(), spec)
-    if eval_set is None:
-        eval_set = remainder
-    fit = fit_solver(solver, dataset, support, unlabeled, cfg, oracle_marginal)
-    report = evaluate_prototypes(fit.prototypes, eval_set, cfg.tau)
+              spec: SamplingSpec, split: tuple, cfg: SolverConfig,
+              include_timing: bool, eval_set: EvalSet | None) -> BenchmarkRow:
+    support, unlabeled, remainder, oracle_marginal = split
+    try:
+        fit = fit_solver(solver, dataset, support, unlabeled, cfg, oracle_marginal)
+        report = evaluate_prototypes(
+            fit.prototypes, remainder if eval_set is None else eval_set, cfg.tau)
+    except Exception as exc:
+        return _failed_row(solver, dataset_name, spec, dataset, exc)
     return BenchmarkRow(
         solver=solver,
         dataset=dataset_name,
@@ -409,18 +419,18 @@ def _run_cell(dataset: Dataset, dataset_name: str, solver: str,
 def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
                   shot_grid=(1, 2, 4, 8, 16), seeds: int = 50,
                   cfg: SolverConfig | None = None,
-                  unlabeled_multiplier: int = 24, threads: int | None = None,
+                  unlabeled_multiplier: int = 24,
                   include_timing: bool = True,
                   dataset_name: str = "dataset",
                   eval_set: EvalSet | None = None) -> list[BenchmarkRow]:
-    """Run the (solver, shots, seed) grid and collect one row per cell.
+    """Run the (solver, shots, seed) grid serially, one row per cell.
 
-    Splits depend only on (shots, seed), so every solver in a cell sees
-    the same support/unlabeled/eval draw and rows are comparable
-    seed-by-seed. A failed cell is recorded with its error message and
-    the sweep continues. Rows come back in grid order regardless of
-    scheduling. An empty seed list, or a shot count or multiplier that
-    SamplingSpec rejects, raises ConfigError before any cell runs.
+    Each (shots, seed) split is drawn once and handed to every solver,
+    so rows are comparable seed-by-seed. A split that cannot be drawn
+    fails each solver's cell on it with the same error; a failed fit or
+    scoring fails its own cell only. Rows come back in grid order. An
+    unknown solver, an empty solver list, shot grid or seed list, or a
+    shot count or multiplier that SamplingSpec rejects raises ConfigError.
 
     By default every seed evaluates on the pool remainder left after its
     own support/unlabeled draw. Passing ``eval_set`` scores every cell
@@ -429,33 +439,26 @@ def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
     """
     cfg = cfg or SolverConfig()
     seed_list = list(range(seeds)) if isinstance(seeds, int) else list(seeds)
-    if not seed_list:
-        raise ConfigError(f"benchmark needs at least one seed, got {seeds!r}")
+    if not (solvers and shot_grid and seed_list and set(solvers) <= set(SOLVER_NAMES)):
+        raise ConfigError(f"benchmark needs solvers from {SOLVER_NAMES}, a shot count "
+                          f"and a seed; got {solvers!r}, {shot_grid!r}, {seeds!r}")
     # a bad shot count or multiplier is a config error, not a cell failure
     specs = {shots: SamplingSpec(shots=shots, unlabeled_multiplier=unlabeled_multiplier)
              for shots in shot_grid}
-    cells = [(solver, shots, seed)
-             for solver in solvers for shots in shot_grid for seed in seed_list]
-
-    def work(cell):
-        solver, shots, seed = cell
+    pool = dataset.pool()
+    rows = {}
+    for shots, seed in itertools.product(specs, seed_list):
+        spec = replace(specs[shots], seed=seed)
         try:
-            return _run_cell(dataset, dataset_name, solver,
-                             replace(specs[shots], seed=seed), cfg,
-                             include_timing, eval_set)
+            split = _draw_split(pool, spec)
         except Exception as exc:
-            return BenchmarkRow(
-                solver=solver, dataset=dataset_name, shots=shots,
-                unlabeled_count=unlabeled_multiplier * dataset.class_count,
-                seed=seed, aca=float("nan"), acc=float("nan"),
-                runtime_ms=0.0, error=f"{type(exc).__name__}: {exc}")
-
-    if threads is not None and threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
-    if threads == 1:
-        return [work(cell) for cell in cells]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(work, cells))
+            rows.update({(solver, shots, seed): _failed_row(
+                solver, dataset_name, spec, dataset, exc) for solver in solvers})
+            continue
+        rows.update({(solver, shots, seed): _run_cell(
+            dataset, dataset_name, solver, spec, split, cfg, include_timing, eval_set)
+            for solver in solvers})
+    return [rows[cell] for cell in itertools.product(solvers, shot_grid, seed_list)]
 
 
 CSV_HEADER = "solver,dataset,K,M,seed,aca,acc,runtime_ms,error"

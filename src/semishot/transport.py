@@ -84,15 +84,11 @@ class TransportPlan:
 def init_plan(similarities: np.ndarray) -> np.ndarray:
     """Exponential of the scores, shifted by the global max and normalized
     so all entries sum to one. Shifting first keeps exp in range; the
-    shift cancels in the normalization."""
-    s = np.asarray(similarities, dtype=np.float64)
-    if s.ndim != 2 or s.size == 0:
-        raise DataError(f"similarity matrix must be 2-d and nonempty, got {s.shape}")
+    shift cancels in the normalization. Scores must be finite, so the
+    largest entry maps to 1 and the total lies in [1, C*M]."""
+    s = _checked_matrix(similarities, "similarity matrix")
     q = np.exp(s - s.max())
-    total = q.sum()
-    if total <= 0 or not np.isfinite(total):
-        raise DegeneratePlanError("initial plan mass vanished after exponentiation")
-    return q / total
+    return q / q.sum()
 
 
 def marginal_residual(plan, row_marginal: np.ndarray) -> float:
@@ -105,17 +101,23 @@ def marginal_residual(plan, row_marginal: np.ndarray) -> float:
     return float(np.abs(rows - np.asarray(row_marginal, dtype=np.float64)).sum())
 
 
+def _checked_matrix(matrix: np.ndarray, what: str) -> np.ndarray:
+    """A 2-d, nonempty, finite float64 matrix, or DataError."""
+    a = np.asarray(matrix, dtype=np.float64)
+    if a.ndim != 2 or a.size == 0:
+        raise DataError(f"{what} must be 2-d and nonempty, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise DataError(f"{what} contains non-finite entries")
+    return a
+
+
 def _checked_inputs(matrix: np.ndarray, row_marginal: np.ndarray, iterations: int,
                     what: str) -> tuple[np.ndarray, np.ndarray]:
     """The input check both scaling routes share: iteration count, a 2-d
     nonempty finite matrix and a row marginal that fits it."""
     if iterations < 0:
         raise ConfigError(f"iteration count must be >= 0, got {iterations}")
-    a = np.asarray(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.size == 0:
-        raise DataError(f"{what} must be 2-d and nonempty, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise DataError(f"{what} contains non-finite entries")
+    a = _checked_matrix(matrix, what)
     return a, check_marginal(row_marginal, a.shape[0], "row marginal")
 
 

@@ -260,7 +260,8 @@ def test_benchmark_flag_validation(dataset_dir, tmp_path):
     assert main(["benchmark", *data, "--solvers", "", *out]) == EXIT_CONFIG
     # a grid that cannot run is a config error, not a set of failed cells
     for flags in (["--seeds", "0"], ["--seeds", "-2"], ["--shots-grid", "0"],
-                  ["--shots-grid", "1,0"], ["--unlabeled-mult", "-1"]):
+                  ["--shots-grid", "1,0"], ["--unlabeled-mult", "-1"],
+                  ["--threads", "0"]):
         assert main(["benchmark", *data, *flags, *out]) == EXIT_CONFIG, flags
 
 

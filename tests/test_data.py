@@ -1,7 +1,12 @@
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import semishot as ss
 from semishot import (
@@ -20,6 +25,8 @@ from semishot import (
 )
 
 from conftest import unit_rows
+
+SIGNALLING_NAN32 = b"\x01\x00\x80\x7f"  # little-endian float32 sNaN
 
 
 # ---------------------------------------------------------------- rows
@@ -91,12 +98,54 @@ def test_direct_construction_rejects_bad_rows(build, rows):
     # factories, so a bad row fails here and not rounds later in a fit
     with pytest.raises(DataError):
         build(np.array(rows))
+    with pytest.raises(DataError):
+        build(rows)
 
 
 def test_direct_construction_accepts_unit_rows_within_tolerance():
     emb = np.array([[1.0 + 5e-5, 0.0], [0.0, 1.0]])
     assert SupportSet(embeddings=emb, labels=np.eye(2)).n == 2
     assert UnlabeledSet(embeddings=emb).count == 2
+    # nested lists construct too, as float64 arrays
+    sup = SupportSet(embeddings=emb.tolist(), labels=[[1, 0], [0, 1]])
+    unl = UnlabeledSet(embeddings=emb.tolist())
+    ev = EvalSet(embeddings=emb.tolist(), labels=[1, 0], class_count=2)
+    for arr in (sup.embeddings, sup.labels, unl.embeddings, ev.embeddings):
+        assert isinstance(arr, np.ndarray) and arr.dtype == np.float64
+    assert sup.shot_counts.tolist() == [1, 1]
+    assert ev.labels.tolist() == [1, 0]
+
+
+def test_direct_construction_keeps_float64_arrays():
+    emb, labels = np.eye(2), np.eye(2)
+    sup = SupportSet(embeddings=emb, labels=labels)
+    assert sup.embeddings is emb and sup.labels is labels
+    assert UnlabeledSet(embeddings=emb).embeddings is emb
+    ev_labels = np.array([0, 1])
+    ev = EvalSet(embeddings=emb, labels=ev_labels, class_count=2)
+    assert ev.embeddings is emb and ev.labels is ev_labels
+
+
+@pytest.mark.parametrize("build", [
+    lambda e: SupportSet(embeddings=e, labels=[[1.0, 0.0], [0.0, 1.0]]),
+    lambda e: UnlabeledSet(embeddings=e),
+    lambda e: EvalSet(embeddings=e, labels=[0, 1], class_count=2),
+], ids=["support", "unlabeled", "eval"])
+@pytest.mark.parametrize("rows", [
+    [[1.0, 0.0], [0.0]],
+    [["a", "b"], [0.0, 1.0]],
+    [[1j, 0.0], [0.0, 1.0]],
+], ids=["ragged", "text", "complex"])
+def test_direct_construction_rejects_bad_lists(build, rows):
+    with pytest.raises(DataError):
+        build(rows)
+
+
+@pytest.mark.parametrize("labels", [[0.0, 1.0], [[0], [1]], ["0", "1"], [0, [1]]],
+                         ids=["float", "2d", "text", "ragged"])
+def test_eval_set_rejects_bad_label_lists(labels):
+    with pytest.raises(DataError):
+        EvalSet(embeddings=np.eye(2), labels=labels, class_count=2)
 
 
 def test_unlabeled_empty_is_legal():
@@ -357,6 +406,17 @@ def test_load_prototypes_rejects_bad_manifest(tmp_path):
         load_prototypes(path)
 
 
+def test_load_prototypes_rejects_signalling_nan(tmp_path, rng):
+    path = tmp_path / "p.json"
+    save_prototypes(rng.standard_normal((2, 3)), path)
+    blob = tmp_path / "p.f32"
+    blob.write_bytes(SIGNALLING_NAN32 + blob.read_bytes()[4:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError):
+            load_prototypes(path)
+
+
 def test_dataset_create_validates(rng):
     emb = unit_rows(rng, 4, 3)
     protos = unit_rows(rng, 2, 3)
@@ -376,3 +436,60 @@ def test_error_types_are_value_errors():
     assert issubclass(ss.GenerationError, RuntimeError)
     assert issubclass(ss.DegeneratePlanError, ArithmeticError)
     assert issubclass(ss.SolverError, RuntimeError)
+
+
+# ---------------------------------------------------------------- blob fuzz
+
+
+_FUZZ_RNG = np.random.default_rng(5)
+_FUZZ_DATASET = Dataset.create(
+    embeddings=unit_rows(_FUZZ_RNG, 6, 4), labels=np.array([0, 1, 2, 0, 1, 2]),
+    prototypes=unit_rows(_FUZZ_RNG, 3, 4), unlabeled=unit_rows(_FUZZ_RNG, 2, 4),
+    tau=0.05, templates=unit_rows(_FUZZ_RNG, 6, 4).reshape(3, 2, 4))
+_BLOBS = ("embeddings.f32", "labels.u32", "prototypes.f32", "unlabeled.f32",
+          "templates.f32")
+
+_MUTATION = st.one_of(
+    st.tuples(st.just("truncate"), st.sampled_from(_BLOBS), st.integers(0, 120)),
+    st.tuples(st.just("extend"), st.sampled_from(_BLOBS), st.binary(min_size=1, max_size=8)),
+    st.tuples(st.just("overwrite"), st.sampled_from(_BLOBS), st.integers(0, 120),
+              st.binary(min_size=1, max_size=16)),
+    st.tuples(st.just("field"), st.sampled_from("ndcmj"), st.integers(-2, 12)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutations=st.lists(_MUTATION, min_size=1, max_size=3))
+@example(mutations=[("overwrite", "embeddings.f32", 4, SIGNALLING_NAN32)])
+@example(mutations=[("overwrite", "prototypes.f32", 8, SIGNALLING_NAN32)])
+@example(mutations=[("overwrite", "templates.f32", 0, SIGNALLING_NAN32)])
+def test_mutated_dataset_files_load_or_fail_typed(mutations):
+    # truncated, extended or overwritten blobs and perturbed shape fields
+    # give a Dataset or a FormatError/DataError, never another exception
+    # or a warning
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "manifest.json"
+        save_dataset(_FUZZ_DATASET, path)
+        manifest = json.loads(path.read_text())
+        for kind, target, *arg in mutations:
+            if kind == "field":
+                manifest[target] = arg[0]
+                continue
+            blob = Path(tmp) / target
+            raw = blob.read_bytes()
+            if kind == "truncate":
+                raw = raw[:arg[0]]
+            elif kind == "extend":
+                raw += arg[0]
+            else:
+                start = min(arg[0], len(raw))
+                raw = raw[:start] + arg[1] + raw[start + len(arg[1]):]
+            blob.write_bytes(raw)
+        path.write_text(json.dumps(manifest))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                out = load_dataset(path)
+            except (FormatError, DataError):
+                return
+    assert isinstance(out, Dataset)

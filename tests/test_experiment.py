@@ -28,6 +28,7 @@ from semishot import (
     split_indices,
     synthetic_dataset,
 )
+from semishot import experiment
 from semishot.experiment import CSV_HEADER, DEFAULT_SYNTHETIC_TAU
 
 from conftest import unit_rows
@@ -402,7 +403,7 @@ def test_run_benchmark_grid_order_and_count():
     ds = _bench_dataset()
     rows = run_benchmark(ds, solvers=("zeroshot", "sstext"), shot_grid=(1, 2),
                          seeds=3, cfg=SolverConfig(tau=ds.tau),
-                         unlabeled_multiplier=0, threads=1,
+                         unlabeled_multiplier=0,
                          include_timing=False)
     assert len(rows) == 2 * 2 * 3
     key = [(r.solver, r.shots, r.seed) for r in rows]
@@ -416,11 +417,11 @@ def test_run_benchmark_fixed_eval_makes_zeroshot_constant():
     holdout, _ = generate_synthetic(small_spec(seed=77))
     rows = run_benchmark(ds, solvers=("zeroshot",), shot_grid=(1,), seeds=4,
                          cfg=SolverConfig(tau=ds.tau), unlabeled_multiplier=0,
-                         threads=1, include_timing=False, eval_set=holdout)
+                         include_timing=False, eval_set=holdout)
     assert len({r.aca for r in rows}) == 1
     resplit = run_benchmark(ds, solvers=("zeroshot",), shot_grid=(1,), seeds=4,
                             cfg=SolverConfig(tau=ds.tau),
-                            unlabeled_multiplier=0, threads=1,
+                            unlabeled_multiplier=0,
                             include_timing=False)
     assert len({r.aca for r in resplit}) > 1
 
@@ -428,32 +429,54 @@ def test_run_benchmark_fixed_eval_makes_zeroshot_constant():
 def test_run_benchmark_tags_failed_cells():
     ds = _bench_dataset(pool_size=30)
     # 8 shots x 3 classes plus the unlabeled draw exceeds a 30-item pool
-    rows = run_benchmark(ds, solvers=("sstext",), shot_grid=(1, 8), seeds=2,
-                         cfg=SolverConfig(tau=ds.tau), unlabeled_multiplier=4,
-                         threads=1, include_timing=False)
+    rows = run_benchmark(ds, solvers=("sstext", "zeroshot"), shot_grid=(1, 8),
+                         seeds=2, cfg=SolverConfig(tau=ds.tau),
+                         unlabeled_multiplier=4, include_timing=False)
     ok = [r for r in rows if not r.error]
     failed = [r for r in rows if r.error]
-    assert [r.shots for r in ok] == [1, 1]
-    assert [r.shots for r in failed] == [8, 8]
+    assert [(r.solver, r.shots) for r in ok] == [("sstext", 1), ("sstext", 1),
+                                                 ("zeroshot", 1), ("zeroshot", 1)]
+    assert [(r.solver, r.shots) for r in failed] == [("sstext", 8), ("sstext", 8),
+                                                     ("zeroshot", 8), ("zeroshot", 8)]
     assert all(r.error.startswith("SamplingError:") for r in failed)
     assert all(np.isnan(r.aca) for r in failed)
+    # one failed draw gives every solver the same failed row
+    assert failed[0].error == failed[2].error and failed[1].error == failed[3].error
+    assert all(r.unlabeled_count == 4 * 3 for r in failed)
 
 
-def test_run_benchmark_threads_agree():
+def test_run_benchmark_draws_each_split_once(monkeypatch):
     ds = _bench_dataset()
-    kw = dict(solvers=("zeroshot", "simpleshot", "sstext", "sstextu"),
-              shot_grid=(1,), seeds=3, cfg=SolverConfig(tau=ds.tau),
-              unlabeled_multiplier=8, include_timing=False)
-    serial = run_benchmark(ds, threads=1, **kw)
-    threaded = run_benchmark(ds, threads=4, **kw)
-    assert rows_to_csv(serial) == rows_to_csv(threaded)
+    draws = []
+
+    def counting(labels, class_count, spec):
+        draws.append((spec.shots, spec.seed))
+        return split_indices(labels, class_count, spec)
+
+    monkeypatch.setattr(experiment, "split_indices", counting)
+    rows = run_benchmark(ds, solvers=("zeroshot", "simpleshot", "sstext", "sstextu"),
+                         shot_grid=(1, 2), seeds=3, cfg=SolverConfig(tau=ds.tau),
+                         unlabeled_multiplier=8, include_timing=False)
+    assert len(rows) == 4 * 2 * 3 and all(not r.error for r in rows)
+    # one draw per (shots, seed), shared by all four solvers
+    assert draws == [(k, i) for k in (1, 2) for i in range(3)]
+
+
+@pytest.mark.parametrize("grid", [dict(solvers=()), dict(solvers=("bogus",)),
+                                  dict(shot_grid=())],
+                         ids=["no-solvers", "unknown-solver", "no-shots"])
+def test_run_benchmark_rejects_bad_grid(monkeypatch, grid):
+    ds = _bench_dataset()
+    monkeypatch.setattr(experiment, "_run_cell", None)  # no cell may run
+    with pytest.raises(ConfigError):
+        run_benchmark(ds, seeds=2, cfg=SolverConfig(tau=ds.tau), **grid)
 
 
 def test_rows_to_csv_format():
     ds = _bench_dataset()
     rows = run_benchmark(ds, solvers=("zeroshot",), shot_grid=(1,), seeds=1,
                          cfg=SolverConfig(tau=ds.tau), unlabeled_multiplier=0,
-                         threads=1, include_timing=False)
+                         include_timing=False)
     text = rows_to_csv(rows)
     lines = text.splitlines()
     assert lines[0] == CSV_HEADER
@@ -468,7 +491,7 @@ def test_aggregate_rows_mean_and_std():
     ds = _bench_dataset()
     rows = run_benchmark(ds, solvers=("sstext",), shot_grid=(2,), seeds=5,
                          cfg=SolverConfig(tau=ds.tau), unlabeled_multiplier=0,
-                         threads=1, include_timing=False)
+                         include_timing=False)
     agg = aggregate_rows(rows)
     assert len(agg) == 1
     acas = np.array([r.aca for r in rows])
@@ -481,7 +504,7 @@ def test_rows_to_json_shape():
     ds = _bench_dataset()
     rows = run_benchmark(ds, solvers=("zeroshot",), shot_grid=(1,), seeds=2,
                          cfg=SolverConfig(tau=ds.tau), unlabeled_multiplier=0,
-                         threads=1, include_timing=False)
+                         include_timing=False)
     doc = rows_to_json(rows, {"tau": ds.tau})
     assert doc["config"] == {"tau": ds.tau}
     assert len(doc["rows"]) == 2

@@ -74,6 +74,13 @@ def test_init_plan_rejects_empty():
         init_plan(np.zeros((0, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_init_plan_rejects_nonfinite_scores(bad):
+    # bad input is a DataError, not a vanished-mass solver failure
+    with pytest.raises(DataError, match="non-finite"):
+        init_plan(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
 # ---------------------------------------------------------------- residual
 
 
