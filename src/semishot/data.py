@@ -54,6 +54,21 @@ def _as_float64(x, name: str) -> np.ndarray:
     return arr
 
 
+def _class_labels(labels, n: int, class_count: int, what: str) -> np.ndarray:
+    """``labels`` as a length-``n`` vector of class indices in
+    [0, ``class_count``), with no copy for an integer array. A
+    non-integer dtype is a DataError: casting would truncate 1.7 to 1."""
+    lab = _as_array(labels, None, what)
+    if lab.dtype.kind not in "iu":
+        raise DataError(f"{what} must be integers, got dtype {lab.dtype}")
+    if lab.shape != (n,):
+        raise DataError(f"{what} must be 1-d and match the embedding count {n}, "
+                        f"got shape {lab.shape}")
+    if lab.size and (lab.min() < 0 or lab.max() >= class_count):
+        raise DataError(f"{what} out of range for {class_count} classes")
+    return lab
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr)
     out.setflags(write=False)
@@ -120,13 +135,9 @@ class SupportSet:
     ) -> "SupportSet":
         """Build a support set from integer class labels."""
         emb = _readonly(normalize_rows(embeddings))
-        idx = np.asarray(class_indices, dtype=np.int64)
-        if idx.ndim != 1 or idx.shape[0] != emb.shape[0]:
-            raise DataError("class_indices must be 1-d and match the embedding count")
         if class_count < 1:
             raise DataError("class_count must be >= 1")
-        if idx.size and (idx.min() < 0 or idx.max() >= class_count):
-            raise DataError("class index out of range")
+        idx = _class_labels(class_indices, emb.shape[0], class_count, "class_indices")
         onehot = np.zeros((emb.shape[0], class_count), dtype=np.float64)
         onehot[np.arange(emb.shape[0]), idx] = 1.0
         return cls(embeddings=emb, labels=_readonly(onehot))
@@ -190,15 +201,10 @@ class EvalSet:
     def __post_init__(self):
         object.__setattr__(self, "embeddings",
                            _as_array(self.embeddings, np.float64, "eval embeddings"))
-        object.__setattr__(self, "labels", _as_array(self.labels, None, "eval labels"))
-        if self.labels.dtype.kind not in "iu":
-            raise DataError(f"eval labels must be integers, got dtype {self.labels.dtype}")
-        if self.embeddings.ndim != 2 or self.labels.ndim != 1:
-            raise DataError("eval set needs 2-d embeddings and 1-d labels")
-        if self.embeddings.shape[0] != self.labels.shape[0]:
-            raise DataError("eval embeddings/labels length mismatch")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
-            raise DataError("eval label out of range")
+        if self.embeddings.ndim != 2:
+            raise DataError("eval set needs 2-d embeddings")
+        object.__setattr__(self, "labels", _class_labels(
+            self.labels, self.embeddings.shape[0], self.class_count, "eval labels"))
 
     @property
     def count(self) -> int:
@@ -240,15 +246,11 @@ class Dataset:
     ) -> "Dataset":
         """Validating constructor; renormalizes embedding rows."""
         emb = _readonly(normalize_rows(embeddings))
-        lab = np.asarray(labels, dtype=np.int64)
         protos = _readonly(_as_float64(prototypes, "prototypes"))
         if protos.ndim != 2 or protos.shape[1] != emb.shape[1]:
             raise DataError("prototypes must be (C, D) with D matching embeddings")
         c = protos.shape[0]
-        if lab.ndim != 1 or lab.shape[0] != emb.shape[0]:
-            raise DataError("labels must be 1-d and match the embedding count")
-        if lab.size and (lab.min() < 0 or lab.max() >= c):
-            raise DataError("label index out of range")
+        lab = _class_labels(labels, emb.shape[0], c, "labels").astype(np.int64, copy=False)
         if unlabeled is None:
             unl = np.zeros((0, emb.shape[1]), dtype=np.float64)
         else:

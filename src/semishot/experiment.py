@@ -315,32 +315,56 @@ def evaluate_prototypes(prototypes: np.ndarray, eval_set: EvalSet,
 
 def silhouette_score(embeddings: np.ndarray, labels: np.ndarray,
                      chunk_budget: int = 1 << 24) -> float:
-    """Mean silhouette over samples: (b - a) / max(a, b), with a the
-    mean Euclidean distance to same-labeled points and b the smallest
-    mean distance to any other label. Singleton-labeled samples score
-    0. Needs at least two distinct labels.
+    """Mean silhouette over samples (Rousseeuw 1987): (b - a) / max(a, b),
+    with a the mean Euclidean distance to same-labeled points and b the
+    smallest mean distance to any other label. Singleton-labeled samples
+    score 0. Needs at least two distinct labels and finite embeddings.
+
+    Distances come from the Gram identity ||x - y||^2 = ||x||^2 + ||y||^2
+    - 2 x.y, clamped at 0 before the square root. The rows are first
+    centred on their mean: the score does not change under translation,
+    and centring keeps the identity's cancellation down to the spread of
+    the data rather than its offset. Each row is compared with the
+    distinct rows of the pool, and its distance to its own distinct row
+    is set to exactly 0, so exact duplicates are exactly 0 apart.
+    ``chunk_budget`` bounds the elements of one (rows, distinct rows)
+    distance block; a block holds at least one row.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     y = np.asarray(labels)
-    if x.ndim != 2 or y.shape != (x.shape[0],):
+    if x.ndim != 2 or x.shape[1] == 0 or y.shape != (x.shape[0],):
         raise DataError(f"bad shapes: embeddings {x.shape}, labels {y.shape}")
+    if not np.all(np.isfinite(x)):
+        raise DataError("silhouette embeddings contain NaN or Inf entries")
     classes, dense = np.unique(y, return_inverse=True)
     if classes.size < 2:
         raise DataError("silhouette needs at least two distinct labels")
     n, d = x.shape
     counts = np.bincount(dense)
-    onehot = np.zeros((n, classes.size))
-    onehot[np.arange(n), dense] = 1.0
+    x = x - x.mean(axis=0)
+    sq = np.einsum("ij,ij->i", x, x)
+    # distinct rows are the distance columns; row i's own column is col[i]
+    row_bytes = x.view(np.dtype((np.void, x.itemsize * d))).ravel()
+    _, first, col = np.unique(row_bytes, return_index=True, return_inverse=True)
+    distinct, distinct_sq = x[first], sq[first]
+    # members[k, c]: how many points of class c sit at distinct row k
+    members = np.zeros((first.size, classes.size))
+    np.add.at(members, (col, dense), 1.0)
 
     scores = np.empty(n)
-    step = max(1, chunk_budget // (n * d))
+    step = max(1, chunk_budget // first.size)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        diffs = x[lo:hi, None, :] - x[None, :, :]
-        dist = np.sqrt((diffs * diffs).sum(axis=2))
-        class_sums = dist @ onehot
-        own = dense[lo:hi]
         rows = np.arange(hi - lo)
+        dist = x[lo:hi] @ distinct.T
+        dist *= -2.0
+        dist += sq[lo:hi, None]
+        dist += distinct_sq
+        np.maximum(dist, 0.0, out=dist)
+        np.sqrt(dist, out=dist)
+        dist[rows, col[lo:hi]] = 0.0
+        class_sums = dist @ members
+        own = dense[lo:hi]
         own_count = counts[own]
         # self-distance is 0, so the own-class sum already excludes it
         a = np.where(own_count > 1,

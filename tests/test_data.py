@@ -148,6 +148,36 @@ def test_eval_set_rejects_bad_label_lists(labels):
         EvalSet(embeddings=np.eye(2), labels=labels, class_count=2)
 
 
+_LABEL_ENTRY_POINTS = {
+    "from_indices": lambda lab: SupportSet.from_indices(np.eye(2), lab, 2),
+    "eval": lambda lab: EvalSet(embeddings=np.eye(2), labels=lab, class_count=2),
+    "create": lambda lab: Dataset.create(embeddings=np.eye(2), labels=lab,
+                                         prototypes=np.eye(2)),
+}
+
+
+@pytest.mark.parametrize("build", _LABEL_ENTRY_POINTS.values(),
+                         ids=_LABEL_ENTRY_POINTS.keys())
+@pytest.mark.parametrize("labels", [
+    np.array([0.9, 1.7]), np.array([0.0, 1.0]), [0.9, 1.7], np.array([True, False]),
+    np.array([0, 2]), np.array([-1, 0]), np.array([0, 1, 1]), np.array([[0, 1]]),
+], ids=["fractional", "integral-float", "fractional-list", "bool",
+        "too-big", "negative", "too-long", "2d"])
+def test_class_label_entry_points_reject_bad_labels(build, labels):
+    with pytest.raises(DataError):
+        build(labels)
+
+
+@pytest.mark.parametrize("build", _LABEL_ENTRY_POINTS.values(),
+                         ids=_LABEL_ENTRY_POINTS.keys())
+@pytest.mark.parametrize("labels", [[1, 0], np.array([1, 0], dtype=np.uint32)],
+                         ids=["list", "uint32"])
+def test_class_label_entry_points_accept_integers(build, labels):
+    out = build(labels)
+    got = out.labels.argmax(axis=1) if isinstance(out, SupportSet) else out.labels
+    assert got.tolist() == [1, 0]
+
+
 def test_unlabeled_empty_is_legal():
     unl = UnlabeledSet.empty(4)
     assert unl.count == 0

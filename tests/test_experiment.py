@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -346,6 +348,64 @@ def test_silhouette_chunking_invariant(rng):
     full = silhouette_score(x, y)
     tiny_chunks = silhouette_score(x, y, chunk_budget=1200)
     assert tiny_chunks == pytest.approx(full, abs=1e-12)
+
+
+def test_silhouette_far_from_origin_matches_naive(rng):
+    # centring keeps the Gram identity's cancellation at the data's
+    # spread, not at its 1e6 offset
+    x = rng.standard_normal((80, 5)) + 1e6
+    y = rng.integers(0, 3, size=80)
+    assert silhouette_score(x, y) == pytest.approx(naive_silhouette(x, y),
+                                                   abs=1e-10)
+
+
+def test_silhouette_duplicates_are_exactly_zero_apart(rng):
+    # every class is copies of one point, so a is 0 only if every
+    # duplicate pair is exactly 0 apart, and each score is exactly 1
+    x = np.repeat(rng.standard_normal((3, 6)) * 1e3, 5, axis=0)
+    y = np.repeat([0, 1, 2], 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert silhouette_score(x, y) == naive_silhouette(x, y) == 1.0
+        # duplicated rows whose copies may carry other labels
+        base = rng.standard_normal((30, 4))
+        x = np.concatenate([base, base, base[:10]])
+        y = rng.integers(0, 3, size=70)
+        assert silhouette_score(x, y) == pytest.approx(naive_silhouette(x, y),
+                                                       abs=1e-12)
+
+
+def test_silhouette_tight_clusters_no_warning(rng):
+    x = np.concatenate([
+        np.eye(8)[0] + 1e-7 * rng.standard_normal((20, 8)),
+        -np.eye(8)[0] + 1e-7 * rng.standard_normal((20, 8)),
+    ])
+    y = np.repeat([0, 1], 20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        score = silhouette_score(x, y)
+    assert score == pytest.approx(naive_silhouette(x, y), abs=1e-8)
+
+
+@pytest.mark.parametrize("budget", [1, 59])
+def test_silhouette_one_row_per_block(rng, budget):
+    # a budget below n (distinct rows) leaves one row per block
+    x = rng.standard_normal((60, 5))
+    y = rng.integers(0, 3, size=60)
+    one_row = silhouette_score(x, y, chunk_budget=budget)
+    assert one_row == pytest.approx(silhouette_score(x, y), abs=1e-12)
+    assert one_row == pytest.approx(naive_silhouette(x, y), abs=1e-10)
+
+
+@pytest.mark.parametrize("x", [
+    [[np.nan, 0.0], [1.0, 0.0], [0.0, 1.0]],
+    [[np.inf, 0.0], [1.0, 0.0], [0.0, 1.0]],
+    [[-np.inf, 0.0], [1.0, 0.0], [0.0, 1.0]],
+    np.zeros((3, 0)),
+], ids=["nan", "inf", "-inf", "no-columns"])
+def test_silhouette_rejects_bad_embeddings(x):
+    with pytest.raises(DataError):
+        silhouette_score(x, [0, 1, 1])
 
 
 def test_silhouette_needs_two_labels(rng):
