@@ -70,7 +70,10 @@ def _class_labels(labels, n: int, class_count: int, what: str) -> np.ndarray:
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr)
+    """A read-only view of ``arr``: the flag goes on the view, so an
+    input array the caller still owns stays writable, and no data is
+    copied when ``arr`` is already contiguous."""
+    out = np.ascontiguousarray(arr).view()
     out.setflags(write=False)
     return out
 

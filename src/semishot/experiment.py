@@ -460,8 +460,13 @@ def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
     own support/unlabeled draw. Passing ``eval_set`` scores every cell
     on that fixed split instead (the caller guarantees it is held out),
     which makes support-free solvers constant across seeds.
+
+    Without ``cfg`` the fits run at stock SolverConfig settings and the
+    dataset's own tau when it carries one, the temperature the CLI's
+    ``benchmark`` picks when no ``--tau`` is given.
     """
-    cfg = cfg or SolverConfig()
+    if cfg is None:
+        cfg = SolverConfig() if dataset.tau is None else SolverConfig(tau=dataset.tau)
     seed_list = list(range(seeds)) if isinstance(seeds, int) else list(seeds)
     if not (solvers and shot_grid and seed_list and set(solvers) <= set(SOLVER_NAMES)):
         raise ConfigError(f"benchmark needs solvers from {SOLVER_NAMES}, a shot count "

@@ -14,10 +14,17 @@ approximately, with the gap shrinking as iterations increase. With zero
 iterations the plan is a per-column softmax carrying mass 1/M, which
 ignores the row marginal entirely.
 
-Two routes compute the same plan: ``init_plan`` plus ``sinkhorn`` scale
-an explicit kernel and are the tests' reference; ``solve_transport``
-scales the scores of ``zeroshot.similarity_matrix`` in log space and is
-what the solvers run. Both share one input check and one plan builder.
+``solve_transport`` is the one entry point the solvers run. It takes
+the scores of ``zeroshot.similarity_matrix`` and picks the domain: when
+the score span ``s.max() - s.min()`` is at most 700, every entry of the
+kernel ``exp(s - s.max())`` is a normal float64, and the plan comes from
+scaling that kernel with matrix-vector products; otherwise, or when a
+kernel scale factor vanishes or overflows, it scales the scores in log
+space. Both domains run the same rounds and give the same plan to
+roundoff. ``init_plan`` plus ``sinkhorn`` scale an explicit kernel and
+are the tests' reference; ``sinkhorn`` runs the same row/column loop as
+the kernel domain, and every route shares one input check and one plan
+builder.
 """
 
 from __future__ import annotations
@@ -28,6 +35,11 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DegeneratePlanError
 from .zeroshot import _logsumexp, check_marginal
+
+# exp() of a float64 stays a normal number down to about -708, so a
+# kernel shifted by its max keeps every entry a positive normal float64
+# while the score span is at most this.
+_EXP_SAFE_SPAN = 700.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,6 +151,49 @@ def _build_plan(values: np.ndarray, row_marginal: np.ndarray, iterations: int,
     )
 
 
+def _scale(q: np.ndarray, m: np.ndarray,
+           iterations: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row/column loop on a nonnegative kernel: scale vectors r, c
+    with ``r[:, None] * q * c[None, :]`` the balanced plan.
+
+    Each round sets r to hit ``m`` and then c to hit the uniform 1/M;
+    ``iterations=0`` keeps r at one and runs the column step once.
+    Zero-mass rows get a zero scale. Raises DegeneratePlanError when a
+    scale factor a target needs comes out zero or non-finite, that is,
+    when its denominator vanished, overflowed or was too small to divide.
+    """
+    col_target = 1.0 / q.shape[1]
+    r = np.ones(q.shape[0])
+    c = np.ones(q.shape[1])
+    positive = m > 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(max(iterations, 1)):
+            if iterations:
+                r = np.where(positive, m / (q @ c), 0.0)
+                if not np.all(np.isfinite(r) & ((r > 0) | ~positive)):
+                    raise DegeneratePlanError("row scaling denominator vanished")
+            c = col_target / (q.T @ r)
+            if not np.all(np.isfinite(c) & (c > 0)):
+                raise DegeneratePlanError("column scaling denominator vanished")
+    return r, c
+
+
+def _scale_log(s: np.ndarray, m: np.ndarray,
+               iterations: int) -> tuple[np.ndarray, np.ndarray]:
+    """The same rounds as ``_scale`` on ``exp(s)``, with every factor kept
+    as its log: log r, log c. Zero-mass rows get log r = -inf."""
+    log_u = -np.log(s.shape[1])
+    with np.errstate(divide="ignore"):
+        log_m = np.log(m)
+    log_r = np.zeros(s.shape[0])
+    log_c = np.zeros(s.shape[1])
+    for _ in range(max(iterations, 1)):
+        if iterations:
+            log_r = log_m - _logsumexp(s + log_c[None, :], axis=1)
+        log_c = log_u - _logsumexp(s + log_r[:, None], axis=0)
+    return log_r, log_c
+
+
 def sinkhorn(plan0: np.ndarray, row_marginal: np.ndarray,
              iterations: int = 10) -> TransportPlan:
     """Alternate row and column scaling of plan0 toward the marginals.
@@ -147,57 +202,47 @@ def sinkhorn(plan0: np.ndarray, row_marginal: np.ndarray,
     hit the uniform 1/M. ``iterations=0`` skips row scaling and applies
     the column step once, so the result is a column-normalized plan with
     mass 1/M per column. Raises DegeneratePlanError when a scaling
-    denominator vanishes for a target that needs mass (zero-mass rows
-    are allowed: their scale is pinned to zero).
+    denominator vanishes or overflows for a target that needs mass
+    (zero-mass rows are allowed: their scale is pinned to zero).
     """
     q, m = _checked_inputs(plan0, row_marginal, iterations, "plan")
     if np.any(q < 0):
         raise DataError("plan entries must be nonnegative")
-
-    n_cols = q.shape[1]
-    col_target = 1.0 / n_cols
-    r = np.ones(q.shape[0])
-    c = np.ones(n_cols)
-    positive = m > 0
-    for _ in range(max(iterations, 1)):
-        if iterations:
-            row_mass = q @ c
-            if np.any(positive & (row_mass <= 0)):
-                raise DegeneratePlanError("row scaling denominator vanished")
-            r = np.where(positive, m / np.where(row_mass > 0, row_mass, 1.0), 0.0)
-        col_mass = q.T @ r
-        if np.any(col_mass <= 0):
-            raise DegeneratePlanError("column scaling denominator vanished")
-        c = col_target / col_mass
+    r, c = _scale(q, m, iterations)
     return _build_plan(r[:, None] * q * c[None, :], m, iterations, r, c)
 
 
 def solve_transport(similarities: np.ndarray, row_marginal: np.ndarray,
                     iterations: int = 10) -> TransportPlan:
-    """The init_plan + sinkhorn pipeline evaluated in log space.
+    """The init_plan + sinkhorn plan of the scores, scaled as a kernel
+    when exp() represents it and in log space otherwise.
 
     Identical to the kernel form in exact arithmetic: the kernel's
     global normalization is absorbed by the first row update (or, with
-    zero iterations, by the column step), and every scaling update maps
-    to an addition of log factors. Working with the scores directly
-    extends the float64-safe range from score spans of ~700 to
-    arbitrary spans, which matters once sharpened prototypes push
-    similarity spreads past what exp() can represent: entries too small
-    to matter flush to zero instead of dragging whole rows or columns
-    to zero and killing the scaling denominators.
+    zero iterations, by the column step). When the score span is at most
+    700, the kernel ``exp(s - s.max())`` has only normal positive
+    entries and is scaled directly with matrix-vector products. Past
+    that span, or when a kernel scale factor vanishes or overflows, the
+    rounds run on the scores in log space, where every update is an
+    addition of log factors: entries too small to matter flush to zero
+    instead of dragging whole rows or columns to zero and killing the
+    scaling denominators. Either way ``scaling`` is reported against
+    ``exp(s)``, so ``values == row[:, None] * exp(s) * col[None, :]``
+    wherever those factors are representable.
     """
     s, m = _checked_inputs(similarities, row_marginal, iterations, "similarity matrix")
-
-    n_cols = s.shape[1]
-    log_u = -np.log(n_cols)
-    with np.errstate(divide="ignore"):
-        log_m = np.log(m)  # -inf rows carry zero mass throughout
-    log_r = np.zeros(s.shape[0])
-    log_c = np.zeros(n_cols)
-    for _ in range(max(iterations, 1)):
-        if iterations:
-            log_r = log_m - _logsumexp(s + log_c[None, :], axis=1)
-        log_c = log_u - _logsumexp(s + log_r[:, None], axis=0)
+    s_max = s.max()
+    if s_max - s.min() <= _EXP_SAFE_SPAN:
+        q = np.exp(s - s_max)
+        try:
+            r, c = _scale(q, m, iterations)
+        except DegeneratePlanError:
+            pass  # a scale under- or overflowed: redo the rounds in log space
+        else:
+            with np.errstate(divide="ignore", over="ignore", under="ignore"):
+                row_scale = np.exp(np.log(r) - s_max)
+            return _build_plan(r[:, None] * q * c[None, :], m, iterations, row_scale, c)
+    log_r, log_c = _scale_log(s, m, iterations)
     values = np.exp(log_r[:, None] + s + log_c[None, :])
     with np.errstate(over="ignore", under="ignore"):
         row_scale, col_scale = np.exp(log_r), np.exp(log_c)

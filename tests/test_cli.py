@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,18 @@ def dataset_dir(tmp_path_factory):
 
 def read_files(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_python_dash_m_runs_the_cli():
+    # the package directory of the semishot under test goes first on the
+    # child's path, so the child runs this tree, not an installed copy
+    src = str(Path(semishot.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "semishot", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "benchmark" in done.stdout
 
 
 # ---------------------------------------------------------------- generate

@@ -189,6 +189,33 @@ def test_eval_set_rejects_out_of_range_label():
         EvalSet(embeddings=np.eye(2), labels=np.array([0, 2]), class_count=2)
 
 
+def _load_saved(inputs, tmp_path):
+    save_dataset(Dataset.create(**inputs), tmp_path / "manifest.json")
+    return load_dataset(tmp_path / "manifest.json")
+
+
+# every constructor that freezes its arrays, fed arrays of the dtype it
+# keeps (float64 rows, int64 labels), which it could store without a copy
+_FREEZING_BUILDS = {
+    "from_indices": lambda a, tmp: SupportSet.from_indices(a["embeddings"], a["labels"], 2),
+    "from_embeddings": lambda a, tmp: UnlabeledSet.from_embeddings(a["unlabeled"]),
+    "empty": lambda a, tmp: UnlabeledSet.empty(2),
+    "create": lambda a, tmp: Dataset.create(**a),
+    "load": _load_saved,
+}
+
+
+@pytest.mark.parametrize("build", _FREEZING_BUILDS.values(), ids=_FREEZING_BUILDS.keys())
+def test_containers_freeze_their_arrays_not_the_callers(build, tmp_path):
+    inputs = {"embeddings": np.eye(2), "labels": np.array([0, 1]),
+              "prototypes": np.eye(2), "unlabeled": np.eye(2),
+              "templates": np.ones((2, 1, 2))}
+    out = build(inputs, tmp_path)
+    stored = [v for v in vars(out).values() if isinstance(v, np.ndarray)]
+    assert stored and not any(arr.flags.writeable for arr in stored)
+    assert all(arr.flags.writeable for arr in inputs.values())
+
+
 # ---------------------------------------------------------------- validate
 
 

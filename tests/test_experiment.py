@@ -522,6 +522,25 @@ def test_run_benchmark_draws_each_split_once(monkeypatch):
     assert draws == [(k, i) for k in (1, 2) for i in range(3)]
 
 
+@pytest.mark.parametrize("dataset_tau", [DEFAULT_SYNTHETIC_TAU, None], ids=["own-tau", "no-tau"])
+def test_run_benchmark_default_cfg_uses_dataset_tau(monkeypatch, dataset_tau):
+    ds = _bench_dataset()
+    ds = Dataset.create(embeddings=ds.embeddings, labels=ds.labels,
+                        prototypes=ds.prototypes, tau=dataset_tau)
+    cfgs = []
+    real_cell = experiment._run_cell
+
+    def recording(*args):
+        cfgs.append(args[5])
+        return real_cell(*args)
+
+    monkeypatch.setattr(experiment, "_run_cell", recording)
+    run_benchmark(ds, solvers=("sstext",), shot_grid=(1,), seeds=2,
+                  unlabeled_multiplier=0, include_timing=False)
+    expected = SolverConfig().tau if dataset_tau is None else dataset_tau
+    assert [cfg.tau for cfg in cfgs] == [expected, expected]
+
+
 @pytest.mark.parametrize("grid", [dict(solvers=()), dict(solvers=("bogus",)),
                                   dict(shot_grid=())],
                          ids=["no-solvers", "unknown-solver", "no-shots"])

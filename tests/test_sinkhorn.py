@@ -15,6 +15,7 @@ from semishot import (
     sinkhorn,
     solve_transport,
 )
+from semishot import transport
 
 from conftest import unit_rows
 
@@ -206,6 +207,14 @@ def test_sinkhorn_degenerate_column_raises():
         sinkhorn(q0, np.array([0.5, 0.5]), iterations=3)
 
 
+@pytest.mark.parametrize("iterations", [0, 1], ids=["column-step-only", "one-round"])
+def test_sinkhorn_empty_column_in_last_step_raises(iterations):
+    # the last column step has no later row step to catch it
+    q0 = np.array([[0.5, 0.0], [0.5, 0.0]])
+    with pytest.raises(DegeneratePlanError, match="column"):
+        sinkhorn(q0, np.array([0.5, 0.5]), iterations=iterations)
+
+
 def test_sinkhorn_validation(rng):
     q0 = init_plan(rng.standard_normal((2, 3)))
     m = np.array([0.5, 0.5])
@@ -274,6 +283,95 @@ def test_solve_transport_validation(rng):
         solve_transport(np.array([[np.inf, 0.0]]), np.array([1.0]), iterations=1)
     with pytest.raises(DataError):
         solve_transport(s, np.array([0.9, 0.2]), iterations=1)
+
+
+# ---------------------------------------------------------------- domain choice
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """The scaling helpers solve_transport runs, in call order."""
+    seen = []
+    for name in ("_scale", "_scale_log"):
+        real = getattr(transport, name)
+
+        def spy(*args, _real=real, _name=name):
+            seen.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(transport, name, spy)
+    return seen
+
+
+def span_scores(rng, span):
+    """Scores in (-300, 300) plus one entry at each of -span/2 and
+    span/2, so the score span is exactly ``span`` (halving is exact)."""
+    s = rng.uniform(-300.0, 300.0, size=(3, 8))
+    s[0, 0], s[2, 7] = -span / 2.0, span / 2.0
+    return s
+
+
+@pytest.mark.parametrize("span, route", [(699.9, ["_scale"]), (700.1, ["_scale_log"])],
+                         ids=["under-700", "over-700"])
+def test_solve_transport_domain_follows_score_span(rng, routes, span, route):
+    s = span_scores(rng, span)
+    assert np.ptp(s) == span
+    m = random_marginal(rng, 3)
+    reference = sinkhorn(init_plan(s), m, iterations=10)
+    routes.clear()
+    plan = solve_transport(s, m, iterations=10)
+    assert routes == route
+    np.testing.assert_allclose(plan.values, reference.values, rtol=1e-12, atol=0)
+
+
+def test_solve_transport_span_rule_ignores_row_and_column_maxima(rng, routes):
+    # every row and column max is within 10 of the global max, but one
+    # entry sits 800 below it: the span alone sends this to log space
+    s = rng.uniform(-5.0, 5.0, size=(3, 4))
+    s[1, 2] = -800.0
+    plan = solve_transport(s, random_marginal(rng, 3), iterations=10)
+    assert routes == ["_scale_log"]
+    assert np.allclose(plan.values.sum(axis=0), 0.25, atol=1e-12)
+
+
+def test_solve_transport_vanishing_kernel_denominator_falls_back(rng, routes, monkeypatch):
+    s = rng.standard_normal((3, 6)) * 4.0
+    m = random_marginal(rng, 3)
+    kernel_plan = solve_transport(s, m, iterations=10)
+    real = transport._scale
+
+    def empty_column(q, *args):
+        q = q.copy()
+        q[:, 2] = 0.0  # the column step's denominator vanishes
+        return real(q, *args)
+
+    monkeypatch.setattr(transport, "_scale", empty_column)
+    routes.clear()
+    plan = solve_transport(s, m, iterations=10)
+    assert routes == ["_scale", "_scale_log"]  # the kernel loop raised, then log space
+    np.testing.assert_allclose(plan.values, kernel_plan.values, rtol=1e-12, atol=0)
+    with pytest.raises(DegeneratePlanError):
+        empty_column(np.exp(s), m, 10)
+
+
+def test_kernel_route_scaling_rebuilds_values_from_exp_scores(rng, routes):
+    # a large offset makes exp(-s.max()) tiny: the row scale folds it in
+    s = rng.standard_normal((3, 6)) * 3.0 + 300.0
+    plan = solve_transport(s, random_marginal(rng, 3), iterations=8)
+    assert routes == ["_scale"]
+    rebuilt = plan.scaling.row[:, None] * np.exp(s) * plan.scaling.col[None, :]
+    np.testing.assert_allclose(rebuilt, plan.values, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("scale, route", [(2.0, ["_scale"]), (900.0, ["_scale_log"])],
+                         ids=["kernel", "log"])
+def test_zero_marginal_row_carries_no_mass_in_either_domain(rng, routes, scale, route):
+    s = rng.standard_normal((3, 6)) * scale
+    plan = solve_transport(s, np.array([0.7, 0.0, 0.3]), iterations=7)
+    assert routes == route
+    assert np.array_equal(plan.values[1], np.zeros(6))
+    assert np.allclose(plan.values.sum(axis=0), 1.0 / 6.0, atol=1e-12)
+    assert plan.scaling is None
 
 
 # ---------------------------------------------------------------- codes
