@@ -44,6 +44,7 @@ from .experiment import (
     SamplingSpec,
     SyntheticSpec,
     _draw_split,
+    _resolve_tau,
     evaluate_prototypes,
     fit_solver,
     rows_to_csv,
@@ -216,14 +217,6 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _resolve_tau(flag_tau: float | None, dataset: Dataset) -> float:
-    if flag_tau is not None:
-        return flag_tau
-    if dataset.tau is not None:
-        return dataset.tau
-    return DEFAULT_TAU
-
-
 def _solver_config(args, tau: float, class_count: int) -> SolverConfig:
     if args.lambda_mode == "fixed":
         if args.lambda_text is None or args.lambda_unlabeled is None:
@@ -317,10 +310,6 @@ def cmd_adapt(args) -> int:
 def cmd_eval(args) -> int:
     dataset = load_dataset(args.data)
     prototypes = load_prototypes(args.prototypes)
-    if prototypes.shape != (dataset.class_count, dataset.dim):
-        raise DataError(
-            f"prototypes {prototypes.shape} do not fit dataset "
-            f"({dataset.class_count} classes, dim {dataset.dim})")
     tau = _resolve_tau(args.tau, dataset)
     report = evaluate_prototypes(prototypes, dataset.pool(), tau)
     config = {"command": "eval", "data": str(args.data),

@@ -1,4 +1,9 @@
-"""Core data types, validation, and binary dataset serialization.
+"""Core data types and binary dataset serialization.
+
+Every container checks its invariant when it is constructed (shapes,
+label range and, where it holds embedding rows to score, finite
+unit-norm rows), so an instance that exists is valid however it was
+built.
 
 On-disk layout is a JSON manifest next to raw little-endian blobs:
 float32 for embeddings and prototypes, uint32 for labels. Matrices are
@@ -20,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, FormatError
+from .zeroshot import check_tau
 
 EMBEDDING_DTYPE = np.dtype("<f4")
 LABEL_DTYPE = np.dtype("<u4")
@@ -32,7 +38,7 @@ MIN_ROW_NORM = 1e-8
 NORM_KEEP_TOL = 1e-6
 # Deviations beyond this are renormalized AND reported as a warning.
 NORM_WARN_TOL = 0.1
-# Validation bound on row norms for in-memory datasets.
+# Bound on row norms that the in-memory containers accept.
 NORM_VALID_TOL = 1e-4
 
 _REQUIRED_MANIFEST_KEYS = ("n", "d", "c", "dtype", "embeddings", "labels", "prototypes")
@@ -78,6 +84,14 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _owned(arr: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``arr``, which no write to the caller's array
+    can reach."""
+    out = np.array(arr)
+    out.setflags(write=False)
+    return out
+
+
 def normalize_rows(x: np.ndarray) -> np.ndarray:
     """Scale every row of ``x`` to unit Euclidean norm, in float64.
 
@@ -94,14 +108,20 @@ def normalize_rows(x: np.ndarray) -> np.ndarray:
     return arr / norms[:, None]
 
 
-def _check_unit_rows(embeddings: np.ndarray, what: str) -> None:
-    """Finite rows with norm within ``NORM_VALID_TOL`` of 1. A NaN or Inf
-    entry fails the norm test too; einsum makes no full-size temporary."""
-    norms = np.sqrt(np.einsum("ij,ij->i", embeddings, embeddings))
+def _unit_rows(x, what: str) -> np.ndarray:
+    """``x`` as a 2-d float64 matrix, with no copy when it already is one,
+    whose rows are finite with norm within ``NORM_VALID_TOL`` of 1. A NaN
+    or Inf entry fails the norm test too; einsum makes no full-size
+    temporary."""
+    arr = _as_array(x, np.float64, what)
+    if arr.ndim != 2:
+        raise DataError(f"{what} must be 2-d, got shape {arr.shape}")
+    norms = np.sqrt(np.einsum("ij,ij->i", arr, arr))
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_VALID_TOL))
     if bad.size:
         raise DataError(f"{what} rows {bad[:8].tolist()} are not finite and "
                         f"unit-norm within {NORM_VALID_TOL:g}")
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,11 +133,11 @@ class SupportSet:
 
     def __post_init__(self):
         object.__setattr__(self, "embeddings",
-                           _as_array(self.embeddings, np.float64, "support embeddings"))
+                           _unit_rows(self.embeddings, "support embeddings"))
         object.__setattr__(self, "labels",
                            _as_array(self.labels, np.float64, "support labels"))
-        if self.embeddings.ndim != 2 or self.labels.ndim != 2:
-            raise DataError("support embeddings and labels must be 2-d")
+        if self.labels.ndim != 2:
+            raise DataError("support labels must be 2-d")
         if self.embeddings.shape[0] != self.labels.shape[0]:
             raise DataError(
                 f"support has {self.embeddings.shape[0]} embeddings but "
@@ -130,7 +150,6 @@ class SupportSet:
             raise DataError("support labels must be one-hot (entries in {0,1})")
         if not np.all(lab.sum(axis=1) == 1.0):
             raise DataError("every support label row must sum to exactly 1")
-        _check_unit_rows(self.embeddings, "support embeddings")
 
     @classmethod
     def from_indices(
@@ -171,10 +190,7 @@ class UnlabeledSet:
 
     def __post_init__(self):
         object.__setattr__(self, "embeddings",
-                           _as_array(self.embeddings, np.float64, "unlabeled embeddings"))
-        if self.embeddings.ndim != 2:
-            raise DataError("unlabeled embeddings must be 2-d")
-        _check_unit_rows(self.embeddings, "unlabeled embeddings")
+                           _unit_rows(self.embeddings, "unlabeled embeddings"))
 
     @classmethod
     def from_embeddings(cls, embeddings: np.ndarray) -> "UnlabeledSet":
@@ -226,15 +242,45 @@ class Dataset:
     (may have zero rows). ``tau`` is an optional softmax temperature
     carried by the manifest. ``warnings`` collects load-time notes such
     as rows that needed aggressive renormalization.
+
+    Construction checks the whole invariant and raises a typed error on
+    the first violation: finite unit-norm embedding and unlabeled rows,
+    finite (C, D) prototypes, integer labels in [0, C), finite (C, J, D)
+    templates and a positive finite tau. Every array is stored as a
+    read-only copy, so later writes to the caller's arrays cannot break it.
     """
 
     embeddings: np.ndarray  # (N, D), unit rows
     labels: np.ndarray  # (N,), int64 in [0, C)
     prototypes: np.ndarray  # (C, D)
-    unlabeled: np.ndarray  # (M, D), possibly M == 0
+    unlabeled: np.ndarray  # (M, D), possibly M == 0, unit rows
     tau: float | None = None
     templates: np.ndarray | None = None  # (C, J, D) per-template text embeddings
     warnings: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        emb = _owned(_unit_rows(self.embeddings, "embeddings"))
+        n, d = emb.shape
+        protos = _owned(_as_float64(self.prototypes, "prototypes"))
+        if protos.ndim != 2 or protos.shape[1] != d:
+            raise DataError(f"prototypes must be (C, {d}), got shape {protos.shape}")
+        c = protos.shape[0]
+        labels = _class_labels(self.labels, n, c, "labels")
+        labels = _owned(labels.astype(np.int64, copy=False))
+        unl = _owned(_unit_rows(self.unlabeled, "unlabeled embeddings"))
+        if unl.shape[1] != d:
+            raise DataError(f"unlabeled embeddings must be (M, {d}), got shape {unl.shape}")
+        templates = self.templates
+        if templates is not None:
+            templates = _owned(_as_float64(templates, "templates"))
+            if templates.ndim != 3 or templates.shape[0] != c or templates.shape[2] != d:
+                raise DataError(f"templates must be ({c}, J, {d}), "
+                                f"got shape {templates.shape}")
+        for name, value in (("embeddings", emb), ("labels", labels), ("prototypes", protos),
+                            ("unlabeled", unl), ("templates", templates),
+                            ("tau", None if self.tau is None else check_tau(self.tau)),
+                            ("warnings", tuple(self.warnings))):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def create(
@@ -247,32 +293,14 @@ class Dataset:
         templates: np.ndarray | None = None,
         warnings: tuple[str, ...] = (),
     ) -> "Dataset":
-        """Validating constructor; renormalizes embedding rows."""
-        emb = _readonly(normalize_rows(embeddings))
-        protos = _readonly(_as_float64(prototypes, "prototypes"))
-        if protos.ndim != 2 or protos.shape[1] != emb.shape[1]:
-            raise DataError("prototypes must be (C, D) with D matching embeddings")
-        c = protos.shape[0]
-        lab = _class_labels(labels, emb.shape[0], c, "labels").astype(np.int64, copy=False)
-        if unlabeled is None:
-            unl = np.zeros((0, emb.shape[1]), dtype=np.float64)
-        else:
-            unl = normalize_rows(unlabeled)
-        if unl.shape[1] != emb.shape[1]:
-            raise DataError("unlabeled embeddings dimension mismatch")
-        if templates is not None:
-            templates = _readonly(_as_float64(templates, "templates"))
-            if templates.ndim != 3 or templates.shape[0] != c or templates.shape[2] != emb.shape[1]:
-                raise DataError("templates must be (C, J, D)")
-        return cls(
-            embeddings=emb,
-            labels=_readonly(lab),
-            prototypes=protos,
-            unlabeled=_readonly(unl),
-            tau=tau,
-            templates=templates,
-            warnings=tuple(warnings),
-        )
+        """Renormalize the embedding and unlabeled rows to unit norm, then
+        construct (and so check) the dataset; no unlabeled rows when
+        ``unlabeled`` is None."""
+        emb = normalize_rows(embeddings)
+        unl = (np.zeros((0, emb.shape[1])) if unlabeled is None
+               else normalize_rows(unlabeled))
+        return cls(embeddings=emb, labels=labels, prototypes=prototypes, unlabeled=unl,
+                   tau=tau, templates=templates, warnings=warnings)
 
     @property
     def n(self) -> int:
@@ -295,68 +323,6 @@ class Dataset:
         return EvalSet(
             embeddings=self.embeddings, labels=self.labels, class_count=self.class_count
         )
-
-
-@dataclass(frozen=True)
-class Violation:
-    check: str
-    index: int | None
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def by_check(self, check: str) -> list[Violation]:
-        return [v for v in self.violations if v.check == check]
-
-
-def validate(dataset: Dataset) -> ValidationReport:
-    """Report-only invariant check over a dataset.
-
-    Never raises; each failed invariant yields one violation per
-    offending row (or one summary entry for shape-level problems).
-    """
-    out: list[Violation] = []
-
-    def _finite(name: str, arr: np.ndarray):
-        if arr.size and not np.all(np.isfinite(arr)):
-            rows = np.flatnonzero(~np.isfinite(arr).all(axis=tuple(range(1, arr.ndim))))
-            for i in rows:
-                out.append(Violation(f"{name}_finite", int(i), "non-finite entries"))
-
-    _finite("embedding", dataset.embeddings)
-    _finite("prototype", dataset.prototypes)
-    _finite("unlabeled", dataset.unlabeled)
-
-    emb = dataset.embeddings
-    if emb.size and np.all(np.isfinite(emb)):
-        norms = np.linalg.norm(emb, axis=1)
-        for i in np.flatnonzero(np.abs(norms - 1.0) > NORM_VALID_TOL):
-            out.append(
-                Violation("embedding_norm", int(i), f"row norm {norms[i]:.6g} not within "
-                          f"{NORM_VALID_TOL:g} of 1")
-            )
-
-    c = dataset.class_count
-    lab = dataset.labels
-    for i in np.flatnonzero((lab < 0) | (lab >= c)):
-        out.append(Violation("label_range", int(i), f"label {int(lab[i])} outside [0, {c})"))
-
-    if dataset.prototypes.ndim != 2 or dataset.prototypes.shape[1] != dataset.dim:
-        out.append(Violation("prototype_shape", None,
-                             f"expected (C, {dataset.dim}), got {dataset.prototypes.shape}"))
-    if dataset.unlabeled.size:
-        unorms = np.linalg.norm(dataset.unlabeled, axis=1)
-        for i in np.flatnonzero(np.abs(unorms - 1.0) > NORM_VALID_TOL):
-            out.append(Violation("unlabeled_norm", int(i),
-                                 f"row norm {unorms[i]:.6g} not within {NORM_VALID_TOL:g} of 1"))
-    return ValidationReport(violations=tuple(out))
 
 
 _ABSENT = object()
@@ -456,11 +422,13 @@ def _ingest_unit_rows(raw32: np.ndarray, n: int, d: int, what: str,
 
 
 def load_dataset(manifest_path: str | Path) -> Dataset:
-    """Load and validate a dataset from its JSON manifest.
+    """Load a dataset from its JSON manifest.
 
     Blob sizes must match the declared shapes exactly. Embedding rows
-    far from unit norm are renormalized; deviations beyond
-    ``NORM_WARN_TOL`` are reported in ``Dataset.warnings``.
+    within ``NORM_KEEP_TOL`` of unit norm are kept verbatim, the rest are
+    renormalized, and deviations beyond ``NORM_WARN_TOL`` are reported
+    in ``Dataset.warnings``. The returned Dataset checks the rest of its
+    invariant (label range, finite values) on construction.
     """
     manifest_path = Path(manifest_path)
     manifest = _read_manifest(manifest_path, "manifest", _REQUIRED_MANIFEST_KEYS)
@@ -477,11 +445,7 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     emb_raw = blob("embeddings", EMBEDDING_DTYPE, n * d)
     embeddings = _ingest_unit_rows(emb_raw, n, d, "embeddings", warnings)
 
-    lab_raw = blob("labels", LABEL_DTYPE, n)
-    labels = lab_raw.astype(np.int64)
-    if labels.size and labels.max() >= c:
-        raise DataError(f"label index {int(labels.max())} out of range for c={c}")
-
+    labels = blob("labels", LABEL_DTYPE, n)
     prototypes = _widen_finite(blob("prototypes", EMBEDDING_DTYPE, c * d), (c, d),
                                "prototypes")
 
@@ -506,15 +470,8 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         templates = _widen_finite(blob("templates", EMBEDDING_DTYPE, c * j * d),
                                   (c, j, d), "templates")
 
-    return Dataset(
-        embeddings=_readonly(embeddings),
-        labels=_readonly(labels),
-        prototypes=_readonly(prototypes),
-        unlabeled=_readonly(unlabeled),
-        tau=tau,
-        templates=_readonly(templates) if templates is not None else None,
-        warnings=tuple(warnings),
-    )
+    return Dataset(embeddings=embeddings, labels=labels, prototypes=prototypes,
+                   unlabeled=unlabeled, tau=tau, templates=templates, warnings=warnings)
 
 
 def save_dataset(dataset: Dataset, manifest_path: str | Path) -> None:

@@ -36,7 +36,7 @@ from .solvers import (
     fit_sstext,
     fit_sstextu,
 )
-from .zeroshot import predict_labels, predict_probs
+from .zeroshot import DEFAULT_TAU, check_count, predict_labels, predict_probs
 
 SOLVER_NAMES = ("zeroshot", "simpleshot", "sstext", "sstextu")
 
@@ -71,11 +71,8 @@ class SamplingSpec:
     stratified: bool = False
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise ConfigError(f"shots must be >= 1, got {self.shots}")
-        if self.unlabeled_multiplier < 0:
-            raise ConfigError(
-                f"unlabeled_multiplier must be >= 0, got {self.unlabeled_multiplier}")
+        for name, low in (("shots", 1), ("unlabeled_multiplier", 0)):
+            object.__setattr__(self, name, check_count(getattr(self, name), name, low))
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,18 +96,14 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.class_count < 2:
-            raise ConfigError(f"class_count must be >= 2, got {self.class_count}")
-        if self.dim < 2:
-            raise ConfigError(f"dim must be >= 2, got {self.dim}")
+        for name, low in (("class_count", 2), ("dim", 2), ("pool_size", 1)):
+            object.__setattr__(self, name, check_count(getattr(self, name), name, low))
         if not (self.separation > 0):
             raise ConfigError(f"separation must be > 0, got {self.separation}")
         if not (self.noise > 0):
             raise ConfigError(f"noise must be > 0, got {self.noise}")
         if self.text_noise < 0:
             raise ConfigError(f"text_noise must be >= 0, got {self.text_noise}")
-        if self.pool_size < 1:
-            raise ConfigError(f"pool_size must be >= 1, got {self.pool_size}")
         m = np.asarray(self.marginal, dtype=np.float64)
         if m.shape != (self.class_count,):
             raise ConfigError(
@@ -300,9 +293,14 @@ def balanced_accuracy(predictions: np.ndarray, truth: np.ndarray,
 
 def evaluate_prototypes(prototypes: np.ndarray, eval_set: EvalSet,
                         tau: float) -> MetricReport:
-    """Score prototypes on an eval split (balanced and plain accuracy)."""
+    """Score prototypes on an eval split (balanced and plain accuracy).
+    The prototypes must be one row per class of the split."""
     if eval_set.labels.size == 0:
         raise DataError("eval split is empty")
+    if np.shape(prototypes) != (eval_set.class_count, eval_set.dim):
+        raise DataError(
+            f"prototypes {np.shape(prototypes)} do not fit the eval split "
+            f"({eval_set.class_count} classes, dim {eval_set.dim})")
     probs = predict_probs(eval_set.embeddings, prototypes, tau)
     pred = predict_labels(probs)
     recall, aca = _per_class_recall(pred, eval_set.labels, eval_set.class_count)
@@ -389,6 +387,14 @@ def correlate(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.corrcoef(a, b)[0, 1])
 
 
+def _resolve_tau(tau: float | None, dataset: Dataset) -> float:
+    """The temperature a run uses: ``tau`` when given, else the dataset's
+    own, else DEFAULT_TAU."""
+    if tau is not None:
+        return tau
+    return DEFAULT_TAU if dataset.tau is None else dataset.tau
+
+
 def fit_solver(name: str, dataset: Dataset, support: SupportSet,
                unlabeled: UnlabeledSet, cfg: SolverConfig,
                oracle_marginal: np.ndarray | None = None) -> FitResult:
@@ -466,7 +472,7 @@ def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
     ``benchmark`` picks when no ``--tau`` is given.
     """
     if cfg is None:
-        cfg = SolverConfig() if dataset.tau is None else SolverConfig(tau=dataset.tau)
+        cfg = SolverConfig(tau=_resolve_tau(None, dataset))
     seed_list = list(range(seeds)) if isinstance(seeds, int) else list(seeds)
     if not (solvers and shot_grid and seed_list and set(solvers) <= set(SOLVER_NAMES)):
         raise ConfigError(f"benchmark needs solvers from {SOLVER_NAMES}, a shot count "

@@ -51,10 +51,16 @@ class LambdaPolicy:
         else:
             if self.fixed_text is None or self.fixed_unlabeled is None:
                 raise ConfigError("fixed lambda policy needs both weight vectors")
-            for name, arr in (("fixed_text", self.fixed_text),
-                              ("fixed_unlabeled", self.fixed_unlabeled)):
+            for name in ("fixed_text", "fixed_unlabeled"):
+                try:
+                    arr = np.asarray(getattr(self, name), dtype=np.float64)
+                except (TypeError, ValueError):
+                    raise ConfigError(f"{name} must be a numeric vector") from None
+                if arr.ndim != 1:
+                    raise ConfigError(f"{name} must be 1-d, got shape {arr.shape}")
                 if not np.all(np.isfinite(arr)):
                     raise ConfigError(f"{name} must be finite")
+                object.__setattr__(self, name, arr)
             if np.any(self.fixed_text <= 0):
                 raise ConfigError("fixed text weights must be strictly positive")
             if np.any(self.fixed_unlabeled < 0):
@@ -66,11 +72,7 @@ class LambdaPolicy:
 
     @classmethod
     def fixed(cls, text, unlabeled) -> "LambdaPolicy":
-        return cls(
-            mode="fixed",
-            fixed_text=np.asarray(text, dtype=np.float64),
-            fixed_unlabeled=np.asarray(unlabeled, dtype=np.float64),
-        )
+        return cls(mode="fixed", fixed_text=text, fixed_unlabeled=unlabeled)
 
     def text_weights(self, shot_counts: np.ndarray) -> np.ndarray:
         """Per-class text penalty weights; inf marks unobserved classes."""

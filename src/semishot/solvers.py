@@ -18,6 +18,7 @@ labeled sums once per fit and unlabeled sums once per round.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -27,7 +28,7 @@ from .data import SupportSet, UnlabeledSet
 from .errors import ConfigError, DataError, DegeneratePlanError, SolverError
 from .objectives import LambdaPolicy, _check_prototypes, _class_sums
 from .transport import extract_pseudolabels, solve_transport
-from .zeroshot import check_marginal, check_tau, similarity_matrix
+from .zeroshot import DEFAULT_TAU, check_count, check_marginal, check_tau, similarity_matrix
 
 MARGINAL_SOURCES = ("support_estimate", "support_raw", "oracle")
 
@@ -50,7 +51,7 @@ class SolverConfig:
         the result (memory scales with bcm_iters).
     """
 
-    tau: float = 0.01
+    tau: float = DEFAULT_TAU
     bcm_iters: int = 3
     ot_iters: int = 10
     marginal_ratio: float = 0.25
@@ -60,11 +61,10 @@ class SolverConfig:
 
     def __post_init__(self):
         check_tau(self.tau)
-        if self.bcm_iters < 0:
-            raise ConfigError(f"bcm_iters must be >= 0, got {self.bcm_iters}")
-        if self.ot_iters < 0:
-            raise ConfigError(f"ot_iters must be >= 0, got {self.ot_iters}")
-        if not (0.0 < self.marginal_ratio < 1.0):
+        for name in ("bcm_iters", "ot_iters"):
+            object.__setattr__(self, name, check_count(getattr(self, name), name))
+        if not (isinstance(self.marginal_ratio, numbers.Real)
+                and 0.0 < self.marginal_ratio < 1.0):
             raise ConfigError(
                 f"marginal_ratio must be in (0, 1), got {self.marginal_ratio}")
         if self.marginal_source not in MARGINAL_SOURCES:

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DegeneratePlanError
-from .zeroshot import _logsumexp, check_marginal
+from .errors import DataError, DegeneratePlanError
+from .zeroshot import _logsumexp, check_count, check_marginal
 
 # exp() of a float64 stays a normal number down to about -708, so a
 # kernel shifted by its max keeps every entry a positive normal float64
@@ -124,13 +124,12 @@ def _checked_matrix(matrix: np.ndarray, what: str) -> np.ndarray:
 
 
 def _checked_inputs(matrix: np.ndarray, row_marginal: np.ndarray, iterations: int,
-                    what: str) -> tuple[np.ndarray, np.ndarray]:
-    """The input check both scaling routes share: iteration count, a 2-d
-    nonempty finite matrix and a row marginal that fits it."""
-    if iterations < 0:
-        raise ConfigError(f"iteration count must be >= 0, got {iterations}")
+                    what: str) -> tuple[np.ndarray, np.ndarray, int]:
+    """The input check both scaling routes share: a 2-d nonempty finite
+    matrix, a row marginal that fits it and an integer iteration count."""
+    iterations = check_count(iterations, "iteration count")
     a = _checked_matrix(matrix, what)
-    return a, check_marginal(row_marginal, a.shape[0], "row marginal")
+    return a, check_marginal(row_marginal, a.shape[0], "row marginal"), iterations
 
 
 def _build_plan(values: np.ndarray, row_marginal: np.ndarray, iterations: int,
@@ -205,7 +204,7 @@ def sinkhorn(plan0: np.ndarray, row_marginal: np.ndarray,
     denominator vanishes or overflows for a target that needs mass
     (zero-mass rows are allowed: their scale is pinned to zero).
     """
-    q, m = _checked_inputs(plan0, row_marginal, iterations, "plan")
+    q, m, iterations = _checked_inputs(plan0, row_marginal, iterations, "plan")
     if np.any(q < 0):
         raise DataError("plan entries must be nonnegative")
     r, c = _scale(q, m, iterations)
@@ -230,7 +229,8 @@ def solve_transport(similarities: np.ndarray, row_marginal: np.ndarray,
     ``exp(s)``, so ``values == row[:, None] * exp(s) * col[None, :]``
     wherever those factors are representable.
     """
-    s, m = _checked_inputs(similarities, row_marginal, iterations, "similarity matrix")
+    s, m, iterations = _checked_inputs(similarities, row_marginal, iterations,
+                                       "similarity matrix")
     s_max = s.max()
     if s_max - s.min() <= _EXP_SAFE_SPAN:
         q = np.exp(s - s_max)

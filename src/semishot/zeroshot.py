@@ -7,6 +7,8 @@ evaluators and the transport step read.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import ConfigError, DataError
@@ -15,10 +17,26 @@ DEFAULT_TAU = 0.01
 
 
 def check_tau(tau: float) -> float:
-    tau = float(tau)
+    try:
+        tau = float(tau)
+    except (TypeError, ValueError):
+        raise ConfigError(f"temperature must be a number, got {tau!r}") from None
     if not np.isfinite(tau) or tau <= 0:
         raise ConfigError(f"temperature must be a positive finite number, got {tau}")
     return tau
+
+
+def check_count(value, what: str, minimum: int = 0) -> int:
+    """``value`` as an int of at least ``minimum``. Python and NumPy
+    integers and integral floats pass; bool, fractions and non-numbers
+    are a ConfigError, as for the integer fields of a manifest."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{what} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 def check_marginal(marginal: np.ndarray, size: int, what: str = "marginal") -> np.ndarray:

@@ -21,7 +21,6 @@ from semishot import (
     normalize_rows,
     save_dataset,
     save_prototypes,
-    validate,
 )
 
 from conftest import unit_rows
@@ -216,7 +215,7 @@ def test_containers_freeze_their_arrays_not_the_callers(build, tmp_path):
     assert all(arr.flags.writeable for arr in inputs.values())
 
 
-# ---------------------------------------------------------------- validate
+# ---------------------------------------------------------------- dataset invariant
 
 
 def _tiny_dataset(rng, n=6, d=4, c=2):
@@ -226,31 +225,70 @@ def _tiny_dataset(rng, n=6, d=4, c=2):
     return Dataset.create(embeddings=emb, labels=labels, prototypes=protos)
 
 
-def test_validate_clean_dataset(rng):
-    report = validate(_tiny_dataset(rng))
-    assert report.ok
-    assert report.violations == ()
+def _valid_fields():
+    return {"embeddings": np.eye(2), "labels": np.array([0, 1]),
+            "prototypes": np.array([[1.0, 0.0], [0.0, 2.0]]),
+            "unlabeled": np.array([[0.6, 0.8]]), "tau": 0.05,
+            "templates": np.ones((2, 1, 2))}
 
 
-def test_validate_flags_norm_violation(rng):
-    ds = _tiny_dataset(rng)
-    emb = ds.embeddings.copy()
-    emb[2] = emb[2] * 3.0
-    bad = Dataset(embeddings=emb, labels=ds.labels, prototypes=ds.prototypes,
-                  unlabeled=ds.unlabeled)
-    report = validate(bad)
-    assert not report.ok
-    assert [v.index for v in report.by_check("embedding_norm")] == [2]
+def _with(**changes):
+    return {**_valid_fields(), **changes}
 
 
-def test_validate_flags_label_out_of_range(rng):
-    ds = _tiny_dataset(rng)
-    labels = ds.labels.copy()
-    labels[0] = ds.class_count  # index C is one past the valid range
-    bad = Dataset(embeddings=ds.embeddings, labels=labels,
-                  prototypes=ds.prototypes, unlabeled=ds.unlabeled)
-    report = validate(bad)
-    assert [v.index for v in report.by_check("label_range")] == [0]
+_BAD_DATASET_FIELDS = {
+    "embedding-not-unit": _with(embeddings=np.array([[3.0, 4.0], [0.0, 1.0]])),
+    "embedding-nan": _with(embeddings=np.array([[np.nan, 0.0], [0.0, 1.0]])),
+    "embedding-1d": _with(embeddings=np.array([1.0, 0.0])),
+    "label-too-big": _with(labels=np.array([0, 2])),
+    "label-negative": _with(labels=np.array([-1, 0])),
+    "label-float": _with(labels=np.array([0.0, 1.0])),
+    "label-count": _with(labels=np.array([0, 1, 1])),
+    "prototype-inf": _with(prototypes=np.array([[np.inf, 0.0], [0.0, 1.0]])),
+    "prototype-width": _with(prototypes=np.eye(2, 3)),
+    "unlabeled-not-unit": _with(unlabeled=np.array([[2.0, 0.0]])),
+    "unlabeled-width": _with(unlabeled=np.array([[1.0, 0.0, 0.0]])),
+    "templates-2d": _with(templates=np.ones((2, 2))),
+    "templates-class-count": _with(templates=np.ones((3, 1, 2))),
+    "templates-width": _with(templates=np.ones((2, 1, 3))),
+    "templates-nan": _with(templates=np.full((2, 1, 2), np.nan)),
+    "tau-zero": _with(tau=0.0),
+    "tau-negative": _with(tau=-0.1),
+    "tau-nan": _with(tau=float("nan")),
+}
+
+
+def test_dataset_constructor_accepts_valid_fields():
+    ds = Dataset(**_valid_fields())
+    assert (ds.n, ds.dim, ds.class_count, ds.unlabeled_count) == (2, 2, 2, 1)
+    assert ds.labels.dtype == np.int64 and ds.tau == 0.05
+    # prototypes and templates need not be unit-norm; lists and an empty
+    # unlabeled pool construct too
+    listed = Dataset(embeddings=[[1.0, 0.0]], labels=[1], prototypes=[[1.0, 2.0]] * 2,
+                     unlabeled=np.zeros((0, 2)), warnings=["note"])
+    assert listed.labels.tolist() == [1] and listed.warnings == ("note",)
+    assert listed.templates is None and listed.tau is None
+
+
+@pytest.mark.parametrize("fields", _BAD_DATASET_FIELDS.values(),
+                         ids=_BAD_DATASET_FIELDS.keys())
+def test_dataset_constructor_rejects_broken_invariant(fields):
+    # a Dataset built directly holds the same contract as create and
+    # load_dataset, which both construct through it
+    with pytest.raises(ss.SemishotError):
+        Dataset(**fields)
+
+
+@pytest.mark.parametrize("build", [Dataset, Dataset.create], ids=["direct", "create"])
+def test_dataset_owns_copies_of_the_callers_arrays(build):
+    fields = _valid_fields()
+    ds = build(**fields)
+    before = {k: v.copy() for k, v in vars(ds).items() if isinstance(v, np.ndarray)}
+    for key in ("embeddings", "labels", "prototypes", "unlabeled", "templates"):
+        fields[key][0] = 7
+    for key, arr in before.items():
+        assert np.array_equal(getattr(ds, key), arr), key
+    assert ds.labels.max() < ds.class_count
 
 
 # ---------------------------------------------------------------- files

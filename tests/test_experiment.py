@@ -294,6 +294,15 @@ def test_evaluate_prototypes_rejects_empty(rng):
         evaluate_prototypes(unit_rows(rng, 2, 4), ev, tau=0.1)
 
 
+@pytest.mark.parametrize("shape", [(10, 8), (2, 8), (3, 9)],
+                         ids=["extra-classes", "missing-class", "wrong-dim"])
+def test_evaluate_prototypes_rejects_prototypes_that_do_not_fit(rng, shape):
+    ev = EvalSet(embeddings=unit_rows(rng, 30, 8), labels=np.arange(30) % 3,
+                 class_count=3)
+    with pytest.raises(DataError):
+        evaluate_prototypes(rng.standard_normal(shape), ev, tau=0.1)
+
+
 # ---------------------------------------------------------------- silhouette
 
 

@@ -40,6 +40,16 @@ def test_lambda_policy_validation():
         LambdaPolicy.fixed([1.0, 1.0], [1.0, 1.0]).text_weights(np.array([2, 2, 1]))
 
 
+def test_lambda_policy_converts_list_fields():
+    policy = LambdaPolicy(mode="fixed", fixed_text=[1.0, 2.0], fixed_unlabeled=[1.0, 0.0])
+    assert policy.fixed_text.dtype == np.float64
+    assert policy.text_weights(np.array([3, 1])).tolist() == [1.0, 2.0]
+    assert policy.unlabeled_weights(np.array([3, 1])).tolist() == [1.0, 0.0]
+    for text in (["a", "b"], [[1.0, 2.0]], 1.0, [1.0, [2.0]]):
+        with pytest.raises(ConfigError):
+            LambdaPolicy(mode="fixed", fixed_text=text, fixed_unlabeled=[1.0, 1.0])
+
+
 def test_adaptive_weights_track_shot_counts():
     policy = LambdaPolicy.adaptive()
     counts = np.array([4, 1, 0])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import semishot as ss
 from semishot import (
     ConfigError,
     DataError,
@@ -386,6 +387,45 @@ def test_solver_config_validation():
         SolverConfig(marginal_ratio=0.0)
     with pytest.raises(ConfigError):
         SolverConfig(marginal_source="guess")
+
+
+_PLAN_INPUTS = (np.zeros((2, 3)), np.full(2, 0.5))
+_BAD_COUNTS_AND_TAUS = {
+    "bcm_iters-fraction": lambda: SolverConfig(bcm_iters=2.5),
+    "bcm_iters-bool": lambda: SolverConfig(bcm_iters=True),
+    "ot_iters-none": lambda: SolverConfig(ot_iters=None),
+    "ot_iters-text": lambda: SolverConfig(ot_iters="10"),
+    "marginal_ratio-text": lambda: SolverConfig(marginal_ratio="x"),
+    "tau-text": lambda: SolverConfig(tau="abc"),
+    "tau-none": lambda: SolverConfig(tau=None),
+    "shots-fraction": lambda: ss.SamplingSpec(shots=1.5),
+    "shots-none": lambda: ss.SamplingSpec(shots=None),
+    "multiplier-fraction": lambda: ss.SamplingSpec(shots=1, unlabeled_multiplier=0.5),
+    "dim-fraction": lambda: ss.SyntheticSpec(dim=8.5),
+    "pool_size-bool": lambda: ss.SyntheticSpec(pool_size=True),
+    "sinkhorn-iterations": lambda: ss.sinkhorn(np.ones((2, 3)), np.full(2, 0.5),
+                                               iterations=2.5),
+    "solve_transport-iterations": lambda: ss.solve_transport(*_PLAN_INPUTS,
+                                                             iterations=2.5),
+}
+
+
+@pytest.mark.parametrize("build", _BAD_COUNTS_AND_TAUS.values(),
+                         ids=_BAD_COUNTS_AND_TAUS.keys())
+def test_counts_and_taus_raise_config_error(build):
+    # rejected where they are set, not as a TypeError rounds later
+    with pytest.raises(ConfigError):
+        build()
+
+
+def test_integral_counts_of_any_integer_type_are_accepted():
+    cfg = SolverConfig(bcm_iters=np.int64(2), ot_iters=4.0)
+    assert (cfg.bcm_iters, cfg.ot_iters) == (2, 4)
+    assert type(cfg.ot_iters) is int
+    assert ss.SamplingSpec(shots=np.uint8(2)).shots == 2
+    plan = ss.solve_transport(*_PLAN_INPUTS, iterations=np.int32(3))
+    assert plan.iterations == 3
+    assert ss.sinkhorn(np.ones((2, 3)), np.full(2, 0.5), iterations=2.0).iterations == 2
 
 
 def test_sstextu_dim_mismatch(rng):
