@@ -9,6 +9,7 @@ outputs alone. Exit codes: 0 success, 2 usage/config/data error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -66,7 +67,10 @@ _CONFIG_ERRORS = (ConfigError, FormatError, DataError, SamplingError,
 _SOLVER_ERRORS = (SolverError, DegeneratePlanError)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing does not
+    change it)."""
     parser = argparse.ArgumentParser(
         prog="semishot",
         description="Few-shot prototype adaptation with text anchors and "

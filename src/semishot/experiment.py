@@ -13,8 +13,12 @@ their center (renormalized), and derives text prototypes as noisy
 copies of the centers. It stands in for embedding datasets at desk
 scale while keeping difficulty tunable through the noise level.
 
-Benchmarks run a (solver, shots, seed) grid serially, drawing each
-(shots, seed) split once for every solver; rows come back in grid order.
+Benchmarks run a (solver, shots, seed) grid serially. Each (shots,
+seed) split is drawn once for every solver, and each solver fits all
+the seeds of one shot count as one batch (their problems share one
+shape), which gives every cell the fit it gets alone; a batch that
+raises is refitted cell by cell. A seed's eval split is built only
+while its cells are scored. Rows come back in grid order.
 """
 
 from __future__ import annotations
@@ -22,21 +26,16 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import numbers
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import Dataset, EvalSet, SupportSet, UnlabeledSet, normalize_rows
 from .errors import ConfigError, DataError, GenerationError, SamplingError
-from .solvers import (
-    FitResult,
-    SolverConfig,
-    estimate_marginal,
-    fit_simpleshot,
-    fit_sstext,
-    fit_sstextu,
-)
-from .zeroshot import DEFAULT_TAU, check_count, predict_labels, predict_probs
+from .solvers import FitResult, SolverConfig, _adapt, fit_simpleshot
+from .zeroshot import DEFAULT_TAU, check_count, check_real, predict_labels, predict_probs
 
 SOLVER_NAMES = ("zeroshot", "simpleshot", "sstext", "sstextu")
 
@@ -71,7 +70,7 @@ class SamplingSpec:
     stratified: bool = False
 
     def __post_init__(self):
-        for name, low in (("shots", 1), ("unlabeled_multiplier", 0)):
+        for name, low in (("shots", 1), ("unlabeled_multiplier", 0), ("seed", 0)):
             object.__setattr__(self, name, check_count(getattr(self, name), name, low))
 
 
@@ -96,8 +95,10 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("class_count", 2), ("dim", 2), ("pool_size", 1)):
+        for name, low in (("class_count", 2), ("dim", 2), ("pool_size", 1), ("seed", 0)):
             object.__setattr__(self, name, check_count(getattr(self, name), name, low))
+        for name in ("separation", "noise", "text_noise"):
+            object.__setattr__(self, name, check_real(getattr(self, name), name))
         if not (self.separation > 0):
             raise ConfigError(f"separation must be > 0, got {self.separation}")
         if not (self.noise > 0):
@@ -187,6 +188,18 @@ def split_indices(labels: np.ndarray, class_count: int,
     return support, rest[:m], rest[m:]
 
 
+class _Split(NamedTuple):
+    """One split: its support and unlabeled sets, the pool indices of its
+    eval split (None for a split a caller sampled) and the hidden-label
+    class marginal of the unlabeled draw (None when it is empty), which
+    the oracle marginal source reads."""
+
+    support: SupportSet
+    unlabeled: UnlabeledSet
+    eval_idx: np.ndarray | None
+    oracle_marginal: np.ndarray | None
+
+
 def sample_support(pool: EvalSet, spec: SamplingSpec) -> tuple[SupportSet,
                                                                UnlabeledSet,
                                                                EvalSet]:
@@ -194,14 +207,13 @@ def sample_support(pool: EvalSet, spec: SamplingSpec) -> tuple[SupportSet,
     the remainder becomes the eval split. Splits are pairwise disjoint
     (unless replacement mode repeats support items) and fully
     determined by the seed."""
-    return _draw_split(pool, spec)[:3]
+    split = _draw_split(pool, spec)
+    return split.support, split.unlabeled, _eval_split(pool, split.eval_idx)
 
 
-def _draw_split(pool: EvalSet, spec: SamplingSpec) -> tuple[
-        SupportSet, UnlabeledSet, EvalSet, np.ndarray | None]:
-    """sample_support's three sets plus the hidden-label class marginal
-    of the unlabeled draw (None when it is empty), which the oracle
-    marginal source reads."""
+def _draw_split(pool: EvalSet, spec: SamplingSpec) -> _Split:
+    """The support and unlabeled sets of ``spec``'s draw; the eval split
+    stays as indices until ``_eval_split`` builds it."""
     sup_idx, unl_idx, eval_idx = split_indices(pool.labels, pool.class_count, spec)
     support = SupportSet.from_indices(
         pool.embeddings[sup_idx], pool.labels[sup_idx], pool.class_count)
@@ -212,12 +224,15 @@ def _draw_split(pool: EvalSet, spec: SamplingSpec) -> tuple[
     else:
         unlabeled = UnlabeledSet.empty(pool.embeddings.shape[1])
         oracle_marginal = None
-    eval_set = EvalSet(
+    return _Split(support, unlabeled, eval_idx, oracle_marginal)
+
+
+def _eval_split(pool: EvalSet, eval_idx: np.ndarray) -> EvalSet:
+    return EvalSet(
         embeddings=pool.embeddings[eval_idx],
         labels=pool.labels[eval_idx],
         class_count=pool.class_count,
     )
-    return support, unlabeled, eval_set, oracle_marginal
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[EvalSet, np.ndarray]:
@@ -399,20 +414,48 @@ def fit_solver(name: str, dataset: Dataset, support: SupportSet,
                unlabeled: UnlabeledSet, cfg: SolverConfig,
                oracle_marginal: np.ndarray | None = None) -> FitResult:
     """Dispatch one solver by name on an already-sampled split."""
+    return _fit_seeds(name, dataset, [_Split(support, unlabeled, None, oracle_marginal)],
+                      cfg)[0]
+
+
+def _fit_seeds(name: str, dataset: Dataset, splits: list[_Split],
+               cfg: SolverConfig) -> list[FitResult]:
+    """One solver's fits of same-shaped splits, in order: sstext and
+    sstextu fit them as one batch, whose wall time each result shares."""
     if name == "zeroshot":
-        return FitResult(
+        return [FitResult(
             prototypes=dataset.prototypes,
             objective_trace=np.array([], dtype=np.float64),
             runtime_ms=0.0,
-        )
+        )] * len(splits)
     if name == "simpleshot":
-        return fit_simpleshot(support)
+        return [fit_simpleshot(split.support) for split in splits]
+    supports = [split.support for split in splits]
     if name == "sstext":
-        return fit_sstext(support, dataset.prototypes, cfg)
+        return _adapt(supports, dataset.prototypes, cfg)
     if name == "sstextu":
-        return fit_sstextu(support, unlabeled, dataset.prototypes, cfg,
-                           oracle_marginal=oracle_marginal)
+        return _adapt(supports, dataset.prototypes, cfg,
+                      [split.unlabeled for split in splits],
+                      [split.oracle_marginal for split in splits])
     raise ConfigError(f"unknown solver {name!r}; expected one of {SOLVER_NAMES}")
+
+
+def _fit_cells(name: str, dataset: Dataset, splits: list[_Split],
+               cfg: SolverConfig) -> list[FitResult | Exception]:
+    """``_fit_seeds`` of the batch or, when the batch raises, of each
+    split alone, so that only a split whose own fit raises holds the
+    exception."""
+    try:
+        return _fit_seeds(name, dataset, splits, cfg)
+    except Exception:
+        pass  # the batch raised: find the splits whose own fit raises
+    fits = []
+    for split in splits:
+        try:
+            fits.append(_fit_seeds(name, dataset, [split], cfg)[0])
+        except Exception as exc:
+            fits.append(exc)
+    return fits
 
 
 def _failed_row(solver: str, dataset_name: str, spec: SamplingSpec,
@@ -425,25 +468,39 @@ def _failed_row(solver: str, dataset_name: str, spec: SamplingSpec,
 
 
 def _run_cell(dataset: Dataset, dataset_name: str, solver: str,
-              spec: SamplingSpec, split: tuple, cfg: SolverConfig,
-              include_timing: bool, eval_set: EvalSet | None) -> BenchmarkRow:
-    support, unlabeled, remainder, oracle_marginal = split
+              spec: SamplingSpec, fit: FitResult | Exception, cfg: SolverConfig,
+              include_timing: bool, eval_set: EvalSet) -> BenchmarkRow:
+    """The row of one cell: its fit (or the exception its fit raised)
+    scored on ``eval_set``."""
+    if isinstance(fit, Exception):
+        return _failed_row(solver, dataset_name, spec, dataset, fit)
     try:
-        fit = fit_solver(solver, dataset, support, unlabeled, cfg, oracle_marginal)
-        report = evaluate_prototypes(
-            fit.prototypes, remainder if eval_set is None else eval_set, cfg.tau)
+        report = evaluate_prototypes(fit.prototypes, eval_set, cfg.tau)
     except Exception as exc:
         return _failed_row(solver, dataset_name, spec, dataset, exc)
     return BenchmarkRow(
         solver=solver,
         dataset=dataset_name,
         shots=spec.shots,
-        unlabeled_count=unlabeled.count,
+        unlabeled_count=spec.unlabeled_multiplier * dataset.class_count,
         seed=spec.seed,
         aca=report.aca,
         acc=report.acc,
         runtime_ms=fit.runtime_ms if include_timing else 0.0,
     )
+
+
+def _seed_list(seeds) -> list[int]:
+    """``seeds`` as a list: a count n gives 0..n-1, an iterable its own
+    seeds; each must be a nonnegative integer."""
+    if isinstance(seeds, numbers.Number):
+        return list(range(check_count(seeds, "seeds")))
+    try:
+        items = list(seeds)
+    except TypeError:
+        raise ConfigError(f"seeds must be a count or an iterable of seeds, "
+                          f"got {seeds!r}") from None
+    return [check_count(seed, "seed") for seed in items]
 
 
 def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
@@ -455,17 +512,26 @@ def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
                   eval_set: EvalSet | None = None) -> list[BenchmarkRow]:
     """Run the (solver, shots, seed) grid serially, one row per cell.
 
-    Each (shots, seed) split is drawn once and handed to every solver,
-    so rows are comparable seed-by-seed. A split that cannot be drawn
-    fails each solver's cell on it with the same error; a failed fit or
-    scoring fails its own cell only. Rows come back in grid order. An
-    unknown solver, an empty solver list, shot grid or seed list, or a
-    shot count or multiplier that SamplingSpec rejects raises ConfigError.
+    ``seeds`` is a count n (seeds 0..n-1) or an iterable of seeds, each a
+    nonnegative integer. Each (shots, seed) split is drawn once and
+    handed to every solver, so rows are comparable seed-by-seed, and
+    each solver fits all the seeds of one shot count as one batch. The
+    batch gives every cell the fit it gets alone. A split that cannot be
+    drawn fails each solver's cell on it with the same error; when a
+    batch fit raises, its cells are refitted one by one, so a failed fit
+    or scoring fails its own cell only. Rows come back in grid order. An
+    unknown solver, an empty solver list, shot grid or seed list, a seed
+    that is not a nonnegative integer, or a shot count or multiplier
+    that SamplingSpec rejects raises ConfigError.
+
+    With ``include_timing`` a batched cell's ``runtime_ms`` is the batch
+    fit's wall time divided by its cell count, an amortised share.
 
     By default every seed evaluates on the pool remainder left after its
-    own support/unlabeled draw. Passing ``eval_set`` scores every cell
-    on that fixed split instead (the caller guarantees it is held out),
-    which makes support-free solvers constant across seeds.
+    own support/unlabeled draw, built only while that seed's cells are
+    scored. Passing ``eval_set`` scores every cell on that fixed split
+    instead (the caller guarantees it is held out), which makes
+    support-free solvers constant across seeds.
 
     Without ``cfg`` the fits run at stock SolverConfig settings and the
     dataset's own tau when it carries one, the temperature the CLI's
@@ -473,7 +539,7 @@ def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
     """
     if cfg is None:
         cfg = SolverConfig(tau=_resolve_tau(None, dataset))
-    seed_list = list(range(seeds)) if isinstance(seeds, int) else list(seeds)
+    seed_list = _seed_list(seeds)
     if not (solvers and shot_grid and seed_list and set(solvers) <= set(SOLVER_NAMES)):
         raise ConfigError(f"benchmark needs solvers from {SOLVER_NAMES}, a shot count "
                           f"and a seed; got {solvers!r}, {shot_grid!r}, {seeds!r}")
@@ -482,17 +548,24 @@ def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
              for shots in shot_grid}
     pool = dataset.pool()
     rows = {}
-    for shots, seed in itertools.product(specs, seed_list):
-        spec = replace(specs[shots], seed=seed)
-        try:
-            split = _draw_split(pool, spec)
-        except Exception as exc:
-            rows.update({(solver, shots, seed): _failed_row(
-                solver, dataset_name, spec, dataset, exc) for solver in solvers})
+    for shots, spec in specs.items():
+        drawn: list[tuple[SamplingSpec, _Split]] = []
+        for seed in seed_list:
+            seed_spec = replace(spec, seed=seed)
+            try:
+                drawn.append((seed_spec, _draw_split(pool, seed_spec)))
+            except Exception as exc:
+                rows.update({(solver, shots, seed): _failed_row(
+                    solver, dataset_name, seed_spec, dataset, exc) for solver in solvers})
+        if not drawn:
             continue
-        rows.update({(solver, shots, seed): _run_cell(
-            dataset, dataset_name, solver, spec, split, cfg, include_timing, eval_set)
-            for solver in solvers})
+        splits = [split for _, split in drawn]
+        fits = {solver: _fit_cells(solver, dataset, splits, cfg) for solver in solvers}
+        for i, (seed_spec, split) in enumerate(drawn):
+            scored_on = _eval_split(pool, split.eval_idx) if eval_set is None else eval_set
+            rows.update({(solver, shots, seed_spec.seed): _run_cell(
+                dataset, dataset_name, solver, seed_spec, fits[solver][i], cfg,
+                include_timing, scored_on) for solver in solvers})
     return [rows[cell] for cell in itertools.product(solvers, shot_grid, seed_list)]
 
 

@@ -20,7 +20,9 @@ unlabeled term's finite limit coefficient).
 The combined objective is linear in the labeled class sums Y^T V and
 the code-weighted unlabeled sums Z^T U, so its value, its gradient and
 the closed-form prototype update are all read off one record of those
-sums and the per-class weights.
+sums and the per-class weights. The record carries a leading batch axis,
+so the solvers fit many same-shaped problems at once; the public
+evaluators use it with one element.
 """
 
 from __future__ import annotations
@@ -75,12 +77,13 @@ class LambdaPolicy:
         return cls(mode="fixed", fixed_text=text, fixed_unlabeled=unlabeled)
 
     def text_weights(self, shot_counts: np.ndarray) -> np.ndarray:
-        """Per-class text penalty weights; inf marks unobserved classes."""
+        """Per-class text penalty weights; inf marks unobserved classes.
+        Counts may carry leading batch axes."""
         counts = np.asarray(shot_counts, dtype=np.float64)
         if self.mode == "fixed":
-            if self.fixed_text.shape != counts.shape:
+            if self.fixed_text.shape != counts.shape[-1:]:
                 raise ConfigError("fixed text weights do not match the class count")
-            return self.fixed_text
+            return np.broadcast_to(self.fixed_text, counts.shape)
         with np.errstate(divide="ignore"):
             return np.where(counts > 0, 1.0 / np.maximum(counts, 1e-300), np.inf)
 
@@ -88,9 +91,9 @@ class LambdaPolicy:
         """Per-class unlabeled weights; inf marks unobserved classes."""
         counts = np.asarray(shot_counts, dtype=np.float64)
         if self.mode == "fixed":
-            if self.fixed_unlabeled.shape != counts.shape:
+            if self.fixed_unlabeled.shape != counts.shape[-1:]:
                 raise ConfigError("fixed unlabeled weights do not match the class count")
-            return self.fixed_unlabeled
+            return np.broadcast_to(self.fixed_unlabeled, counts.shape)
         return 2.0 * self.text_weights(shot_counts)
 
 
@@ -136,13 +139,18 @@ def eval_ce(labels: np.ndarray, embeddings: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class _ClassSums:
-    """The per-class quantities the combined objective is linear in.
+    """The per-class quantities the combined objective is linear in, for
+    a batch of B fits that share C and D.
 
-    labeled: Y^T V / (N tau), fixed for a fit.
-    unlabeled: Z^T U / (M tau), zeros without unlabeled points or codes.
-    lam_text, lam_unl: per-class weights of the reported objective.
-    step_labeled, step_unlabeled: per-class scales of the two sums in
-        the closed-form step.
+    labeled: Y^T V / (N tau), (B, C, D), fixed for a fit.
+    unlabeled: Z^T U / (M tau), (B, C, D), zeros without unlabeled
+        points or codes.
+    lam_text, lam_unl: (B, C) per-class weights of the reported objective.
+    step_labeled, step_unlabeled: (B, C) per-class scales of the two sums
+        in the closed-form step.
+
+    Prototype arguments are (B, C, D) or broadcast to it, such as one
+    (C, D) text matrix shared by the batch.
     """
 
     labeled: np.ndarray
@@ -152,37 +160,54 @@ class _ClassSums:
     step_labeled: np.ndarray
     step_unlabeled: np.ndarray
 
-    def with_codes(self, unlabeled: UnlabeledSet | None, codes: np.ndarray | None,
+    def with_codes(self, codes: np.ndarray, embeddings: np.ndarray,
                    tau: float) -> "_ClassSums":
-        """This record with the unlabeled sums of ``codes``."""
-        sums = np.zeros_like(self.labeled)
-        if unlabeled is not None and unlabeled.count > 0 and codes is not None:
-            z = np.asarray(codes, dtype=np.float64)
-            if z.shape != (unlabeled.count, sums.shape[0]) or unlabeled.dim != sums.shape[1]:
-                raise DataError(f"codes {z.shape} and unlabeled embeddings "
-                                f"{unlabeled.embeddings.shape} do not fit {sums.shape}")
-            sums = (z.T @ unlabeled.embeddings) / (unlabeled.count * tau)
+        """This record with the unlabeled sums of (B, C, M) codes over
+        (B, M, D) unlabeled embeddings."""
+        sums = np.matmul(codes, embeddings) / (embeddings.shape[-2] * tau)
         return replace(self, unlabeled=sums)
 
-    def objective(self, prototypes: np.ndarray, text_prototypes: np.ndarray) -> ObjectiveValue:
+    def parts(self, prototypes: np.ndarray,
+              text_prototypes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (B,) few-shot, text-penalty and unlabeled terms."""
         diff = prototypes - text_prototypes
-        tight = -float((prototypes * self.labeled).sum())
-        penalty = float(self.lam_text @ (diff * diff).sum(axis=1))
-        unl = -float(self.lam_unl @ (prototypes * self.unlabeled).sum(axis=1))
+        product = prototypes * self.labeled
+        tight = -product.reshape(product.shape[:-2] + (-1,)).sum(axis=-1)
+        penalty = _dot(self.lam_text, (diff * diff).sum(axis=-1))
+        unl = -_dot(self.lam_unl, (prototypes * self.unlabeled).sum(axis=-1))
+        return tight, penalty, unl
+
+    def totals(self, prototypes: np.ndarray, text_prototypes: np.ndarray) -> np.ndarray:
+        """The (B,) objective values."""
+        tight, penalty, unl = self.parts(prototypes, text_prototypes)
+        return tight + penalty + unl
+
+    def objective(self, prototypes: np.ndarray, text_prototypes: np.ndarray) -> ObjectiveValue:
+        """The objective parts of a one-element record."""
+        (tight,), (penalty,), (unl,) = self.parts(prototypes, text_prototypes)
+        tight, penalty, unl = float(tight), float(penalty), float(unl)
         return ObjectiveValue(total=tight + penalty + unl, fewshot_term=tight,
                               text_penalty_term=penalty, unlabeled_term=unl)
 
     def gradient(self, prototypes: np.ndarray, text_prototypes: np.ndarray) -> np.ndarray:
-        return (-self.labeled - self.lam_unl[:, None] * self.unlabeled
-                + 2.0 * self.lam_text[:, None] * (prototypes - text_prototypes))
+        return (-self.labeled - self.lam_unl[..., None] * self.unlabeled
+                + 2.0 * self.lam_text[..., None] * (prototypes - text_prototypes))
 
     def minimizer(self, text_prototypes: np.ndarray) -> np.ndarray:
-        return (text_prototypes + self.step_labeled[:, None] * self.labeled
-                + self.step_unlabeled[:, None] * self.unlabeled)
+        return (text_prototypes + self.step_labeled[..., None] * self.labeled
+                + self.step_unlabeled[..., None] * self.unlabeled)
 
 
-def _class_sums(support: SupportSet, tau: float, lambdas: LambdaPolicy) -> _ClassSums:
-    """The labeled sums and per-class weights of a support set, with zero
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the last axes of (..., C) vectors, one BLAS dot
+    each, as ``a @ b`` takes them for 1-d vectors."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _class_sums(embeddings: np.ndarray, labels: np.ndarray, tau: float,
+                lambdas: LambdaPolicy) -> _ClassSums:
+    """The labeled sums and per-class weights of a batch of support sets,
+    (B, N, D) unit rows with (B, N, C) one-hot labels, with zero
     unlabeled sums.
 
     This is the one place that handles unobserved classes (infinite text
@@ -190,16 +215,32 @@ def _class_sums(support: SupportSet, tau: float, lambdas: LambdaPolicy) -> _Clas
     their zero labeled sums their gradient rows are zero; the closed-form
     step keeps the adaptive weight ratio's finite limit, 2.
     """
-    counts = support.shot_counts
+    counts = labels.sum(axis=-2)
     lam_text = lambdas.text_weights(counts)
     lam_unl = lambdas.unlabeled_weights(counts)
     observed = np.isfinite(lam_text)
     ratio = np.divide(lam_unl, lam_text, out=np.full(counts.shape, 2.0), where=observed)
-    labeled = (support.labels.T @ support.embeddings) / (support.n * tau)
+    labeled = np.matmul(np.swapaxes(labels, -1, -2), embeddings) / (labels.shape[-2] * tau)
     return _ClassSums(labeled=labeled, unlabeled=np.zeros_like(labeled),
                       lam_text=np.where(observed, lam_text, 0.0),
                       lam_unl=np.where(observed, lam_unl, 0.0),
                       step_labeled=0.5 / lam_text, step_unlabeled=0.5 * ratio)
+
+
+def _support_sums(support: SupportSet, unlabeled: UnlabeledSet | None,
+                  codes: np.ndarray | None, tau: float,
+                  lambdas: LambdaPolicy) -> _ClassSums:
+    """The one-element record of a support set, with the unlabeled sums
+    of (M, C) ``codes`` when unlabeled points and codes are given."""
+    sums = _class_sums(support.embeddings[None], support.labels[None], tau, lambdas)
+    if unlabeled is None or unlabeled.count == 0 or codes is None:
+        return sums
+    z = np.asarray(codes, dtype=np.float64)
+    shape = sums.labeled.shape[1:]
+    if z.shape != (unlabeled.count, shape[0]) or unlabeled.dim != shape[1]:
+        raise DataError(f"codes {z.shape} and unlabeled embeddings "
+                        f"{unlabeled.embeddings.shape} do not fit {shape}")
+    return sums.with_codes(z.T[None], unlabeled.embeddings[None], tau)
 
 
 def _check_prototypes(support: SupportSet, prototypes: np.ndarray,
@@ -214,11 +255,12 @@ def _check_prototypes(support: SupportSet, prototypes: np.ndarray,
 
 
 def _checked_sums(support, unlabeled, codes, prototypes, text_prototypes, tau, lambdas):
-    """The public evaluators' input checks, then their class sums."""
+    """The public evaluators' input checks, then their one-element class
+    sums and prototypes."""
     tau = check_tau(tau)
     w = _check_prototypes(support, prototypes)
     t = _check_prototypes(support, text_prototypes, "text prototypes")
-    return _class_sums(support, tau, lambdas).with_codes(unlabeled, codes, tau), w, t
+    return _support_sums(support, unlabeled, codes, tau, lambdas), w[None], t[None]
 
 
 def eval_fewshot_objective(support: SupportSet, prototypes: np.ndarray,
@@ -265,4 +307,4 @@ def semi_objective_gradient(support: SupportSet, unlabeled: UnlabeledSet,
     """
     sums, w, t = _checked_sums(support, unlabeled, codes, prototypes,
                                text_prototypes, tau, lambdas)
-    return sums.gradient(w, t)
+    return sums.gradient(w, t)[0]

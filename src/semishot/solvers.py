@@ -14,11 +14,19 @@ row. fit_sstextu therefore never increases the objective during a
 prototype step; the recorded trace tracks the objective across rounds.
 Step and trace are read off the class sums of the objectives module,
 labeled sums once per fit and unlabeled sums once per round.
+
+fit_sstext and fit_sstextu are one-element calls of one private round
+loop that runs over a leading batch axis: B same-shaped problems (equal
+N, M, C and D, as the seeds of one benchmark shot count are) are
+scored, balanced and stepped together, and each element comes out
+exactly as its own one-element fit. Checks that cannot change between
+rounds run once: the temperature when SolverConfig is built, the text
+prototypes and an oracle class marginal once per fit. The finite-score
+check runs every round.
 """
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -26,9 +34,9 @@ import numpy as np
 
 from .data import SupportSet, UnlabeledSet
 from .errors import ConfigError, DataError, DegeneratePlanError, SolverError
-from .objectives import LambdaPolicy, _check_prototypes, _class_sums
-from .transport import extract_pseudolabels, solve_transport
-from .zeroshot import DEFAULT_TAU, check_count, check_marginal, check_tau, similarity_matrix
+from .objectives import LambdaPolicy, _check_prototypes, _class_sums, _support_sums
+from .transport import _class_codes, _solve
+from .zeroshot import DEFAULT_TAU, _scores, check_count, check_marginal, check_real, check_tau
 
 MARGINAL_SOURCES = ("support_estimate", "support_raw", "oracle")
 
@@ -60,11 +68,10 @@ class SolverConfig:
     track_codes: bool = False
 
     def __post_init__(self):
-        check_tau(self.tau)
+        object.__setattr__(self, "tau", check_tau(self.tau))
         for name in ("bcm_iters", "ot_iters"):
             object.__setattr__(self, name, check_count(getattr(self, name), name))
-        if not (isinstance(self.marginal_ratio, numbers.Real)
-                and 0.0 < self.marginal_ratio < 1.0):
+        if not 0.0 < check_real(self.marginal_ratio, "marginal_ratio") < 1.0:
             raise ConfigError(
                 f"marginal_ratio must be in (0, 1), got {self.marginal_ratio}")
         if self.marginal_source not in MARGINAL_SOURCES:
@@ -105,7 +112,7 @@ def correct_marginal(marginal: np.ndarray, ratio: float = 0.25) -> np.ndarray:
     """Floor zero entries at ratio * (smallest positive entry), then
     renormalize. Estimates with no zeros pass through unchanged; an
     all-zero estimate is rejected."""
-    if not (0.0 < ratio < 1.0):
+    if not 0.0 < check_real(ratio, "ratio") < 1.0:
         raise ConfigError(f"ratio must be in (0, 1), got {ratio}")
     m = np.asarray(marginal, dtype=np.float64)
     if m.ndim != 1 or np.any(m < 0) or not np.all(np.isfinite(m)):
@@ -156,26 +163,13 @@ def update_prototypes(support: SupportSet, unlabeled: UnlabeledSet | None,
     t = _check_prototypes(support, text_prototypes, "text prototypes")
     if unlabeled is not None and unlabeled.count > 0 and codes is None:
         raise DataError("unlabeled embeddings given without codes")
-    sums = _class_sums(support, tau, lambdas).with_codes(unlabeled, codes, tau)
-    return sums.minimizer(t)
+    return _support_sums(support, unlabeled, codes, tau, lambdas).minimizer(t)[0]
 
 
 def fit_sstext(support: SupportSet, text_prototypes: np.ndarray,
                cfg: SolverConfig | None = None) -> FitResult:
     """One closed-form step from text prototypes using labeled data only."""
-    cfg = cfg or SolverConfig()
-    start = time.perf_counter()
-    t = _check_prototypes(support, text_prototypes, "text prototypes")
-    sums = _class_sums(support, cfg.tau, cfg.lambdas)
-    initial = sums.objective(t, t).total
-    prototypes = sums.minimizer(t)
-    final = sums.objective(prototypes, t).total
-    elapsed = (time.perf_counter() - start) * 1e3
-    return FitResult(
-        prototypes=prototypes,
-        objective_trace=np.array([initial, final], dtype=np.float64),
-        runtime_ms=elapsed,
-    )
+    return _adapt([support], text_prototypes, cfg or SolverConfig())[0]
 
 
 def _resolve_marginal(support: SupportSet, cfg: SolverConfig,
@@ -205,67 +199,87 @@ def fit_sstextu(support: SupportSet, unlabeled: UnlabeledSet,
     labeled-only closed form, so the prototypes equal fit_sstext's
     output exactly and the trace repeats its final value.
     """
-    cfg = cfg or SolverConfig()
+    return _adapt([support], text_prototypes, cfg or SolverConfig(),
+                  [unlabeled], [oracle_marginal])[0]
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """Same-shaped arrays as one (B, ...) array; a view when B=1."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _adapt(supports: list[SupportSet], text_prototypes: np.ndarray,
+           cfg: SolverConfig, unlabeled_sets: list[UnlabeledSet] | None = None,
+           oracle_marginals: list[np.ndarray | None] | None = None) -> list[FitResult]:
+    """fit_sstext (no ``unlabeled_sets``) or fit_sstextu of every element
+    of a batch of same-shaped problems that share the text prototypes,
+    one FitResult per element, each exactly the element's own B=1 fit.
+
+    A round scores, balances and steps every element at once; an error
+    in any element fails the whole call. Each result's ``runtime_ms`` is
+    the call's wall time divided by B.
+    """
     start = time.perf_counter()
-    t = _check_prototypes(support, text_prototypes, "text prototypes")
-    if unlabeled.count > 0 and unlabeled.dim != support.dim:
-        raise DataError(
-            f"unlabeled dim {unlabeled.dim} does not match support dim {support.dim}")
+    t = _check_prototypes(supports[0], text_prototypes, "text prototypes")
+    rounds, unlabeled = 1, None
+    if unlabeled_sets is not None:
+        rounds = cfg.bcm_iters
+        unlabeled = _stack([u.embeddings for u in unlabeled_sets])
+        if unlabeled.shape[-2] > 0 and unlabeled.shape[-1] != t.shape[-1]:
+            raise DataError(f"unlabeled dim {unlabeled.shape[-1]} does not match "
+                            f"support dim {t.shape[-1]}")
+        if unlabeled.shape[-2] == 0 or rounds == 0:
+            unlabeled = None
+    base = _class_sums(_stack([s.embeddings for s in supports]),
+                       _stack([s.labels for s in supports]), cfg.tau, cfg.lambdas)
+    marginal = None
+    if unlabeled is not None:
+        oracles = oracle_marginals or [None] * len(supports)
+        marginal = np.stack([_resolve_marginal(s, cfg, o) for s, o in zip(supports, oracles)])
 
-    if cfg.bcm_iters == 0:
-        initial = _class_sums(support, cfg.tau, cfg.lambdas).objective(t, t).total
-        elapsed = (time.perf_counter() - start) * 1e3
-        return FitResult(
-            prototypes=t,
-            objective_trace=np.array([initial], dtype=np.float64),
-            runtime_ms=elapsed,
-        )
-
-    if unlabeled.count == 0:
-        labeled_only = fit_sstext(support, t, cfg)
-        initial, final = labeled_only.objective_trace
-        # prototype step ignores the current prototypes, so every round
-        # lands on the same point and the trace is flat after step 1
-        trace = [initial] + [final] * cfg.bcm_iters
-        elapsed = (time.perf_counter() - start) * 1e3
-        return FitResult(
-            prototypes=labeled_only.prototypes,
-            objective_trace=np.array(trace, dtype=np.float64),
-            runtime_ms=elapsed,
-        )
-
-    base = _class_sums(support, cfg.tau, cfg.lambdas)
-    marginal = _resolve_marginal(support, cfg, oracle_marginal)
-    prototypes = t
-    trace: list[float] = []
-    residuals: list[float] = []
+    prototypes = np.broadcast_to(t, base.labeled.shape)
+    sums = base
+    trace: list[np.ndarray] = []
+    residuals: list[np.ndarray] = []
     code_snaps: list[np.ndarray] = []
     proto_snaps: list[np.ndarray] = []
-    for round_idx in range(1, cfg.bcm_iters + 1):
-        try:
-            scores = similarity_matrix(prototypes, unlabeled.embeddings, cfg.tau)
-            plan = solve_transport(scores, marginal, cfg.ot_iters)
-            codes = extract_pseudolabels(plan)
-        except (DegeneratePlanError, DataError) as exc:
-            raise SolverError(
-                f"pseudo-label step failed at round {round_idx}: {exc}",
-                iteration=round_idx) from exc
-        residuals.append(plan.residual)
-        sums = base.with_codes(unlabeled, codes, cfg.tau)
+    for round_idx in range(1, rounds + 1):
+        if unlabeled is not None:
+            scores = _scores(prototypes, unlabeled, cfg.tau)
+            try:
+                if not np.all(np.isfinite(scores)):
+                    raise DataError("similarity matrix contains non-finite entries")
+                values = _solve(scores, marginal, cfg.ot_iters)[0]
+                codes = _class_codes(values)
+            except (DegeneratePlanError, DataError) as exc:
+                raise SolverError(
+                    f"pseudo-label step failed at round {round_idx}: {exc}",
+                    iteration=round_idx) from exc
+            residuals.append(np.abs(values.sum(axis=-1) - marginal).sum(axis=-1))
+            sums = base.with_codes(codes, unlabeled, cfg.tau)
         if round_idx == 1:
-            trace.append(sums.objective(prototypes, t).total)
+            trace.append(sums.totals(prototypes, t))
         prototypes = sums.minimizer(t)
-        trace.append(sums.objective(prototypes, t).total)
+        trace.append(sums.totals(prototypes, t))
+        if unlabeled is None:
+            # the labeled-only step ignores the current prototypes, so
+            # every round lands on the same point and the trace is flat
+            trace += trace[-1:] * (rounds - 1)
+            break
         if cfg.track_codes:
             code_snaps.append(codes)
             proto_snaps.append(prototypes)
-    elapsed = (time.perf_counter() - start) * 1e3
-    return FitResult(
-        prototypes=prototypes,
-        objective_trace=np.array(trace, dtype=np.float64),
+    if not trace:
+        trace.append(base.totals(prototypes, t))
+    elapsed = (time.perf_counter() - start) * 1e3 / len(supports)
+    objective = np.stack(trace, axis=-1)
+    residual = np.stack(residuals, axis=-1) if residuals else None
+    return [FitResult(
+        prototypes=prototypes[b],
+        objective_trace=objective[b],
         runtime_ms=elapsed,
-        marginal=marginal,
-        ot_residuals=np.array(residuals, dtype=np.float64),
-        pseudolabel_trace=tuple(code_snaps) if cfg.track_codes else None,
-        prototype_trace=tuple(proto_snaps) if cfg.track_codes else None,
-    )
+        marginal=None if marginal is None else marginal[b],
+        ot_residuals=None if residual is None else residual[b],
+        pseudolabel_trace=tuple(c[b].T for c in code_snaps) if code_snaps else None,
+        prototype_trace=tuple(p[b] for p in proto_snaps) if proto_snaps else None,
+    ) for b in range(len(supports))]

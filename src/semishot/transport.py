@@ -14,8 +14,8 @@ approximately, with the gap shrinking as iterations increase. With zero
 iterations the plan is a per-column softmax carrying mass 1/M, which
 ignores the row marginal entirely.
 
-``solve_transport`` is the one entry point the solvers run. It takes
-the scores of ``zeroshot.similarity_matrix`` and picks the domain: when
+``solve_transport`` is the one entry point. It takes the scores of
+``zeroshot.similarity_matrix`` and picks the domain: when
 the score span ``s.max() - s.min()`` is at most 700, every entry of the
 kernel ``exp(s - s.max())`` is a normal float64, and the plan comes from
 scaling that kernel with matrix-vector products; otherwise, or when a
@@ -25,6 +25,12 @@ roundoff. ``init_plan`` plus ``sinkhorn`` scale an explicit kernel and
 are the tests' reference; ``sinkhorn`` runs the same row/column loop as
 the kernel domain, and every route shares one input check and one plan
 builder.
+
+The scaling loops work over leading batch axes. The private ``_solve``
+balances a batch of same-shaped problems at once, each element on the
+route its own span picks, and ``solve_transport`` is that solve at B=1;
+the solvers' round loop calls ``_solve`` directly, on scores it has
+checked itself.
 """
 
 from __future__ import annotations
@@ -152,8 +158,9 @@ def _build_plan(values: np.ndarray, row_marginal: np.ndarray, iterations: int,
 
 def _scale(q: np.ndarray, m: np.ndarray,
            iterations: int) -> tuple[np.ndarray, np.ndarray]:
-    """The row/column loop on a nonnegative kernel: scale vectors r, c
-    with ``r[:, None] * q * c[None, :]`` the balanced plan.
+    """The row/column loop on nonnegative kernels (..., C, M) with row
+    marginals (..., C): scale vectors r, c with
+    ``r[..., :, None] * q * c[..., None, :]`` the balanced plans.
 
     Each round sets r to hit ``m`` and then c to hit the uniform 1/M;
     ``iterations=0`` keeps r at one and runs the column step once.
@@ -161,17 +168,18 @@ def _scale(q: np.ndarray, m: np.ndarray,
     scale factor a target needs comes out zero or non-finite, that is,
     when its denominator vanished, overflowed or was too small to divide.
     """
-    col_target = 1.0 / q.shape[1]
-    r = np.ones(q.shape[0])
-    c = np.ones(q.shape[1])
+    col_target = 1.0 / q.shape[-1]
+    r = np.ones(m.shape)
+    c = np.ones(q.shape[:-2] + q.shape[-1:])
+    q_t = np.swapaxes(q, -1, -2)
     positive = m > 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(max(iterations, 1)):
             if iterations:
-                r = np.where(positive, m / (q @ c), 0.0)
+                r = np.where(positive, m / np.matmul(q, c[..., None])[..., 0], 0.0)
                 if not np.all(np.isfinite(r) & ((r > 0) | ~positive)):
                     raise DegeneratePlanError("row scaling denominator vanished")
-            c = col_target / (q.T @ r)
+            c = col_target / np.matmul(q_t, r[..., None])[..., 0]
             if not np.all(np.isfinite(c) & (c > 0)):
                 raise DegeneratePlanError("column scaling denominator vanished")
     return r, c
@@ -181,15 +189,15 @@ def _scale_log(s: np.ndarray, m: np.ndarray,
                iterations: int) -> tuple[np.ndarray, np.ndarray]:
     """The same rounds as ``_scale`` on ``exp(s)``, with every factor kept
     as its log: log r, log c. Zero-mass rows get log r = -inf."""
-    log_u = -np.log(s.shape[1])
+    log_u = -np.log(s.shape[-1])
     with np.errstate(divide="ignore"):
         log_m = np.log(m)
-    log_r = np.zeros(s.shape[0])
-    log_c = np.zeros(s.shape[1])
+    log_r = np.zeros(m.shape)
+    log_c = np.zeros(s.shape[:-2] + s.shape[-1:])
     for _ in range(max(iterations, 1)):
         if iterations:
-            log_r = log_m - _logsumexp(s + log_c[None, :], axis=1)
-        log_c = log_u - _logsumexp(s + log_r[:, None], axis=0)
+            log_r = log_m - _logsumexp(s + log_c[..., None, :], axis=-1)
+        log_c = log_u - _logsumexp(s + log_r[..., :, None], axis=-2)
     return log_r, log_c
 
 
@@ -231,28 +239,79 @@ def solve_transport(similarities: np.ndarray, row_marginal: np.ndarray,
     """
     s, m, iterations = _checked_inputs(similarities, row_marginal, iterations,
                                        "similarity matrix")
-    s_max = s.max()
-    if s_max - s.min() <= _EXP_SAFE_SPAN:
-        q = np.exp(s - s_max)
+    values, row_scale, col_scale = _solve(s[None], m[None], iterations)
+    return _build_plan(values[0], m, iterations, row_scale[0], col_scale[0])
+
+
+def _solve(s: np.ndarray, m: np.ndarray,
+           iterations: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``solve_transport`` of every element of a batch of checked scores
+    (B, C, M) and row marginals (B, C): the plan values and the row and
+    column scales against ``exp(s)``.
+
+    Each element takes the route its own score span picks, and the
+    elements of one route are scaled together. When the kernel loop
+    raises for a batch, each of its elements is redone alone, and only
+    one that fails alone goes to log space, so an element's plan is the
+    one it gets at B=1.
+    """
+    s_max = s.max(axis=(-2, -1))
+    in_log = s_max - s.min(axis=(-2, -1)) > _EXP_SAFE_SPAN
+    groups = []  # (elements, values, row scales, column scales)
+
+    def kernel_plans(idx):
+        q = np.exp(_take(s, idx) - s_max[idx, None, None])
+        r, c = _scale(q, _take(m, idx), iterations)
+        with np.errstate(divide="ignore", over="ignore", under="ignore"):
+            row_scale = np.exp(np.log(r) - s_max[idx, None])
+        groups.append((idx, r[:, :, None] * q * c[:, None, :], row_scale, c))
+
+    kernel = np.flatnonzero(~in_log)
+    if kernel.size:
         try:
-            r, c = _scale(q, m, iterations)
+            kernel_plans(kernel)
         except DegeneratePlanError:
-            pass  # a scale under- or overflowed: redo the rounds in log space
-        else:
-            with np.errstate(divide="ignore", over="ignore", under="ignore"):
-                row_scale = np.exp(np.log(r) - s_max)
-            return _build_plan(r[:, None] * q * c[None, :], m, iterations, row_scale, c)
-    log_r, log_c = _scale_log(s, m, iterations)
-    values = np.exp(log_r[:, None] + s + log_c[None, :])
-    with np.errstate(over="ignore", under="ignore"):
-        row_scale, col_scale = np.exp(log_r), np.exp(log_c)
-    return _build_plan(values, m, iterations, row_scale, col_scale)
+            in_log[kernel] = True  # a scale under- or overflowed
+            if kernel.size > 1:  # only the elements that fail alone go to log space
+                for i in range(kernel.size):
+                    try:
+                        kernel_plans(kernel[i:i + 1])
+                    except DegeneratePlanError:
+                        continue
+                    in_log[kernel[i]] = False
+    log = np.flatnonzero(in_log)
+    if log.size:
+        s_log = _take(s, log)
+        log_r, log_c = _scale_log(s_log, _take(m, log), iterations)
+        values = np.exp(log_r[:, :, None] + s_log + log_c[:, None, :])
+        with np.errstate(over="ignore", under="ignore"):
+            groups.append((log, values, np.exp(log_r), np.exp(log_c)))
+    if len(groups) == 1:  # one route took the whole batch, in order
+        return groups[0][1:]
+    values = np.empty_like(s)
+    row_scale = np.empty_like(m)
+    col_scale = np.empty(s.shape[:1] + s.shape[2:])
+    for idx, *plans in groups:
+        values[idx], row_scale[idx], col_scale[idx] = plans
+    return values, row_scale, col_scale
+
+
+def _take(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The rows ``idx`` (sorted, distinct) of ``a``; ``a`` itself, not a
+    copy, when they are all of its rows."""
+    return a if idx.size == len(a) else a[idx]
+
+
+def _class_codes(values: np.ndarray) -> np.ndarray:
+    """Plan columns renormalized to the simplex, over leading batch axes:
+    (..., C, M) plans give (..., C, M) codes."""
+    col_sums = values.sum(axis=-2)
+    if np.any(col_sums <= 0):
+        raise DegeneratePlanError("plan has an empty column; codes are undefined")
+    return values / col_sums[..., None, :]
 
 
 def extract_pseudolabels(plan: TransportPlan) -> np.ndarray:
     """Per-point class codes: plan columns renormalized to the simplex,
     returned points-by-classes (M, C)."""
-    col_sums = plan.values.sum(axis=0)
-    if np.any(col_sums <= 0):
-        raise DegeneratePlanError("plan has an empty column; codes are undefined")
-    return (plan.values / col_sums[None, :]).T
+    return _class_codes(plan.values).T

@@ -2,7 +2,9 @@
 
 ``similarity_matrix`` (scores (W @ V.T) / tau, classes by points) and
 ``_logsumexp`` are the one scoring rule that prediction, the loss
-evaluators and the transport step read.
+evaluators and the transport step read; ``_scores`` is the unchecked
+core of the former over a leading batch axis, which the solvers' round
+loop runs.
 """
 
 from __future__ import annotations
@@ -37,6 +39,16 @@ def check_count(value, what: str, minimum: int = 0) -> int:
     if value < minimum:
         raise ConfigError(f"{what} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def check_real(value, what: str) -> float:
+    """``value`` as a finite float. Python and NumPy reals pass; bool,
+    NaN, infinities and non-numbers are a ConfigError. Range rules stay
+    with the caller."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not np.isfinite(value)):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def check_marginal(marginal: np.ndarray, size: int, what: str = "marginal") -> np.ndarray:
@@ -82,10 +94,17 @@ def similarity_matrix(prototypes: np.ndarray, embeddings: np.ndarray,
     v = np.asarray(embeddings, dtype=np.float64)
     if w.ndim != 2 or v.ndim != 2 or w.shape[1] != v.shape[1]:
         raise DataError(f"shape mismatch: prototypes {w.shape} vs embeddings {v.shape}")
-    s = (w @ v.T) / tau
+    s = _scores(w, v, tau)
     if not np.all(np.isfinite(s)):
         raise DataError("similarity matrix contains non-finite entries")
     return s
+
+
+def _scores(prototypes: np.ndarray, embeddings: np.ndarray, tau: float) -> np.ndarray:
+    """``similarity_matrix`` without its checks, over any leading batch
+    axes: (..., C, D) prototypes and (..., M, D) embeddings give
+    (..., C, M) scores."""
+    return np.matmul(prototypes, np.swapaxes(embeddings, -1, -2)) / tau
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:

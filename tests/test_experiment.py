@@ -9,9 +9,11 @@ from semishot import (
     Dataset,
     EvalSet,
     GenerationError,
+    LambdaPolicy,
     SamplingError,
     SamplingSpec,
     SolverConfig,
+    SolverError,
     SyntheticSpec,
     aggregate_rows,
     balanced_accuracy,
@@ -30,7 +32,7 @@ from semishot import (
     split_indices,
     synthetic_dataset,
 )
-from semishot import experiment
+from semishot import experiment, solvers, transport
 from semishot.experiment import CSV_HEADER, DEFAULT_SYNTHETIC_TAU
 
 from conftest import unit_rows
@@ -529,6 +531,81 @@ def test_run_benchmark_draws_each_split_once(monkeypatch):
     assert len(rows) == 4 * 2 * 3 and all(not r.error for r in rows)
     # one draw per (shots, seed), shared by all four solvers
     assert draws == [(k, i) for k in (1, 2) for i in range(3)]
+
+
+_BATCH_SETTINGS = {
+    "adaptive": (dict(), {}),
+    "fixed-lambdas": (dict(lambdas=LambdaPolicy.fixed([1.0, 0.5, 2.0], [2.0, 1.0, 0.0])), {}),
+    "oracle": (dict(marginal_source="oracle"), {}),
+    "support-raw": (dict(marginal_source="support_raw"), {}),
+    "no-balancing": (dict(ot_iters=0), {}),
+    "no-unlabeled": (dict(), dict(unlabeled_multiplier=0)),
+    "fixed-eval-set": (dict(), dict(eval_set="held-out")),
+}
+
+
+@pytest.mark.parametrize("cfg_kw, run_kw", _BATCH_SETTINGS.values(), ids=_BATCH_SETTINGS.keys())
+def test_run_benchmark_rows_equal_cell_by_cell_fits(monkeypatch, cfg_kw, run_kw):
+    # tau=0.003 puts score spans on both sides of 700, so the batches
+    # mix kernel and log transport routes
+    ds = _bench_dataset()
+    held_out = synthetic_dataset(small_spec(seed=9, pool_size=60)).pool()
+    eval_set = held_out if run_kw.get("eval_set") else None
+    mult = run_kw.get("unlabeled_multiplier", 8)
+    cfg = SolverConfig(tau=0.003, **cfg_kw)
+    routes = []
+    for name in ("_scale", "_scale_log"):
+        def spy(*args, _real=getattr(transport, name), _name=name):
+            routes.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(transport, name, spy)
+    rows = run_benchmark(ds, shot_grid=(1, 4), seeds=[3, 0, 5], cfg=cfg,
+                         unlabeled_multiplier=mult, include_timing=False,
+                         eval_set=eval_set)
+    if mult:
+        assert {"_scale", "_scale_log"} <= set(routes)
+    pool = ds.pool()
+    for row in rows:
+        spec = SamplingSpec(shots=row.shots, unlabeled_multiplier=mult, seed=row.seed)
+        support, unlabeled, remainder = sample_support(pool, spec)
+        hidden = pool.labels[split_indices(pool.labels, pool.class_count, spec)[1]]
+        oracle = np.bincount(hidden, minlength=3) / hidden.size if hidden.size else None
+        fit = fit_solver(row.solver, ds, support, unlabeled, cfg, oracle)
+        report = evaluate_prototypes(fit.prototypes, eval_set or remainder, cfg.tau)
+        assert not row.error
+        assert (row.aca, row.acc, row.unlabeled_count) == (report.aca, report.acc,
+                                                           unlabeled.count)
+    assert [(r.solver, r.shots, r.seed) for r in rows] == [
+        (solver, k, seed) for solver in ("zeroshot", "simpleshot", "sstext", "sstextu")
+        for k in (1, 4) for seed in (3, 0, 5)]
+
+
+def test_run_benchmark_failing_batch_element_fails_only_its_cell(monkeypatch):
+    ds = _bench_dataset()
+    cfg = SolverConfig(tau=ds.tau)
+    spec = SamplingSpec(shots=1, unlabeled_multiplier=8, seed=1)
+    support, unlabeled, _ = sample_support(ds.pool(), spec)
+    grid = dict(solvers=("sstext", "sstextu"), shot_grid=(1, 2), seeds=3, cfg=cfg,
+                unlabeled_multiplier=8, include_timing=False)
+    clean = run_benchmark(ds, **grid)
+    real = solvers._scores
+
+    def poisoned(prototypes, embeddings, tau):
+        # seed 1's unlabeled set overflows its scores, in a batch or alone
+        scores = real(prototypes, embeddings, tau)
+        for element, emb in zip(scores, embeddings):
+            if np.array_equal(emb, unlabeled.embeddings):
+                element[0, 0] = np.inf
+        return scores
+
+    monkeypatch.setattr(solvers, "_scores", poisoned)
+    with pytest.raises(SolverError) as alone:
+        fit_solver("sstextu", ds, support, unlabeled, cfg)
+    rows = run_benchmark(ds, **grid)
+    failed = [(r.solver, r.shots, r.seed, r.error) for r in rows if r.error]
+    assert failed == [("sstextu", 1, 1, f"SolverError: {alone.value}")]
+    assert all((r.aca, r.acc) == (c.aca, c.acc) for r, c in zip(rows, clean) if not r.error)
 
 
 @pytest.mark.parametrize("dataset_tau", [DEFAULT_SYNTHETIC_TAU, None], ids=["own-tau", "no-tau"])

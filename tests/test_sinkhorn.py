@@ -374,6 +374,37 @@ def test_zero_marginal_row_carries_no_mass_in_either_domain(rng, routes, scale, 
     assert plan.scaling is None
 
 
+def test_batched_solve_gives_each_element_its_own_plan(rng, routes, monkeypatch):
+    # one element under the 700 span, one over it, and one whose kernel
+    # scaling fails: the spy zeroes a column of that element's kernel
+    kernel_ok, over, kernel_fails = (span_scores(rng, span) for span in (650.0, 900.0, 600.0))
+    s = np.stack([kernel_ok, over, kernel_fails])
+    m = np.stack([random_marginal(rng, 3) for _ in range(3)])
+    failing_kernel = np.exp(kernel_fails - kernel_fails.max())
+    real = transport._scale
+
+    def empty_column(q, *args):
+        q = q.copy()
+        for element in q.reshape((-1,) + q.shape[-2:]):
+            if np.array_equal(element, failing_kernel):
+                element[:, 2] = 0.0
+        return real(q, *args)
+
+    monkeypatch.setattr(transport, "_scale", empty_column)
+    routes.clear()
+    values, row, col = transport._solve(s, m, 10)
+    # the kernel batch raised; alone, only the failing element falls back,
+    # and the log route scales both of its elements at once
+    assert routes == ["_scale", "_scale", "_scale", "_scale_log"]
+    for b, expected in enumerate([["_scale"], ["_scale_log"], ["_scale", "_scale_log"]]):
+        routes.clear()
+        plan = solve_transport(s[b], m[b], iterations=10)
+        assert routes == expected
+        assert np.array_equal(values[b], plan.values)
+        assert np.array_equal(row[b], plan.scaling.row)
+        assert np.array_equal(col[b], plan.scaling.col)
+
+
 # ---------------------------------------------------------------- codes
 
 

@@ -418,6 +418,37 @@ def test_counts_and_taus_raise_config_error(build):
         build()
 
 
+def _tiny_dataset():
+    return ss.synthetic_dataset(ss.SyntheticSpec(pool_size=60))
+
+
+_BAD_NUMERIC_FIELDS = {
+    "noise-str": lambda: ss.SyntheticSpec(noise="x"),
+    "separation-none": lambda: ss.SyntheticSpec(separation=None),
+    "text_noise-str": lambda: ss.SyntheticSpec(text_noise="a"),
+    "text_noise-nan": lambda: ss.SyntheticSpec(text_noise=float("nan")),
+    "noise-bool": lambda: ss.SyntheticSpec(noise=True),
+    "generate-seed-fraction": lambda: ss.generate_synthetic(ss.SyntheticSpec(seed=1.5)),
+    "split-seed-fraction": lambda: ss.split_indices(
+        np.zeros(10, dtype=np.int64), 1, ss.SamplingSpec(shots=1, seed=1.5)),
+    "sampling-seed-negative": lambda: ss.SamplingSpec(shots=1, seed=-1),
+    "correct_marginal-ratio-str": lambda: correct_marginal(np.array([0.5, 0.5]), "x"),
+    "marginal_ratio-nan": lambda: SolverConfig(marginal_ratio=float("nan")),
+    "benchmark-seeds-fraction": lambda: ss.run_benchmark(_tiny_dataset(), seeds=2.5),
+    "benchmark-seeds-bool": lambda: ss.run_benchmark(_tiny_dataset(), seeds=True),
+    "benchmark-seed-negative": lambda: ss.run_benchmark(_tiny_dataset(), seeds=[0, -1]),
+    "benchmark-seed-fraction": lambda: ss.run_benchmark(_tiny_dataset(), seeds=[0.5]),
+    "benchmark-seeds-none": lambda: ss.run_benchmark(_tiny_dataset(), seeds=None),
+}
+
+
+@pytest.mark.parametrize("build", _BAD_NUMERIC_FIELDS.values(),
+                         ids=_BAD_NUMERIC_FIELDS.keys())
+def test_numeric_fields_and_seeds_raise_config_error(build):
+    with pytest.raises(ConfigError):
+        build()
+
+
 def test_integral_counts_of_any_integer_type_are_accepted():
     cfg = SolverConfig(bcm_iters=np.int64(2), ot_iters=4.0)
     assert (cfg.bcm_iters, cfg.ot_iters) == (2, 4)
@@ -432,3 +463,35 @@ def test_sstextu_dim_mismatch(rng):
     sup = random_support(rng, 4, 2, 3, ensure_all_classes=True)
     with pytest.raises(DataError):
         fit_sstextu(sup, random_unlabeled(rng, 5, 4), unit_rows(rng, 2, 3))
+
+
+# ---------------------------------------------------------------- batched fits
+
+
+@pytest.mark.parametrize("m", [0, 30], ids=["labeled-only", "unlabeled"])
+@pytest.mark.parametrize("cfg", [
+    SolverConfig(tau=0.05, track_codes=True),
+    SolverConfig(tau=0.01, ot_iters=0, marginal_source="support_raw"),
+    SolverConfig(tau=0.002, bcm_iters=2, ot_iters=30,
+                 lambdas=LambdaPolicy.fixed([0.7, 1.3, 0.4], [0.5, 0.0, 2.0])),
+    SolverConfig(tau=0.05, bcm_iters=0),
+], ids=["adaptive-tracked", "raw-no-balancing", "fixed-sharp", "zero-rounds"])
+def test_batched_fit_is_each_elements_own_fit(rng, cfg, m):
+    # the seeds of one shot count share N, M, C and D; some classes are
+    # unobserved, and tau=0.002 takes some score spans past 700
+    c, d = 3, 8
+    supports = [random_support(rng, 4, c, d) for _ in range(4)]
+    unlabeled = [random_unlabeled(rng, m, d) for _ in range(4)]
+    t = unit_rows(rng, c, d)
+    batch = ss.solvers._adapt(supports, t, cfg, unlabeled)
+    labeled_only = ss.solvers._adapt(supports, t, cfg)
+    for b, (sup, unl) in enumerate(zip(supports, unlabeled)):
+        for got, alone in ((batch[b], fit_sstextu(sup, unl, t, cfg)),
+                           (labeled_only[b], fit_sstext(sup, t, cfg))):
+            assert np.array_equal(got.prototypes, alone.prototypes)
+            assert np.array_equal(got.objective_trace, alone.objective_trace)
+            for name in ("marginal", "ot_residuals", "pseudolabel_trace", "prototype_trace"):
+                mine, theirs = getattr(got, name), getattr(alone, name)
+                assert (mine is None) == (theirs is None)
+                if mine is not None:
+                    assert all(np.array_equal(x, y) for x, y in zip(mine, theirs, strict=True))
