@@ -14,11 +14,14 @@ copies of the centers. It stands in for embedding datasets at desk
 scale while keeping difficulty tunable through the noise level.
 
 Benchmarks run a (solver, shots, seed) grid serially. Each (shots,
-seed) split is drawn once for every solver, and each solver fits all
-the seeds of one shot count as one batch (their problems share one
-shape), which gives every cell the fit it gets alone; a batch that
-raises is refitted cell by cell. A seed's eval split is built only
-while its cells are scored. Rows come back in grid order.
+seed) split is drawn once for every solver, and each solver fits the
+seeds of one shot count in batches (their problems share one shape),
+which gives every cell the fit it gets alone; a batch that raises is
+refitted cell by cell. A batch takes as many seeds as keep its arrays
+under a fixed count of values, so memory does not grow with the seed
+count. Only one batch's splits are held at a time, and a seed's eval
+split is built only while its cells are scored. Rows come back in grid
+order.
 """
 
 from __future__ import annotations
@@ -38,6 +41,14 @@ from .solvers import FitResult, SolverConfig, _adapt, fit_simpleshot
 from .zeroshot import DEFAULT_TAU, check_count, check_real, predict_labels, predict_probs
 
 SOLVER_NAMES = ("zeroshot", "simpleshot", "sstext", "sstextu")
+
+# A batch of B seeds holds about B * (N + M) * (C + D) float64 values at
+# once: the drawn and stacked support and unlabeled embeddings and the
+# (C, M) score, kernel, plan and code arrays. run_benchmark batches as
+# many seeds as stay under this count (2 MiB of float64), so memory does
+# not grow with the seed count, and a seed over it fits alone. Past it
+# the arithmetic outweighs the per-call cost that batching saves.
+_BATCH_VALUES = 1 << 18
 
 # Synthetic family defaults: 5 imbalanced classes in 64 dimensions with
 # noise calibrated so the zero-shot baseline lands mid-range (see tests)
@@ -490,6 +501,32 @@ def _run_cell(dataset: Dataset, dataset_name: str, solver: str,
     )
 
 
+def _run_seeds(dataset: Dataset, dataset_name: str, pool: EvalSet, solvers,
+               specs: list[SamplingSpec], cfg: SolverConfig, include_timing: bool,
+               eval_set: EvalSet | None) -> dict:
+    """The rows, keyed by (solver, shots, seed), of every solver's cells
+    on the splits of ``specs`` (seeds of one shot count): the splits are
+    drawn in order, each solver fits them as one batch, and each seed's
+    cells are scored while its eval split alone is built."""
+    rows, drawn = {}, []
+    for spec in specs:
+        try:
+            drawn.append((spec, _draw_split(pool, spec)))
+        except Exception as exc:
+            rows.update({(solver, spec.shots, spec.seed): _failed_row(
+                solver, dataset_name, spec, dataset, exc) for solver in solvers})
+    if not drawn:
+        return rows
+    splits = [split for _, split in drawn]
+    fits = {solver: _fit_cells(solver, dataset, splits, cfg) for solver in solvers}
+    for i, (spec, split) in enumerate(drawn):
+        scored_on = _eval_split(pool, split.eval_idx) if eval_set is None else eval_set
+        rows.update({(solver, spec.shots, spec.seed): _run_cell(
+            dataset, dataset_name, solver, spec, fits[solver][i], cfg,
+            include_timing, scored_on) for solver in solvers})
+    return rows
+
+
 def _seed_list(seeds) -> list[int]:
     """``seeds`` as a list: a count n gives 0..n-1, an iterable its own
     seeds; each must be a nonnegative integer."""
@@ -515,14 +552,16 @@ def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
     ``seeds`` is a count n (seeds 0..n-1) or an iterable of seeds, each a
     nonnegative integer. Each (shots, seed) split is drawn once and
     handed to every solver, so rows are comparable seed-by-seed, and
-    each solver fits all the seeds of one shot count as one batch. The
-    batch gives every cell the fit it gets alone. A split that cannot be
-    drawn fails each solver's cell on it with the same error; when a
-    batch fit raises, its cells are refitted one by one, so a failed fit
-    or scoring fails its own cell only. Rows come back in grid order. An
-    unknown solver, an empty solver list, shot grid or seed list, a seed
-    that is not a nonnegative integer, or a shot count or multiplier
-    that SamplingSpec rejects raises ConfigError.
+    each solver fits the seeds of one shot count in batches of as many
+    seeds as stay under ``_BATCH_VALUES`` float64 values (one seed when
+    a seed alone is larger). A batch gives every cell the fit it gets
+    alone. A split that cannot be drawn fails each solver's cell on it
+    with the same error; when a batch fit raises, its cells are refitted
+    one by one, so a failed fit or scoring fails its own cell only. Rows
+    come back in grid order. An unknown solver, an empty solver list,
+    shot grid or seed list, a seed that is not a nonnegative integer, or
+    a shot count or multiplier that SamplingSpec rejects raises
+    ConfigError.
 
     With ``include_timing`` a batched cell's ``runtime_ms`` is the batch
     fit's wall time divided by its cell count, an amortised share.
@@ -549,23 +588,13 @@ def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
     pool = dataset.pool()
     rows = {}
     for shots, spec in specs.items():
-        drawn: list[tuple[SamplingSpec, _Split]] = []
-        for seed in seed_list:
-            seed_spec = replace(spec, seed=seed)
-            try:
-                drawn.append((seed_spec, _draw_split(pool, seed_spec)))
-            except Exception as exc:
-                rows.update({(solver, shots, seed): _failed_row(
-                    solver, dataset_name, seed_spec, dataset, exc) for solver in solvers})
-        if not drawn:
-            continue
-        splits = [split for _, split in drawn]
-        fits = {solver: _fit_cells(solver, dataset, splits, cfg) for solver in solvers}
-        for i, (seed_spec, split) in enumerate(drawn):
-            scored_on = _eval_split(pool, split.eval_idx) if eval_set is None else eval_set
-            rows.update({(solver, shots, seed_spec.seed): _run_cell(
-                dataset, dataset_name, solver, seed_spec, fits[solver][i], cfg,
-                include_timing, scored_on) for solver in solvers})
+        size = (shots + unlabeled_multiplier) * dataset.class_count
+        chunk = max(1, _BATCH_VALUES // (size * (dataset.class_count + dataset.dim)))
+        for start in range(0, len(seed_list), chunk):
+            rows.update(_run_seeds(
+                dataset, dataset_name, pool, solvers,
+                [replace(spec, seed=seed) for seed in seed_list[start:start + chunk]],
+                cfg, include_timing, eval_set))
     return [rows[cell] for cell in itertools.product(solvers, shot_grid, seed_list)]
 
 

@@ -9,6 +9,7 @@ loop runs.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -19,12 +20,11 @@ DEFAULT_TAU = 0.01
 
 
 def check_tau(tau: float) -> float:
-    try:
-        tau = float(tau)
-    except (TypeError, ValueError):
-        raise ConfigError(f"temperature must be a number, got {tau!r}") from None
-    if not np.isfinite(tau) or tau <= 0:
-        raise ConfigError(f"temperature must be a positive finite number, got {tau}")
+    """``tau`` as a positive finite float, under ``check_real``'s rule
+    for what counts as a number."""
+    tau = check_real(tau, "temperature")
+    if tau <= 0:
+        raise ConfigError(f"temperature must be positive, got {tau}")
     return tau
 
 
@@ -42,13 +42,19 @@ def check_count(value, what: str, minimum: int = 0) -> int:
 
 
 def check_real(value, what: str) -> float:
-    """``value`` as a finite float. Python and NumPy reals pass; bool,
-    NaN, infinities and non-numbers are a ConfigError. Range rules stay
-    with the caller."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not np.isfinite(value)):
+    """``value`` as a finite float. Python and NumPy reals and
+    ``fractions.Fraction`` pass; bool, NaN, infinities, reals too large
+    for a float and non-numbers are a ConfigError. Range rules stay with
+    the caller."""
+    try:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TypeError
+        number = float(value)
+    except (TypeError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
         raise ConfigError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
+    return number
 
 
 def check_marginal(marginal: np.ndarray, size: int, what: str = "marginal") -> np.ndarray:

@@ -581,6 +581,26 @@ def test_run_benchmark_rows_equal_cell_by_cell_fits(monkeypatch, cfg_kw, run_kw)
         for k in (1, 4) for seed in (3, 0, 5)]
 
 
+def test_run_benchmark_batches_stay_under_the_value_budget(monkeypatch):
+    # a budget of two 1-shot seeds: 1-shot seeds fit in pairs, 4-shot
+    # seeds alone, and the rows are those of the unbounded batches
+    ds = _bench_dataset()
+    grid = dict(solvers=("sstext", "sstextu"), shot_grid=(1, 4), seeds=[3, 0, 5],
+                cfg=SolverConfig(tau=0.003), unlabeled_multiplier=8, include_timing=False)
+    unbounded = rows_to_csv(run_benchmark(ds, **grid))
+    per_seed = (1 + 8) * ds.class_count * (ds.class_count + ds.dim)
+    monkeypatch.setattr(experiment, "_BATCH_VALUES", 2 * per_seed)
+    sizes = []
+
+    def spy(supports, *args):
+        sizes.append(len(supports))
+        return solvers._adapt(supports, *args)
+
+    monkeypatch.setattr(experiment, "_adapt", spy)
+    assert rows_to_csv(run_benchmark(ds, **grid)) == unbounded
+    assert sizes == [2, 2, 1, 1, 1, 1, 1, 1, 1, 1]
+
+
 def test_run_benchmark_failing_batch_element_fails_only_its_cell(monkeypatch):
     ds = _bench_dataset()
     cfg = SolverConfig(tau=ds.tau)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -434,6 +436,8 @@ _BAD_NUMERIC_FIELDS = {
     "sampling-seed-negative": lambda: ss.SamplingSpec(shots=1, seed=-1),
     "correct_marginal-ratio-str": lambda: correct_marginal(np.array([0.5, 0.5]), "x"),
     "marginal_ratio-nan": lambda: SolverConfig(marginal_ratio=float("nan")),
+    "tau-bool": lambda: SolverConfig(tau=True),
+    "tau-numeric-text": lambda: SolverConfig(tau="0.01"),
     "benchmark-seeds-fraction": lambda: ss.run_benchmark(_tiny_dataset(), seeds=2.5),
     "benchmark-seeds-bool": lambda: ss.run_benchmark(_tiny_dataset(), seeds=True),
     "benchmark-seed-negative": lambda: ss.run_benchmark(_tiny_dataset(), seeds=[0, -1]),
@@ -447,6 +451,15 @@ _BAD_NUMERIC_FIELDS = {
 def test_numeric_fields_and_seeds_raise_config_error(build):
     with pytest.raises(ConfigError):
         build()
+
+
+def test_real_fields_accept_any_finite_real():
+    # fractions and NumPy scalars are reals too; only their value is checked
+    assert SolverConfig(tau=Fraction(1, 50), marginal_ratio=Fraction(1, 4)).tau == 0.02
+    assert SolverConfig(tau=np.float32(0.5)).tau == 0.5
+    assert ss.SyntheticSpec(noise=Fraction(3, 10), separation=np.float64(0.5)).noise == 0.3
+    np.testing.assert_allclose(correct_marginal(np.array([0.5, 0.0, 0.5]), Fraction(1, 2)),
+                               [0.4, 0.2, 0.4])
 
 
 def test_integral_counts_of_any_integer_type_are_accepted():
