@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, FormatError
-from .zeroshot import check_tau
+from .zeroshot import check_array, check_count, check_tau
 
 EMBEDDING_DTYPE = np.dtype("<f4")
 LABEL_DTYPE = np.dtype("<u4")
@@ -44,32 +44,13 @@ NORM_VALID_TOL = 1e-4
 _REQUIRED_MANIFEST_KEYS = ("n", "d", "c", "dtype", "embeddings", "labels", "prototypes")
 
 
-def _as_array(x, dtype, name: str) -> np.ndarray:
-    """``x`` as an ndarray of ``dtype`` (None keeps its own), with no copy
-    when it already is one; ragged or non-numeric input is a DataError."""
-    try:
-        return np.asarray(x, dtype=dtype)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{name} must be a numeric array: {exc}") from None
-
-
-def _as_float64(x, name: str) -> np.ndarray:
-    arr = _as_array(x, np.float64, name)
-    if not np.all(np.isfinite(arr)):
-        raise DataError(f"{name} contains NaN or Inf entries")
-    return arr
-
-
 def _class_labels(labels, n: int, class_count: int, what: str) -> np.ndarray:
     """``labels`` as a length-``n`` vector of class indices in
     [0, ``class_count``), with no copy for an integer array. A
     non-integer dtype is a DataError: casting would truncate 1.7 to 1."""
-    lab = _as_array(labels, None, what)
+    lab = check_array(labels, what, (n,), dtype=None)
     if lab.dtype.kind not in "iu":
         raise DataError(f"{what} must be integers, got dtype {lab.dtype}")
-    if lab.shape != (n,):
-        raise DataError(f"{what} must be 1-d and match the embedding count {n}, "
-                        f"got shape {lab.shape}")
     if lab.size and (lab.min() < 0 or lab.max() >= class_count):
         raise DataError(f"{what} out of range for {class_count} classes")
     return lab
@@ -98,9 +79,7 @@ def normalize_rows(x: np.ndarray) -> np.ndarray:
     Raises DataError on non-finite entries or rows with norm below
     ``MIN_ROW_NORM`` (a zero vector has no direction to keep).
     """
-    arr = _as_float64(x, "embeddings")
-    if arr.ndim != 2:
-        raise DataError(f"expected a 2-d matrix, got shape {arr.shape}")
+    arr = check_array(x, "embeddings", (None, None), finite=True)
     norms = np.linalg.norm(arr, axis=1)
     bad = np.flatnonzero(norms < MIN_ROW_NORM)
     if bad.size:
@@ -108,14 +87,12 @@ def normalize_rows(x: np.ndarray) -> np.ndarray:
     return arr / norms[:, None]
 
 
-def _unit_rows(x, what: str) -> np.ndarray:
-    """``x`` as a 2-d float64 matrix, with no copy when it already is one,
-    whose rows are finite with norm within ``NORM_VALID_TOL`` of 1. A NaN
-    or Inf entry fails the norm test too; einsum makes no full-size
-    temporary."""
-    arr = _as_array(x, np.float64, what)
-    if arr.ndim != 2:
-        raise DataError(f"{what} must be 2-d, got shape {arr.shape}")
+def _unit_rows(x, what: str, dim: int | None = None) -> np.ndarray:
+    """``x`` as a 2-d float64 matrix of ``dim`` columns (None for any),
+    with no copy when it already is one, whose rows are finite with norm
+    within ``NORM_VALID_TOL`` of 1. A NaN or Inf entry fails the norm
+    test too; einsum makes no full-size temporary."""
+    arr = check_array(x, what, (None, dim))
     norms = np.sqrt(np.einsum("ij,ij->i", arr, arr))
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_VALID_TOL))
     if bad.size:
@@ -134,15 +111,8 @@ class SupportSet:
     def __post_init__(self):
         object.__setattr__(self, "embeddings",
                            _unit_rows(self.embeddings, "support embeddings"))
-        object.__setattr__(self, "labels",
-                           _as_array(self.labels, np.float64, "support labels"))
-        if self.labels.ndim != 2:
-            raise DataError("support labels must be 2-d")
-        if self.embeddings.shape[0] != self.labels.shape[0]:
-            raise DataError(
-                f"support has {self.embeddings.shape[0]} embeddings but "
-                f"{self.labels.shape[0]} label rows"
-            )
+        object.__setattr__(self, "labels", check_array(
+            self.labels, "support labels", (self.embeddings.shape[0], None)))
         if self.embeddings.shape[0] < 1:
             raise DataError("support set must contain at least one sample")
         lab = self.labels
@@ -156,9 +126,8 @@ class SupportSet:
         cls, embeddings: np.ndarray, class_indices: np.ndarray, class_count: int
     ) -> "SupportSet":
         """Build a support set from integer class labels."""
+        class_count = check_count(class_count, "class_count", 1)
         emb = _readonly(normalize_rows(embeddings))
-        if class_count < 1:
-            raise DataError("class_count must be >= 1")
         idx = _class_labels(class_indices, emb.shape[0], class_count, "class_indices")
         onehot = np.zeros((emb.shape[0], class_count), dtype=np.float64)
         onehot[np.arange(emb.shape[0]), idx] = 1.0
@@ -198,7 +167,7 @@ class UnlabeledSet:
 
     @classmethod
     def empty(cls, dim: int) -> "UnlabeledSet":
-        return cls(embeddings=_readonly(np.zeros((0, dim), dtype=np.float64)))
+        return cls(embeddings=_readonly(np.zeros((0, check_count(dim, "dim")))))
 
     @property
     def count(self) -> int:
@@ -219,9 +188,9 @@ class EvalSet:
 
     def __post_init__(self):
         object.__setattr__(self, "embeddings",
-                           _as_array(self.embeddings, np.float64, "eval embeddings"))
-        if self.embeddings.ndim != 2:
-            raise DataError("eval set needs 2-d embeddings")
+                           check_array(self.embeddings, "eval embeddings", (None, None)))
+        object.__setattr__(self, "class_count",
+                           check_count(self.class_count, "class_count", 1))
         object.__setattr__(self, "labels", _class_labels(
             self.labels, self.embeddings.shape[0], self.class_count, "eval labels"))
 
@@ -261,21 +230,14 @@ class Dataset:
     def __post_init__(self):
         emb = _owned(_unit_rows(self.embeddings, "embeddings"))
         n, d = emb.shape
-        protos = _owned(_as_float64(self.prototypes, "prototypes"))
-        if protos.ndim != 2 or protos.shape[1] != d:
-            raise DataError(f"prototypes must be (C, {d}), got shape {protos.shape}")
+        protos = _owned(check_array(self.prototypes, "prototypes", (None, d), finite=True))
         c = protos.shape[0]
         labels = _class_labels(self.labels, n, c, "labels")
         labels = _owned(labels.astype(np.int64, copy=False))
-        unl = _owned(_unit_rows(self.unlabeled, "unlabeled embeddings"))
-        if unl.shape[1] != d:
-            raise DataError(f"unlabeled embeddings must be (M, {d}), got shape {unl.shape}")
+        unl = _owned(_unit_rows(self.unlabeled, "unlabeled embeddings", d))
         templates = self.templates
         if templates is not None:
-            templates = _owned(_as_float64(templates, "templates"))
-            if templates.ndim != 3 or templates.shape[0] != c or templates.shape[2] != d:
-                raise DataError(f"templates must be ({c}, J, {d}), "
-                                f"got shape {templates.shape}")
+            templates = _owned(check_array(templates, "templates", (c, None, d), finite=True))
         for name, value in (("embeddings", emb), ("labels", labels), ("prototypes", protos),
                             ("unlabeled", unl), ("templates", templates),
                             ("tau", None if self.tau is None else check_tau(self.tau)),
@@ -526,12 +488,10 @@ def save_prototypes(prototypes: np.ndarray, manifest_path: str | Path,
     manifest. Prototypes are not renormalized: learned prototypes are
     not unit vectors in general.
     """
+    protos = check_array(prototypes, "prototypes", (None, None), finite=True)
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     base.mkdir(parents=True, exist_ok=True)
-    protos = _as_float64(prototypes, "prototypes")
-    if protos.ndim != 2:
-        raise DataError(f"prototypes must be 2-d, got shape {protos.shape}")
     blob = manifest_path.stem + ".f32"
     manifest = {
         "c": int(protos.shape[0]),

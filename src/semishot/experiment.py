@@ -35,10 +35,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Dataset, EvalSet, SupportSet, UnlabeledSet, normalize_rows
+from .data import Dataset, EvalSet, SupportSet, UnlabeledSet, _class_labels, normalize_rows
 from .errors import ConfigError, DataError, GenerationError, SamplingError
 from .solvers import FitResult, SolverConfig, _adapt, fit_simpleshot
-from .zeroshot import DEFAULT_TAU, check_count, check_real, predict_labels, predict_probs
+from .zeroshot import (DEFAULT_TAU, check_array, check_count, check_marginal, check_real,
+                       predict_labels, predict_probs)
 
 SOLVER_NAMES = ("zeroshot", "simpleshot", "sstext", "sstextu")
 
@@ -116,13 +117,10 @@ class SyntheticSpec:
             raise ConfigError(f"noise must be > 0, got {self.noise}")
         if self.text_noise < 0:
             raise ConfigError(f"text_noise must be >= 0, got {self.text_noise}")
-        m = np.asarray(self.marginal, dtype=np.float64)
-        if m.shape != (self.class_count,):
-            raise ConfigError(
-                f"marginal length {m.shape[0] if m.ndim == 1 else m.shape} "
-                f"does not match class_count {self.class_count}")
-        if np.any(m < 0) or not np.isclose(m.sum(), 1.0, atol=1e-9):
-            raise ConfigError("marginal must be nonnegative and sum to one")
+        try:
+            check_marginal(self.marginal, self.class_count)
+        except DataError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +165,8 @@ def split_indices(labels: np.ndarray, class_count: int,
     per-class when stratified, with replacement when requested), then
     the unlabeled draw from the remainder, then everything left.
     """
-    labels = np.asarray(labels)
+    labels = check_array(labels, "labels", (None,), dtype=None)
+    class_count = check_count(class_count, "class_count", 1)
     pool_n = labels.shape[0]
     n = spec.shots * class_count
     m = spec.unlabeled_multiplier * class_count
@@ -271,7 +270,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[EvalSet, np.ndarray]:
             centers[placed] = candidate
             placed += 1
     labels = rng.choice(spec.class_count, size=spec.pool_size,
-                        p=np.asarray(spec.marginal, dtype=np.float64))
+                        p=spec.marginal)
     samples = centers[labels] + spec.noise * rng.standard_normal(
         (spec.pool_size, spec.dim))
     text = centers + spec.text_noise * rng.standard_normal(centers.shape)
@@ -310,10 +309,11 @@ def _per_class_recall(predictions: np.ndarray, truth: np.ndarray,
 def balanced_accuracy(predictions: np.ndarray, truth: np.ndarray,
                       class_count: int) -> float:
     """Mean per-class recall over the classes present in the truth."""
-    pred = np.asarray(predictions)
-    true = np.asarray(truth)
-    if pred.shape != true.shape or pred.ndim != 1 or pred.size == 0:
-        raise DataError("predictions and truth must be equal-length nonempty vectors")
+    class_count = check_count(class_count, "class_count", 1)
+    pred = check_array(predictions, "predictions", (None,), dtype=None)
+    true = _class_labels(truth, pred.size, class_count, "truth")
+    if pred.size == 0:
+        raise DataError("predictions and truth must be nonempty")
     return _per_class_recall(pred, true, class_count)[1]
 
 
@@ -323,10 +323,7 @@ def evaluate_prototypes(prototypes: np.ndarray, eval_set: EvalSet,
     The prototypes must be one row per class of the split."""
     if eval_set.labels.size == 0:
         raise DataError("eval split is empty")
-    if np.shape(prototypes) != (eval_set.class_count, eval_set.dim):
-        raise DataError(
-            f"prototypes {np.shape(prototypes)} do not fit the eval split "
-            f"({eval_set.class_count} classes, dim {eval_set.dim})")
+    prototypes = check_array(prototypes, "prototypes", (eval_set.class_count, eval_set.dim))
     probs = predict_probs(eval_set.embeddings, prototypes, tau)
     pred = predict_labels(probs)
     recall, aca = _per_class_recall(pred, eval_set.labels, eval_set.class_count)
@@ -354,12 +351,10 @@ def silhouette_score(embeddings: np.ndarray, labels: np.ndarray,
     ``chunk_budget`` bounds the elements of one (rows, distinct rows)
     distance block; a block holds at least one row.
     """
-    x = np.asarray(embeddings, dtype=np.float64)
-    y = np.asarray(labels)
-    if x.ndim != 2 or x.shape[1] == 0 or y.shape != (x.shape[0],):
-        raise DataError(f"bad shapes: embeddings {x.shape}, labels {y.shape}")
-    if not np.all(np.isfinite(x)):
-        raise DataError("silhouette embeddings contain NaN or Inf entries")
+    x = check_array(embeddings, "silhouette embeddings", (None, None), finite=True)
+    y = check_array(labels, "silhouette labels", x.shape[:1], dtype=None)
+    if x.shape[1] == 0:
+        raise DataError("silhouette embeddings have no columns")
     classes, dense = np.unique(y, return_inverse=True)
     if classes.size < 2:
         raise DataError("silhouette needs at least two distinct labels")
@@ -404,9 +399,9 @@ def silhouette_score(embeddings: np.ndarray, labels: np.ndarray,
 
 def correlate(x: np.ndarray, y: np.ndarray) -> float:
     """Pearson correlation; rejects short or constant inputs."""
-    a = np.asarray(x, dtype=np.float64)
-    b = np.asarray(y, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1 or a.size < 3:
+    a = check_array(x, "x", (None,))
+    b = check_array(y, "y", a.shape)
+    if a.size < 3:
         raise DataError("correlate needs two equal-length vectors of size >= 3")
     if np.isclose(a.std(), 0.0) or np.isclose(b.std(), 0.0):
         raise DataError("correlate needs nonzero variance in both inputs")

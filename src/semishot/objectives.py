@@ -33,7 +33,7 @@ import numpy as np
 
 from .data import SupportSet, UnlabeledSet
 from .errors import ConfigError, DataError
-from .zeroshot import _logsumexp, check_tau, similarity_matrix
+from .zeroshot import _logsumexp, check_array, check_tau, similarity_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,9 +114,7 @@ def eval_tightness(weights: np.ndarray, embeddings: np.ndarray,
     ``weights`` rows are one-hot labels or soft assignment codes.
     """
     s = similarity_matrix(prototypes, embeddings, tau).T
-    wts = np.asarray(weights, dtype=np.float64)
-    if wts.shape != s.shape:
-        raise DataError(f"weights shape {wts.shape} does not match logits {s.shape}")
+    wts = check_array(weights, "weights", s.shape)
     return float(-(wts * s).sum(axis=1).mean())
 
 
@@ -130,9 +128,7 @@ def eval_ce(labels: np.ndarray, embeddings: np.ndarray,
             prototypes: np.ndarray, tau: float) -> float:
     """Mean softmax cross-entropy; equals tightness + contrast."""
     s = similarity_matrix(prototypes, embeddings, tau).T
-    y = np.asarray(labels, dtype=np.float64)
-    if y.shape != s.shape:
-        raise DataError(f"labels shape {y.shape} does not match logits {s.shape}")
+    y = check_array(labels, "labels", s.shape)
     logz = _logsumexp(s, axis=1)[:, None]
     return float(-(y * (s - logz)).sum(axis=1).mean())
 
@@ -235,23 +231,16 @@ def _support_sums(support: SupportSet, unlabeled: UnlabeledSet | None,
     sums = _class_sums(support.embeddings[None], support.labels[None], tau, lambdas)
     if unlabeled is None or unlabeled.count == 0 or codes is None:
         return sums
-    z = np.asarray(codes, dtype=np.float64)
-    shape = sums.labeled.shape[1:]
-    if z.shape != (unlabeled.count, shape[0]) or unlabeled.dim != shape[1]:
-        raise DataError(f"codes {z.shape} and unlabeled embeddings "
-                        f"{unlabeled.embeddings.shape} do not fit {shape}")
+    c, d = sums.labeled.shape[1:]
+    z = check_array(codes, "codes", (unlabeled.count, c))
+    if unlabeled.dim != d:
+        raise DataError(f"unlabeled dim {unlabeled.dim} does not match support dim {d}")
     return sums.with_codes(z.T[None], unlabeled.embeddings[None], tau)
 
 
 def _check_prototypes(support: SupportSet, prototypes: np.ndarray,
                       what: str = "prototypes") -> np.ndarray:
-    w = np.asarray(prototypes, dtype=np.float64)
-    if w.shape != (support.class_count, support.dim):
-        raise DataError(f"{what} shape {w.shape}, expected "
-                        f"{(support.class_count, support.dim)}")
-    if not np.all(np.isfinite(w)):
-        raise DataError(f"{what} contain non-finite entries")
-    return w
+    return check_array(prototypes, what, (support.class_count, support.dim), finite=True)
 
 
 def _checked_sums(support, unlabeled, codes, prototypes, text_prototypes, tau, lambdas):

@@ -36,7 +36,8 @@ from .data import SupportSet, UnlabeledSet
 from .errors import ConfigError, DataError, DegeneratePlanError, SolverError
 from .objectives import LambdaPolicy, _check_prototypes, _class_sums, _support_sums
 from .transport import _class_codes, _solve
-from .zeroshot import DEFAULT_TAU, _scores, check_count, check_marginal, check_real, check_tau
+from .zeroshot import (DEFAULT_TAU, _scores, check_array, check_count, check_marginal,
+                       check_real, check_tau)
 
 MARGINAL_SOURCES = ("support_estimate", "support_raw", "oracle")
 
@@ -114,9 +115,9 @@ def correct_marginal(marginal: np.ndarray, ratio: float = 0.25) -> np.ndarray:
     all-zero estimate is rejected."""
     if not 0.0 < check_real(ratio, "ratio") < 1.0:
         raise ConfigError(f"ratio must be in (0, 1), got {ratio}")
-    m = np.asarray(marginal, dtype=np.float64)
-    if m.ndim != 1 or np.any(m < 0) or not np.all(np.isfinite(m)):
-        raise DataError("marginal must be a nonnegative finite vector")
+    m = check_array(marginal, "marginal", (None,), finite=True)
+    if np.any(m < 0):
+        raise DataError("marginal must be nonnegative")
     positive = m > 0
     if not positive.any():
         raise DataError("marginal has no positive entries")

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DegeneratePlanError
-from .zeroshot import _logsumexp, check_count, check_marginal
+from .zeroshot import _logsumexp, check_array, check_count, check_marginal
 
 # exp() of a float64 stays a normal number down to about -708, so a
 # kernel shifted by its max keeps every entry a positive normal float64
@@ -62,11 +62,9 @@ class ScalingVectors:
 
     def __post_init__(self) -> None:
         for name, vec in (("row", self.row), ("col", self.col)):
-            arr = np.asarray(vec, dtype=np.float64)
-            if arr.ndim != 1 or arr.size == 0:
-                raise DataError(f"{name} scales must be a nonempty vector")
-            if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-                raise DataError(f"{name} scales must be finite and strictly positive")
+            arr = check_array(vec, f"{name} scales", (None,), finite=True)
+            if arr.size == 0 or np.any(arr <= 0):
+                raise DataError(f"{name} scales must be nonempty and strictly positive")
             object.__setattr__(self, name, arr)
 
 
@@ -114,18 +112,16 @@ def marginal_residual(plan, row_marginal: np.ndarray) -> float:
 
     Accepts a TransportPlan or a bare (C, M) array.
     """
-    values = getattr(plan, "values", plan)
-    rows = np.asarray(values, dtype=np.float64).sum(axis=1)
-    return float(np.abs(rows - np.asarray(row_marginal, dtype=np.float64)).sum())
+    values = check_array(getattr(plan, "values", plan), "plan", (None, None))
+    m = check_array(row_marginal, "row marginal", values.shape[:1])
+    return float(np.abs(values.sum(axis=1) - m).sum())
 
 
 def _checked_matrix(matrix: np.ndarray, what: str) -> np.ndarray:
     """A 2-d, nonempty, finite float64 matrix, or DataError."""
-    a = np.asarray(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.size == 0:
-        raise DataError(f"{what} must be 2-d and nonempty, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise DataError(f"{what} contains non-finite entries")
+    a = check_array(matrix, what, (None, None), finite=True)
+    if a.size == 0:
+        raise DataError(f"{what} must be nonempty, got shape {a.shape}")
     return a
 
 

@@ -5,6 +5,11 @@
 evaluators and the transport step read; ``_scores`` is the unchecked
 core of the former over a leading batch axis, which the solvers' round
 loop runs.
+
+The package's intake checks live here too: ``check_tau``,
+``check_count`` and ``check_real`` for scalar fields (a ConfigError),
+``check_array`` for every array argument and ``check_marginal`` for a
+class distribution (a DataError).
 """
 
 from __future__ import annotations
@@ -57,11 +62,29 @@ def check_real(value, what: str) -> float:
     return number
 
 
+def check_array(x, what: str, shape: tuple[int | None, ...] | None = None,
+                dtype=np.float64, finite: bool = False) -> np.ndarray:
+    """``x`` as an ndarray of ``dtype`` (None keeps its own), with no copy
+    when it already is one. ``shape`` gives each axis length, None for
+    any length. Ragged or non-numeric input, a wrong shape and, with
+    ``finite``, a NaN or Inf entry are a DataError."""
+    try:
+        arr = np.asarray(x, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{what} must be a numeric array: {exc}") from None
+    if arr.dtype.kind not in "biuf":
+        raise DataError(f"{what} must be a numeric array, got dtype {arr.dtype}")
+    if shape is not None and (arr.ndim != len(shape) or any(
+            want is not None and want != got for want, got in zip(shape, arr.shape))):
+        raise DataError(f"{what} shape {arr.shape}, expected {shape}")
+    if finite and not np.all(np.isfinite(arr)):
+        raise DataError(f"{what} contains non-finite entries")
+    return arr
+
+
 def check_marginal(marginal: np.ndarray, size: int, what: str = "marginal") -> np.ndarray:
     """A length-``size`` class distribution: nonnegative, summing to one."""
-    m = np.asarray(marginal, dtype=np.float64)
-    if m.shape != (size,):
-        raise DataError(f"{what} shape {m.shape}, expected ({size},)")
+    m = check_array(marginal, what, (size,))
     if np.any(m < 0) or not np.isclose(m.sum(), 1.0, atol=1e-9):
         raise DataError(f"{what} must be nonnegative and sum to one")
     return m
@@ -74,13 +97,9 @@ def ensemble_text_prototypes(per_class_templates: np.ndarray) -> np.ndarray:
     class. A class whose template mean collapses to (near) zero has no
     usable direction and raises DataError.
     """
-    tmpl = np.asarray(per_class_templates, dtype=np.float64)
-    if tmpl.ndim != 3:
-        raise DataError(f"templates must be (C, J, D), got shape {tmpl.shape}")
+    tmpl = check_array(per_class_templates, "templates", (None, None, None), finite=True)
     if tmpl.shape[1] == 0:
         raise DataError("at least one template per class is required")
-    if not np.all(np.isfinite(tmpl)):
-        raise DataError("templates contain NaN or Inf")
     means = tmpl.mean(axis=1)
     norms = np.linalg.norm(means, axis=1)
     degenerate = np.flatnonzero(norms < 1e-8)
@@ -96,11 +115,8 @@ def similarity_matrix(prototypes: np.ndarray, embeddings: np.ndarray,
                       tau: float) -> np.ndarray:
     """Scaled cosine-style scores, classes by points: (W @ V.T) / tau."""
     tau = check_tau(tau)
-    w = np.asarray(prototypes, dtype=np.float64)
-    v = np.asarray(embeddings, dtype=np.float64)
-    if w.ndim != 2 or v.ndim != 2 or w.shape[1] != v.shape[1]:
-        raise DataError(f"shape mismatch: prototypes {w.shape} vs embeddings {v.shape}")
-    s = _scores(w, v, tau)
+    w = check_array(prototypes, "prototypes", (None, None))
+    s = _scores(w, check_array(embeddings, "embeddings", (None, w.shape[1])), tau)
     if not np.all(np.isfinite(s)):
         raise DataError("similarity matrix contains non-finite entries")
     return s
@@ -136,7 +152,5 @@ def predict_probs(embeddings: np.ndarray, prototypes: np.ndarray, tau: float) ->
 
 def predict_labels(probs: np.ndarray) -> np.ndarray:
     """Per-row argmax; ties break toward the lowest class index."""
-    p = np.asarray(probs)
-    if p.ndim != 2:
-        raise DataError("probability matrix must be 2-d")
+    p = check_array(probs, "probability matrix", (None, None), dtype=None)
     return np.argmax(p, axis=1).astype(np.int64)

@@ -90,6 +90,8 @@ def test_marginal_residual_exact():
     m = np.array([0.5, 0.5])
     # row sums (0.4, 0.6): gaps 0.1 + 0.1
     assert marginal_residual(values, m) == pytest.approx(0.2, abs=1e-15)
+    with pytest.raises(DataError):  # a short marginal must not broadcast
+        marginal_residual(np.ones((2, 3)), [1.0])
 
 
 def test_marginal_residual_accepts_plan(rng):
