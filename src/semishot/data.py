@@ -65,10 +65,17 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _owned(arr: np.ndarray) -> np.ndarray:
-    """A read-only copy of ``arr``, which no write to the caller's array
-    can reach."""
-    out = np.array(arr)
+class _Handed(np.ndarray):
+    """Marks an array that ``Dataset.create`` or ``load_dataset`` has just
+    built and hands to ``Dataset``: no caller holds it, so the dataset
+    keeps it instead of a copy."""
+
+
+def _owned(given, arr: np.ndarray) -> np.ndarray:
+    """``arr``, the checked form of the field value ``given``, read-only
+    where no write to the caller's array can reach: a copy, or ``arr``
+    itself when ``given`` was handed over."""
+    out = arr.view() if isinstance(given, _Handed) else np.array(arr)
     out.setflags(write=False)
     return out
 
@@ -216,7 +223,9 @@ class Dataset:
     the first violation: finite unit-norm embedding and unlabeled rows,
     finite (C, D) prototypes, integer labels in [0, C), finite (C, J, D)
     templates and a positive finite tau. Every array is stored as a
-    read-only copy, so later writes to the caller's arrays cannot break it.
+    read-only copy, so later writes to the caller's arrays cannot break it;
+    ``create`` and ``load_dataset`` hand over the arrays they build, which
+    are kept without a second copy.
     """
 
     embeddings: np.ndarray  # (N, D), unit rows
@@ -228,16 +237,18 @@ class Dataset:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        emb = _owned(_unit_rows(self.embeddings, "embeddings"))
+        emb = _owned(self.embeddings, _unit_rows(self.embeddings, "embeddings"))
         n, d = emb.shape
-        protos = _owned(check_array(self.prototypes, "prototypes", (None, d), finite=True))
+        protos = _owned(self.prototypes, check_array(
+            self.prototypes, "prototypes", (None, d), finite=True))
         c = protos.shape[0]
         labels = _class_labels(self.labels, n, c, "labels")
-        labels = _owned(labels.astype(np.int64, copy=False))
-        unl = _owned(_unit_rows(self.unlabeled, "unlabeled embeddings", d))
+        labels = _owned(self.labels, labels.astype(np.int64, copy=False))
+        unl = _owned(self.unlabeled, _unit_rows(self.unlabeled, "unlabeled embeddings", d))
         templates = self.templates
         if templates is not None:
-            templates = _owned(check_array(templates, "templates", (c, None, d), finite=True))
+            templates = _owned(templates, check_array(
+                templates, "templates", (c, None, d), finite=True))
         for name, value in (("embeddings", emb), ("labels", labels), ("prototypes", protos),
                             ("unlabeled", unl), ("templates", templates),
                             ("tau", None if self.tau is None else check_tau(self.tau)),
@@ -256,13 +267,14 @@ class Dataset:
         warnings: tuple[str, ...] = (),
     ) -> "Dataset":
         """Renormalize the embedding and unlabeled rows to unit norm, then
-        construct (and so check) the dataset; no unlabeled rows when
-        ``unlabeled`` is None."""
+        construct (and so check) the dataset, which keeps the renormalized
+        rows without a copy; no unlabeled rows when ``unlabeled`` is None."""
         emb = normalize_rows(embeddings)
         unl = (np.zeros((0, emb.shape[1])) if unlabeled is None
                else normalize_rows(unlabeled))
-        return cls(embeddings=emb, labels=labels, prototypes=prototypes, unlabeled=unl,
-                   tau=tau, templates=templates, warnings=warnings)
+        return cls(embeddings=emb.view(_Handed), labels=labels, prototypes=prototypes,
+                   unlabeled=unl.view(_Handed), tau=tau, templates=templates,
+                   warnings=warnings)
 
     @property
     def n(self) -> int:
@@ -336,6 +348,8 @@ def _field(manifest: dict, key: str, kind: type, default=_ABSENT):
 
 
 def _read_blob(path: Path, dtype: np.dtype, count: int, what: str) -> np.ndarray:
+    """The ``count`` values of the blob at ``path``, read-only over the
+    file's bytes: every caller widens them into an array of its own."""
     if not path.is_file():
         raise FormatError(f"{what} blob missing: {path}")
     raw = path.read_bytes()
@@ -345,7 +359,7 @@ def _read_blob(path: Path, dtype: np.dtype, count: int, what: str) -> np.ndarray
             f"{what} blob {path.name}: expected {expected} bytes for {count} "
             f"values, found {len(raw)}"
         )
-    return np.frombuffer(raw, dtype=dtype).copy()
+    return np.frombuffer(raw, dtype=dtype)
 
 
 def _widen_finite(raw32: np.ndarray, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -432,8 +446,11 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         templates = _widen_finite(blob("templates", EMBEDDING_DTYPE, c * j * d),
                                   (c, j, d), "templates")
 
-    return Dataset(embeddings=embeddings, labels=labels, prototypes=prototypes,
-                   unlabeled=unlabeled, tau=tau, templates=templates, warnings=warnings)
+    # every array here was built by this call, so the dataset keeps it
+    return Dataset(embeddings=embeddings.view(_Handed), labels=labels.view(_Handed),
+                   prototypes=prototypes.view(_Handed), unlabeled=unlabeled.view(_Handed),
+                   tau=tau, templates=None if templates is None else templates.view(_Handed),
+                   warnings=warnings)
 
 
 def save_dataset(dataset: Dataset, manifest_path: str | Path) -> None:

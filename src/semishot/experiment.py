@@ -335,21 +335,25 @@ def evaluate_prototypes(prototypes: np.ndarray, eval_set: EvalSet,
 
 
 def silhouette_score(embeddings: np.ndarray, labels: np.ndarray,
-                     chunk_budget: int = 1 << 24) -> float:
+                     chunk_budget: int = 1 << 16) -> float:
     """Mean silhouette over samples (Rousseeuw 1987): (b - a) / max(a, b),
     with a the mean Euclidean distance to same-labeled points and b the
     smallest mean distance to any other label. Singleton-labeled samples
-    score 0. Needs at least two distinct labels and finite embeddings.
+    score 0, and so does a sample with a = b = 0. Needs at least two
+    distinct labels and finite embeddings.
 
     Distances come from the Gram identity ||x - y||^2 = ||x||^2 + ||y||^2
     - 2 x.y, clamped at 0 before the square root. The rows are first
     centred on their mean: the score does not change under translation,
     and centring keeps the identity's cancellation down to the spread of
-    the data rather than its offset. Each row is compared with the
-    distinct rows of the pool, and its distance to its own distinct row
-    is set to exactly 0, so exact duplicates are exactly 0 apart.
-    ``chunk_budget`` bounds the elements of one (rows, distinct rows)
-    distance block; a block holds at least one row.
+    the data rather than its offset. Distances are taken between the k
+    distinct rows of the pool, and a distinct row is exactly 0 from
+    itself, so exact duplicates are exactly 0 apart. That k x k matrix is
+    symmetric, so it is walked in row blocks [lo, hi) against the columns
+    [lo, k) only: each block adds its rows' class sums and, through its
+    transpose, the sums of the columns past hi, so each distinct pair is
+    computed once. ``chunk_budget`` bounds the elements of one block; a
+    block holds at least one row.
     """
     x = check_array(embeddings, "silhouette embeddings", (None, None), finite=True)
     y = check_array(labels, "silhouette labels", x.shape[:1], dtype=None)
@@ -361,40 +365,44 @@ def silhouette_score(embeddings: np.ndarray, labels: np.ndarray,
     n, d = x.shape
     counts = np.bincount(dense)
     x = x - x.mean(axis=0)
-    sq = np.einsum("ij,ij->i", x, x)
     # distinct rows are the distance columns; row i's own column is col[i]
     row_bytes = x.view(np.dtype((np.void, x.itemsize * d))).ravel()
     _, first, col = np.unique(row_bytes, return_index=True, return_inverse=True)
-    distinct, distinct_sq = x[first], sq[first]
-    # members[k, c]: how many points of class c sit at distinct row k
-    members = np.zeros((first.size, classes.size))
+    distinct = x[first]
+    distinct_sq = np.einsum("ij,ij->i", distinct, distinct)
+    k = first.size
+    # members[j, c]: how many points of class c sit at distinct row j
+    members = np.zeros((k, classes.size))
     np.add.at(members, (col, dense), 1.0)
 
-    scores = np.empty(n)
-    step = max(1, chunk_budget // first.size)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        rows = np.arange(hi - lo)
-        dist = x[lo:hi] @ distinct.T
+    # sums[j, c]: summed distance from distinct row j to the points of class c
+    sums = np.zeros_like(members)
+    lo = 0
+    while lo < k:
+        hi = min(k, lo + max(1, chunk_budget // (k - lo)))
+        dist = distinct[lo:hi] @ distinct[lo:].T
         dist *= -2.0
-        dist += sq[lo:hi, None]
-        dist += distinct_sq
+        dist += distinct_sq[lo:hi, None]
+        dist += distinct_sq[lo:]
         np.maximum(dist, 0.0, out=dist)
         np.sqrt(dist, out=dist)
-        dist[rows, col[lo:hi]] = 0.0
-        class_sums = dist @ members
-        own = dense[lo:hi]
-        own_count = counts[own]
-        # self-distance is 0, so the own-class sum already excludes it
-        a = np.where(own_count > 1,
-                     class_sums[rows, own] / np.maximum(own_count - 1, 1), 0.0)
-        means = class_sums / counts[None, :]
-        means[rows, own] = np.inf
-        b = means.min(axis=1)
-        denom = np.maximum(a, b)
-        s = np.where(denom > 0, (b - a) / np.where(denom > 0, denom, 1.0), 0.0)
-        scores[lo:hi] = np.where(own_count > 1, s, 0.0)
-    return float(scores.mean())
+        np.fill_diagonal(dist, 0.0)
+        sums[lo:hi] += dist @ members[lo:]
+        sums[hi:] += dist[:, hi - lo:].T @ members[lo:hi]
+        lo = hi
+
+    rows = np.arange(n)
+    class_sums = sums[col]
+    own_count = counts[dense]
+    # self-distance is 0, so the own-class sum already excludes it
+    a = np.where(own_count > 1,
+                 class_sums[rows, dense] / np.maximum(own_count - 1, 1), 0.0)
+    means = class_sums / counts
+    means[rows, dense] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
+    s = np.where(denom > 0, (b - a) / np.where(denom > 0, denom, 1.0), 0.0)
+    return float(np.where(own_count > 1, s, 0.0).mean())
 
 
 def correlate(x: np.ndarray, y: np.ndarray) -> float:

@@ -67,9 +67,12 @@ def check_array(x, what: str, shape: tuple[int | None, ...] | None = None,
     """``x`` as an ndarray of ``dtype`` (None keeps its own), with no copy
     when it already is one. ``shape`` gives each axis length, None for
     any length. Ragged or non-numeric input, a wrong shape and, with
-    ``finite``, a NaN or Inf entry are a DataError."""
+    ``finite``, a NaN or Inf entry are a DataError. A signalling NaN sets
+    the invalid flag in a widening cast, which is silenced so that the
+    finite check is the only signal."""
     try:
-        arr = np.asarray(x, dtype=dtype)
+        with np.errstate(invalid="ignore"):
+            arr = np.asarray(x, dtype=dtype)
     except (TypeError, ValueError) as exc:
         raise DataError(f"{what} must be a numeric array: {exc}") from None
     if arr.dtype.kind not in "biuf":

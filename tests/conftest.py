@@ -1,7 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from semishot import SupportSet, UnlabeledSet
+
+
+def traced_peak_mb(fn):
+    """Peak memory, in MiB, that ``fn()`` allocates while it runs, as
+    tracemalloc sees it (NumPy's array buffers included)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def unit_rows(rng, n, d):

@@ -23,7 +23,7 @@ from semishot import (
     save_prototypes,
 )
 
-from conftest import unit_rows
+from conftest import traced_peak_mb, unit_rows
 
 SIGNALLING_NAN32 = b"\x01\x00\x80\x7f"  # little-endian float32 sNaN
 
@@ -53,6 +53,24 @@ def test_normalize_rows_rejects_zero_row():
 def test_normalize_rows_rejects_nan():
     with pytest.raises(DataError):
         normalize_rows(np.array([[np.nan, 1.0]]))
+
+
+_SNAN_ROWS = {
+    "normalize_rows": normalize_rows,
+    "from_indices": lambda x: SupportSet.from_indices(x, [0, 1], 2),
+    "from_embeddings": UnlabeledSet.from_embeddings,
+}
+
+
+@pytest.mark.parametrize("build", _SNAN_ROWS.values(), ids=_SNAN_ROWS.keys())
+def test_in_memory_signalling_nan_is_only_a_data_error(build):
+    # the float64 cast raises the invalid flag; the DataError must be
+    # the only signal, as it is for the same bytes read from a blob
+    x = np.frombuffer(SIGNALLING_NAN32 * 4, "<f4").reshape(2, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="non-finite"):
+            build(x)
 
 
 # ---------------------------------------------------------------- sets
@@ -510,6 +528,15 @@ def test_load_prototypes_rejects_signalling_nan(tmp_path, rng):
         warnings.simplefilter("error")
         with pytest.raises(DataError):
             load_prototypes(path)
+
+
+def test_dataset_create_allocates_the_embeddings_once(rng):
+    # the renormalized rows are handed to the dataset, not copied again
+    emb = unit_rows(rng, 1500, 64)
+    labels, protos = np.arange(1500) % 5, unit_rows(rng, 5, 64)
+    peak = traced_peak_mb(
+        lambda: Dataset.create(embeddings=emb, labels=labels, prototypes=protos))
+    assert peak < 1.5 * emb.nbytes / 2**20
 
 
 def test_dataset_create_validates(rng):

@@ -35,7 +35,7 @@ from semishot import (
 from semishot import experiment, solvers, transport
 from semishot.experiment import CSV_HEADER, DEFAULT_SYNTHETIC_TAU
 
-from conftest import unit_rows
+from conftest import traced_peak_mb, unit_rows
 
 
 def small_spec(**kw):
@@ -406,6 +406,39 @@ def test_silhouette_one_row_per_block(rng, budget):
     one_row = silhouette_score(x, y, chunk_budget=budget)
     assert one_row == pytest.approx(silhouette_score(x, y), abs=1e-12)
     assert one_row == pytest.approx(naive_silhouette(x, y), abs=1e-10)
+
+
+@pytest.mark.parametrize("budget", [1, 37, None], ids=["1", "37", "default"])
+def test_silhouette_duplicates_across_blocks(rng, budget):
+    # copies of a row sit far apart in the pool and share one distinct
+    # row, whose diagonal entry must be exactly 0 in whichever block
+    # holds it, with the other distinct rows spread over other blocks
+    kw = {} if budget is None else {"chunk_budget": budget}
+    x = np.tile(rng.standard_normal((3, 6)) * 1e3, (5, 1))
+    y = np.tile([0, 1, 2], 5)
+    assert silhouette_score(x, y, **kw) == naive_silhouette(x, y) == 1.0
+    base = rng.standard_normal((30, 4))
+    x = np.concatenate([base, base[::-1], base[:10]])
+    y = rng.integers(0, 3, size=70)
+    assert silhouette_score(x, y, **kw) == pytest.approx(naive_silhouette(x, y),
+                                                         abs=1e-10)
+
+
+def test_silhouette_pool_of_one_point(rng):
+    # one distinct row (k = 1), so every distance is exactly 0
+    point = rng.standard_normal((1, 5))
+    x = np.repeat(point, 2, axis=0)
+    y = np.array([0, 1])
+    assert silhouette_score(x, y) == naive_silhouette(x, y) == 0.0
+    # a = b = 0 scores 0, where the plain ratio would be 0/0
+    assert silhouette_score(np.repeat(point, 6, axis=0), np.arange(6) % 2) == 0.0
+
+
+def test_silhouette_memory_stays_block_sized(rng):
+    # the default budget holds one block of 2^16 distances, not n x n
+    x = rng.standard_normal((3000, 32))
+    y = rng.integers(0, 5, size=3000)
+    assert traced_peak_mb(lambda: silhouette_score(x, y)) < 8.0
 
 
 @pytest.mark.parametrize("x", [
