@@ -54,16 +54,11 @@ from .objectives import (
     ObjectiveValue,
     eval_ce,
     eval_contrast,
-    eval_fewshot_objective,
     eval_semi_objective,
     eval_tightness,
-    eval_unlabeled_objective,
-    semi_objective_gradient,
 )
 from .transport import (
-    ScalingVectors,
     TransportPlan,
-    extract_pseudolabels,
     init_plan,
     marginal_residual,
     sinkhorn,
@@ -110,7 +105,6 @@ __all__ = [
     "SolverError",
     "SupportSet",
     "SyntheticSpec",
-    "ScalingVectors",
     "TransportPlan",
     "UnlabeledSet",
     "aggregate_rows",
@@ -121,12 +115,9 @@ __all__ = [
     "estimate_marginal",
     "eval_ce",
     "eval_contrast",
-    "eval_fewshot_objective",
     "eval_semi_objective",
     "eval_tightness",
-    "eval_unlabeled_objective",
     "evaluate_prototypes",
-    "extract_pseudolabels",
     "fit_simpleshot",
     "fit_solver",
     "fit_sstext",
@@ -145,7 +136,6 @@ __all__ = [
     "sample_support",
     "save_dataset",
     "save_prototypes",
-    "semi_objective_gradient",
     "silhouette_score",
     "similarity_matrix",
     "sinkhorn",

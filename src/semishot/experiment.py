@@ -562,9 +562,9 @@ def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
     with the same error; when a batch fit raises, its cells are refitted
     one by one, so a failed fit or scoring fails its own cell only. Rows
     come back in grid order. An unknown solver, an empty solver list,
-    shot grid or seed list, a seed that is not a nonnegative integer, or
-    a shot count or multiplier that SamplingSpec rejects raises
-    ConfigError.
+    shot grid or seed list, an entry repeated in any of the three, a
+    seed that is not a nonnegative integer, or a shot count or
+    multiplier that SamplingSpec rejects raises ConfigError.
 
     With ``include_timing`` a batched cell's ``runtime_ms`` is the batch
     fit's wall time divided by its cell count, an amortised share.
@@ -585,6 +585,10 @@ def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
     if not (solvers and shot_grid and seed_list and set(solvers) <= set(SOLVER_NAMES)):
         raise ConfigError(f"benchmark needs solvers from {SOLVER_NAMES}, a shot count "
                           f"and a seed; got {solvers!r}, {shot_grid!r}, {seeds!r}")
+    for what, entries in (("solvers", solvers), ("shot counts", shot_grid),
+                          ("seeds", seed_list)):
+        if len(set(entries)) != len(entries):  # each cell is one row
+            raise ConfigError(f"benchmark {what} must not repeat, got {entries!r}")
     # a bad shot count or multiplier is a config error, not a cell failure
     specs = {shots: SamplingSpec(shots=shots, unlabeled_multiplier=unlabeled_multiplier)
              for shots in shot_grid}

@@ -18,11 +18,11 @@ what is reported (the solver still moves those prototypes using the
 unlabeled term's finite limit coefficient).
 
 The combined objective is linear in the labeled class sums Y^T V and
-the code-weighted unlabeled sums Z^T U, so its value, its gradient and
-the closed-form prototype update are all read off one record of those
-sums and the per-class weights. The record carries a leading batch axis,
-so the solvers fit many same-shaped problems at once; the public
-evaluators use it with one element.
+the code-weighted unlabeled sums Z^T U, so its value and the
+closed-form prototype update are both read off one record of those sums
+and the per-class weights. The record carries a leading batch axis, so
+the solvers fit many same-shaped problems at once; the public entry
+points use it with one element.
 """
 
 from __future__ import annotations
@@ -185,10 +185,6 @@ class _ClassSums:
         return ObjectiveValue(total=tight + penalty + unl, fewshot_term=tight,
                               text_penalty_term=penalty, unlabeled_term=unl)
 
-    def gradient(self, prototypes: np.ndarray, text_prototypes: np.ndarray) -> np.ndarray:
-        return (-self.labeled - self.lam_unl[..., None] * self.unlabeled
-                + 2.0 * self.lam_text[..., None] * (prototypes - text_prototypes))
-
     def minimizer(self, text_prototypes: np.ndarray) -> np.ndarray:
         return (text_prototypes + self.step_labeled[..., None] * self.labeled
                 + self.step_unlabeled[..., None] * self.unlabeled)
@@ -208,8 +204,9 @@ def _class_sums(embeddings: np.ndarray, labels: np.ndarray, tau: float,
 
     This is the one place that handles unobserved classes (infinite text
     weight): zero reported weights drop them from the objective, and with
-    their zero labeled sums their gradient rows are zero; the closed-form
-    step keeps the adaptive weight ratio's finite limit, 2.
+    their zero labeled sums the objective does not depend on their
+    prototype rows; the closed-form step keeps the adaptive weight
+    ratio's finite limit, 2.
     """
     counts = labels.sum(axis=-2)
     lam_text = lambdas.text_weights(counts)
@@ -243,57 +240,15 @@ def _check_prototypes(support: SupportSet, prototypes: np.ndarray,
     return check_array(prototypes, what, (support.class_count, support.dim), finite=True)
 
 
-def _checked_sums(support, unlabeled, codes, prototypes, text_prototypes, tau, lambdas):
-    """The public evaluators' input checks, then their one-element class
-    sums and prototypes."""
-    tau = check_tau(tau)
-    w = _check_prototypes(support, prototypes)
-    t = _check_prototypes(support, text_prototypes, "text prototypes")
-    return _support_sums(support, unlabeled, codes, tau, lambdas), w[None], t[None]
-
-
-def eval_fewshot_objective(support: SupportSet, prototypes: np.ndarray,
-                           text_prototypes: np.ndarray, tau: float,
-                           lambdas: LambdaPolicy) -> float:
-    """Supervised tightness plus the text-anchor penalty."""
-    sums, w, t = _checked_sums(support, None, None, prototypes, text_prototypes,
-                               tau, lambdas)
-    return sums.objective(w, t).total
-
-
-def eval_unlabeled_objective(unlabeled: UnlabeledSet, codes: np.ndarray,
-                             prototypes: np.ndarray, tau: float) -> float:
-    """Mean tightness of unlabeled embeddings under soft codes.
-
-    ``codes`` has shape (M, C) with simplex rows. Empty unlabeled sets
-    evaluate to 0. Linear in the codes.
-    """
-    if unlabeled.count == 0:
-        return 0.0
-    return eval_tightness(codes, unlabeled.embeddings, prototypes, tau)
-
-
 def eval_semi_objective(support: SupportSet, unlabeled: UnlabeledSet,
                         codes: np.ndarray | None, prototypes: np.ndarray,
                         text_prototypes: np.ndarray, tau: float,
                         lambdas: LambdaPolicy) -> ObjectiveValue:
-    """Combined objective: supervised tightness + text penalty + weighted
-    unlabeled tightness, with each part reported separately."""
-    sums, w, t = _checked_sums(support, unlabeled, codes, prototypes,
-                               text_prototypes, tau, lambdas)
-    return sums.objective(w, t)
+    """Combined objective, each part reported: supervised tightness + text
+    penalty + weighted unlabeled tightness (0 without points or codes)."""
+    tau = check_tau(tau)
+    w = _check_prototypes(support, prototypes)
+    t = _check_prototypes(support, text_prototypes, "text prototypes")
+    sums = _support_sums(support, unlabeled, codes, tau, lambdas)
+    return sums.objective(w[None], t[None])
 
-
-def semi_objective_gradient(support: SupportSet, unlabeled: UnlabeledSet,
-                            codes: np.ndarray | None, prototypes: np.ndarray,
-                            text_prototypes: np.ndarray, tau: float,
-                            lambdas: LambdaPolicy) -> np.ndarray:
-    """Analytic gradient of the combined objective w.r.t. each prototype row.
-
-    Rows for classes excluded from the reported objective (adaptive
-    policy, K_c = 0) are zero: the reported value does not depend on
-    those prototypes.
-    """
-    sums, w, t = _checked_sums(support, unlabeled, codes, prototypes,
-                               text_prototypes, tau, lambdas)
-    return sums.gradient(w, t)[0]

@@ -22,7 +22,7 @@ scored, balanced and stepped together, and each element comes out
 exactly as its own one-element fit. Checks that cannot change between
 rounds run once: the temperature when SolverConfig is built, the text
 prototypes and an oracle class marginal once per fit. The finite-score
-check runs every round.
+and finite-objective checks run every round.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ import numpy as np
 
 from .data import SupportSet, UnlabeledSet
 from .errors import ConfigError, DataError, DegeneratePlanError, SolverError
-from .objectives import LambdaPolicy, _check_prototypes, _class_sums, _support_sums
+from .objectives import (LambdaPolicy, _check_prototypes, _class_sums, _ClassSums,
+                         _support_sums)
 from .transport import _class_codes, _solve
 from .zeroshot import (DEFAULT_TAU, _scores, check_array, check_count, check_marginal,
                        check_real, check_tau)
@@ -209,6 +210,18 @@ def _stack(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
+def _trace_entry(sums: _ClassSums, prototypes: np.ndarray, t: np.ndarray,
+                 round_idx: int) -> np.ndarray:
+    """The (B,) objective values of a round, or SolverError when one
+    overflowed to a non-finite number (huge fixed weights can)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = sums.totals(prototypes, t)
+    if not np.all(np.isfinite(totals)):
+        raise SolverError(f"objective is not finite at round {round_idx}",
+                          iteration=round_idx)
+    return totals
+
+
 def _adapt(supports: list[SupportSet], text_prototypes: np.ndarray,
            cfg: SolverConfig, unlabeled_sets: list[UnlabeledSet] | None = None,
            oracle_marginals: list[np.ndarray | None] | None = None) -> list[FitResult]:
@@ -250,7 +263,7 @@ def _adapt(supports: list[SupportSet], text_prototypes: np.ndarray,
             try:
                 if not np.all(np.isfinite(scores)):
                     raise DataError("similarity matrix contains non-finite entries")
-                values = _solve(scores, marginal, cfg.ot_iters)[0]
+                values = _solve(scores, marginal, cfg.ot_iters)
                 codes = _class_codes(values)
             except (DegeneratePlanError, DataError) as exc:
                 raise SolverError(
@@ -259,9 +272,9 @@ def _adapt(supports: list[SupportSet], text_prototypes: np.ndarray,
             residuals.append(np.abs(values.sum(axis=-1) - marginal).sum(axis=-1))
             sums = base.with_codes(codes, unlabeled, cfg.tau)
         if round_idx == 1:
-            trace.append(sums.totals(prototypes, t))
+            trace.append(_trace_entry(sums, prototypes, t, round_idx))
         prototypes = sums.minimizer(t)
-        trace.append(sums.totals(prototypes, t))
+        trace.append(_trace_entry(sums, prototypes, t, round_idx))
         if unlabeled is None:
             # the labeled-only step ignores the current prototypes, so
             # every round lands on the same point and the trace is flat
@@ -271,7 +284,7 @@ def _adapt(supports: list[SupportSet], text_prototypes: np.ndarray,
             code_snaps.append(codes)
             proto_snaps.append(prototypes)
     if not trace:
-        trace.append(base.totals(prototypes, t))
+        trace.append(_trace_entry(base, prototypes, t, 0))
     elapsed = (time.perf_counter() - start) * 1e3 / len(supports)
     objective = np.stack(trace, axis=-1)
     residual = np.stack(residuals, axis=-1) if residuals else None

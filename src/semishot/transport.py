@@ -5,8 +5,10 @@ Row masses come from a class-marginal estimate; every column carries the
 uniform mass 1/M. The initial plan is a globally normalized exponential
 of the scaled similarities, and alternating row/column scaling pulls it
 toward both marginals. Scaling updates never touch the plan matrix
-itself, only the two scaling vectors, so entries stay nonnegative by
-construction.
+itself, only a row and a column scale vector, so entries stay
+nonnegative by construction. The scale vectors stay inside the solve: a
+returned plan carries its values, its target row marginal and the L1
+gap between its row sums and that target.
 
 The column update always runs last: returned plans satisfy the column
 constraint exactly (up to roundoff) while the row constraint holds
@@ -49,52 +51,17 @@ _EXP_SAFE_SPAN = 700.0
 
 
 @dataclass(frozen=True, eq=False)
-class ScalingVectors:
-    """The accumulated row/column scale factors of a balanced plan.
-
-    Strictly positive and finite by construction; plans produced under a
-    marginal with zero-mass rows have no well-defined positive row scale
-    and carry no ScalingVectors.
-    """
-
-    row: np.ndarray
-    col: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name, vec in (("row", self.row), ("col", self.col)):
-            arr = check_array(vec, f"{name} scales", (None,), finite=True)
-            if arr.size == 0 or np.any(arr <= 0):
-                raise DataError(f"{name} scales must be nonempty and strictly positive")
-            object.__setattr__(self, name, arr)
-
-
-@dataclass(frozen=True, eq=False)
 class TransportPlan:
     """A coupling between classes (rows) and unlabeled points (columns).
 
-    values: (C, M) nonnegative matrix; columns sum to col_total.
+    values: (C, M) nonnegative matrix; each column sums to 1/M.
     row_marginal: (C,) target row sums the scaling aimed at.
-    col_total: mass per column, always 1/M (total mass 1).
     residual: L1 gap between achieved and target row sums.
-    iterations: number of row/column scaling rounds applied.
-    scaling: row/column factors accumulated by the balancing updates,
-        when they exist as positive finite numbers.
     """
 
     values: np.ndarray
     row_marginal: np.ndarray
-    col_total: float
     residual: float
-    iterations: int
-    scaling: ScalingVectors | None = None
-
-    @property
-    def class_count(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def point_count(self) -> int:
-        return self.values.shape[1]
 
 
 def init_plan(similarities: np.ndarray) -> np.ndarray:
@@ -134,22 +101,9 @@ def _checked_inputs(matrix: np.ndarray, row_marginal: np.ndarray, iterations: in
     return a, check_marginal(row_marginal, a.shape[0], "row marginal"), iterations
 
 
-def _build_plan(values: np.ndarray, row_marginal: np.ndarray, iterations: int,
-                row_scale: np.ndarray, col_scale: np.ndarray) -> TransportPlan:
-    """A plan with its residual, and its scaling vectors when
-    ScalingVectors accepts them as positive and finite."""
-    try:
-        scaling = ScalingVectors(row=row_scale, col=col_scale)
-    except DataError:
-        scaling = None
-    return TransportPlan(
-        values=values,
-        row_marginal=row_marginal,
-        col_total=1.0 / values.shape[1],
-        residual=marginal_residual(values, row_marginal),
-        iterations=iterations,
-        scaling=scaling,
-    )
+def _build_plan(values: np.ndarray, row_marginal: np.ndarray) -> TransportPlan:
+    return TransportPlan(values=values, row_marginal=row_marginal,
+                         residual=marginal_residual(values, row_marginal))
 
 
 def _scale(q: np.ndarray, m: np.ndarray,
@@ -212,7 +166,7 @@ def sinkhorn(plan0: np.ndarray, row_marginal: np.ndarray,
     if np.any(q < 0):
         raise DataError("plan entries must be nonnegative")
     r, c = _scale(q, m, iterations)
-    return _build_plan(r[:, None] * q * c[None, :], m, iterations, r, c)
+    return _build_plan(r[:, None] * q * c[None, :], m)
 
 
 def solve_transport(similarities: np.ndarray, row_marginal: np.ndarray,
@@ -229,21 +183,16 @@ def solve_transport(similarities: np.ndarray, row_marginal: np.ndarray,
     rounds run on the scores in log space, where every update is an
     addition of log factors: entries too small to matter flush to zero
     instead of dragging whole rows or columns to zero and killing the
-    scaling denominators. Either way ``scaling`` is reported against
-    ``exp(s)``, so ``values == row[:, None] * exp(s) * col[None, :]``
-    wherever those factors are representable.
+    scaling denominators.
     """
     s, m, iterations = _checked_inputs(similarities, row_marginal, iterations,
                                        "similarity matrix")
-    values, row_scale, col_scale = _solve(s[None], m[None], iterations)
-    return _build_plan(values[0], m, iterations, row_scale[0], col_scale[0])
+    return _build_plan(_solve(s[None], m[None], iterations)[0], m)
 
 
-def _solve(s: np.ndarray, m: np.ndarray,
-           iterations: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``solve_transport`` of every element of a batch of checked scores
-    (B, C, M) and row marginals (B, C): the plan values and the row and
-    column scales against ``exp(s)``.
+def _solve(s: np.ndarray, m: np.ndarray, iterations: int) -> np.ndarray:
+    """The ``solve_transport`` plan values of every element of a batch of
+    checked scores (B, C, M) and row marginals (B, C).
 
     Each element takes the route its own score span picks, and the
     elements of one route are scaled together. When the kernel loop
@@ -253,14 +202,12 @@ def _solve(s: np.ndarray, m: np.ndarray,
     """
     s_max = s.max(axis=(-2, -1))
     in_log = s_max - s.min(axis=(-2, -1)) > _EXP_SAFE_SPAN
-    groups = []  # (elements, values, row scales, column scales)
+    groups = []  # (elements, values)
 
     def kernel_plans(idx):
         q = np.exp(_take(s, idx) - s_max[idx, None, None])
         r, c = _scale(q, _take(m, idx), iterations)
-        with np.errstate(divide="ignore", over="ignore", under="ignore"):
-            row_scale = np.exp(np.log(r) - s_max[idx, None])
-        groups.append((idx, r[:, :, None] * q * c[:, None, :], row_scale, c))
+        groups.append((idx, r[:, :, None] * q * c[:, None, :]))
 
     kernel = np.flatnonzero(~in_log)
     if kernel.size:
@@ -279,17 +226,13 @@ def _solve(s: np.ndarray, m: np.ndarray,
     if log.size:
         s_log = _take(s, log)
         log_r, log_c = _scale_log(s_log, _take(m, log), iterations)
-        values = np.exp(log_r[:, :, None] + s_log + log_c[:, None, :])
-        with np.errstate(over="ignore", under="ignore"):
-            groups.append((log, values, np.exp(log_r), np.exp(log_c)))
+        groups.append((log, np.exp(log_r[:, :, None] + s_log + log_c[:, None, :])))
     if len(groups) == 1:  # one route took the whole batch, in order
-        return groups[0][1:]
+        return groups[0][1]
     values = np.empty_like(s)
-    row_scale = np.empty_like(m)
-    col_scale = np.empty(s.shape[:1] + s.shape[2:])
-    for idx, *plans in groups:
-        values[idx], row_scale[idx], col_scale[idx] = plans
-    return values, row_scale, col_scale
+    for idx, plans in groups:
+        values[idx] = plans
+    return values
 
 
 def _take(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -306,8 +249,3 @@ def _class_codes(values: np.ndarray) -> np.ndarray:
         raise DegeneratePlanError("plan has an empty column; codes are undefined")
     return values / col_sums[..., None, :]
 
-
-def extract_pseudolabels(plan: TransportPlan) -> np.ndarray:
-    """Per-point class codes: plan columns renormalized to the simplex,
-    returned points-by-classes (M, C)."""
-    return _class_codes(plan.values).T

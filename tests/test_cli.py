@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +143,21 @@ def test_adapt_exhausted_pool_is_config_error(dataset_dir, tmp_path):
     assert code == EXIT_CONFIG
 
 
+def test_adapt_non_finite_objective_is_a_solver_failure(dataset_dir, tmp_path, capsys):
+    # weights near the float64 limit overflow the objective: the fit
+    # fails at its first round instead of writing -Infinity into the report
+    out = tmp_path / "huge"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["adapt", "--data", str(dataset_dir / "manifest.json"),
+                     "--solver", "sstextu", "--lambda-mode", "fixed",
+                     "--lambda-text", "1e308", "--lambda-unlabeled", "1e308",
+                     "--out", str(out)])
+    assert code == EXIT_SOLVER
+    assert "objective is not finite at round 1" in capsys.readouterr().err
+    assert not (out / "fit_report.json").exists()
+
+
 # ---------------------------------------------------------------- eval
 
 
@@ -274,10 +290,11 @@ def test_benchmark_flag_validation(dataset_dir, tmp_path):
     assert main(["benchmark", *data, "--solvers", "protonet", *out]) == EXIT_CONFIG
     assert main(["benchmark", *data, "--shots-grid", "a,b", *out]) == EXIT_CONFIG
     assert main(["benchmark", *data, "--solvers", "", *out]) == EXIT_CONFIG
-    # a grid that cannot run is a config error, not a set of failed cells
+    # a grid that cannot run, or would repeat its cells, is a config
+    # error, not a set of failed cells
     for flags in (["--seeds", "0"], ["--seeds", "-2"], ["--shots-grid", "0"],
                   ["--shots-grid", "1,0"], ["--unlabeled-mult", "-1"],
-                  ["--threads", "0"]):
+                  ["--threads", "0"], ["--shots-grid", "1,1,1"]):
         assert main(["benchmark", *data, *flags, *out]) == EXIT_CONFIG, flags
 
 

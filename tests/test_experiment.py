@@ -681,13 +681,17 @@ def test_run_benchmark_default_cfg_uses_dataset_tau(monkeypatch, dataset_tau):
 
 
 @pytest.mark.parametrize("grid", [dict(solvers=()), dict(solvers=("bogus",)),
-                                  dict(shot_grid=())],
-                         ids=["no-solvers", "unknown-solver", "no-shots"])
+                                  dict(shot_grid=()),
+                                  # a repeat would write its cells twice
+                                  dict(solvers=("zeroshot", "zeroshot")),
+                                  dict(shot_grid=(1, 1)), dict(seeds=[0, 0])],
+                         ids=["no-solvers", "unknown-solver", "no-shots",
+                              "repeated-solver", "repeated-shots", "repeated-seed"])
 def test_run_benchmark_rejects_bad_grid(monkeypatch, grid):
     ds = _bench_dataset()
     monkeypatch.setattr(experiment, "_run_cell", None)  # no cell may run
     with pytest.raises(ConfigError):
-        run_benchmark(ds, seeds=2, cfg=SolverConfig(tau=ds.tau), **grid)
+        run_benchmark(ds, cfg=SolverConfig(tau=ds.tau), **{"seeds": 2, **grid})
 
 
 def test_rows_to_csv_format():

@@ -12,7 +12,6 @@ from semishot import (
     EvalSet,
     LambdaPolicy,
     SamplingSpec,
-    ScalingVectors,
     SemishotError,
     SolverConfig,
     SupportSet,
@@ -23,7 +22,6 @@ from semishot import (
     correlate,
     ensemble_text_prototypes,
     eval_ce,
-    eval_fewshot_objective,
     eval_semi_objective,
     eval_tightness,
     evaluate_prototypes,
@@ -69,7 +67,6 @@ ARRAY_CALLS = {
     "init_plan": lambda a, tmp: init_plan(a),
     "marginal_residual-plan": lambda a, tmp: marginal_residual(a, MARG),
     "marginal_residual-marginal": lambda a, tmp: marginal_residual(SCORES, a),
-    "ScalingVectors": lambda a, tmp: ScalingVectors(row=a, col=np.ones(M)),
     "similarity_matrix-prototypes": lambda a, tmp: similarity_matrix(a, EMB, 0.1),
     "similarity_matrix-embeddings": lambda a, tmp: similarity_matrix(PROTOS, a, 0.1),
     "predict_probs": lambda a, tmp: predict_probs(a, PROTOS, 0.1),
@@ -77,8 +74,8 @@ ARRAY_CALLS = {
     "ensemble_text_prototypes": lambda a, tmp: ensemble_text_prototypes(a),
     "eval_tightness": lambda a, tmp: eval_tightness(a, SUP.embeddings, PROTOS, 0.1),
     "eval_ce": lambda a, tmp: eval_ce(a, SUP.embeddings, PROTOS, 0.1),
-    "eval_fewshot_objective": lambda a, tmp: eval_fewshot_objective(
-        SUP, a, PROTOS, 0.1, POLICY),
+    "eval_semi_objective-prototypes": lambda a, tmp: eval_semi_objective(
+        SUP, UNL, None, a, PROTOS, 0.1, POLICY),
     "eval_semi_objective-codes": lambda a, tmp: eval_semi_objective(
         SUP, UNL, a, PROTOS, PROTOS, 0.1, POLICY),
     "update_prototypes-codes": lambda a, tmp: update_prototypes(

@@ -13,11 +13,8 @@ from semishot import (
     UnlabeledSet,
     eval_ce,
     eval_contrast,
-    eval_fewshot_objective,
     eval_semi_objective,
     eval_tightness,
-    eval_unlabeled_objective,
-    semi_objective_gradient,
 )
 
 from conftest import random_codes, random_support, random_unlabeled, unit_rows
@@ -181,12 +178,19 @@ def test_ce_decomposition_property(seed, tau, n, c):
 # ---------------------------------------------------------------- few-shot
 
 
+def fewshot_objective(sup, w, t, tau, policy):
+    """The combined objective without unlabeled points: supervised
+    tightness plus the text-anchor penalty."""
+    return eval_semi_objective(sup, UnlabeledSet.empty(sup.dim), None, w, t, tau,
+                               policy).total
+
+
 def test_fewshot_penalty_vanishes_at_text_init(rng):
     sup = random_support(rng, 8, 3, 5, ensure_all_classes=True)
     t = unit_rows(rng, 3, 5)
     tau = 0.1
     policy = LambdaPolicy.adaptive()
-    val = eval_fewshot_objective(sup, t, t, tau, policy)
+    val = fewshot_objective(sup, t, t, tau, policy)
     tight = eval_tightness(sup.labels, sup.embeddings, t, tau)
     assert val == pytest.approx(tight, abs=1e-12)
 
@@ -199,7 +203,7 @@ def test_fewshot_single_sample_closed_form(rng):
     tau = 0.5
     policy = LambdaPolicy.fixed([1.0], [0.0])
     expected = -float(v[0] @ w[0]) / tau + float(((w - t) ** 2).sum())
-    assert eval_fewshot_objective(sup, w, t, tau, policy) == pytest.approx(
+    assert fewshot_objective(sup, w, t, tau, policy) == pytest.approx(
         expected, abs=1e-12)
 
 
@@ -213,7 +217,7 @@ def test_fewshot_matches_naive(rng):
     lam = 1.0 / sup.shot_counts
     naive = eval_tightness(sup.labels, sup.embeddings, w, tau) + sum(
         lam[k] * float(((w[k] - t[k]) ** 2).sum()) for k in range(c))
-    assert eval_fewshot_objective(sup, w, t, tau, policy) == pytest.approx(
+    assert fewshot_objective(sup, w, t, tau, policy) == pytest.approx(
         naive, abs=1e-12)
 
 
@@ -221,15 +225,18 @@ def test_fewshot_matches_naive(rng):
 
 
 def test_unlabeled_empty_set_is_zero(rng):
-    unl = UnlabeledSet.empty(4)
-    got = eval_unlabeled_objective(unl, np.zeros((0, 2)), unit_rows(rng, 2, 4), 0.1)
-    assert got == 0.0
+    # empty codes over an empty set add nothing to the objective
+    sup = random_support(rng, 4, 2, 4, ensure_all_classes=True)
+    w = unit_rows(rng, 2, 4)
+    val = eval_semi_objective(sup, UnlabeledSet.empty(4), np.zeros((0, 2)), w, w, 0.1,
+                              LambdaPolicy.adaptive())
+    assert val.unlabeled_term == 0.0
 
 
 def test_unlabeled_zero_prototypes_is_zero(rng):
     unl = random_unlabeled(rng, 6, 4)
     codes = random_codes(rng, 6, 3)
-    assert eval_unlabeled_objective(unl, codes, np.zeros((3, 4)), 0.1) == 0.0
+    assert eval_tightness(codes, unl.embeddings, np.zeros((3, 4)), 0.1) == 0.0
 
 
 def test_unlabeled_linear_in_codes(rng):
@@ -238,9 +245,9 @@ def test_unlabeled_linear_in_codes(rng):
     za = random_codes(rng, 10, 3)
     zb = random_codes(rng, 10, 3)
     tau = 0.25
-    mid = eval_unlabeled_objective(unl, 0.5 * za + 0.5 * zb, w, tau)
-    ends = 0.5 * (eval_unlabeled_objective(unl, za, w, tau)
-                  + eval_unlabeled_objective(unl, zb, w, tau))
+    mid = eval_tightness(0.5 * za + 0.5 * zb, unl.embeddings, w, tau)
+    ends = 0.5 * (eval_tightness(za, unl.embeddings, w, tau)
+                  + eval_tightness(zb, unl.embeddings, w, tau))
     assert mid == pytest.approx(ends, abs=1e-10)
 
 
@@ -251,13 +258,13 @@ def test_unlabeled_argmax_codes_beat_hard_assignments(rng):
     tau = 0.3
     s = (unl.embeddings @ w.T) / tau
     best = np.eye(3)[s.argmax(axis=1)]
-    best_val = eval_unlabeled_objective(unl, best, w, tau)
+    best_val = eval_tightness(best, unl.embeddings, w, tau)
     eye = np.eye(3)
     for a in range(3):
         for b in range(3):
             for c in range(3):
                 codes = eye[[a, b, c]]
-                val = eval_unlabeled_objective(unl, codes, w, tau)
+                val = eval_tightness(codes, unl.embeddings, w, tau)
                 assert best_val <= val + 1e-12
 
 
@@ -275,7 +282,7 @@ def test_semi_reduces_to_fewshot_without_unlabeled_weight(rng):
     val = eval_semi_objective(sup, unl, codes, w, t, tau, policy)
     assert val.unlabeled_term == 0.0
     assert val.total == pytest.approx(
-        eval_fewshot_objective(sup, w, t, tau, policy), abs=1e-12)
+        fewshot_objective(sup, w, t, tau, policy), abs=1e-12)
 
 
 def test_semi_empty_unlabeled(rng):
@@ -354,26 +361,9 @@ def _fd_gradient(fn, w, step=1e-5):
     return grad
 
 
-@pytest.mark.parametrize("policy", [LambdaPolicy.adaptive(),
-                                    LambdaPolicy.fixed(np.full(3, 0.6),
-                                                       np.full(3, 0.9))])
-def test_gradient_matches_finite_differences(rng, policy):
-    sup = random_support(rng, 9, 3, 4, ensure_all_classes=True)
-    unl = random_unlabeled(rng, 7, 4)
-    codes = random_codes(rng, 7, 3)
-    t = unit_rows(rng, 3, 4)
-    w = unit_rows(rng, 3, 4)
-    tau = 0.2
-    fn = lambda x: eval_semi_objective(sup, unl, codes, x, t, tau, policy).total
-    fd = _fd_gradient(fn, w)
-    analytic = semi_objective_gradient(sup, unl, codes, w, t, tau, policy)
-    assert np.linalg.norm(analytic - fd) / np.linalg.norm(fd) < 1e-4
-
-
 def test_gradient_zero_rows_for_unobserved_classes(rng):
     # adaptive policy drops unobserved classes from the reported value,
-    # so their prototype rows get a zero gradient and finite differences
-    # agree
+    # so its finite-difference gradient has a zero row for them
     emb = unit_rows(rng, 5, 4)
     sup = SupportSet.from_indices(emb, np.array([0, 0, 1, 1, 1]), 3)
     unl = random_unlabeled(rng, 6, 4)
@@ -382,9 +372,7 @@ def test_gradient_zero_rows_for_unobserved_classes(rng):
     w = unit_rows(rng, 3, 4)
     tau = 0.3
     policy = LambdaPolicy.adaptive()
-    analytic = semi_objective_gradient(sup, unl, codes, w, t, tau, policy)
-    assert np.array_equal(analytic[2], np.zeros(4))
     fn = lambda x: eval_semi_objective(sup, unl, codes, x, t, tau, policy).total
     fd = _fd_gradient(fn, w)
     assert np.linalg.norm(fd[2]) < 1e-8
-    assert np.linalg.norm(analytic - fd) / np.linalg.norm(fd) < 1e-4
+    assert np.linalg.norm(fd[:2]) > 1e-2  # the observed rows do move it

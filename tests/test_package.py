@@ -27,3 +27,19 @@ def test_every_submodule_imports_under_its_own_name():
 
 def test_no_exported_name_is_a_submodule_name():
     assert not set(semishot.__all__) & set(SUBMODULES)
+
+
+def test_exports_match_the_public_names():
+    # a name removed from a module but left in __init__ fails the import
+    # itself; one left only in __all__, or one imported but not listed,
+    # fails here
+    exported = semishot.__all__
+    assert len(exported) == len(set(exported))
+    for name in exported:
+        assert hasattr(semishot, name), name
+    public = {name for name, value in vars(semishot).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(exported)
+    namespace = {}
+    exec("from semishot import *", namespace)
+    assert set(exported) <= namespace.keys()

@@ -14,7 +14,6 @@ from semishot import (
     UnlabeledSet,
     correct_marginal,
     estimate_marginal,
-    eval_fewshot_objective,
     eval_semi_objective,
     fit_simpleshot,
     fit_sstext,
@@ -218,9 +217,9 @@ def test_sstext_trace_and_improvement(rng):
     result = fit_sstext(sup, t, cfg)
     assert result.objective_trace.shape == (2,)
     assert result.objective_trace[1] <= result.objective_trace[0] + 1e-12
-    direct = eval_fewshot_objective(sup, result.prototypes, t, cfg.tau,
-                                    cfg.lambdas)
-    assert result.objective_trace[1] == pytest.approx(direct, abs=1e-12)
+    direct = eval_semi_objective(sup, UnlabeledSet.empty(6), None, result.prototypes,
+                                 t, cfg.tau, cfg.lambdas)
+    assert result.objective_trace[1] == pytest.approx(direct.total, abs=1e-12)
 
 
 def test_sstext_unobserved_class_pins_to_anchor(rng):
@@ -467,9 +466,14 @@ def test_integral_counts_of_any_integer_type_are_accepted():
     assert (cfg.bcm_iters, cfg.ot_iters) == (2, 4)
     assert type(cfg.ot_iters) is int
     assert ss.SamplingSpec(shots=np.uint8(2)).shots == 2
-    plan = ss.solve_transport(*_PLAN_INPUTS, iterations=np.int32(3))
-    assert plan.iterations == 3
-    assert ss.sinkhorn(np.ones((2, 3)), np.full(2, 0.5), iterations=2.0).iterations == 2
+    # scores far from balanced, so each round changes the plan
+    inputs = (np.array([[0.0, 1.0, 2.0], [3.0, 0.0, 0.5]]), np.array([0.3, 0.7]))
+    three, two = (ss.solve_transport(*inputs, iterations=it).values for it in (3, 2))
+    assert not np.array_equal(three, two)
+    assert np.array_equal(ss.solve_transport(*inputs, iterations=np.int32(3)).values, three)
+    kernel = ss.init_plan(inputs[0])
+    assert np.array_equal(ss.sinkhorn(kernel, inputs[1], iterations=2.0).values,
+                          ss.sinkhorn(kernel, inputs[1], iterations=2).values)
 
 
 def test_sstextu_dim_mismatch(rng):
