@@ -51,6 +51,9 @@ SOLVER_NAMES = ("zeroshot", "simpleshot", "sstext", "sstextu")
 # the arithmetic outweighs the per-call cost that batching saves.
 _BATCH_VALUES = 1 << 18
 
+# Distances in one silhouette_score block (512 KiB of float64).
+_SILHOUETTE_BLOCK = 1 << 16
+
 # Synthetic family defaults: 5 imbalanced classes in 64 dimensions with
 # noise calibrated so the zero-shot baseline lands mid-range (see tests)
 DEFAULT_MARGINAL = (0.35, 0.30, 0.20, 0.10, 0.05)
@@ -70,7 +73,6 @@ class SamplingSpec:
     shots: labeled budget per class in expectation (total = shots * C).
     unlabeled_multiplier: unlabeled budget per class (total = mult * C).
     seed: drives every draw.
-    replacement: draw the support with replacement (contrast mode).
     stratified: force exactly `shots` per class (contrast mode; the
         default draws uniformly so class composition follows the pool).
     """
@@ -78,7 +80,6 @@ class SamplingSpec:
     shots: int
     unlabeled_multiplier: int = 24
     seed: int = 0
-    replacement: bool = False
     stratified: bool = False
 
     def __post_init__(self):
@@ -162,8 +163,8 @@ def split_indices(labels: np.ndarray, class_count: int,
     """Seeded index split into (support, unlabeled, eval).
 
     Support indices come first (uniform without replacement by default,
-    per-class when stratified, with replacement when requested), then
-    the unlabeled draw from the remainder, then everything left.
+    per-class when stratified), then the unlabeled draw from the
+    remainder, then everything left.
     """
     labels = check_array(labels, "labels", (None,), dtype=None)
     class_count = check_count(class_count, "class_count", 1)
@@ -184,13 +185,6 @@ def split_indices(labels: np.ndarray, class_count: int,
             picks.append(rng.choice(members, size=spec.shots, replace=False))
         support = np.concatenate(picks)
         rest = np.setdiff1d(np.arange(pool_n), support)
-        rest = rng.permutation(rest)
-    elif spec.replacement:
-        support = rng.choice(pool_n, size=n, replace=True)
-        rest = np.setdiff1d(np.arange(pool_n), support)
-        if rest.size < m:
-            raise SamplingError(
-                f"pool remainder of {rest.size} cannot supply {m} unlabeled items")
         rest = rng.permutation(rest)
     else:
         perm = rng.permutation(pool_n)
@@ -215,8 +209,7 @@ def sample_support(pool: EvalSet, spec: SamplingSpec) -> tuple[SupportSet,
                                                                EvalSet]:
     """Draw a labeled support set and an unlabeled set from the pool;
     the remainder becomes the eval split. Splits are pairwise disjoint
-    (unless replacement mode repeats support items) and fully
-    determined by the seed."""
+    and fully determined by the seed."""
     split = _draw_split(pool, spec)
     return split.support, split.unlabeled, _eval_split(pool, split.eval_idx)
 
@@ -334,8 +327,7 @@ def evaluate_prototypes(prototypes: np.ndarray, eval_set: EvalSet,
     )
 
 
-def silhouette_score(embeddings: np.ndarray, labels: np.ndarray,
-                     chunk_budget: int = 1 << 16) -> float:
+def silhouette_score(embeddings: np.ndarray, labels: np.ndarray) -> float:
     """Mean silhouette over samples (Rousseeuw 1987): (b - a) / max(a, b),
     with a the mean Euclidean distance to same-labeled points and b the
     smallest mean distance to any other label. Singleton-labeled samples
@@ -352,8 +344,8 @@ def silhouette_score(embeddings: np.ndarray, labels: np.ndarray,
     symmetric, so it is walked in row blocks [lo, hi) against the columns
     [lo, k) only: each block adds its rows' class sums and, through its
     transpose, the sums of the columns past hi, so each distinct pair is
-    computed once. ``chunk_budget`` bounds the elements of one block; a
-    block holds at least one row.
+    computed once. ``_SILHOUETTE_BLOCK`` bounds the elements of one block;
+    a block holds at least one row.
     """
     x = check_array(embeddings, "silhouette embeddings", (None, None), finite=True)
     y = check_array(labels, "silhouette labels", x.shape[:1], dtype=None)
@@ -379,7 +371,7 @@ def silhouette_score(embeddings: np.ndarray, labels: np.ndarray,
     sums = np.zeros_like(members)
     lo = 0
     while lo < k:
-        hi = min(k, lo + max(1, chunk_budget // (k - lo)))
+        hi = min(k, lo + max(1, _SILHOUETTE_BLOCK // (k - lo)))
         dist = distinct[lo:hi] @ distinct[lo:].T
         dist *= -2.0
         dist += distinct_sq[lo:hi, None]
@@ -472,36 +464,26 @@ def _fit_cells(name: str, dataset: Dataset, splits: list[_Split],
     return fits
 
 
-def _failed_row(solver: str, dataset_name: str, spec: SamplingSpec,
-                dataset: Dataset, exc: Exception) -> BenchmarkRow:
-    return BenchmarkRow(
-        solver=solver, dataset=dataset_name, shots=spec.shots,
-        unlabeled_count=spec.unlabeled_multiplier * dataset.class_count,
-        seed=spec.seed, aca=float("nan"), acc=float("nan"),
-        runtime_ms=0.0, error=f"{type(exc).__name__}: {exc}")
-
-
 def _run_cell(dataset: Dataset, dataset_name: str, solver: str,
               spec: SamplingSpec, fit: FitResult | Exception, cfg: SolverConfig,
-              include_timing: bool, eval_set: EvalSet) -> BenchmarkRow:
-    """The row of one cell: its fit (or the exception its fit raised)
-    scored on ``eval_set``."""
-    if isinstance(fit, Exception):
-        return _failed_row(solver, dataset_name, spec, dataset, fit)
-    try:
-        report = evaluate_prototypes(fit.prototypes, eval_set, cfg.tau)
-    except Exception as exc:
-        return _failed_row(solver, dataset_name, spec, dataset, exc)
-    return BenchmarkRow(
-        solver=solver,
-        dataset=dataset_name,
-        shots=spec.shots,
-        unlabeled_count=spec.unlabeled_multiplier * dataset.class_count,
-        seed=spec.seed,
-        aca=report.aca,
-        acc=report.acc,
-        runtime_ms=fit.runtime_ms if include_timing else 0.0,
-    )
+              include_timing: bool, eval_set: EvalSet | None) -> BenchmarkRow:
+    """The row of one cell: its fit scored on ``eval_set``, or the error
+    of its draw, fit or scoring. ``fit`` is the exception that the draw
+    or the fit raised when either failed; ``eval_set`` is None when the
+    split could not be drawn."""
+    cell = dict(solver=solver, dataset=dataset_name, shots=spec.shots,
+                unlabeled_count=spec.unlabeled_multiplier * dataset.class_count,
+                seed=spec.seed)
+    if not isinstance(fit, Exception):
+        try:
+            report = evaluate_prototypes(fit.prototypes, eval_set, cfg.tau)
+        except Exception as exc:
+            fit = exc
+        else:
+            return BenchmarkRow(**cell, aca=report.aca, acc=report.acc,
+                                runtime_ms=fit.runtime_ms if include_timing else 0.0)
+    return BenchmarkRow(**cell, aca=float("nan"), acc=float("nan"), runtime_ms=0.0,
+                        error=f"{type(fit).__name__}: {fit}")
 
 
 def _run_seeds(dataset: Dataset, dataset_name: str, pool: EvalSet, solvers,
@@ -516,8 +498,9 @@ def _run_seeds(dataset: Dataset, dataset_name: str, pool: EvalSet, solvers,
         try:
             drawn.append((spec, _draw_split(pool, spec)))
         except Exception as exc:
-            rows.update({(solver, spec.shots, spec.seed): _failed_row(
-                solver, dataset_name, spec, dataset, exc) for solver in solvers})
+            rows.update({(solver, spec.shots, spec.seed): _run_cell(
+                dataset, dataset_name, solver, spec, exc, cfg, include_timing, None)
+                for solver in solvers})
     if not drawn:
         return rows
     splits = [split for _, split in drawn]

@@ -55,13 +55,9 @@ class LambdaPolicy:
                 raise ConfigError("fixed lambda policy needs both weight vectors")
             for name in ("fixed_text", "fixed_unlabeled"):
                 try:
-                    arr = np.asarray(getattr(self, name), dtype=np.float64)
-                except (TypeError, ValueError):
-                    raise ConfigError(f"{name} must be a numeric vector") from None
-                if arr.ndim != 1:
-                    raise ConfigError(f"{name} must be 1-d, got shape {arr.shape}")
-                if not np.all(np.isfinite(arr)):
-                    raise ConfigError(f"{name} must be finite")
+                    arr = check_array(getattr(self, name), name, (None,), finite=True)
+                except DataError as exc:
+                    raise ConfigError(str(exc)) from None
                 object.__setattr__(self, name, arr)
             if np.any(self.fixed_text <= 0):
                 raise ConfigError("fixed text weights must be strictly positive")

@@ -32,7 +32,10 @@ The scaling loops work over leading batch axes. The private ``_solve``
 balances a batch of same-shaped problems at once, each element on the
 route its own span picks, and ``solve_transport`` is that solve at B=1;
 the solvers' round loop calls ``_solve`` directly, on scores it has
-checked itself.
+checked itself. Each route is one pass over its elements: the kernel
+loop returns a mask of the elements whose scale factors held, and the
+ones that failed join the log pass. Batched matrix products never mix
+elements, so every plan is the one its element gets alone.
 """
 
 from __future__ import annotations
@@ -109,36 +112,38 @@ def _build_plan(values: np.ndarray, row_marginal: np.ndarray) -> TransportPlan:
 def _scale(q: np.ndarray, m: np.ndarray,
            iterations: int) -> tuple[np.ndarray, np.ndarray]:
     """The row/column loop on nonnegative kernels (..., C, M) with row
-    marginals (..., C): scale vectors r, c with
-    ``r[..., :, None] * q * c[..., None, :]`` the balanced plans.
+    marginals (..., C): the balanced plans
+    ``r[..., :, None] * q * c[..., None, :]`` and a (...) bool mask of
+    the elements whose scale factors held.
 
     Each round sets r to hit ``m`` and then c to hit the uniform 1/M;
     ``iterations=0`` keeps r at one and runs the column step once.
-    Zero-mass rows get a zero scale. Raises DegeneratePlanError when a
-    scale factor a target needs comes out zero or non-finite, that is,
-    when its denominator vanished, overflowed or was too small to divide.
+    Zero-mass rows get a zero scale. An element fails, and its plan
+    carries inf or NaN, when a scale factor a target needs comes out
+    zero or non-finite, that is, when its denominator vanished,
+    overflowed or was too small to divide. Never raises.
     """
     col_target = 1.0 / q.shape[-1]
     r = np.ones(m.shape)
     c = np.ones(q.shape[:-2] + q.shape[-1:])
     q_t = np.swapaxes(q, -1, -2)
     positive = m > 0
+    ok = np.ones(m.shape[:-1], dtype=bool)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(max(iterations, 1)):
             if iterations:
                 r = np.where(positive, m / np.matmul(q, c[..., None])[..., 0], 0.0)
-                if not np.all(np.isfinite(r) & ((r > 0) | ~positive)):
-                    raise DegeneratePlanError("row scaling denominator vanished")
+                ok &= (np.isfinite(r) & ((r > 0) | ~positive)).all(axis=-1)
             c = col_target / np.matmul(q_t, r[..., None])[..., 0]
-            if not np.all(np.isfinite(c) & (c > 0)):
-                raise DegeneratePlanError("column scaling denominator vanished")
-    return r, c
+            ok &= (np.isfinite(c) & (c > 0)).all(axis=-1)
+        plans = r[..., :, None] * q * c[..., None, :]
+    return plans, ok
 
 
-def _scale_log(s: np.ndarray, m: np.ndarray,
-               iterations: int) -> tuple[np.ndarray, np.ndarray]:
+def _scale_log(s: np.ndarray, m: np.ndarray, iterations: int) -> np.ndarray:
     """The same rounds as ``_scale`` on ``exp(s)``, with every factor kept
-    as its log: log r, log c. Zero-mass rows get log r = -inf."""
+    as its log, and the plans ``exp(log r + s + log c)``. Zero-mass rows
+    get log r = -inf, so they carry no mass."""
     log_u = -np.log(s.shape[-1])
     with np.errstate(divide="ignore"):
         log_m = np.log(m)
@@ -148,7 +153,7 @@ def _scale_log(s: np.ndarray, m: np.ndarray,
         if iterations:
             log_r = log_m - _logsumexp(s + log_c[..., None, :], axis=-1)
         log_c = log_u - _logsumexp(s + log_r[..., :, None], axis=-2)
-    return log_r, log_c
+    return np.exp(log_r[..., :, None] + s + log_c[..., None, :])
 
 
 def sinkhorn(plan0: np.ndarray, row_marginal: np.ndarray,
@@ -165,8 +170,10 @@ def sinkhorn(plan0: np.ndarray, row_marginal: np.ndarray,
     q, m, iterations = _checked_inputs(plan0, row_marginal, iterations, "plan")
     if np.any(q < 0):
         raise DataError("plan entries must be nonnegative")
-    r, c = _scale(q, m, iterations)
-    return _build_plan(r[:, None] * q * c[None, :], m)
+    plans, ok = _scale(q, m, iterations)
+    if not ok:
+        raise DegeneratePlanError("row or column scaling denominator vanished")
+    return _build_plan(plans, m)
 
 
 def solve_transport(similarities: np.ndarray, row_marginal: np.ndarray,
@@ -195,43 +202,26 @@ def _solve(s: np.ndarray, m: np.ndarray, iterations: int) -> np.ndarray:
     checked scores (B, C, M) and row marginals (B, C).
 
     Each element takes the route its own score span picks, and the
-    elements of one route are scaled together. When the kernel loop
-    raises for a batch, each of its elements is redone alone, and only
-    one that fails alone goes to log space, so an element's plan is the
-    one it gets at B=1.
+    elements of one route are scaled together in one pass. The elements
+    whose kernel scaling failed join the log pass, so an element's plan
+    is the one it gets at B=1.
     """
     s_max = s.max(axis=(-2, -1))
     in_log = s_max - s.min(axis=(-2, -1)) > _EXP_SAFE_SPAN
-    groups = []  # (elements, values)
-
-    def kernel_plans(idx):
-        q = np.exp(_take(s, idx) - s_max[idx, None, None])
-        r, c = _scale(q, _take(m, idx), iterations)
-        groups.append((idx, r[:, :, None] * q * c[:, None, :]))
-
     kernel = np.flatnonzero(~in_log)
     if kernel.size:
-        try:
-            kernel_plans(kernel)
-        except DegeneratePlanError:
-            in_log[kernel] = True  # a scale under- or overflowed
-            if kernel.size > 1:  # only the elements that fail alone go to log space
-                for i in range(kernel.size):
-                    try:
-                        kernel_plans(kernel[i:i + 1])
-                    except DegeneratePlanError:
-                        continue
-                    in_log[kernel[i]] = False
+        q = np.exp(_take(s, kernel) - s_max[kernel, None, None])
+        kernel_plans, ok = _scale(q, _take(m, kernel), iterations)
+        if kernel.size == len(s) and ok.all():
+            return kernel_plans
+        in_log[kernel[~ok]] = True  # a scale under- or overflowed
     log = np.flatnonzero(in_log)
-    if log.size:
-        s_log = _take(s, log)
-        log_r, log_c = _scale_log(s_log, _take(m, log), iterations)
-        groups.append((log, np.exp(log_r[:, :, None] + s_log + log_c[:, None, :])))
-    if len(groups) == 1:  # one route took the whole batch, in order
-        return groups[0][1]
+    log_plans = _scale_log(_take(s, log), _take(m, log), iterations)
+    if log.size == len(s):
+        return log_plans
     values = np.empty_like(s)
-    for idx, plans in groups:
-        values[idx] = plans
+    values[kernel] = kernel_plans
+    values[log] = log_plans  # last, over the kernel elements that failed
     return values
 
 

@@ -129,15 +129,6 @@ def test_split_stratified_rejects_thin_class():
         split_indices(labels, 2, spec)
 
 
-def test_split_replacement_can_repeat():
-    labels = np.zeros(30, dtype=int)
-    spec = SamplingSpec(shots=20, unlabeled_multiplier=0, seed=1,
-                        replacement=True)
-    sup, _, _ = split_indices(labels, 1, spec)
-    assert sup.size == 20
-    assert np.unique(sup).size < 20  # 20 draws from 30 repeat w.h.p.
-
-
 def test_uniform_support_misses_rare_class_at_binomial_rate():
     # pool marginal (0.9, 0.1), 1 shot x 2 classes: drawing 2 items
     # without replacement misses the rare class ~81% of the time
@@ -353,11 +344,12 @@ def test_silhouette_singleton_class_scores_zero(rng):
                                                    abs=1e-12)
 
 
-def test_silhouette_chunking_invariant(rng):
+def test_silhouette_chunking_invariant(rng, monkeypatch):
     x = rng.standard_normal((100, 6))
     y = rng.integers(0, 3, size=100)
     full = silhouette_score(x, y)
-    tiny_chunks = silhouette_score(x, y, chunk_budget=1200)
+    monkeypatch.setattr(experiment, "_SILHOUETTE_BLOCK", 1200)
+    tiny_chunks = silhouette_score(x, y)
     assert tiny_chunks == pytest.approx(full, abs=1e-12)
 
 
@@ -399,29 +391,32 @@ def test_silhouette_tight_clusters_no_warning(rng):
 
 
 @pytest.mark.parametrize("budget", [1, 59])
-def test_silhouette_one_row_per_block(rng, budget):
+def test_silhouette_one_row_per_block(rng, monkeypatch, budget):
     # a budget below n (distinct rows) leaves one row per block
     x = rng.standard_normal((60, 5))
     y = rng.integers(0, 3, size=60)
-    one_row = silhouette_score(x, y, chunk_budget=budget)
-    assert one_row == pytest.approx(silhouette_score(x, y), abs=1e-12)
+    full = silhouette_score(x, y)
+    monkeypatch.setattr(experiment, "_SILHOUETTE_BLOCK", budget)
+    one_row = silhouette_score(x, y)
+    assert one_row == pytest.approx(full, abs=1e-12)
     assert one_row == pytest.approx(naive_silhouette(x, y), abs=1e-10)
 
 
 @pytest.mark.parametrize("budget", [1, 37, None], ids=["1", "37", "default"])
-def test_silhouette_duplicates_across_blocks(rng, budget):
+def test_silhouette_duplicates_across_blocks(rng, monkeypatch, budget):
     # copies of a row sit far apart in the pool and share one distinct
     # row, whose diagonal entry must be exactly 0 in whichever block
     # holds it, with the other distinct rows spread over other blocks
-    kw = {} if budget is None else {"chunk_budget": budget}
+    if budget is not None:
+        monkeypatch.setattr(experiment, "_SILHOUETTE_BLOCK", budget)
     x = np.tile(rng.standard_normal((3, 6)) * 1e3, (5, 1))
     y = np.tile([0, 1, 2], 5)
-    assert silhouette_score(x, y, **kw) == naive_silhouette(x, y) == 1.0
+    assert silhouette_score(x, y) == naive_silhouette(x, y) == 1.0
     base = rng.standard_normal((30, 4))
     x = np.concatenate([base, base[::-1], base[:10]])
     y = rng.integers(0, 3, size=70)
-    assert silhouette_score(x, y, **kw) == pytest.approx(naive_silhouette(x, y),
-                                                         abs=1e-10)
+    assert silhouette_score(x, y) == pytest.approx(naive_silhouette(x, y),
+                                                   abs=1e-10)
 
 
 def test_silhouette_pool_of_one_point(rng):
