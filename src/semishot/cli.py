@@ -1,16 +1,17 @@
 """Command-line interface: generate, adapt, eval, benchmark.
 
-Every JSON artifact embeds the fully-resolved configuration (defaults
-included) and the tool version, so runs are reproducible from their
-outputs alone. Exit codes: 0 success, 2 usage/config/data error,
-3 solver or numeric failure.
+Every JSON artifact embeds the tool version and the configuration:
+every flag as parsed (defaults included), with the values a command
+resolves (tau, marginal, dataset name, solver and shot lists) in place
+of their raw flags, so runs are reproducible from their outputs alone.
+Exit codes: 0 success, 2 usage/config/data error, 3 solver or numeric
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -21,20 +22,13 @@ from .data import (
     Dataset,
     SupportSet,
     UnlabeledSet,
+    _write_json,
     load_dataset,
     load_prototypes,
     save_dataset,
     save_prototypes,
 )
-from .errors import (
-    ConfigError,
-    DataError,
-    DegeneratePlanError,
-    FormatError,
-    GenerationError,
-    SamplingError,
-    SolverError,
-)
+from .errors import ConfigError, DataError, DegeneratePlanError, SemishotError, SolverError
 from .experiment import (
     DEFAULT_MARGINAL,
     DEFAULT_NOISE,
@@ -62,8 +56,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
-_CONFIG_ERRORS = (ConfigError, FormatError, DataError, SamplingError,
-                  GenerationError)
 _SOLVER_ERRORS = (SolverError, DegeneratePlanError)
 
 
@@ -164,13 +156,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_json(path: Path | None, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+def _config(args, **resolved) -> dict:
+    """Every parsed flag of ``args`` (paths as strings), with the values
+    the command resolved in place of the raw flags."""
+    flags = {k: str(v) if isinstance(v, Path) else v for k, v in vars(args).items()}
+    return {**flags, **resolved}
 
 
 def _parse_marginal(args) -> tuple[float, ...]:
@@ -201,21 +191,8 @@ def cmd_generate(args) -> int:
     dataset = synthetic_dataset(spec, tau=args.tau)
     out: Path = args.out
     save_dataset(dataset, out / "manifest.json")
-    config = {
-        "command": "generate",
-        "classes": args.classes,
-        "dim": args.dim,
-        "pool": args.pool,
-        "seed": args.seed,
-        "separation": args.separation,
-        "noise": args.noise,
-        "text_noise": args.text_noise,
-        "marginal": list(marginal),
-        "tau": args.tau,
-        "out": str(out),
-    }
     _write_json(out / "generate_report.json",
-                {"version": __version__, "config": config})
+                {"version": __version__, "config": _config(args, marginal=list(marginal))})
     print(f"wrote dataset ({dataset.n} x {dataset.dim}, "
           f"{dataset.class_count} classes) to {out}")
     return EXIT_OK
@@ -245,20 +222,6 @@ def _solver_config(args, tau: float, class_count: int) -> SolverConfig:
     )
 
 
-def _fit_config_echo(args, tau: float) -> dict:
-    return {
-        "tau": tau,
-        "t_bcm": args.t_bcm,
-        "t_ot": args.t_ot,
-        "ratio_r": args.ratio_r,
-        "lambda_mode": args.lambda_mode,
-        "lambda_text": args.lambda_text,
-        "lambda_unlabeled": args.lambda_unlabeled,
-        "marginal_source": args.marginal_source,
-        "unlabeled_mult": args.unlabeled_mult,
-    }
-
-
 def _adapt_split(dataset: Dataset, args) -> tuple[SupportSet, UnlabeledSet,
                                                   np.ndarray | None]:
     """Sample the adapt command's support and unlabeled sets.
@@ -286,10 +249,7 @@ def cmd_adapt(args) -> int:
     support, unlabeled, oracle_marginal = _adapt_split(dataset, args)
     fit = fit_solver(args.solver, dataset, support, unlabeled, cfg,
                      oracle_marginal)
-    config = {"command": "adapt", "data": str(args.data),
-              "solver": args.solver, "out": str(args.out),
-              "shots": args.shots, "seed": args.seed,
-              "stratified": args.stratified, **_fit_config_echo(args, tau)}
+    config = _config(args, tau=tau)
     out: Path = args.out
     save_prototypes(fit.prototypes, out / "prototypes.json",
                     extra={"version": __version__, "config": config})
@@ -316,12 +276,9 @@ def cmd_eval(args) -> int:
     prototypes = load_prototypes(args.prototypes)
     tau = _resolve_tau(args.tau, dataset)
     report = evaluate_prototypes(prototypes, dataset.pool(), tau)
-    config = {"command": "eval", "data": str(args.data),
-              "prototypes": str(args.prototypes), "tau": tau,
-              "silhouette": args.silhouette}
     payload = {
         "version": __version__,
-        "config": config,
+        "config": _config(args, tau=tau),
         "aca": report.aca,
         "acc": report.acc,
         "per_class_recall": [None if np.isnan(r) else float(r)
@@ -366,16 +323,10 @@ def cmd_benchmark(args) -> int:
     csv_text = rows_to_csv(rows)
     args.out_csv.parent.mkdir(parents=True, exist_ok=True)
     args.out_csv.write_text(csv_text)
-    config = {"command": "benchmark", "data": str(args.data) if args.data else None,
-              "eval_data": str(args.eval_data) if args.eval_data else None,
-              "gen_seed": args.gen_seed, "name": name,
-              "solvers": list(solvers), "shots_grid": list(shot_grid),
-              "seeds": args.seeds, "threads": args.threads,
-              "no_timing": args.no_timing, "out_csv": str(args.out_csv),
-              **_fit_config_echo(args, tau)}
     if args.out_json is not None:
-        _write_json(args.out_json, rows_to_json(rows, {"version": __version__,
-                                                       **config}))
+        config = _config(args, tau=tau, name=name, solvers=list(solvers),
+                         shots_grid=list(shot_grid))
+        _write_json(args.out_json, rows_to_json(rows, {"version": __version__, **config}))
     failed = sum(1 for r in rows if r.error)
     print(f"benchmark wrote {len(rows)} rows to {args.out_csv} "
           f"({failed} failed cells)")
@@ -401,7 +352,7 @@ def main(argv=None) -> int:
     except _SOLVER_ERRORS as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except _CONFIG_ERRORS as exc:
+    except SemishotError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -5,10 +5,11 @@ label range and, where it holds embedding rows to score, finite
 unit-norm rows), so an instance that exists is valid however it was
 built.
 
-On-disk layout is a JSON manifest next to raw little-endian blobs:
-float32 for embeddings and prototypes, uint32 for labels. Matrices are
-row-major. In memory everything is widened to float64; files keep the
-compact 32-bit layout common for embedding dumps.
+On-disk layout is a JSON manifest next to raw little-endian row-major
+blobs, one per manifest key that names a file. The dtype rule: labels
+are uint32, every other blob is float32, widened to float64 on load,
+where NaN or Inf is an error. Files keep the compact 32-bit layout
+common for embedding dumps.
 
 Embedding rows are expected to be unit-norm. The loader keeps rows that
 are already unit-norm to float32 precision byte-stable (so that a
@@ -19,6 +20,8 @@ out, surfacing large deviations as warnings on the returned dataset.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,8 +43,6 @@ NORM_KEEP_TOL = 1e-6
 NORM_WARN_TOL = 0.1
 # Bound on row norms that the in-memory containers accept.
 NORM_VALID_TOL = 1e-4
-
-_REQUIRED_MANIFEST_KEYS = ("n", "d", "c", "dtype", "embeddings", "labels", "prototypes")
 
 
 def _class_labels(labels, n: int, class_count: int, what: str) -> np.ndarray:
@@ -80,18 +81,28 @@ def _owned(given, arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_norms(arr: np.ndarray, what: str) -> np.ndarray:
+    """The Euclidean norms of the rows of ``arr``. A row with norm below
+    ``MIN_ROW_NORM`` (a zero vector has no direction to keep) or past the
+    float64 range is a DataError; the overflow is silenced so that this
+    check is the only signal."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(arr, axis=1)
+    bad = np.flatnonzero((norms < MIN_ROW_NORM) | np.isinf(norms))
+    if bad.size:
+        raise DataError(f"{what} rows {bad[:8].tolist()} have norm below "
+                        f"{MIN_ROW_NORM:g} or beyond the float64 range")
+    return norms
+
+
 def normalize_rows(x: np.ndarray) -> np.ndarray:
     """Scale every row of ``x`` to unit Euclidean norm, in float64.
 
-    Raises DataError on non-finite entries or rows with norm below
-    ``MIN_ROW_NORM`` (a zero vector has no direction to keep).
+    Raises DataError on non-finite entries or on rows whose norm is below
+    ``MIN_ROW_NORM`` or overflows.
     """
     arr = check_array(x, "embeddings", (None, None), finite=True)
-    norms = np.linalg.norm(arr, axis=1)
-    bad = np.flatnonzero(norms < MIN_ROW_NORM)
-    if bad.size:
-        raise DataError(f"rows {bad[:8].tolist()} have norm below {MIN_ROW_NORM:g}")
-    return arr / norms[:, None]
+    return arr / _row_norms(arr, "embeddings")[:, None]
 
 
 def _unit_rows(x, what: str, dim: int | None = None) -> np.ndarray:
@@ -302,9 +313,10 @@ class Dataset:
 _ABSENT = object()
 
 
-def _read_manifest(manifest_path: Path, what: str, required: tuple[str, ...]) -> dict:
-    """Parse a JSON manifest object that declares ``required`` keys and
-    the f32le dtype."""
+def _read_manifest(manifest_path: Path, what: str, shape_keys: tuple[str, ...],
+                   required: tuple[str, ...]) -> tuple[dict, tuple[int, ...]]:
+    """Parse a JSON manifest object that declares positive integer
+    ``shape_keys``, the f32le dtype and the ``required`` blob names."""
     try:
         manifest = json.loads(manifest_path.read_text())
     except FileNotFoundError:
@@ -315,12 +327,16 @@ def _read_manifest(manifest_path: Path, what: str, required: tuple[str, ...]) ->
         raise FormatError(f"{what} is not valid JSON: {exc}")
     if not isinstance(manifest, dict):
         raise FormatError(f"{what} must be a JSON object")
-    missing = [k for k in required if k not in manifest]
+    missing = [k for k in (*shape_keys, "dtype", *required) if k not in manifest]
     if missing:
         raise FormatError(f"{what} missing keys: {missing}")
     if manifest["dtype"] != "f32le":
         raise FormatError(f"unsupported dtype {manifest['dtype']!r}; expected 'f32le'")
-    return manifest
+    shape = tuple(_field(manifest, k, int) for k in shape_keys)
+    if min(shape) < 1:
+        raise FormatError(f"{what} shape fields must be positive, got " + " ".join(
+            f"{k}={v}" for k, v in zip(shape_keys, shape)))
+    return manifest, shape
 
 
 def _field(manifest: dict, key: str, kind: type, default=_ABSENT):
@@ -347,42 +363,41 @@ def _field(manifest: dict, key: str, kind: type, default=_ABSENT):
         raise FormatError(f"manifest field {key!r} is out of range, got {value!r}")
 
 
-def _read_blob(path: Path, dtype: np.dtype, count: int, what: str) -> np.ndarray:
-    """The ``count`` values of the blob at ``path``, read-only over the
-    file's bytes: every caller widens them into an array of its own."""
+def _blob_dtype(key: str) -> np.dtype:
+    return LABEL_DTYPE if key == "labels" else EMBEDDING_DTYPE
+
+
+def _read_blob(manifest_path: Path, manifest: dict, key: str,
+               shape: tuple[int, ...]) -> np.ndarray:
+    """The blob that manifest field ``key`` names, in ``shape``: labels as
+    a read-only view of the file's bytes, anything else widened to
+    float64, where NaN or Inf is a DataError. A signalling NaN sets the
+    invalid flag in the cast, which is silenced so that this check is the
+    only signal."""
+    path = manifest_path.parent / _field(manifest, key, str)
     if not path.is_file():
-        raise FormatError(f"{what} blob missing: {path}")
+        raise FormatError(f"{key} blob missing: {path}")
     raw = path.read_bytes()
+    dtype, count = _blob_dtype(key), math.prod(shape)
     expected = count * dtype.itemsize
     if len(raw) != expected:
         raise FormatError(
-            f"{what} blob {path.name}: expected {expected} bytes for {count} "
+            f"{key} blob {path.name}: expected {expected} bytes for {count} "
             f"values, found {len(raw)}"
         )
-    return np.frombuffer(raw, dtype=dtype)
-
-
-def _widen_finite(raw32: np.ndarray, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """Blob values widened to float64 in ``shape``; NaN or Inf is a
-    DataError. A signalling NaN sets the invalid flag in the cast, which
-    is silenced so that this check is the only signal."""
+    values = np.frombuffer(raw, dtype=dtype).reshape(shape)
+    if key == "labels":
+        return values
     with np.errstate(invalid="ignore"):
-        arr = raw32.astype(np.float64).reshape(shape)
+        arr = values.astype(np.float64)
     if not np.all(np.isfinite(arr)):
-        raise DataError(f"{what} blob contains NaN or Inf")
+        raise DataError(f"{key} blob contains NaN or Inf")
     return arr
 
 
-def _ingest_unit_rows(raw32: np.ndarray, n: int, d: int, what: str,
-                      warnings: list[str]) -> np.ndarray:
-    """Widen to float64 and apply the load-time normalization policy."""
-    arr = _widen_finite(raw32, (n, d), what)
-    if n == 0:
-        return arr
-    norms = np.linalg.norm(arr, axis=1)
-    tiny = np.flatnonzero(norms < MIN_ROW_NORM)
-    if tiny.size:
-        raise DataError(f"{what} rows {tiny[:8].tolist()} have norm below {MIN_ROW_NORM:g}")
+def _ingest_unit_rows(arr: np.ndarray, what: str, warnings: list[str]) -> np.ndarray:
+    """Apply the load-time normalization policy to widened rows, in place."""
+    norms = _row_norms(arr, what)
     dev = np.abs(norms - 1.0)
     heavy = np.flatnonzero(dev > NORM_WARN_TOL)
     if heavy.size:
@@ -397,6 +412,27 @@ def _ingest_unit_rows(raw32: np.ndarray, n: int, d: int, what: str,
     return arr
 
 
+def _write_blobs(manifest_path: Path, manifest: dict, blobs: dict) -> None:
+    """Write each array of ``blobs`` to the file its manifest key names,
+    in that key's blob dtype, then the manifest itself."""
+    manifest_path.parent.mkdir(parents=True, exist_ok=True)
+    for key, values in blobs.items():
+        np.asarray(values, dtype=_blob_dtype(key)).tofile(
+            manifest_path.parent / manifest[key])
+    _write_json(manifest_path, manifest)
+
+
+def _write_json(path: Path | None, payload: dict) -> None:
+    """``payload`` as indented JSON with sorted keys, at ``path`` or on
+    stdout when it is None."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+
+
 def load_dataset(manifest_path: str | Path) -> Dataset:
     """Load a dataset from its JSON manifest.
 
@@ -406,31 +442,21 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     in ``Dataset.warnings``. The returned Dataset checks the rest of its
     invariant (label range, finite values) on construction.
     """
-    manifest_path = Path(manifest_path)
-    manifest = _read_manifest(manifest_path, "manifest", _REQUIRED_MANIFEST_KEYS)
-    n, d, c = (_field(manifest, k, int) for k in ("n", "d", "c"))
-    if n < 1 or d < 1 or c < 1:
-        raise FormatError(f"manifest shape fields must be positive, got n={n} d={d} c={c}")
-
-    base = manifest_path.parent
+    path = Path(manifest_path)
+    manifest, (n, d, c) = _read_manifest(path, "manifest", ("n", "d", "c"),
+                                         ("embeddings", "labels", "prototypes"))
     warnings: list[str] = []
-
-    def blob(key: str, dtype: np.dtype, count: int) -> np.ndarray:
-        return _read_blob(base / _field(manifest, key, str), dtype, count, key)
-
-    emb_raw = blob("embeddings", EMBEDDING_DTYPE, n * d)
-    embeddings = _ingest_unit_rows(emb_raw, n, d, "embeddings", warnings)
-
-    labels = blob("labels", LABEL_DTYPE, n)
-    prototypes = _widen_finite(blob("prototypes", EMBEDDING_DTYPE, c * d), (c, d),
-                               "prototypes")
+    embeddings = _ingest_unit_rows(_read_blob(path, manifest, "embeddings", (n, d)),
+                                   "embeddings", warnings)
+    labels = _read_blob(path, manifest, "labels", (n,))
+    prototypes = _read_blob(path, manifest, "prototypes", (c, d))
 
     m = _field(manifest, "m", int, 0)
     if m < 0:
         raise FormatError("manifest field 'm' must be >= 0")
     if m > 0 or "unlabeled" in manifest:
-        unl_raw = blob("unlabeled", EMBEDDING_DTYPE, m * d)
-        unlabeled = _ingest_unit_rows(unl_raw, m, d, "unlabeled", warnings)
+        unlabeled = _ingest_unit_rows(_read_blob(path, manifest, "unlabeled", (m, d)),
+                                      "unlabeled", warnings)
     else:
         unlabeled = np.zeros((0, d), dtype=np.float64)
 
@@ -443,8 +469,7 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     if "templates" in manifest:
         if j < 1:
             raise FormatError("manifest with 'templates' must declare 'j' >= 1")
-        templates = _widen_finite(blob("templates", EMBEDDING_DTYPE, c * j * d),
-                                  (c, j, d), "templates")
+        templates = _read_blob(path, manifest, "templates", (c, j, d))
 
     # every array here was built by this call, so the dataset keeps it
     return Dataset(embeddings=embeddings.view(_Handed), labels=labels.view(_Handed),
@@ -459,42 +484,19 @@ def save_dataset(dataset: Dataset, manifest_path: str | Path) -> None:
     Output bytes are a deterministic function of the dataset values:
     fixed blob names, sorted manifest keys, float32/uint32 casts.
     """
-    manifest_path = Path(manifest_path)
-    base = manifest_path.parent
-    base.mkdir(parents=True, exist_ok=True)
-
-    names = {
-        "embeddings": "embeddings.f32",
-        "labels": "labels.u32",
-        "prototypes": "prototypes.f32",
-        "unlabeled": "unlabeled.f32",
-    }
-    manifest = {
-        "n": int(dataset.n),
-        "d": int(dataset.dim),
-        "c": int(dataset.class_count),
-        "m": int(dataset.unlabeled_count),
-        "dtype": "f32le",
-        **names,
-    }
+    blobs = {"embeddings": dataset.embeddings, "labels": dataset.labels,
+             "prototypes": dataset.prototypes, "unlabeled": dataset.unlabeled}
+    manifest = {"n": dataset.n, "d": dataset.dim, "c": dataset.class_count,
+                "m": dataset.unlabeled_count, "dtype": "f32le",
+                "embeddings": "embeddings.f32", "labels": "labels.u32",
+                "prototypes": "prototypes.f32", "unlabeled": "unlabeled.f32"}
     if dataset.tau is not None:
         manifest["tau"] = float(dataset.tau)
     if dataset.templates is not None:
-        manifest["j"] = int(dataset.templates.shape[1])
+        blobs["templates"] = dataset.templates
+        manifest["j"] = dataset.templates.shape[1]
         manifest["templates"] = "templates.f32"
-
-    np.ascontiguousarray(dataset.embeddings).astype(EMBEDDING_DTYPE).tofile(
-        base / names["embeddings"])
-    np.ascontiguousarray(dataset.labels).astype(LABEL_DTYPE).tofile(base / names["labels"])
-    np.ascontiguousarray(dataset.prototypes).astype(EMBEDDING_DTYPE).tofile(
-        base / names["prototypes"])
-    np.ascontiguousarray(dataset.unlabeled).astype(EMBEDDING_DTYPE).tofile(
-        base / names["unlabeled"])
-    if dataset.templates is not None:
-        np.ascontiguousarray(dataset.templates).astype(EMBEDDING_DTYPE).tofile(
-            base / "templates.f32")
-
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_blobs(Path(manifest_path), manifest, blobs)
 
 
 def save_prototypes(prototypes: np.ndarray, manifest_path: str | Path,
@@ -506,29 +508,14 @@ def save_prototypes(prototypes: np.ndarray, manifest_path: str | Path,
     not unit vectors in general.
     """
     protos = check_array(prototypes, "prototypes", (None, None), finite=True)
-    manifest_path = Path(manifest_path)
-    base = manifest_path.parent
-    base.mkdir(parents=True, exist_ok=True)
-    blob = manifest_path.stem + ".f32"
-    manifest = {
-        "c": int(protos.shape[0]),
-        "d": int(protos.shape[1]),
-        "dtype": "f32le",
-        "prototypes": blob,
-        **(extra or {}),
-    }
-    np.ascontiguousarray(protos).astype(EMBEDDING_DTYPE).tofile(base / blob)
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    path = Path(manifest_path)
+    manifest = {"c": protos.shape[0], "d": protos.shape[1], "dtype": "f32le",
+                "prototypes": path.stem + ".f32", **(extra or {})}
+    _write_blobs(path, manifest, {"prototypes": protos})
 
 
 def load_prototypes(manifest_path: str | Path) -> np.ndarray:
     """Load a prototype matrix written by save_prototypes."""
-    manifest_path = Path(manifest_path)
-    manifest = _read_manifest(manifest_path, "prototype manifest",
-                              ("c", "d", "dtype", "prototypes"))
-    c, d = _field(manifest, "c", int), _field(manifest, "d", int)
-    if c < 1 or d < 1:
-        raise FormatError(f"prototype manifest shape must be positive, got c={c} d={d}")
-    raw = _read_blob(manifest_path.parent / _field(manifest, "prototypes", str),
-                     EMBEDDING_DTYPE, c * d, "prototypes")
-    return _widen_finite(raw, (c, d), "prototypes")
+    path = Path(manifest_path)
+    manifest, shape = _read_manifest(path, "prototype manifest", ("c", "d"), ("prototypes",))
+    return _read_blob(path, manifest, "prototypes", shape)

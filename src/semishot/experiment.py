@@ -133,14 +133,11 @@ class MetricReport:
     acc: plain accuracy.
     per_class_recall: recall per class; NaN for classes absent from
         the truth.
-    silhouette: cluster separability of the eval embeddings under the
-        true labels, when computed (None otherwise).
     """
 
     aca: float
     acc: float
     per_class_recall: np.ndarray
-    silhouette: float | None = None
 
 
 @dataclass(frozen=True, eq=False)

@@ -244,8 +244,11 @@ def _adapt(supports: list[SupportSet], text_prototypes: np.ndarray,
                             f"support dim {t.shape[-1]}")
         if unlabeled.shape[-2] == 0 or rounds == 0:
             unlabeled = None
-    base = _class_sums(_stack([s.embeddings for s in supports]),
-                       _stack([s.labels for s in supports]), cfg.tau, cfg.lambdas)
+    # huge or tiny fixed weights can overflow the sums and the step;
+    # _trace_entry turns every non-finite value they feed into a SolverError
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        base = _class_sums(_stack([s.embeddings for s in supports]),
+                           _stack([s.labels for s in supports]), cfg.tau, cfg.lambdas)
     marginal = None
     if unlabeled is not None:
         oracles = oracle_marginals or [None] * len(supports)
@@ -273,7 +276,8 @@ def _adapt(supports: list[SupportSet], text_prototypes: np.ndarray,
             sums = base.with_codes(codes, unlabeled, cfg.tau)
         if round_idx == 1:
             trace.append(_trace_entry(sums, prototypes, t, round_idx))
-        prototypes = sums.minimizer(t)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            prototypes = sums.minimizer(t)
         trace.append(_trace_entry(sums, prototypes, t, round_idx))
         if unlabeled is None:
             # the labeled-only step ignores the current prototypes, so

@@ -88,7 +88,9 @@ def check_array(x, what: str, shape: tuple[int | None, ...] | None = None,
 def check_marginal(marginal: np.ndarray, size: int, what: str = "marginal") -> np.ndarray:
     """A length-``size`` class distribution: nonnegative, summing to one."""
     m = check_array(marginal, what, (size,))
-    if np.any(m < 0) or not np.isclose(m.sum(), 1.0, atol=1e-9):
+    with np.errstate(over="ignore"):
+        total = m.sum()
+    if np.any(m < 0) or not np.isclose(total, 1.0, atol=1e-9):
         raise DataError(f"{what} must be nonnegative and sum to one")
     return m
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 import semishot
 from semishot import load_dataset, load_prototypes
-from semishot.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
+from semishot.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, build_parser, main
 from semishot.experiment import CSV_HEADER
 
 
@@ -71,6 +72,12 @@ def test_generate_rejects_bad_flags(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["generate", "--marginal", "0.5,oops", "--out",
                  str(tmp_path / "y")]) == EXIT_CONFIG
+    # a noise or a marginal sum past the float64 range fails without a
+    # RuntimeWarning (pytest turns one into an error) or all-zero prototypes
+    for flags in (["--text-noise", "1e300"], ["--noise", "1e300"],
+                  ["--classes", "3", "--marginal", "1e308,1e308,0"]):
+        assert main(["generate", *flags, "--out", str(tmp_path / "z")]) == EXIT_CONFIG, flags
+    assert not (tmp_path / "z").exists()
 
 
 # ---------------------------------------------------------------- adapt
@@ -144,18 +151,21 @@ def test_adapt_exhausted_pool_is_config_error(dataset_dir, tmp_path):
 
 
 def test_adapt_non_finite_objective_is_a_solver_failure(dataset_dir, tmp_path, capsys):
-    # weights near the float64 limit overflow the objective: the fit
-    # fails at its first round instead of writing -Infinity into the report
+    # weights near the float64 limits overflow the objective or the step:
+    # the fit fails at its first round, with no RuntimeWarning, instead of
+    # writing -Infinity into the report
     out = tmp_path / "huge"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(["adapt", "--data", str(dataset_dir / "manifest.json"),
-                     "--solver", "sstextu", "--lambda-mode", "fixed",
-                     "--lambda-text", "1e308", "--lambda-unlabeled", "1e308",
-                     "--out", str(out)])
-    assert code == EXIT_SOLVER
-    assert "objective is not finite at round 1" in capsys.readouterr().err
-    assert not (out / "fit_report.json").exists()
+    for text, unl in (("1e308", "1e308"), ("1e-320", "1"), ("1e-10", "1e308"),
+                      ("1e-308", "1")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["adapt", "--data", str(dataset_dir / "manifest.json"),
+                         "--solver", "sstextu", "--lambda-mode", "fixed",
+                         "--lambda-text", text, "--lambda-unlabeled", unl,
+                         "--out", str(out)])
+        assert code == EXIT_SOLVER, (text, unl)
+        assert "objective is not finite at round 1" in capsys.readouterr().err
+        assert not (out / "fit_report.json").exists()
 
 
 # ---------------------------------------------------------------- eval
@@ -311,6 +321,29 @@ def test_benchmark_rejects_split_flags(dataset_dir, tmp_path, flags):
 
 
 # ---------------------------------------------------------------- misc
+
+
+def test_every_report_echoes_every_flag(dataset_dir, tmp_path):
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    data = ["--data", str(dataset_dir / "manifest.json")]
+    fit = tmp_path / "fit"
+    runs = {
+        "generate": (["--out", str(tmp_path / "gen")],
+                     tmp_path / "gen" / "generate_report.json"),
+        "adapt": ([*data, "--solver", "sstext", "--out", str(fit)], fit / "fit_report.json"),
+        "eval": ([*data, "--prototypes", str(fit / "prototypes.json"),
+                  "--out", str(tmp_path / "eval.json")], tmp_path / "eval.json"),
+        "benchmark": ([*data, *BENCH_FLAGS, "--out-csv", str(tmp_path / "b.csv"),
+                       "--out-json", str(tmp_path / "b.json")], tmp_path / "b.json"),
+    }
+    for command, (flags, report) in runs.items():
+        assert main([command, *flags]) == EXIT_OK
+        config = json.loads(report.read_text())["config"]
+        dests = {a.dest for a in subparsers[command]._actions if a.dest != "help"}
+        assert set(config) - {"version"} == dests | {"command"}, command
+        assert config["command"] == command
 
 
 def test_version_flag(capsys):

@@ -55,6 +55,13 @@ def test_normalize_rows_rejects_nan():
         normalize_rows(np.array([[np.nan, 1.0]]))
 
 
+def test_normalize_rows_rejects_an_overflowing_row():
+    # the squared norm passes the float64 range: dividing by the infinite
+    # norm would return a zero row
+    with pytest.raises(DataError, match="float64 range"):
+        normalize_rows(np.array([[1.0, 0.0], [1e200, 1e200]]))
+
+
 _SNAN_ROWS = {
     "normalize_rows": normalize_rows,
     "from_indices": lambda x: SupportSet.from_indices(x, [0, 1], 2),
