@@ -22,6 +22,8 @@ from .data import (
     Dataset,
     SupportSet,
     UnlabeledSet,
+    _dataset_files,
+    _prototype_blob,
     _write_json,
     load_dataset,
     load_prototypes,
@@ -244,15 +246,20 @@ def _adapt_split(dataset: Dataset, args) -> tuple[SupportSet, UnlabeledSet,
 
 def cmd_adapt(args) -> int:
     dataset = load_dataset(args.data)
+    out: Path = args.out
+    manifest = out / "prototypes.json"
+    writes = (manifest, _prototype_blob(manifest), out / "fit_report.json")
+    clash = sorted(_dataset_files(args.data) & {path.resolve() for path in writes})
+    if clash:
+        raise ConfigError(f"adapt --out {out} would overwrite {clash[0]}, "
+                          f"a file of dataset {args.data}")
     tau = _resolve_tau(args.tau, dataset)
     cfg = _solver_config(args, tau, dataset.class_count)
     support, unlabeled, oracle_marginal = _adapt_split(dataset, args)
     fit = fit_solver(args.solver, dataset, support, unlabeled, cfg,
                      oracle_marginal)
     config = _config(args, tau=tau)
-    out: Path = args.out
-    save_prototypes(fit.prototypes, out / "prototypes.json",
-                    extra={"version": __version__, "config": config})
+    save_prototypes(fit.prototypes, manifest, extra={"version": __version__, "config": config})
     report = {
         "version": __version__,
         "config": config,

@@ -43,6 +43,8 @@ NORM_KEEP_TOL = 1e-6
 NORM_WARN_TOL = 0.1
 # Bound on row norms that the in-memory containers accept.
 NORM_VALID_TOL = 1e-4
+# Manifest keys that name a dataset blob.
+_DATASET_BLOBS = ("embeddings", "labels", "prototypes", "unlabeled", "templates")
 
 
 def _class_labels(labels, n: int, class_count: int, what: str) -> np.ndarray:
@@ -95,14 +97,14 @@ def _row_norms(arr: np.ndarray, what: str) -> np.ndarray:
     return norms
 
 
-def normalize_rows(x: np.ndarray) -> np.ndarray:
+def normalize_rows(x: np.ndarray, what: str = "embeddings") -> np.ndarray:
     """Scale every row of ``x`` to unit Euclidean norm, in float64.
 
-    Raises DataError on non-finite entries or on rows whose norm is below
-    ``MIN_ROW_NORM`` or overflows.
+    Raises DataError, naming the rows ``what``, on non-finite entries or
+    on rows whose norm is below ``MIN_ROW_NORM`` or overflows.
     """
-    arr = check_array(x, "embeddings", (None, None), finite=True)
-    return arr / _row_norms(arr, "embeddings")[:, None]
+    arr = check_array(x, what, (None, None), finite=True)
+    return arr / _row_norms(arr, what)[:, None]
 
 
 def _unit_rows(x, what: str, dim: int | None = None) -> np.ndarray:
@@ -412,6 +414,19 @@ def _ingest_unit_rows(arr: np.ndarray, what: str, warnings: list[str]) -> np.nda
     return arr
 
 
+def _dataset_files(manifest_path: Path) -> set[Path]:
+    """The resolved paths of a dataset manifest that ``load_dataset`` has
+    read and of every blob it names."""
+    manifest = json.loads(manifest_path.read_text())
+    return {manifest_path.resolve(), *((manifest_path.parent / manifest[key]).resolve()
+                                       for key in _DATASET_BLOBS if key in manifest)}
+
+
+def _prototype_blob(manifest_path: Path) -> Path:
+    """The blob that ``save_prototypes`` writes next to ``manifest_path``."""
+    return manifest_path.with_name(manifest_path.stem + ".f32")
+
+
 def _write_blobs(manifest_path: Path, manifest: dict, blobs: dict) -> None:
     """Write each array of ``blobs`` to the file its manifest key names,
     in that key's blob dtype, then the manifest itself."""
@@ -510,7 +525,7 @@ def save_prototypes(prototypes: np.ndarray, manifest_path: str | Path,
     protos = check_array(prototypes, "prototypes", (None, None), finite=True)
     path = Path(manifest_path)
     manifest = {"c": protos.shape[0], "d": protos.shape[1], "dtype": "f32le",
-                "prototypes": path.stem + ".f32", **(extra or {})}
+                "prototypes": _prototype_blob(path).name, **(extra or {})}
     _write_blobs(path, manifest, {"prototypes": protos})
 
 

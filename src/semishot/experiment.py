@@ -19,9 +19,10 @@ seeds of one shot count in batches (their problems share one shape),
 which gives every cell the fit it gets alone; a batch that raises is
 refitted cell by cell. A batch takes as many seeds as keep its arrays
 under a fixed count of values, so memory does not grow with the seed
-count. Only one batch's splits are held at a time, and a seed's eval
-split is built only while its cells are scored. Rows come back in grid
-order.
+count. Only one batch's splits are held at a time. Each seed is scored
+once for all solvers: its eval rows are gathered from the pool, every
+solver's prototypes go through one batched product with them, and the
+labels are the argmax of those scores. Rows come back in grid order.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ import numpy as np
 from .data import Dataset, EvalSet, SupportSet, UnlabeledSet, _class_labels, normalize_rows
 from .errors import ConfigError, DataError, GenerationError, SamplingError
 from .solvers import FitResult, SolverConfig, _adapt, fit_simpleshot
-from .zeroshot import (DEFAULT_TAU, check_array, check_count, check_marginal, check_real,
-                       predict_labels, predict_probs)
+from .zeroshot import (DEFAULT_TAU, _scores, check_array, check_count, check_marginal,
+                       check_real, check_tau)
 
 SOLVER_NAMES = ("zeroshot", "simpleshot", "sstext", "sstextu")
 
@@ -208,12 +209,14 @@ def sample_support(pool: EvalSet, spec: SamplingSpec) -> tuple[SupportSet,
     the remainder becomes the eval split. Splits are pairwise disjoint
     and fully determined by the seed."""
     split = _draw_split(pool, spec)
-    return split.support, split.unlabeled, _eval_split(pool, split.eval_idx)
+    remainder = EvalSet(embeddings=pool.embeddings[split.eval_idx],
+                        labels=pool.labels[split.eval_idx], class_count=pool.class_count)
+    return split.support, split.unlabeled, remainder
 
 
 def _draw_split(pool: EvalSet, spec: SamplingSpec) -> _Split:
     """The support and unlabeled sets of ``spec``'s draw; the eval split
-    stays as indices until ``_eval_split`` builds it."""
+    stays as pool indices."""
     sup_idx, unl_idx, eval_idx = split_indices(pool.labels, pool.class_count, spec)
     support = SupportSet.from_indices(
         pool.embeddings[sup_idx], pool.labels[sup_idx], pool.class_count)
@@ -225,14 +228,6 @@ def _draw_split(pool: EvalSet, spec: SamplingSpec) -> _Split:
         unlabeled = UnlabeledSet.empty(pool.embeddings.shape[1])
         oracle_marginal = None
     return _Split(support, unlabeled, eval_idx, oracle_marginal)
-
-
-def _eval_split(pool: EvalSet, eval_idx: np.ndarray) -> EvalSet:
-    return EvalSet(
-        embeddings=pool.embeddings[eval_idx],
-        labels=pool.labels[eval_idx],
-        class_count=pool.class_count,
-    )
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[EvalSet, np.ndarray]:
@@ -269,7 +264,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[EvalSet, np.ndarray]:
         labels=labels.astype(np.int64),
         class_count=spec.class_count,
     )
-    return pool, normalize_rows(text)
+    return pool, normalize_rows(text, "text prototypes")
 
 
 def synthetic_dataset(spec: SyntheticSpec,
@@ -284,16 +279,21 @@ def synthetic_dataset(spec: SyntheticSpec,
     )
 
 
-def _per_class_recall(predictions: np.ndarray, truth: np.ndarray,
-                      class_count: int) -> tuple[np.ndarray, float]:
-    """Recall of each class (NaN for classes absent from the truth) and
-    its mean over the present classes."""
+def _metrics(predictions: np.ndarray, truth: np.ndarray,
+             class_count: int) -> list[MetricReport]:
+    """The metrics of each row of (S, E) ``predictions`` against the E
+    labels of ``truth``: recall per class (NaN for a class absent from
+    the truth), its mean over the present classes, and plain accuracy."""
+    correct = predictions == truth
+    rows = correct.shape[0]
     totals = np.bincount(truth, minlength=class_count)
-    hits = np.bincount(truth[predictions == truth], minlength=class_count)
+    hit_keys = (np.arange(rows)[:, None] * class_count + truth)[correct]
+    hits = np.bincount(hit_keys, minlength=rows * class_count).reshape(rows, class_count)
     present = totals > 0
-    recall = np.full(class_count, np.nan)
-    recall[present] = hits[present] / totals[present]
-    return recall, float(recall[present].mean())
+    recall = np.full((rows, class_count), np.nan)
+    recall[:, present] = hits[:, present] / totals[present]
+    return [MetricReport(aca=float(r[present].mean()), acc=float(a), per_class_recall=r)
+            for r, a in zip(recall, correct.mean(axis=1))]
 
 
 def balanced_accuracy(predictions: np.ndarray, truth: np.ndarray,
@@ -304,24 +304,85 @@ def balanced_accuracy(predictions: np.ndarray, truth: np.ndarray,
     true = _class_labels(truth, pred.size, class_count, "truth")
     if pred.size == 0:
         raise DataError("predictions and truth must be nonempty")
-    return _per_class_recall(pred, true, class_count)[1]
+    return _metrics(pred[None], true, class_count)[0].aca
+
+
+def _top_class(scores: np.ndarray) -> np.ndarray:
+    """The argmax over the class axis of (S, C, E) scores, ties to the
+    lowest class. Class rows are walked one at a time: each is a
+    contiguous (S, E) slice, where ``argmax(axis=1)`` would make one
+    strided C-element call per point. A row takes the label only where
+    it beats every lower class strictly, and labels only grow, so a
+    running maximum records it."""
+    best = scores[:, 0].copy()
+    labels = np.zeros(best.shape, dtype=np.int64)
+    beats = np.empty(best.shape, dtype=bool)
+    step = np.empty_like(labels)
+    for c in range(1, scores.shape[1]):
+        row = scores[:, c]
+        np.greater(row, best, out=beats)
+        np.multiply(beats, c, out=step)
+        np.maximum(labels, step, out=labels)
+        np.maximum(best, row, out=best)
+    return labels
+
+
+def _score(prototypes: list, embeddings: np.ndarray, truth: np.ndarray,
+           class_count: int, tau: float) -> list[MetricReport | Exception]:
+    """The metrics of each prototype matrix of ``prototypes`` on one eval
+    split (E rows of ``embeddings`` with class labels ``truth``), or the
+    exception that fails it; an entry that already is an exception (a
+    failed fit) stays as it is. An empty split fails every matrix, as
+    does one that is not (C, D) for this split, and one whose scores
+    are not all finite fails on its own; the overflow or invalid value
+    behind such scores is silenced, so that its error is the only
+    signal. A bad ``tau`` raises.
+
+    Every matrix that passes is scored in one batched (S, C, D) x (D, E)
+    product divided by ``tau`` (``_scores``). Each (C, E) slice of it is
+    bitwise the product of its matrix alone; stacking the matrices into
+    one (S * C, D) operand would let BLAS round differently. Labels are
+    the argmax of the scores, ties to the lowest class. The argmax of
+    ``predict_probs`` differs only where exp() rounds a logit within
+    ~1e-16 of its row's max up to that max, a tie it gives to the lower
+    class.
+    """
+    if truth.size == 0:
+        empty = DataError("eval split is empty")
+        return [p if isinstance(p, Exception) else empty for p in prototypes]
+    outcomes, scored, stack = list(prototypes), [], []
+    for i, p in enumerate(prototypes):
+        if isinstance(p, Exception):
+            continue
+        try:
+            stack.append(check_array(p, "prototypes", (class_count, embeddings.shape[1])))
+        except DataError as exc:
+            outcomes[i] = exc
+        else:
+            scored.append(i)
+    if not scored:
+        return outcomes
+    tau = check_tau(tau)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = _scores(np.stack(stack), embeddings, tau)
+    finite = np.isfinite(scores).all(axis=(1, 2))
+    reports = _metrics(_top_class(scores), truth, class_count)
+    for i, ok, report in zip(scored, finite, reports):
+        outcomes[i] = report if ok else DataError(
+            "similarity matrix contains non-finite entries")
+    return outcomes
 
 
 def evaluate_prototypes(prototypes: np.ndarray, eval_set: EvalSet,
                         tau: float) -> MetricReport:
     """Score prototypes on an eval split (balanced and plain accuracy).
-    The prototypes must be one row per class of the split."""
-    if eval_set.labels.size == 0:
-        raise DataError("eval split is empty")
-    prototypes = check_array(prototypes, "prototypes", (eval_set.class_count, eval_set.dim))
-    probs = predict_probs(eval_set.embeddings, prototypes, tau)
-    pred = predict_labels(probs)
-    recall, aca = _per_class_recall(pred, eval_set.labels, eval_set.class_count)
-    return MetricReport(
-        aca=aca,
-        acc=float((pred == eval_set.labels).mean()),
-        per_class_recall=recall,
-    )
+    The prototypes must be one row per class of the split. Labels are
+    the argmax of the scores (W @ V.T) / tau, ties to the lowest class."""
+    outcome, = _score([prototypes], eval_set.embeddings, eval_set.labels,
+                      eval_set.class_count, tau)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def silhouette_score(embeddings: np.ndarray, labels: np.ndarray) -> float:
@@ -461,26 +522,17 @@ def _fit_cells(name: str, dataset: Dataset, splits: list[_Split],
     return fits
 
 
-def _run_cell(dataset: Dataset, dataset_name: str, solver: str,
-              spec: SamplingSpec, fit: FitResult | Exception, cfg: SolverConfig,
-              include_timing: bool, eval_set: EvalSet | None) -> BenchmarkRow:
-    """The row of one cell: its fit scored on ``eval_set``, or the error
-    of its draw, fit or scoring. ``fit`` is the exception that the draw
-    or the fit raised when either failed; ``eval_set`` is None when the
-    split could not be drawn."""
+def _run_cell(dataset: Dataset, dataset_name: str, solver: str, spec: SamplingSpec,
+              outcome: MetricReport | Exception, runtime_ms: float) -> BenchmarkRow:
+    """The row of one cell: its metrics, or the error of its draw, fit
+    or scoring."""
     cell = dict(solver=solver, dataset=dataset_name, shots=spec.shots,
                 unlabeled_count=spec.unlabeled_multiplier * dataset.class_count,
                 seed=spec.seed)
-    if not isinstance(fit, Exception):
-        try:
-            report = evaluate_prototypes(fit.prototypes, eval_set, cfg.tau)
-        except Exception as exc:
-            fit = exc
-        else:
-            return BenchmarkRow(**cell, aca=report.aca, acc=report.acc,
-                                runtime_ms=fit.runtime_ms if include_timing else 0.0)
-    return BenchmarkRow(**cell, aca=float("nan"), acc=float("nan"), runtime_ms=0.0,
-                        error=f"{type(fit).__name__}: {fit}")
+    if isinstance(outcome, Exception):
+        return BenchmarkRow(**cell, aca=float("nan"), acc=float("nan"), runtime_ms=0.0,
+                            error=f"{type(outcome).__name__}: {outcome}")
+    return BenchmarkRow(**cell, aca=outcome.aca, acc=outcome.acc, runtime_ms=runtime_ms)
 
 
 def _run_seeds(dataset: Dataset, dataset_name: str, pool: EvalSet, solvers,
@@ -489,24 +541,32 @@ def _run_seeds(dataset: Dataset, dataset_name: str, pool: EvalSet, solvers,
     """The rows, keyed by (solver, shots, seed), of every solver's cells
     on the splits of ``specs`` (seeds of one shot count): the splits are
     drawn in order, each solver fits them as one batch, and each seed's
-    cells are scored while its eval split alone is built."""
+    cells are scored together, on its eval rows gathered from the pool
+    or on ``eval_set``."""
     rows, drawn = {}, []
     for spec in specs:
         try:
             drawn.append((spec, _draw_split(pool, spec)))
         except Exception as exc:
             rows.update({(solver, spec.shots, spec.seed): _run_cell(
-                dataset, dataset_name, solver, spec, exc, cfg, include_timing, None)
-                for solver in solvers})
+                dataset, dataset_name, solver, spec, exc, 0.0) for solver in solvers})
     if not drawn:
         return rows
     splits = [split for _, split in drawn]
     fits = {solver: _fit_cells(solver, dataset, splits, cfg) for solver in solvers}
+    scored_on = pool if eval_set is None else eval_set
     for i, (spec, split) in enumerate(drawn):
-        scored_on = _eval_split(pool, split.eval_idx) if eval_set is None else eval_set
+        embeddings, truth = scored_on.embeddings, scored_on.labels
+        if eval_set is None:  # the pool's labels are checked already
+            embeddings, truth = embeddings[split.eval_idx], truth[split.eval_idx]
+        seed_fits = [fits[solver][i] for solver in solvers]
+        outcomes = _score([fit if isinstance(fit, Exception) else fit.prototypes
+                           for fit in seed_fits],
+                          embeddings, truth, scored_on.class_count, cfg.tau)
         rows.update({(solver, spec.shots, spec.seed): _run_cell(
-            dataset, dataset_name, solver, spec, fits[solver][i], cfg,
-            include_timing, scored_on) for solver in solvers})
+            dataset, dataset_name, solver, spec, outcome,
+            fit.runtime_ms if include_timing else 0.0)
+            for solver, fit, outcome in zip(solvers, seed_fits, outcomes)})
     return rows
 
 
@@ -550,10 +610,13 @@ def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
     fit's wall time divided by its cell count, an amortised share.
 
     By default every seed evaluates on the pool remainder left after its
-    own support/unlabeled draw, built only while that seed's cells are
-    scored. Passing ``eval_set`` scores every cell on that fixed split
-    instead (the caller guarantees it is held out), which makes
-    support-free solvers constant across seeds.
+    own support/unlabeled draw. Each seed is scored once for all
+    solvers: one batched product of every fitted solver's prototypes
+    with that seed's eval rows, labels by argmax of the scores, and
+    each cell's metrics are exactly its own ``evaluate_prototypes``.
+    Passing ``eval_set`` scores every cell on that fixed split instead
+    (the caller guarantees it is held out), which makes support-free
+    solvers constant across seeds.
 
     Without ``cfg`` the fits run at stock SolverConfig settings and the
     dataset's own tau when it carries one, the temperature the CLI's

@@ -80,7 +80,32 @@ def test_generate_rejects_bad_flags(tmp_path, capsys):
     assert not (tmp_path / "z").exists()
 
 
+def test_generate_names_the_text_prototypes_that_fail(tmp_path, capsys):
+    # the noise overflows the norm of every text prototype, not of a pool row
+    assert main(["generate", "--text-noise", "1e300",
+                 "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "text prototypes rows [0, 1, 2, 3, 4] have norm below" in err
+    assert "embeddings" not in err
+
+
 # ---------------------------------------------------------------- adapt
+
+
+@pytest.mark.parametrize("subdir", ["", "./"], ids=["same-dir", "same-dir-by-alias"])
+def test_adapt_refuses_to_overwrite_its_dataset(tmp_path, capsys, subdir):
+    data = tmp_path / "col"
+    assert main(["generate", *GEN_FLAGS, "--out", str(data)]) == EXIT_OK
+    before = read_files(data)
+    code = main(["adapt", "--data", str(data / "manifest.json"), "--solver", "sstextu",
+                 "--out", str(data) + "/" + subdir])
+    assert code == EXIT_CONFIG
+    assert "prototypes.f32, a file of dataset" in capsys.readouterr().err
+    assert read_files(data) == before  # nothing written, nothing changed
+    # a directory inside the dataset's is fine
+    assert main(["adapt", "--data", str(data / "manifest.json"), "--solver", "sstextu",
+                 "--out", str(data / "fit")]) == EXIT_OK
+    assert all((data / name).read_bytes() == blob for name, blob in before.items())
 
 
 def test_adapt_writes_prototypes_and_trace(dataset_dir, tmp_path):
@@ -240,6 +265,15 @@ def test_benchmark_grid_csv(dataset_dir, tmp_path):
     assert doc["config"]["no_timing"] is True
     assert len(doc["rows"]) == 8
     assert all(row["error"] == "" for row in doc["rows"])
+
+
+def test_benchmark_matches_the_committed_golden_csv(tmp_path):
+    # built-in synthetic family, generator seed 0, default grid, 3 seeds;
+    # the committed CSV was written before the batched scoring pass
+    out = tmp_path / "golden.csv"
+    assert main(["benchmark", "--gen-seed", "0", "--seeds", "3", "--no-timing",
+                 "--out-csv", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (Path(__file__).parent / "benchmark_golden.csv").read_bytes()
 
 
 def test_benchmark_byte_identical_across_runs_and_threads(dataset_dir,

@@ -62,6 +62,15 @@ def test_normalize_rows_rejects_an_overflowing_row():
         normalize_rows(np.array([[1.0, 0.0], [1e200, 1e200]]))
 
 
+def test_normalize_rows_errors_name_the_rows():
+    with pytest.raises(DataError, match=r"^text prototypes rows \[1\] have norm below"):
+        normalize_rows(np.array([[1.0, 0.0], [0.0, 0.0]]), "text prototypes")
+    with pytest.raises(DataError, match="^text prototypes contains non-finite"):
+        normalize_rows(np.array([[np.inf, 1.0]]), "text prototypes")
+    with pytest.raises(DataError, match=r"^embeddings rows \[0\]"):
+        normalize_rows(np.zeros((1, 2)))
+
+
 _SNAN_ROWS = {
     "normalize_rows": normalize_rows,
     "from_indices": lambda x: SupportSet.from_indices(x, [0, 1], 2),

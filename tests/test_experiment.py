@@ -29,6 +29,7 @@ from semishot import (
     run_benchmark,
     sample_support,
     silhouette_score,
+    similarity_matrix,
     split_indices,
     synthetic_dataset,
 )
@@ -294,6 +295,35 @@ def test_evaluate_prototypes_rejects_prototypes_that_do_not_fit(rng, shape):
                  class_count=3)
     with pytest.raises(DataError):
         evaluate_prototypes(rng.standard_normal(shape), ev, tau=0.1)
+
+
+def test_labels_are_the_argmax_of_the_scores_ties_to_the_lowest_class():
+    # class 1 scores one ulp above class 0: exp() of their ~1.4e-17 gap
+    # rounds to 1, so the softmax ties them and its argmax says class 0;
+    # the scores themselves say class 1
+    close = np.array([[0.1, 0.0], [np.nextafter(0.1, 1.0), 0.0], [0.0, 1.0]])
+    v = np.array([[1.0, 0.0]])
+    assert predict_labels(predict_probs(v, close, tau=1.0)).tolist() == [0]
+    ev = EvalSet(embeddings=v, labels=[1], class_count=3)
+    assert evaluate_prototypes(close, ev, tau=1.0).acc == 1.0
+    # exact ties go to the lowest tied class, wherever the tie sits
+    scores = np.array([[[1.0, 2.0, 0.0, 5.0], [1.0, 3.0, 7.0, 5.0], [0.0, 3.0, 7.0, 5.0]]])
+    assert experiment._top_class(scores).tolist() == [[0, 1, 1, 0]]
+    assert experiment._top_class(scores).tolist() == [scores[0].argmax(axis=0).tolist()]
+    tied = np.array([[0.6, 0.8], [0.6, 0.8], [0.0, 1.0]])
+    ev = EvalSet(embeddings=np.array([[0.6, 0.8]]), labels=[0], class_count=3)
+    assert evaluate_prototypes(tied, ev, tau=0.01).acc == 1.0
+
+
+@pytest.mark.parametrize("c, d, e", [(2, 16, 50), (5, 64, 1300), (11, 100, 333), (7, 512, 2000)])
+def test_batched_scores_are_bitwise_each_solvers_own(rng, c, d, e):
+    # one (S, C, D) x (D, E) product gives each slice the bits of its own
+    # (C, D) x (D, E) product, the rule the per-solver path applied
+    protos = [rng.standard_normal((c, d)) for _ in range(4)]
+    emb = unit_rows(rng, e, d)
+    batched = experiment._scores(np.stack(protos), emb, 0.025)
+    for p, got in zip(protos, batched):
+        assert np.array_equal(got, similarity_matrix(p, emb, 0.025))
 
 
 # ---------------------------------------------------------------- silhouette
@@ -656,23 +686,108 @@ def test_run_benchmark_failing_batch_element_fails_only_its_cell(monkeypatch):
     assert all((r.aca, r.acc) == (c.aca, c.acc) for r, c in zip(rows, clean) if not r.error)
 
 
+def test_run_benchmark_scores_each_drawn_seed_in_one_product(monkeypatch):
+    ds = _bench_dataset()
+    products = []
+
+    def spy(prototypes, embeddings, tau):
+        products.append((prototypes.shape, embeddings.shape[0]))
+        return solvers._scores(prototypes, embeddings, tau)
+
+    monkeypatch.setattr(experiment, "_scores", spy)
+    # 80 shots x 3 classes cannot be drawn from 240 items: no product
+    rows = run_benchmark(ds, shot_grid=(1, 2, 80), seeds=[4, 1, 7],
+                         cfg=SolverConfig(tau=ds.tau), unlabeled_multiplier=8,
+                         include_timing=False)
+    assert sum(1 for r in rows if not r.error) == 4 * 2 * 3
+    remainder = {k: 240 - (k + 8) * 3 for k in (1, 2)}
+    assert products == [((4, 3, 16), remainder[k]) for k in (1, 2) for _ in range(3)]
+
+
+@pytest.mark.parametrize("fixed_eval", [False, True], ids=["resplit", "fixed-eval-set"])
+@pytest.mark.parametrize("bad", [(np.nan, 0.5), (np.inf, 0.5), (np.inf, -np.inf)],
+                         ids=["nan", "inf", "inf-minus-inf"])
+def test_run_benchmark_non_finite_prototypes_fail_only_their_solver(monkeypatch, fixed_eval,
+                                                                    bad):
+    # +inf and -inf in one row make inf - inf in the product: the invalid
+    # value warning, an error under this suite's filters, stays in the cell
+    ds = _bench_dataset()
+    eval_set = synthetic_dataset(small_spec(seed=9, pool_size=60)).pool() if fixed_eval else None
+    cfg = SolverConfig(tau=ds.tau)
+    grid = dict(shot_grid=(1, 2), seeds=3, cfg=cfg, unlabeled_multiplier=8,
+                include_timing=False, eval_set=eval_set)
+    clean = run_benchmark(ds, **grid)
+    real = experiment.fit_simpleshot
+
+    def poisoned(support):
+        fit = real(support)
+        fit.prototypes[1, :2] = bad
+        return fit
+
+    monkeypatch.setattr(experiment, "fit_simpleshot", poisoned)
+    rows = run_benchmark(ds, **grid)
+    one_bad = np.ones((3, 16))
+    one_bad[1, 0] = np.inf
+    with pytest.raises(DataError) as parent_rule:
+        similarity_matrix(one_bad, ds.embeddings, cfg.tau)
+    pool = ds.pool()
+    for row, before in zip(rows, clean):
+        if row.solver == "simpleshot":
+            assert row.error == f"DataError: {parent_rule.value}"
+            assert row.error == "DataError: similarity matrix contains non-finite entries"
+            continue
+        assert not row.error and (row.aca, row.acc) == (before.aca, before.acc)
+        spec = SamplingSpec(shots=row.shots, unlabeled_multiplier=8, seed=row.seed)
+        support, unlabeled, remainder = sample_support(pool, spec)
+        fit = fit_solver(row.solver, ds, support, unlabeled, cfg)
+        report = evaluate_prototypes(fit.prototypes, eval_set or remainder, cfg.tau)
+        assert (row.aca, row.acc) == (report.aca, report.acc)
+
+
+def test_run_benchmark_misshapen_prototypes_fail_only_their_solver(monkeypatch):
+    ds = _bench_dataset()
+    monkeypatch.setattr(experiment, "fit_simpleshot",
+                        lambda support: solvers.FitResult(np.ones((2, 16)), np.array([]), 0.0))
+    rows = run_benchmark(ds, shot_grid=(1,), seeds=2, cfg=SolverConfig(tau=ds.tau),
+                         unlabeled_multiplier=8, include_timing=False)
+    assert [r.error for r in rows if r.error] == [
+        "DataError: prototypes shape (2, 16), expected (3, 16)"] * 2
+    assert sum(1 for r in rows if not r.error) == 3 * 2
+
+
+def test_run_benchmark_empty_eval_split_fails_every_cell():
+    ds = _bench_dataset()
+    # (8 + 72) x 3 classes takes the whole 240-item pool
+    rows = run_benchmark(ds, shot_grid=(8,), seeds=2, cfg=SolverConfig(tau=ds.tau),
+                         unlabeled_multiplier=72, include_timing=False)
+    assert len(rows) == 4 * 2
+    assert all(r.error == "DataError: eval split is empty" for r in rows)
+    assert all(np.isnan(r.aca) and np.isnan(r.acc) for r in rows)
+
+
 @pytest.mark.parametrize("dataset_tau", [DEFAULT_SYNTHETIC_TAU, None], ids=["own-tau", "no-tau"])
 def test_run_benchmark_default_cfg_uses_dataset_tau(monkeypatch, dataset_tau):
     ds = _bench_dataset()
     ds = Dataset.create(embeddings=ds.embeddings, labels=ds.labels,
                         prototypes=ds.prototypes, tau=dataset_tau)
-    cfgs = []
-    real_cell = experiment._run_cell
+    taus = []
+    real_fit, real_score = experiment._fit_cells, experiment._score
 
-    def recording(*args):
-        cfgs.append(args[5])
-        return real_cell(*args)
+    def fitting(name, dataset, splits, cfg):
+        taus.append(cfg.tau)
+        return real_fit(name, dataset, splits, cfg)
 
-    monkeypatch.setattr(experiment, "_run_cell", recording)
+    def scoring(*args):
+        taus.append(args[-1])
+        return real_score(*args)
+
+    monkeypatch.setattr(experiment, "_fit_cells", fitting)
+    monkeypatch.setattr(experiment, "_score", scoring)
     run_benchmark(ds, solvers=("sstext",), shot_grid=(1,), seeds=2,
                   unlabeled_multiplier=0, include_timing=False)
     expected = SolverConfig().tau if dataset_tau is None else dataset_tau
-    assert [cfg.tau for cfg in cfgs] == [expected, expected]
+    # one batch fit of both seeds, then one scoring pass per seed
+    assert taus == [expected] * 3
 
 
 @pytest.mark.parametrize("grid", [dict(solvers=()), dict(solvers=("bogus",)),
