@@ -30,7 +30,7 @@ from .data import (
     save_dataset,
     save_prototypes,
 )
-from .errors import ConfigError, DataError, DegeneratePlanError, SemishotError, SolverError
+from .errors import ConfigError, DegeneratePlanError, SemishotError, SolverError
 from .experiment import (
     DEFAULT_MARGINAL,
     DEFAULT_NOISE,
@@ -40,8 +40,8 @@ from .experiment import (
     SOLVER_NAMES,
     SamplingSpec,
     SyntheticSpec,
-    _draw_split,
     _resolve_tau,
+    _sample,
     evaluate_prototypes,
     fit_solver,
     rows_to_csv,
@@ -238,10 +238,10 @@ def _adapt_split(dataset: Dataset, args) -> tuple[SupportSet, UnlabeledSet,
     mult = 0 if use_dedicated else args.unlabeled_mult
     spec = SamplingSpec(shots=args.shots, unlabeled_multiplier=mult,
                         seed=args.seed, stratified=args.stratified)
-    support, unlabeled, _, oracle_marginal = _draw_split(dataset.pool(), spec)
+    split, unlabeled = _sample(dataset.pool(), spec)
     if use_dedicated:
-        return support, UnlabeledSet.from_embeddings(dataset.unlabeled), None
-    return support, unlabeled, oracle_marginal
+        return split.support, UnlabeledSet.from_embeddings(dataset.unlabeled), None
+    return split.support, unlabeled, split.oracle_marginal
 
 
 def cmd_adapt(args) -> int:
@@ -313,14 +313,7 @@ def cmd_benchmark(args) -> int:
         shot_grid = tuple(int(tok) for tok in args.shots_grid.split(",") if tok)
     except ValueError:
         raise ConfigError(f"could not parse --shots-grid {args.shots_grid!r}")
-    eval_set = None
-    if args.eval_data is not None:
-        eval_ds = load_dataset(args.eval_data)
-        if eval_ds.dim != dataset.dim or eval_ds.class_count != dataset.class_count:
-            raise DataError(
-                f"eval dataset ({eval_ds.class_count} classes, dim {eval_ds.dim}) "
-                f"does not fit ({dataset.class_count} classes, dim {dataset.dim})")
-        eval_set = eval_ds.pool()
+    eval_set = None if args.eval_data is None else load_dataset(args.eval_data).pool()
 
     rows = run_benchmark(
         dataset, solvers=solvers, shot_grid=shot_grid, seeds=args.seeds,

@@ -107,6 +107,23 @@ def normalize_rows(x: np.ndarray, what: str = "embeddings") -> np.ndarray:
     return arr / _row_norms(arr, what)[:, None]
 
 
+def _checked_row_norms(x: np.ndarray, what: str = "embeddings") -> np.ndarray:
+    """The row norms that ``normalize_rows(x, what)`` divides by, under
+    its checks."""
+    return _row_norms(check_array(x, what, (None, None), finite=True), what)
+
+
+def _unit_rows_at(x: np.ndarray, norms: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The rows ``idx`` (an index array of any shape) of ``x`` divided by
+    their ``norms``, in a new array: bitwise ``normalize_rows(x)[idx]``
+    without a normalized copy of ``x``, and so bitwise
+    ``normalize_rows(x[idx])`` too, since a row's norm reads only that
+    row."""
+    rows = x[idx]
+    rows /= norms[idx][..., None]
+    return rows
+
+
 def _unit_rows(x, what: str, dim: int | None = None) -> np.ndarray:
     """``x`` as a 2-d float64 matrix of ``dim`` columns (None for any),
     with no copy when it already is one, whose rows are finite with norm
@@ -147,7 +164,14 @@ class SupportSet:
     ) -> "SupportSet":
         """Build a support set from integer class labels."""
         class_count = check_count(class_count, "class_count", 1)
-        emb = _readonly(normalize_rows(embeddings))
+        return cls._of_unit_rows(normalize_rows(embeddings), class_indices, class_count)
+
+    @classmethod
+    def _of_unit_rows(cls, unit_rows: np.ndarray, class_indices: np.ndarray,
+                      class_count: int) -> "SupportSet":
+        """``from_indices`` of rows that already are unit rows, such as
+        those ``_unit_rows_at`` gathers, kept as they are."""
+        emb = _readonly(unit_rows)
         idx = _class_labels(class_indices, emb.shape[0], class_count, "class_indices")
         onehot = np.zeros((emb.shape[0], class_count), dtype=np.float64)
         onehot[np.arange(emb.shape[0]), idx] = 1.0

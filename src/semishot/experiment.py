@@ -14,15 +14,19 @@ copies of the centers. It stands in for embedding datasets at desk
 scale while keeping difficulty tunable through the noise level.
 
 Benchmarks run a (solver, shots, seed) grid serially. Each (shots,
-seed) split is drawn once for every solver, and each solver fits the
-seeds of one shot count in batches (their problems share one shape),
-which gives every cell the fit it gets alone; a batch that raises is
-refitted cell by cell. A batch takes as many seeds as keep its arrays
-under a fixed count of values, so memory does not grow with the seed
-count. Only one batch's splits are held at a time. Each seed is scored
-once for all solvers: its eval rows are gathered from the pool, every
-solver's prototypes go through one batched product with them, and the
-labels are the argmax of those scores. Rows come back in grid order.
+seed) split is drawn once for every solver. The pool's row norms are
+taken once per run, and each draw divides the rows it gathers by them,
+bitwise the rows it would normalize on its own. Cells are packed in
+grid order into batches that span shot counts (they share the
+unlabeled count M = multiplier x C; their labeled counts N differ), and
+each solver fits a batch in one call, which gives every cell the fit it
+gets alone; a batch that raises is refitted cell by cell. A batch takes
+as many cells as keep its arrays under a fixed count of values, so
+memory does not grow with the grid. Only one batch's splits are held at
+a time. Each seed is scored once for all solvers: its eval rows are
+gathered from the pool, every solver's prototypes go through one
+batched product with them, and the labels are the argmax of those
+scores. Rows come back in grid order.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Dataset, EvalSet, SupportSet, UnlabeledSet, _class_labels, normalize_rows
+from .data import (Dataset, EvalSet, SupportSet, UnlabeledSet, _checked_row_norms,
+                   _class_labels, _readonly, _unit_rows_at, normalize_rows)
 from .errors import ConfigError, DataError, GenerationError, SamplingError
 from .solvers import FitResult, SolverConfig, _adapt, fit_simpleshot
 from .zeroshot import (DEFAULT_TAU, _scores, check_array, check_count, check_marginal,
@@ -44,12 +49,13 @@ from .zeroshot import (DEFAULT_TAU, _scores, check_array, check_count, check_mar
 
 SOLVER_NAMES = ("zeroshot", "simpleshot", "sstext", "sstextu")
 
-# A batch of B seeds holds about B * (N + M) * (C + D) float64 values at
-# once: the drawn and stacked support and unlabeled embeddings and the
-# (C, M) score, kernel, plan and code arrays. run_benchmark batches as
-# many seeds as stay under this count (2 MiB of float64), so memory does
-# not grow with the seed count, and a seed over it fits alone. Past it
-# the arithmetic outweighs the per-call cost that batching saves.
+# A cell holds about (N + M) * (C + D) float64 values while its batch
+# fits: its support and unlabeled embeddings and its (C, M) score,
+# kernel, plan and code arrays. run_benchmark packs cells in grid order,
+# across shot counts, into batches that stay under this count (2 MiB of
+# float64), so memory does not grow with the grid, and a cell over it
+# fits alone. Past it the arithmetic outweighs the per-call cost that
+# batching saves.
 _BATCH_VALUES = 1 << 18
 
 # Distances in one silhouette_score block (512 KiB of float64).
@@ -191,13 +197,13 @@ def split_indices(labels: np.ndarray, class_count: int,
 
 
 class _Split(NamedTuple):
-    """One split: its support and unlabeled sets, the pool indices of its
-    eval split (None for a split a caller sampled) and the hidden-label
-    class marginal of the unlabeled draw (None when it is empty), which
-    the oracle marginal source reads."""
+    """One split: its support set, the pool indices of its unlabeled draw
+    and of its eval split (None for a split a caller sampled) and the
+    hidden-label class marginal of the unlabeled draw (None when it is
+    empty), which the oracle marginal source reads."""
 
     support: SupportSet
-    unlabeled: UnlabeledSet
+    unl_idx: np.ndarray | None
     eval_idx: np.ndarray | None
     oracle_marginal: np.ndarray | None
 
@@ -207,27 +213,35 @@ def sample_support(pool: EvalSet, spec: SamplingSpec) -> tuple[SupportSet,
                                                                EvalSet]:
     """Draw a labeled support set and an unlabeled set from the pool;
     the remainder becomes the eval split. Splits are pairwise disjoint
-    and fully determined by the seed."""
-    split = _draw_split(pool, spec)
+    and fully determined by the seed. Every pool row must have a norm
+    that ``normalize_rows`` accepts."""
+    split, unlabeled = _sample(pool, spec)
     remainder = EvalSet(embeddings=pool.embeddings[split.eval_idx],
                         labels=pool.labels[split.eval_idx], class_count=pool.class_count)
-    return split.support, split.unlabeled, remainder
+    return split.support, unlabeled, remainder
 
 
-def _draw_split(pool: EvalSet, spec: SamplingSpec) -> _Split:
-    """The support and unlabeled sets of ``spec``'s draw; the eval split
-    stays as pool indices."""
+def _sample(pool: EvalSet, spec: SamplingSpec) -> tuple[_Split, UnlabeledSet]:
+    """``spec``'s split of ``pool`` and its unlabeled set."""
+    norms = _checked_row_norms(pool.embeddings)
+    split = _draw_split(pool, norms, spec)
+    unlabeled = _unit_rows_at(pool.embeddings, norms, split.unl_idx)
+    return split, UnlabeledSet(embeddings=_readonly(unlabeled))
+
+
+def _draw_split(pool: EvalSet, norms: np.ndarray, spec: SamplingSpec) -> _Split:
+    """``spec``'s split of ``pool``, whose row norms are ``norms``: the
+    support rows are gathered and divided by their norms, bitwise the
+    rows ``normalize_rows`` gives them; the unlabeled and eval draws
+    stay as pool indices."""
     sup_idx, unl_idx, eval_idx = split_indices(pool.labels, pool.class_count, spec)
-    support = SupportSet.from_indices(
-        pool.embeddings[sup_idx], pool.labels[sup_idx], pool.class_count)
+    support = SupportSet._of_unit_rows(_unit_rows_at(pool.embeddings, norms, sup_idx),
+                                       pool.labels[sup_idx], pool.class_count)
+    oracle_marginal = None
     if unl_idx.size:
-        unlabeled = UnlabeledSet.from_embeddings(pool.embeddings[unl_idx])
         hidden = np.bincount(pool.labels[unl_idx], minlength=pool.class_count)
         oracle_marginal = hidden / hidden.sum()
-    else:
-        unlabeled = UnlabeledSet.empty(pool.embeddings.shape[1])
-        oracle_marginal = None
-    return _Split(support, unlabeled, eval_idx, oracle_marginal)
+    return _Split(support, unl_idx, eval_idx, oracle_marginal)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[EvalSet, np.ndarray]:
@@ -341,7 +355,11 @@ def _score(prototypes: list, embeddings: np.ndarray, truth: np.ndarray,
     Every matrix that passes is scored in one batched (S, C, D) x (D, E)
     product divided by ``tau`` (``_scores``). Each (C, E) slice of it is
     bitwise the product of its matrix alone; stacking the matrices into
-    one (S * C, D) operand would let BLAS round differently. Labels are
+    one (S * C, D) operand would let BLAS round differently. For the
+    same reason the (D, E) operand stays the transposed view of the eval
+    rows: a contiguous copy makes the product 2.5-3x faster, but moves
+    some scores by a few ulps (65 of 30000 entries, by up to 9e-16
+    before the division, at (4, 5, 64) x (64, 1500)). Labels are
     the argmax of the scores, ties to the lowest class. The argmax of
     ``predict_probs`` differs only where exp() rounds a logit within
     ~1e-16 of its row's max up to that max, a tie it gives to the lower
@@ -456,14 +474,24 @@ def silhouette_score(embeddings: np.ndarray, labels: np.ndarray) -> float:
 
 
 def correlate(x: np.ndarray, y: np.ndarray) -> float:
-    """Pearson correlation; rejects short or constant inputs."""
+    """Pearson correlation; rejects short inputs, constant inputs (all
+    values equal) and inputs whose coefficient is not finite, as with a
+    NaN or infinite entry. Each input is first scaled by a power of two
+    to a largest magnitude in [0.5, 1): that is exact for normal floats,
+    so the coefficient does not depend on the scale of either input, and
+    no spread under- or overflows."""
     a = check_array(x, "x", (None,))
     b = check_array(y, "y", a.shape)
     if a.size < 3:
         raise DataError("correlate needs two equal-length vectors of size >= 3")
-    if np.isclose(a.std(), 0.0) or np.isclose(b.std(), 0.0):
+    if np.all(a == a[0]) or np.all(b == b[0]):
         raise DataError("correlate needs nonzero variance in both inputs")
-    return float(np.corrcoef(a, b)[0, 1])
+    with np.errstate(all="ignore"):
+        a, b = (np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (a, b))
+        rho = float(np.corrcoef(a, b)[0, 1])
+    if not np.isfinite(rho):
+        raise DataError("correlate needs finite inputs")
+    return rho
 
 
 def _resolve_tau(tau: float | None, dataset: Dataset) -> float:
@@ -478,14 +506,15 @@ def fit_solver(name: str, dataset: Dataset, support: SupportSet,
                unlabeled: UnlabeledSet, cfg: SolverConfig,
                oracle_marginal: np.ndarray | None = None) -> FitResult:
     """Dispatch one solver by name on an already-sampled split."""
-    return _fit_seeds(name, dataset, [_Split(support, unlabeled, None, oracle_marginal)],
-                      cfg)[0]
+    return _fit_splits(name, dataset, [_Split(support, None, None, oracle_marginal)],
+                      unlabeled.embeddings[None], cfg)[0]
 
 
-def _fit_seeds(name: str, dataset: Dataset, splits: list[_Split],
+def _fit_splits(name: str, dataset: Dataset, splits: list[_Split], unlabeled: np.ndarray,
                cfg: SolverConfig) -> list[FitResult]:
-    """One solver's fits of same-shaped splits, in order: sstext and
-    sstextu fit them as one batch, whose wall time each result shares."""
+    """One solver's fits of a batch of splits, in order, whose unlabeled
+    embeddings are the (B, M, D) ``unlabeled``: sstext and sstextu fit
+    them in one call, whose wall time each result shares."""
     if name == "zeroshot":
         return [FitResult(
             prototypes=dataset.prototypes,
@@ -498,25 +527,24 @@ def _fit_seeds(name: str, dataset: Dataset, splits: list[_Split],
     if name == "sstext":
         return _adapt(supports, dataset.prototypes, cfg)
     if name == "sstextu":
-        return _adapt(supports, dataset.prototypes, cfg,
-                      [split.unlabeled for split in splits],
+        return _adapt(supports, dataset.prototypes, cfg, unlabeled,
                       [split.oracle_marginal for split in splits])
     raise ConfigError(f"unknown solver {name!r}; expected one of {SOLVER_NAMES}")
 
 
-def _fit_cells(name: str, dataset: Dataset, splits: list[_Split],
+def _fit_cells(name: str, dataset: Dataset, splits: list[_Split], unlabeled: np.ndarray,
                cfg: SolverConfig) -> list[FitResult | Exception]:
-    """``_fit_seeds`` of the batch or, when the batch raises, of each
+    """``_fit_splits`` of the batch or, when the batch raises, of each
     split alone, so that only a split whose own fit raises holds the
     exception."""
     try:
-        return _fit_seeds(name, dataset, splits, cfg)
+        return _fit_splits(name, dataset, splits, unlabeled, cfg)
     except Exception:
         pass  # the batch raised: find the splits whose own fit raises
     fits = []
-    for split in splits:
+    for b, split in enumerate(splits):
         try:
-            fits.append(_fit_seeds(name, dataset, [split], cfg)[0])
+            fits.append(_fit_splits(name, dataset, [split], unlabeled[b:b + 1], cfg)[0])
         except Exception as exc:
             fits.append(exc)
     return fits
@@ -535,30 +563,37 @@ def _run_cell(dataset: Dataset, dataset_name: str, solver: str, spec: SamplingSp
     return BenchmarkRow(**cell, aca=outcome.aca, acc=outcome.acc, runtime_ms=runtime_ms)
 
 
-def _run_seeds(dataset: Dataset, dataset_name: str, pool: EvalSet, solvers,
-               specs: list[SamplingSpec], cfg: SolverConfig, include_timing: bool,
-               eval_set: EvalSet | None) -> dict:
+def _run_batch(dataset: Dataset, dataset_name: str, pool: EvalSet, norms: np.ndarray,
+               solvers, specs: list[SamplingSpec], cfg: SolverConfig,
+               include_timing: bool, eval_set: EvalSet | None) -> dict:
     """The rows, keyed by (solver, shots, seed), of every solver's cells
-    on the splits of ``specs`` (seeds of one shot count): the splits are
-    drawn in order, each solver fits them as one batch, and each seed's
-    cells are scored together, on its eval rows gathered from the pool
-    or on ``eval_set``."""
+    on the splits of ``specs``, which share the unlabeled count: the
+    splits are drawn in order from the pool, whose row norms are
+    ``norms``, their unlabeled rows are gathered with one index into one
+    (B, M, D) array, each solver fits them as one batch, and each
+    split's cells are scored together, on its eval rows gathered from
+    the pool or on ``eval_set``."""
     rows, drawn = {}, []
     for spec in specs:
         try:
-            drawn.append((spec, _draw_split(pool, spec)))
+            drawn.append((spec, _draw_split(pool, norms, spec)))
         except Exception as exc:
             rows.update({(solver, spec.shots, spec.seed): _run_cell(
                 dataset, dataset_name, solver, spec, exc, 0.0) for solver in solvers})
     if not drawn:
         return rows
     splits = [split for _, split in drawn]
-    fits = {solver: _fit_cells(solver, dataset, splits, cfg) for solver in solvers}
+    unlabeled = _unit_rows_at(pool.embeddings, norms,
+                              np.stack([split.unl_idx for split in splits]))
+    fits = {solver: _fit_cells(solver, dataset, splits, unlabeled, cfg) for solver in solvers}
+    # drop the fit inputs, so that they and the eval rows never peak together
+    del splits, unlabeled
+    drawn = [(spec, split.eval_idx) for spec, split in drawn]
     scored_on = pool if eval_set is None else eval_set
-    for i, (spec, split) in enumerate(drawn):
+    for i, (spec, eval_idx) in enumerate(drawn):
         embeddings, truth = scored_on.embeddings, scored_on.labels
         if eval_set is None:  # the pool's labels are checked already
-            embeddings, truth = embeddings[split.eval_idx], truth[split.eval_idx]
+            embeddings, truth = embeddings[eval_idx], truth[eval_idx]
         seed_fits = [fits[solver][i] for solver in solvers]
         outcomes = _score([fit if isinstance(fit, Exception) else fit.prototypes
                            for fit in seed_fits],
@@ -594,20 +629,27 @@ def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
 
     ``seeds`` is a count n (seeds 0..n-1) or an iterable of seeds, each a
     nonnegative integer. Each (shots, seed) split is drawn once and
-    handed to every solver, so rows are comparable seed-by-seed, and
-    each solver fits the seeds of one shot count in batches of as many
-    seeds as stay under ``_BATCH_VALUES`` float64 values (one seed when
-    a seed alone is larger). A batch gives every cell the fit it gets
-    alone. A split that cannot be drawn fails each solver's cell on it
-    with the same error; when a batch fit raises, its cells are refitted
-    one by one, so a failed fit or scoring fails its own cell only. Rows
-    come back in grid order. An unknown solver, an empty solver list,
-    shot grid or seed list, an entry repeated in any of the three, a
-    seed that is not a nonnegative integer, or a shot count or
-    multiplier that SamplingSpec rejects raises ConfigError.
+    handed to every solver, so rows are comparable seed-by-seed. The
+    pool's row norms are taken once per run, and every draw divides the
+    rows it gathers by them, bitwise the rows it would normalize on its
+    own.
+
+    Cells are packed in grid order (shot count, then seed) into batches
+    that span shot counts, each of as many cells as keep B·(N + M)·(C +
+    D) under ``_BATCH_VALUES`` float64 values (one cell when a cell
+    alone is larger), and each solver fits a batch in one call; every
+    cell gets the fit it gets alone. A split that cannot be drawn fails
+    each solver's cell on it with the same error; when a batch fit
+    raises, its cells are refitted one by one, so a failed fit or
+    scoring fails its own cell only. Rows come back in grid order. An
+    unknown solver, an empty solver list, shot grid or seed list, an
+    entry repeated in any of the three, a seed that is not a nonnegative
+    integer, or a shot count or multiplier that SamplingSpec rejects
+    raises ConfigError.
 
     With ``include_timing`` a batched cell's ``runtime_ms`` is the batch
-    fit's wall time divided by its cell count, an amortised share.
+    fit's wall time divided by its cell count, an amortised share that
+    the cells of one batch have in common across their shot counts.
 
     By default every seed evaluates on the pool remainder left after its
     own support/unlabeled draw. Each seed is scored once for all
@@ -616,12 +658,18 @@ def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
     each cell's metrics are exactly its own ``evaluate_prototypes``.
     Passing ``eval_set`` scores every cell on that fixed split instead
     (the caller guarantees it is held out), which makes support-free
-    solvers constant across seeds.
+    solvers constant across seeds; an ``eval_set`` whose class count or
+    dim differs from the dataset's raises DataError before any fit.
 
     Without ``cfg`` the fits run at stock SolverConfig settings and the
     dataset's own tau when it carries one, the temperature the CLI's
     ``benchmark`` picks when no ``--tau`` is given.
     """
+    if eval_set is not None and (eval_set.class_count, eval_set.dim) != (
+            dataset.class_count, dataset.dim):
+        raise DataError(
+            f"eval dataset ({eval_set.class_count} classes, dim {eval_set.dim}) "
+            f"does not fit ({dataset.class_count} classes, dim {dataset.dim})")
     if cfg is None:
         cfg = SolverConfig(tau=_resolve_tau(None, dataset))
     seed_list = _seed_list(seeds)
@@ -635,16 +683,22 @@ def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
     # a bad shot count or multiplier is a config error, not a cell failure
     specs = {shots: SamplingSpec(shots=shots, unlabeled_multiplier=unlabeled_multiplier)
              for shots in shot_grid}
-    pool = dataset.pool()
-    rows = {}
+    batches, values = [[]], 0
     for shots, spec in specs.items():
-        size = (shots + unlabeled_multiplier) * dataset.class_count
-        chunk = max(1, _BATCH_VALUES // (size * (dataset.class_count + dataset.dim)))
-        for start in range(0, len(seed_list), chunk):
-            rows.update(_run_seeds(
-                dataset, dataset_name, pool, solvers,
-                [replace(spec, seed=seed) for seed in seed_list[start:start + chunk]],
-                cfg, include_timing, eval_set))
+        cell = ((shots + unlabeled_multiplier) * dataset.class_count
+                * (dataset.class_count + dataset.dim))
+        for seed in seed_list:
+            if batches[-1] and values + cell > _BATCH_VALUES:
+                batches.append([])
+                values = 0
+            batches[-1].append(replace(spec, seed=seed))
+            values += cell
+    pool = dataset.pool()
+    norms = _checked_row_norms(pool.embeddings)
+    rows = {}
+    for batch in batches:
+        rows.update(_run_batch(dataset, dataset_name, pool, norms, solvers, batch, cfg,
+                               include_timing, eval_set))
     return [rows[cell] for cell in itertools.product(solvers, shot_grid, seed_list)]
 
 

@@ -27,7 +27,7 @@ points use it with one element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -151,6 +151,15 @@ class _ClassSums:
     lam_unl: np.ndarray
     step_labeled: np.ndarray
     step_unlabeled: np.ndarray
+
+    @classmethod
+    def joined(cls, records: list["_ClassSums"]) -> "_ClassSums":
+        """One record of the batches of ``records`` in order, each field
+        concatenated on the batch axis."""
+        if len(records) == 1:
+            return records[0]
+        return cls(**{f.name: np.concatenate([getattr(r, f.name) for r in records])
+                      for f in fields(cls)})
 
     def with_codes(self, codes: np.ndarray, embeddings: np.ndarray,
                    tau: float) -> "_ClassSums":

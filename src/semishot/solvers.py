@@ -16,17 +16,20 @@ Step and trace are read off the class sums of the objectives module,
 labeled sums once per fit and unlabeled sums once per round.
 
 fit_sstext and fit_sstextu are one-element calls of one private round
-loop that runs over a leading batch axis: B same-shaped problems (equal
-N, M, C and D, as the seeds of one benchmark shot count are) are
+loop that runs over a leading batch axis: B problems that share M, C and
+D (the cells of a benchmark grid do, across its shot counts) are
 scored, balanced and stepped together, and each element comes out
-exactly as its own one-element fit. Checks that cannot change between
-rounds run once: the temperature when SolverConfig is built, the text
-prototypes and an oracle class marginal once per fit. The finite-score
-and finite-objective checks run every round.
+exactly as its own one-element fit. Their labeled counts N may differ:
+only the labeled sums read the support rows, and they are built for
+each run of equal N and joined on the batch axis. Checks that cannot
+change between rounds run once: the temperature when SolverConfig is
+built, the text prototypes and an oracle class marginal once per fit.
+The finite-score and finite-objective checks run every round.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -202,12 +205,23 @@ def fit_sstextu(support: SupportSet, unlabeled: UnlabeledSet,
     output exactly and the trace repeats its final value.
     """
     return _adapt([support], text_prototypes, cfg or SolverConfig(),
-                  [unlabeled], [oracle_marginal])[0]
+                  unlabeled.embeddings[None], [oracle_marginal])[0]
 
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
     """Same-shaped arrays as one (B, ...) array; a view when B=1."""
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _labeled_sums(supports: list[SupportSet], cfg: SolverConfig) -> _ClassSums:
+    """The class sums of the supports, built for each run of equal N and
+    joined on the batch axis; each element's sums are bitwise its own."""
+    records = []
+    for _, run in itertools.groupby(supports, key=lambda s: s.n):
+        run = list(run)
+        records.append(_class_sums(_stack([s.embeddings for s in run]),
+                                   _stack([s.labels for s in run]), cfg.tau, cfg.lambdas))
+    return _ClassSums.joined(records)
 
 
 def _trace_entry(sums: _ClassSums, prototypes: np.ndarray, t: np.ndarray,
@@ -223,11 +237,13 @@ def _trace_entry(sums: _ClassSums, prototypes: np.ndarray, t: np.ndarray,
 
 
 def _adapt(supports: list[SupportSet], text_prototypes: np.ndarray,
-           cfg: SolverConfig, unlabeled_sets: list[UnlabeledSet] | None = None,
+           cfg: SolverConfig, unlabeled: np.ndarray | None = None,
            oracle_marginals: list[np.ndarray | None] | None = None) -> list[FitResult]:
-    """fit_sstext (no ``unlabeled_sets``) or fit_sstextu of every element
-    of a batch of same-shaped problems that share the text prototypes,
-    one FitResult per element, each exactly the element's own B=1 fit.
+    """fit_sstext (no ``unlabeled``) or fit_sstextu of every element of a
+    batch of problems that share the text prototypes, one FitResult per
+    element, each exactly the element's own B=1 fit. ``unlabeled`` holds
+    the elements' unlabeled embeddings as one (B, M, D) array; the
+    supports may differ in N.
 
     A round scores, balances and steps every element at once; an error
     in any element fails the whole call. Each result's ``runtime_ms`` is
@@ -235,10 +251,9 @@ def _adapt(supports: list[SupportSet], text_prototypes: np.ndarray,
     """
     start = time.perf_counter()
     t = _check_prototypes(supports[0], text_prototypes, "text prototypes")
-    rounds, unlabeled = 1, None
-    if unlabeled_sets is not None:
+    rounds = 1
+    if unlabeled is not None:
         rounds = cfg.bcm_iters
-        unlabeled = _stack([u.embeddings for u in unlabeled_sets])
         if unlabeled.shape[-2] > 0 and unlabeled.shape[-1] != t.shape[-1]:
             raise DataError(f"unlabeled dim {unlabeled.shape[-1]} does not match "
                             f"support dim {t.shape[-1]}")
@@ -247,8 +262,7 @@ def _adapt(supports: list[SupportSet], text_prototypes: np.ndarray,
     # huge or tiny fixed weights can overflow the sums and the step;
     # _trace_entry turns every non-finite value they feed into a SolverError
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        base = _class_sums(_stack([s.embeddings for s in supports]),
-                           _stack([s.labels for s in supports]), cfg.tau, cfg.lambdas)
+        base = _labeled_sums(supports, cfg)
     marginal = None
     if unlabeled is not None:
         oracles = oracle_marginals or [None] * len(supports)

@@ -71,6 +71,33 @@ def test_normalize_rows_errors_name_the_rows():
         normalize_rows(np.zeros((1, 2)))
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       source=st.sampled_from(["gaussian", "float32", "default-family",
+                               "default-family-float32"]),
+       take=st.integers(1, 400), scale=st.sampled_from([1e-6, 1.0, 1e6]))
+def test_normalized_rows_gathered_are_the_rows_normalized_alone(seed, source, take, scale):
+    # a row's norm reads only that row, so rows gathered from a pool
+    # normalized once, or divided by the pool's row norms as the
+    # benchmark's draws are, are bitwise the rows normalized on their own
+    rng = np.random.default_rng(seed)
+    if source.startswith("default-family"):
+        x = ss.generate_synthetic(ss.SyntheticSpec(seed=seed % 997))[0].embeddings
+    else:
+        x = scale * rng.standard_normal((300, int(rng.integers(2, 80))))
+    if source.endswith("float32"):  # as a stored dataset holds them
+        x = x.astype(np.float32).astype(np.float64)
+    idx = rng.choice(x.shape[0], size=min(take, x.shape[0]), replace=False)
+    alone = normalize_rows(x[idx]).tobytes()
+    assert normalize_rows(x)[idx].tobytes() == alone
+    norms = ss.data._checked_row_norms(x)
+    assert ss.data._unit_rows_at(x, norms, idx).tobytes() == alone
+    # a batch of draws gathered with one (B, M) index
+    stacked = np.stack([idx, idx[::-1]])
+    assert ss.data._unit_rows_at(x, norms, stacked)[1].tobytes() == (
+        normalize_rows(x[idx[::-1]]).tobytes())
+
+
 _SNAN_ROWS = {
     "normalize_rows": normalize_rows,
     "from_indices": lambda x: SupportSet.from_indices(x, [0, 1], 2),

@@ -33,7 +33,7 @@ from semishot import (
     split_indices,
     synthetic_dataset,
 )
-from semishot import experiment, solvers, transport
+from semishot import data, experiment, solvers, transport
 from semishot.experiment import CSV_HEADER, DEFAULT_SYNTHETIC_TAU
 
 from conftest import traced_peak_mb, unit_rows
@@ -506,6 +506,30 @@ def test_correlate_validation(rng):
         correlate(np.ones(5), rng.standard_normal(5))
 
 
+@pytest.mark.parametrize("scale", [1e-9, 1e9, 1e-300, 1e300])
+def test_correlate_does_not_depend_on_scale(scale):
+    # a standard deviation near 0 or far past 1 is still a spread, and
+    # squares that under- or overflow float64 do not reach the coefficient
+    x, y = np.array([1.0, 2.0, 3.5, 4.0]), np.array([2.0, 4.0, 7.0, 8.5])
+    unscaled = correlate(x, y)
+    assert unscaled == pytest.approx(0.998, abs=1e-3)
+    assert correlate(scale * x, y) == pytest.approx(unscaled, rel=1e-12)
+    assert correlate(x, scale * y) == pytest.approx(unscaled, rel=1e-12)
+    assert correlate(scale * x, scale * y) == pytest.approx(unscaled, rel=1e-12)
+    # a power of two scales exactly
+    assert correlate(2.0 ** 900 * x, 2.0 ** -900 * y) == unscaled
+    with pytest.raises(DataError, match="nonzero variance"):
+        correlate(np.full(4, scale), y)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_correlate_rejects_non_finite_entries(bad):
+    with pytest.raises(DataError, match="finite inputs"):
+        correlate(np.array([1.0, bad, 2.0, 3.0]), np.array([2.0, 4.0, 7.0, 8.5]))
+    with pytest.raises(DataError, match="finite inputs"):
+        correlate(np.array([2.0, 4.0, 7.0, 8.5]), np.array([1.0, 2.0, bad, 3.0]))
+
+
 # ---------------------------------------------------------------- harness
 
 
@@ -640,23 +664,67 @@ def test_run_benchmark_rows_equal_cell_by_cell_fits(monkeypatch, cfg_kw, run_kw)
 
 
 def test_run_benchmark_batches_stay_under_the_value_budget(monkeypatch):
-    # a budget of two 1-shot seeds: 1-shot seeds fit in pairs, 4-shot
-    # seeds alone, and the rows are those of the unbounded batches
+    # a budget of one 1-shot and one 4-shot cell: cells pack in grid
+    # order, so the last 1-shot seed shares a batch with the first 4-shot
+    # one, and the rows are those of the unbounded batch
     ds = _bench_dataset()
     grid = dict(solvers=("sstext", "sstextu"), shot_grid=(1, 4), seeds=[3, 0, 5],
                 cfg=SolverConfig(tau=0.003), unlabeled_multiplier=8, include_timing=False)
-    unbounded = rows_to_csv(run_benchmark(ds, **grid))
-    per_seed = (1 + 8) * ds.class_count * (ds.class_count + ds.dim)
-    monkeypatch.setattr(experiment, "_BATCH_VALUES", 2 * per_seed)
     sizes = []
 
     def spy(supports, *args):
-        sizes.append(len(supports))
+        sizes.append([s.n for s in supports])
         return solvers._adapt(supports, *args)
 
     monkeypatch.setattr(experiment, "_adapt", spy)
+    unbounded = rows_to_csv(run_benchmark(ds, **grid))
+    assert sizes == [[3] * 3 + [12] * 3] * 2
+    values = {k: (k + 8) * ds.class_count * (ds.class_count + ds.dim) for k in (1, 4)}
+    budget = values[1] + values[4]
+    monkeypatch.setattr(experiment, "_BATCH_VALUES", budget)
+    sizes.clear()
     assert rows_to_csv(run_benchmark(ds, **grid)) == unbounded
-    assert sizes == [2, 2, 1, 1, 1, 1, 1, 1, 1, 1]
+    # N = 3 is one shot per class, N = 12 four
+    assert sizes == [[3, 3], [3, 3], [3, 12], [3, 12], [12], [12], [12], [12]]
+    assert all(sum(values[n // 3] for n in batch) <= budget for batch in sizes)
+
+
+def test_run_benchmark_fits_a_sweep_grid_in_one_call_per_solver(monkeypatch):
+    # the default family at 4 solvers x shots 1,2,4,8,16 x 5 seeds holds
+    # 25 * 755 * 69 values, under the budget: sstext and sstextu fit all
+    # 25 cells in one call each. The pool's row norms are taken once, and
+    # every draw divides its rows by them: no row is normalized again
+    ds = synthetic_dataset(SyntheticSpec())
+    calls, norm_passes = [], []
+    real = data._row_norms
+
+    def fitting(supports, *args):
+        calls.append(len(supports))
+        return solvers._adapt(supports, *args)
+
+    def norming(arr, what):
+        norm_passes.append(arr.shape)
+        return real(arr, what)
+
+    monkeypatch.setattr(experiment, "_adapt", fitting)
+    monkeypatch.setattr(data, "_row_norms", norming)  # every norm pass, normalize_rows too
+    rows = run_benchmark(ds, shot_grid=(1, 2, 4, 8, 16), seeds=5, include_timing=False)
+    assert len(rows) == 100 and not any(r.error for r in rows)
+    assert calls == [25, 25]
+    assert norm_passes == [ds.embeddings.shape]
+
+
+@pytest.mark.parametrize("spec", [dict(dim=8),
+                                  dict(class_count=4, marginal=(0.4, 0.3, 0.2, 0.1))],
+                         ids=["dim", "class-count"])
+def test_run_benchmark_rejects_an_eval_set_that_does_not_fit(monkeypatch, spec):
+    ds = _bench_dataset()
+    other = synthetic_dataset(small_spec(pool_size=60, **spec)).pool()
+    monkeypatch.setattr(experiment, "_fit_cells", None)  # no fit may run
+    with pytest.raises(DataError) as err:
+        run_benchmark(ds, shot_grid=(1,), seeds=2, eval_set=other)
+    assert str(err.value) == (f"eval dataset ({other.class_count} classes, dim {other.dim}) "
+                              f"does not fit (3 classes, dim 16)")
 
 
 def test_run_benchmark_failing_batch_element_fails_only_its_cell(monkeypatch):
@@ -770,24 +838,25 @@ def test_run_benchmark_default_cfg_uses_dataset_tau(monkeypatch, dataset_tau):
     ds = _bench_dataset()
     ds = Dataset.create(embeddings=ds.embeddings, labels=ds.labels,
                         prototypes=ds.prototypes, tau=dataset_tau)
-    taus = []
+    fit_taus, score_taus = [], []
     real_fit, real_score = experiment._fit_cells, experiment._score
 
-    def fitting(name, dataset, splits, cfg):
-        taus.append(cfg.tau)
-        return real_fit(name, dataset, splits, cfg)
+    def fitting(*args):
+        fit_taus.append(args[-1].tau)
+        return real_fit(*args)
 
     def scoring(*args):
-        taus.append(args[-1])
+        score_taus.append(args[-1])
         return real_score(*args)
 
     monkeypatch.setattr(experiment, "_fit_cells", fitting)
     monkeypatch.setattr(experiment, "_score", scoring)
-    run_benchmark(ds, solvers=("sstext",), shot_grid=(1,), seeds=2,
+    run_benchmark(ds, solvers=("sstext",), shot_grid=(1, 2), seeds=2,
                   unlabeled_multiplier=0, include_timing=False)
     expected = SolverConfig().tau if dataset_tau is None else dataset_tau
-    # one batch fit of both seeds, then one scoring pass per seed
-    assert taus == [expected] * 3
+    # one batch fit of both shot counts' seeds, then one scoring pass per cell
+    assert fit_taus == [expected]
+    assert score_taus == [expected] * 4
 
 
 @pytest.mark.parametrize("grid", [dict(solvers=()), dict(solvers=("bogus",)),

@@ -494,21 +494,27 @@ def test_sstextu_dim_mismatch(rng):
     SolverConfig(tau=0.05, bcm_iters=0),
 ], ids=["adaptive-tracked", "raw-no-balancing", "fixed-sharp", "zero-rounds"])
 def test_batched_fit_is_each_elements_own_fit(rng, cfg, m):
-    # the seeds of one shot count share N, M, C and D; some classes are
-    # unobserved, and tau=0.002 takes some score spans past 700
+    # a batch shares M, C and D: the seeds of one shot count share N as
+    # well, the cells of several shot counts do not (N = 2 comes back
+    # after other runs); some classes are unobserved, and tau=0.002
+    # takes some score spans past 700
     c, d = 3, 8
-    supports = [random_support(rng, 4, c, d) for _ in range(4)]
-    unlabeled = [random_unlabeled(rng, m, d) for _ in range(4)]
     t = unit_rows(rng, c, d)
-    batch = ss.solvers._adapt(supports, t, cfg, unlabeled)
-    labeled_only = ss.solvers._adapt(supports, t, cfg)
-    for b, (sup, unl) in enumerate(zip(supports, unlabeled)):
-        for got, alone in ((batch[b], fit_sstextu(sup, unl, t, cfg)),
-                           (labeled_only[b], fit_sstext(sup, t, cfg))):
-            assert np.array_equal(got.prototypes, alone.prototypes)
-            assert np.array_equal(got.objective_trace, alone.objective_trace)
-            for name in ("marginal", "ot_residuals", "pseudolabel_trace", "prototype_trace"):
-                mine, theirs = getattr(got, name), getattr(alone, name)
-                assert (mine is None) == (theirs is None)
-                if mine is not None:
-                    assert all(np.array_equal(x, y) for x, y in zip(mine, theirs, strict=True))
+    for ns in ((4, 4, 4, 4), (2, 5, 5, 9, 2)):
+        supports = [random_support(rng, n, c, d) for n in ns]
+        unlabeled = [random_unlabeled(rng, m, d) for _ in ns]
+        stacked = np.stack([u.embeddings for u in unlabeled])
+        batch = ss.solvers._adapt(supports, t, cfg, stacked)
+        labeled_only = ss.solvers._adapt(supports, t, cfg)
+        for b, (sup, unl) in enumerate(zip(supports, unlabeled)):
+            for got, alone in ((batch[b], fit_sstextu(sup, unl, t, cfg)),
+                               (labeled_only[b], fit_sstext(sup, t, cfg))):
+                assert np.array_equal(got.prototypes, alone.prototypes)
+                assert np.array_equal(got.objective_trace, alone.objective_trace)
+                for name in ("marginal", "ot_residuals", "pseudolabel_trace",
+                             "prototype_trace"):
+                    mine, theirs = getattr(got, name), getattr(alone, name)
+                    assert (mine is None) == (theirs is None)
+                    if mine is not None:
+                        assert all(np.array_equal(x, y)
+                                   for x, y in zip(mine, theirs, strict=True))
