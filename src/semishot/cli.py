@@ -244,15 +244,28 @@ def _adapt_split(dataset: Dataset, args) -> tuple[SupportSet, UnlabeledSet,
     return split.support, unlabeled, split.oracle_marginal
 
 
+def _refuse_overwrite(command: str, writes, datasets) -> None:
+    """Raise ConfigError when a file that ``command`` would write, each a
+    (flag, value, path) of ``writes``, is a file of one of the dataset
+    manifests ``datasets`` (None entries skipped) that it reads, or a
+    file that an earlier entry of ``writes`` names."""
+    owners = {}
+    for manifest in filter(None, datasets):
+        owners.update(dict.fromkeys(_dataset_files(manifest), f"a file of dataset {manifest}"))
+    for flag, value, path in writes:
+        target = path.resolve()
+        if target in owners:
+            raise ConfigError(f"{command} {flag} {value} would overwrite {target}, "
+                              f"{owners[target]}")
+        owners[target] = f"the {flag} file"
+
+
 def cmd_adapt(args) -> int:
     dataset = load_dataset(args.data)
     out: Path = args.out
     manifest = out / "prototypes.json"
-    writes = (manifest, _prototype_blob(manifest), out / "fit_report.json")
-    clash = sorted(_dataset_files(args.data) & {path.resolve() for path in writes})
-    if clash:
-        raise ConfigError(f"adapt --out {out} would overwrite {clash[0]}, "
-                          f"a file of dataset {args.data}")
+    _refuse_overwrite("adapt", [("--out", out, path) for path in (
+        manifest, _prototype_blob(manifest), out / "fit_report.json")], [args.data])
     tau = _resolve_tau(args.tau, dataset)
     cfg = _solver_config(args, tau, dataset.class_count)
     support, unlabeled, oracle_marginal = _adapt_split(dataset, args)
@@ -314,6 +327,9 @@ def cmd_benchmark(args) -> int:
     except ValueError:
         raise ConfigError(f"could not parse --shots-grid {args.shots_grid!r}")
     eval_set = None if args.eval_data is None else load_dataset(args.eval_data).pool()
+    _refuse_overwrite("benchmark", [(flag, path, path) for flag, path in (
+        ("--out-csv", args.out_csv), ("--out-json", args.out_json)) if path is not None],
+        [args.data, args.eval_data])
 
     rows = run_benchmark(
         dataset, solvers=solvers, shot_grid=shot_grid, seeds=args.seeds,

@@ -23,10 +23,10 @@ each solver fits a batch in one call, which gives every cell the fit it
 gets alone; a batch that raises is refitted cell by cell. A batch takes
 as many cells as keep its arrays under a fixed count of values, so
 memory does not grow with the grid. Only one batch's splits are held at
-a time. Each seed is scored once for all solvers: its eval rows are
-gathered from the pool, every solver's prototypes go through one
-batched product with them, and the labels are the argmax of those
-scores. Rows come back in grid order.
+a time. Each solver's batch is scored once: its prototypes go through
+one flat product with the pool (or a fixed eval set), the labels are
+the argmax of those scores, and every cell's metrics are counted over
+its own eval rows in one pass. Rows come back in grid order.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .data import (Dataset, EvalSet, SupportSet, UnlabeledSet, _checked_row_norm
                    _class_labels, _readonly, _unit_rows_at, normalize_rows)
 from .errors import ConfigError, DataError, GenerationError, SamplingError
 from .solvers import FitResult, SolverConfig, _adapt, fit_simpleshot
-from .zeroshot import (DEFAULT_TAU, _scores, check_array, check_count, check_marginal,
+from .zeroshot import (DEFAULT_TAU, check_array, check_count, check_marginal,
                        check_real, check_tau)
 
 SOLVER_NAMES = ("zeroshot", "simpleshot", "sstext", "sstextu")
@@ -55,7 +55,8 @@ SOLVER_NAMES = ("zeroshot", "simpleshot", "sstext", "sstextu")
 # across shot counts, into batches that stay under this count (2 MiB of
 # float64), so memory does not grow with the grid, and a cell over it
 # fits alone. Past it the arithmetic outweighs the per-call cost that
-# batching saves.
+# batching saves. The same count bounds a chunk of the eval scores, C
+# times the scored rows per cell (one cell when a cell alone is larger).
 _BATCH_VALUES = 1 << 18
 
 # Distances in one silhouette_score block (512 KiB of float64).
@@ -293,21 +294,30 @@ def synthetic_dataset(spec: SyntheticSpec,
     )
 
 
-def _metrics(predictions: np.ndarray, truth: np.ndarray,
-             class_count: int) -> list[MetricReport]:
-    """The metrics of each row of (S, E) ``predictions`` against the E
-    labels of ``truth``: recall per class (NaN for a class absent from
-    the truth), its mean over the present classes, and plain accuracy."""
+def _metrics(predictions: np.ndarray, truth: np.ndarray, class_count: int,
+             masks: np.ndarray | None = None) -> list[MetricReport]:
+    """The metrics of each row of (B, P) ``predictions`` against the P
+    labels of ``truth``, over the columns that its row of the (B, P)
+    ``masks`` marks (every column when None): recall per class (NaN for
+    a class absent from those columns), its mean over the present
+    classes, and plain accuracy. Hits and totals are counts of 0/1
+    entries taken as products with the one-hot truth, exact in float64;
+    aca stays each row's own 1-D mean, as a 2-D row mean rounds
+    differently."""
+    onehot = np.equal.outer(truth, np.arange(class_count)).astype(np.float64)
     correct = predictions == truth
-    rows = correct.shape[0]
-    totals = np.bincount(truth, minlength=class_count)
-    hit_keys = (np.arange(rows)[:, None] * class_count + truth)[correct]
-    hits = np.bincount(hit_keys, minlength=rows * class_count).reshape(rows, class_count)
+    if masks is None:
+        totals = np.broadcast_to(onehot.sum(axis=0), (correct.shape[0], class_count))
+    else:
+        correct &= masks
+        totals = masks.astype(np.float64) @ onehot
+    hits = correct.astype(np.float64) @ onehot
     present = totals > 0
-    recall = np.full((rows, class_count), np.nan)
-    recall[:, present] = hits[:, present] / totals[present]
-    return [MetricReport(aca=float(r[present].mean()), acc=float(a), per_class_recall=r)
-            for r, a in zip(recall, correct.mean(axis=1))]
+    recall = np.full(hits.shape, np.nan)
+    np.divide(hits, totals, out=recall, where=present)
+    acc = hits.sum(axis=1) / totals.sum(axis=1)
+    return [MetricReport(aca=float(r[m].mean()), acc=float(a), per_class_recall=r)
+            for r, m, a in zip(recall, present, acc)]
 
 
 def balanced_accuracy(predictions: np.ndarray, truth: np.ndarray,
@@ -322,9 +332,9 @@ def balanced_accuracy(predictions: np.ndarray, truth: np.ndarray,
 
 
 def _top_class(scores: np.ndarray) -> np.ndarray:
-    """The argmax over the class axis of (S, C, E) scores, ties to the
-    lowest class. Class rows are walked one at a time: each is a
-    contiguous (S, E) slice, where ``argmax(axis=1)`` would make one
+    """The argmax over the class axis of (B, C, P) scores, ties to the
+    lowest class. Class rows are walked one at a time: each is a (B, P)
+    slice of contiguous rows, where ``argmax(axis=1)`` would make one
     strided C-element call per point. A row takes the label only where
     it beats every lower class strictly, and labels only grow, so a
     running maximum records it."""
@@ -341,36 +351,70 @@ def _top_class(scores: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _score(prototypes: list, embeddings: np.ndarray, truth: np.ndarray,
-           class_count: int, tau: float) -> list[MetricReport | Exception]:
-    """The metrics of each prototype matrix of ``prototypes`` on one eval
-    split (E rows of ``embeddings`` with class labels ``truth``), or the
-    exception that fails it; an entry that already is an exception (a
-    failed fit) stays as it is. An empty split fails every matrix, as
-    does one that is not (C, D) for this split, and one whose scores
-    are not all finite fails on its own; the overflow or invalid value
-    behind such scores is silenced, so that its error is the only
-    signal. A bad ``tau`` raises.
+def _labels(prototypes: np.ndarray, embeddings: np.ndarray, tau: float,
+            masks: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, P) labels of the (B, C, D) ``prototypes`` on the P rows of
+    ``embeddings``, and whether each matrix's scores are finite on the
+    columns its row of ``masks`` marks (every column when None).
 
-    Every matrix that passes is scored in one batched (S, C, D) x (D, E)
-    product divided by ``tau`` (``_scores``). Each (C, E) slice of it is
-    bitwise the product of its matrix alone; stacking the matrices into
-    one (S * C, D) operand would let BLAS round differently. For the
-    same reason the (D, E) operand stays the transposed view of the eval
-    rows: a contiguous copy makes the product 2.5-3x faster, but moves
-    some scores by a few ulps (65 of 30000 entries, by up to 9e-16
-    before the division, at (4, 5, 64) x (64, 1500)). Labels are
-    the argmax of the scores, ties to the lowest class. The argmax of
-    ``predict_probs`` differs only where exp() rounds a logit within
-    ~1e-16 of its row's max up to that max, a tie it gives to the lower
-    class.
+    The matrices' rows are stacked into one (B * C, D) operand, and each
+    chunk of at most ``_BATCH_VALUES`` scores is one 2-D product with the
+    transposed view of the rows, divided by ``tau`` in place. Keep it
+    flat: at the sweep grid's (25, 5, 64) x (64, 1500) a 3-D ``matmul``
+    runs one small GEMM per matrix and took 1.7 ms (0.69 ms with a
+    contiguous (D, P) copy), the flat product 0.32 ms, and 25 per-seed
+    (4, 5, 64) x (64, 1375) products 7.4 ms (2-vCPU Xeon, OpenBLAS
+    0.3.31). The flat product moves ~0.17% of scores by a few ulps
+    against each matrix's own product, which moved no label on the
+    default family."""
+    b, c, d = prototypes.shape
+    flat = prototypes.reshape(b * c, d)
+    labels = np.empty((b, embeddings.shape[0]), dtype=np.int64)
+    finite = np.ones(b, dtype=bool)
+    step = max(1, _BATCH_VALUES // (c * embeddings.shape[0]))
+    for lo in range(0, b, step):
+        hi = min(b, lo + step)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = np.matmul(flat[lo * c:hi * c], embeddings.T)
+            scores /= tau
+            scores = scores.reshape(hi - lo, c, -1)
+            labels[lo:hi] = _top_class(scores)
+        ok = np.isfinite(scores)
+        if not ok.all():
+            bad = ~ok.all(axis=1)
+            if masks is not None:
+                bad &= masks[lo:hi]
+            finite[lo:hi] = ~bad.any(axis=1)
+    return labels, finite
+
+
+def _score(prototypes: list, embeddings: np.ndarray, truth: np.ndarray,
+           class_count: int, tau: float,
+           masks: np.ndarray | None = None) -> list[MetricReport | Exception]:
+    """The metrics of each prototype matrix of ``prototypes`` on its eval
+    split, or the exception that fails it: entry b's split is the rows
+    of ``embeddings`` (P rows with class labels ``truth``) that row b of
+    the (B, P) ``masks`` marks, every row when None. An entry that
+    already is an exception (a failed fit) stays as it is. An empty
+    split fails its matrix, as does a matrix that is not (C, D) for the
+    rows, and one whose scores on its split are not all finite; the
+    overflow or invalid value behind such scores is silenced, so that
+    its error is the only signal. A bad ``tau`` raises.
+
+    Every matrix that passes is scored against all P rows in one flat
+    product (``_labels``), labels are the argmax of the scores, ties to
+    the lowest class, and the metrics of all of them are one pass
+    (``_metrics``). The argmax of ``predict_probs`` differs only where
+    exp() rounds a logit within ~1e-16 of its row's max up to that max,
+    a tie it gives to the lower class.
     """
-    if truth.size == 0:
-        empty = DataError("eval split is empty")
-        return [p if isinstance(p, Exception) else empty for p in prototypes]
     outcomes, scored, stack = list(prototypes), [], []
+    sizes = [truth.size] * len(outcomes) if masks is None else masks.sum(axis=1)
     for i, p in enumerate(prototypes):
         if isinstance(p, Exception):
+            continue
+        if not sizes[i]:
+            outcomes[i] = DataError("eval split is empty")
             continue
         try:
             stack.append(check_array(p, "prototypes", (class_count, embeddings.shape[1])))
@@ -381,10 +425,10 @@ def _score(prototypes: list, embeddings: np.ndarray, truth: np.ndarray,
     if not scored:
         return outcomes
     tau = check_tau(tau)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scores = _scores(np.stack(stack), embeddings, tau)
-    finite = np.isfinite(scores).all(axis=(1, 2))
-    reports = _metrics(_top_class(scores), truth, class_count)
+    if masks is not None:
+        masks = masks[scored]
+    labels, finite = _labels(np.stack(stack), embeddings, tau, masks)
+    reports = _metrics(labels, truth, class_count, masks)
     for i, ok, report in zip(scored, finite, reports):
         outcomes[i] = report if ok else DataError(
             "similarity matrix contains non-finite entries")
@@ -567,12 +611,11 @@ def _run_batch(dataset: Dataset, dataset_name: str, pool: EvalSet, norms: np.nda
                solvers, specs: list[SamplingSpec], cfg: SolverConfig,
                include_timing: bool, eval_set: EvalSet | None) -> dict:
     """The rows, keyed by (solver, shots, seed), of every solver's cells
-    on the splits of ``specs``, which share the unlabeled count: the
-    splits are drawn in order from the pool, whose row norms are
-    ``norms``, their unlabeled rows are gathered with one index into one
-    (B, M, D) array, each solver fits them as one batch, and each
-    split's cells are scored together, on its eval rows gathered from
-    the pool or on ``eval_set``."""
+    on the splits of ``specs``: the splits are drawn in order from the
+    pool, whose row norms are ``norms``, their unlabeled rows are
+    gathered with one index into one (B, M, D) array, each solver fits
+    them as one batch and scores that batch once, against the pool with
+    each cell's eval rows as a mask, or against ``eval_set``."""
     rows, drawn = {}, []
     for spec in specs:
         try:
@@ -586,22 +629,23 @@ def _run_batch(dataset: Dataset, dataset_name: str, pool: EvalSet, norms: np.nda
     unlabeled = _unit_rows_at(pool.embeddings, norms,
                               np.stack([split.unl_idx for split in splits]))
     fits = {solver: _fit_cells(solver, dataset, splits, unlabeled, cfg) for solver in solvers}
-    # drop the fit inputs, so that they and the eval rows never peak together
+    masks = None
+    if eval_set is None:  # each cell's eval rows, as a mask over the pool
+        masks = np.zeros((len(splits), pool.count), dtype=bool)
+        for mask, split in zip(masks, splits):
+            mask[split.eval_idx] = True
+    # drop the fit inputs, so that they and the scores never peak together
     del splits, unlabeled
-    drawn = [(spec, split.eval_idx) for spec, split in drawn]
+    drawn = [spec for spec, _ in drawn]
     scored_on = pool if eval_set is None else eval_set
-    for i, (spec, eval_idx) in enumerate(drawn):
-        embeddings, truth = scored_on.embeddings, scored_on.labels
-        if eval_set is None:  # the pool's labels are checked already
-            embeddings, truth = embeddings[eval_idx], truth[eval_idx]
-        seed_fits = [fits[solver][i] for solver in solvers]
+    for solver in solvers:
         outcomes = _score([fit if isinstance(fit, Exception) else fit.prototypes
-                           for fit in seed_fits],
-                          embeddings, truth, scored_on.class_count, cfg.tau)
+                           for fit in fits[solver]], scored_on.embeddings, scored_on.labels,
+                          scored_on.class_count, cfg.tau, masks)
         rows.update({(solver, spec.shots, spec.seed): _run_cell(
             dataset, dataset_name, solver, spec, outcome,
-            fit.runtime_ms if include_timing else 0.0)
-            for solver, fit, outcome in zip(solvers, seed_fits, outcomes)})
+            fit.runtime_ms if include_timing and not isinstance(fit, Exception) else 0.0)
+            for spec, fit, outcome in zip(drawn, fits[solver], outcomes)})
     return rows
 
 
@@ -652,14 +696,17 @@ def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
     the cells of one batch have in common across their shot counts.
 
     By default every seed evaluates on the pool remainder left after its
-    own support/unlabeled draw. Each seed is scored once for all
-    solvers: one batched product of every fitted solver's prototypes
-    with that seed's eval rows, labels by argmax of the scores, and
-    each cell's metrics are exactly its own ``evaluate_prototypes``.
-    Passing ``eval_set`` scores every cell on that fixed split instead
-    (the caller guarantees it is held out), which makes support-free
-    solvers constant across seeds; an ``eval_set`` whose class count or
-    dim differs from the dataset's raises DataError before any fit.
+    own support/unlabeled draw. Each solver's batch is scored once: one
+    flat product of its fitted prototypes with the pool, chunked under
+    ``_BATCH_VALUES``, labels by argmax of the scores, and every cell's
+    metrics counted over its own eval rows. The product may round some
+    scores a few ulps apart from a cell's own product, but on the
+    default family no label moves, so each cell's metrics are its own
+    ``evaluate_prototypes``. Passing ``eval_set`` scores every cell on
+    that fixed split instead (the caller guarantees it is held out),
+    which makes support-free solvers constant across seeds; an
+    ``eval_set`` whose class count or dim differs from the dataset's
+    raises DataError before any fit.
 
     Without ``cfg`` the fits run at stock SolverConfig settings and the
     dataset's own tau when it carries one, the temperature the CLI's

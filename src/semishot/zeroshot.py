@@ -4,7 +4,8 @@
 ``_logsumexp`` are the one scoring rule that prediction, the loss
 evaluators and the transport step read; ``_scores`` is the unchecked
 core of the former over a leading batch axis, which the solvers' round
-loop and the evaluation's scoring pass run.
+loop runs. The evaluation's scoring pass takes the same (W @ V.T) / tau
+with a batch's prototype rows stacked into one 2-D product.
 
 The package's intake checks live here too: ``check_tau``,
 ``check_count`` and ``check_real`` for scalar fields (a ConfigError),

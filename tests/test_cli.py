@@ -328,6 +328,53 @@ def test_benchmark_all_failed_cells(dataset_dir, tmp_path, capsys):
     assert "SamplingError" in lines[1]
 
 
+@pytest.mark.parametrize("flags", [["--tau", "1e-320"],
+                                   ["--lambda-mode", "fixed", "--lambda-text", "1e308",
+                                    "--lambda-unlabeled", "1e308"]],
+                         ids=["subnormal-tau", "huge-lambdas"])
+def test_benchmark_with_timing_reports_failed_fits(dataset_dir, tmp_path, capsys, flags):
+    # timing on (no --no-timing): a failed cell's runtime is 0, as it is
+    # without timing, instead of being read off its error
+    csv_path = tmp_path / "timed.csv"
+    code = main(["benchmark", "--data", str(dataset_dir / "manifest.json"),
+                 "--shots-grid", "1,2", "--seeds", "2", "--unlabeled-mult", "8",
+                 *flags, "--out-csv", str(csv_path)])
+    assert code in (EXIT_OK, EXIT_SOLVER)
+    assert "Traceback" not in capsys.readouterr().err
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    failed = [row for row in rows if row[8]]
+    assert len(rows) == 4 * 2 * 2 and failed
+    assert all(row[7] == "0.000" for row in failed)
+
+
+@pytest.mark.parametrize("clash", ["data-manifest", "data-blob", "data-blob-by-alias",
+                                   "eval-manifest", "eval-blob", "json-over-csv"])
+def test_benchmark_refuses_to_overwrite_its_inputs(tmp_path, capsys, monkeypatch, clash):
+    data, held = tmp_path / "d", tmp_path / "held"
+    for out, seed in ((data, "0"), (held, "9")):
+        assert main(["generate", *GEN_FLAGS[:-2], "--seed", seed, "--out", str(out)]) == EXIT_OK
+    before = [read_files(data), read_files(held)]
+    outs = {"--out-csv": tmp_path / "rows.csv", "--out-json": tmp_path / "rows.json"}
+    flag, target = {
+        "data-manifest": ("--out-csv", data / "manifest.json"),
+        "data-blob": ("--out-json", data / "embeddings.f32"),
+        "data-blob-by-alias": ("--out-json", held / ".." / "d" / "labels.u32"),
+        "eval-manifest": ("--out-json", held / "manifest.json"),
+        "eval-blob": ("--out-csv", held / "prototypes.f32"),
+        "json-over-csv": ("--out-json", outs["--out-csv"]),
+    }[clash]
+    outs[flag] = target
+    monkeypatch.setattr("semishot.cli.run_benchmark", None)  # no fit may run
+    code = main(["benchmark", "--data", str(data / "manifest.json"),
+                 "--eval-data", str(held / "manifest.json"), *BENCH_FLAGS,
+                 *(arg for pair in outs.items() for arg in (pair[0], str(pair[1])))])
+    assert code == EXIT_CONFIG
+    assert f"benchmark {flag} {target} would overwrite {target.resolve()}, " in (
+        capsys.readouterr().err)
+    assert [read_files(data), read_files(held)] == before  # nothing changed
+    assert not any(path.exists() for path in outs.values() if path.parent == tmp_path)
+
+
 def test_benchmark_flag_validation(dataset_dir, tmp_path):
     data = ["--data", str(dataset_dir / "manifest.json")]
     out = ["--out-csv", str(tmp_path / "v.csv")]

@@ -33,8 +33,8 @@ from semishot import (
     split_indices,
     synthetic_dataset,
 )
-from semishot import data, experiment, solvers, transport
-from semishot.experiment import CSV_HEADER, DEFAULT_SYNTHETIC_TAU
+from semishot import data, experiment, solvers, transport, zeroshot
+from semishot.experiment import CSV_HEADER, DEFAULT_SYNTHETIC_TAU, SOLVER_NAMES
 
 from conftest import traced_peak_mb, unit_rows
 
@@ -315,13 +315,30 @@ def test_labels_are_the_argmax_of_the_scores_ties_to_the_lowest_class():
     assert evaluate_prototypes(tied, ev, tau=0.01).acc == 1.0
 
 
+def test_scoring_fails_a_cell_only_on_its_own_non_finite_scores(rng):
+    # row 0's scores overflow; it is an eval row of the second cell only
+    emb = unit_rows(rng, 30, 8)
+    emb[0] *= 1e308
+    truth = np.arange(30) % 3
+    masks = np.ones((2, 30), dtype=bool)
+    masks[0, 0] = False
+    w = unit_rows(rng, 3, 8)
+    kept, failed = experiment._score([w, w], emb, truth, 3, 0.01, masks)
+    assert str(failed) == "similarity matrix contains non-finite entries"
+    alone = evaluate_prototypes(w, EvalSet(embeddings=emb[1:], labels=truth[1:],
+                                           class_count=3), 0.01)
+    assert (kept.aca, kept.acc) == (alone.aca, alone.acc)
+    assert np.array_equal(kept.per_class_recall, alone.per_class_recall)
+
+
 @pytest.mark.parametrize("c, d, e", [(2, 16, 50), (5, 64, 1300), (11, 100, 333), (7, 512, 2000)])
 def test_batched_scores_are_bitwise_each_solvers_own(rng, c, d, e):
-    # one (S, C, D) x (D, E) product gives each slice the bits of its own
-    # (C, D) x (D, E) product, the rule the per-solver path applied
+    # one (S, C, D) x (D, E) product of the scoring core gives each slice
+    # the bits of its own (C, D) x (D, E) product, the rule that gives a
+    # batched fit's element the bits of its own fit
     protos = [rng.standard_normal((c, d)) for _ in range(4)]
     emb = unit_rows(rng, e, d)
-    batched = experiment._scores(np.stack(protos), emb, 0.025)
+    batched = zeroshot._scores(np.stack(protos), emb, 0.025)
     for p, got in zip(protos, batched):
         assert np.array_equal(got, similarity_matrix(p, emb, 0.025))
 
@@ -754,22 +771,144 @@ def test_run_benchmark_failing_batch_element_fails_only_its_cell(monkeypatch):
     assert all((r.aca, r.acc) == (c.aca, c.acc) for r, c in zip(rows, clean) if not r.error)
 
 
-def test_run_benchmark_scores_each_drawn_seed_in_one_product(monkeypatch):
+def _spy_scoring(monkeypatch):
+    """Record each ``_labels`` call (prototype shape, pool rows, tau and
+    each cell's eval size) and each scoring chunk's shape."""
+    products, chunks = [], []
+    real_labels, real_top = experiment._labels, experiment._top_class
+
+    def labelling(prototypes, embeddings, tau, masks):
+        sizes = [embeddings.shape[0]] * len(prototypes) if masks is None else masks.sum(1)
+        products.append((prototypes.shape, embeddings.shape[0], tau, list(sizes)))
+        return real_labels(prototypes, embeddings, tau, masks)
+
+    def top(scores):
+        chunks.append(scores.shape)
+        return real_top(scores)
+
+    monkeypatch.setattr(experiment, "_labels", labelling)
+    monkeypatch.setattr(experiment, "_top_class", top)
+    return products, chunks
+
+
+def test_run_benchmark_scores_each_solvers_batch_in_one_product(monkeypatch):
     ds = _bench_dataset()
-    products = []
-
-    def spy(prototypes, embeddings, tau):
-        products.append((prototypes.shape, embeddings.shape[0]))
-        return solvers._scores(prototypes, embeddings, tau)
-
-    monkeypatch.setattr(experiment, "_scores", spy)
-    # 80 shots x 3 classes cannot be drawn from 240 items: no product
+    products, chunks = _spy_scoring(monkeypatch)
+    # 80 shots x 3 classes cannot be drawn from 240 items: those cells
+    # are not scored
     rows = run_benchmark(ds, shot_grid=(1, 2, 80), seeds=[4, 1, 7],
                          cfg=SolverConfig(tau=ds.tau), unlabeled_multiplier=8,
                          include_timing=False)
     assert sum(1 for r in rows if not r.error) == 4 * 2 * 3
-    remainder = {k: 240 - (k + 8) * 3 for k in (1, 2)}
-    assert products == [((4, 3, 16), remainder[k]) for k in (1, 2) for _ in range(3)]
+    # one batch: each solver's six cells against the whole 240-row pool,
+    # in one chunk, each counted on its own remainder
+    remainder = [240 - (k + 8) * 3 for k in (1, 2) for _ in range(3)]
+    assert products == [((6, 3, 16), 240, ds.tau, remainder)] * 4
+    assert chunks == [(6, 3, 240)] * 4
+
+
+@pytest.mark.parametrize("budget, batches, cells", [
+    (2 * 3 * 240 + 1, [6], [2, 2, 2]), (4 * 3 * 240, [6], [4, 2]), (100, [1] * 6, [1] * 6)],
+    ids=["two-cells", "four-cells", "under-one-cell"])
+def test_run_benchmark_scoring_chunks_stay_under_the_value_budget(monkeypatch, budget, batches,
+                                                                  cells):
+    # without unlabeled rows a cell fits in (k * 3) * 19 values but scores
+    # 3 * 240: one fit batch of all six cells is scored in chunks, and a
+    # cell over the budget fits and scores alone
+    ds = _bench_dataset()
+    grid = dict(shot_grid=(1, 2), seeds=3, cfg=SolverConfig(tau=ds.tau),
+                unlabeled_multiplier=0, include_timing=False)
+    unbounded = rows_to_csv(run_benchmark(ds, **grid))
+    products, chunks = _spy_scoring(monkeypatch)
+    monkeypatch.setattr(experiment, "_BATCH_VALUES", budget)
+    assert rows_to_csv(run_benchmark(ds, **grid)) == unbounded
+    assert [shape[0] for shape, *_ in products] == batches * 4
+    assert chunks == [(n, 3, 240) for n in cells] * 4
+    assert all(np.prod(shape) <= budget for shape in chunks if shape[0] > 1)
+
+
+_DEFAULT_FAMILY_TAUS = {"dataset-tau": DEFAULT_SYNTHETIC_TAU, "0.003": 0.003, "0.1": 0.1}
+
+
+def _default_family_grid(monkeypatch, tau, eval_set=None):
+    """The default family's rows over shots 1..16 and seeds 0..4 (one
+    batch) at ``tau``, and each solver's fits in grid order."""
+    ds = synthetic_dataset(SyntheticSpec())
+    fits = {}
+    real = experiment._fit_cells
+
+    def fitting(name, *args):
+        fits.setdefault(name, []).extend(real(name, *args))
+        return fits[name]
+
+    monkeypatch.setattr(experiment, "_fit_cells", fitting)
+    rows = run_benchmark(ds, seeds=5, cfg=SolverConfig(tau=tau), include_timing=False,
+                         eval_set=eval_set)
+    return ds, rows, fits
+
+
+@pytest.mark.parametrize("fixed_eval", [False, True], ids=["resplit", "fixed-eval-set"])
+@pytest.mark.parametrize("tau", _DEFAULT_FAMILY_TAUS.values(), ids=_DEFAULT_FAMILY_TAUS.keys())
+def test_run_benchmark_rows_are_their_cells_own_evaluation(monkeypatch, tau, fixed_eval):
+    # the flat product moves some scores by a few ulps against a cell's
+    # own product, but no label: each row is its fit's evaluate_prototypes
+    eval_set = synthetic_dataset(SyntheticSpec(seed=9, pool_size=400)).pool() if fixed_eval else None
+    ds, rows, fits = _default_family_grid(monkeypatch, tau, eval_set)
+    pool = ds.pool()
+    for solver in SOLVER_NAMES:
+        own = [row for row in rows if row.solver == solver]
+        assert len(own) == len(fits[solver]) == 25
+        for row, fit in zip(own, fits[solver]):
+            remainder = sample_support(pool, SamplingSpec(shots=row.shots, seed=row.seed))[2]
+            report = evaluate_prototypes(fit.prototypes, eval_set or remainder, tau)
+            assert not row.error and (row.aca, row.acc) == (report.aca, report.acc)
+
+
+@pytest.mark.parametrize("tau", _DEFAULT_FAMILY_TAUS.values(), ids=_DEFAULT_FAMILY_TAUS.keys())
+def test_flat_scoring_can_flip_only_near_ties(monkeypatch, tau):
+    # a label can change with the product's rounding only where the top
+    # two scores lie within a few ulps: count the points whose gap is
+    # under 1e-12 of the top score. The default family has none, so its
+    # labels are those of each cell's own product. (Simpleshot's zero rows
+    # for absent classes tie at exactly 0 in any product; they are not
+    # counted.)
+    ds, _, fits = _default_family_grid(monkeypatch, tau)
+    near = 0
+    for cell_fits in fits.values():
+        prototypes = np.stack([fit.prototypes for fit in cell_fits])
+        flat, finite = experiment._labels(prototypes, ds.embeddings, tau, None)
+        assert finite.all()
+        for w, labels in zip(prototypes, flat):
+            scores = similarity_matrix(w, ds.embeddings, tau)
+            second, top = np.sort(scores, axis=0)[-2:]
+            close = top - second < 1e-12 * np.abs(top)
+            near += int(close.sum())
+            assert np.array_equal(labels[~close], scores.argmax(axis=0)[~close])
+    assert near == 0
+    # the count sees a tie: two equal prototypes tie every point
+    w = np.stack([ds.prototypes[0], ds.prototypes[0], ds.prototypes[1]])
+    second, top = np.sort(similarity_matrix(w, ds.embeddings, tau), axis=0)[-2:]
+    assert np.count_nonzero(top - second < 1e-12 * np.abs(top)) > 0
+
+
+def test_run_benchmark_failed_fit_with_timing_has_zero_runtime(monkeypatch):
+    # timing on: a failed cell's runtime is 0, as without timing, and the
+    # cells whose fits ran keep their timed share
+    ds = _bench_dataset()
+    real = experiment._adapt
+
+    def failing(supports, *args):
+        if any(support.n == 6 for support in supports):
+            raise SolverError("two-shot fits fail")
+        return real(supports, *args)
+
+    monkeypatch.setattr(experiment, "_adapt", failing)
+    rows = run_benchmark(ds, solvers=("zeroshot", "sstext"), shot_grid=(1, 2), seeds=2,
+                         cfg=SolverConfig(tau=ds.tau), unlabeled_multiplier=0,
+                         include_timing=True)
+    failed = [(r.solver, r.shots, r.runtime_ms, r.error) for r in rows if r.error]
+    assert failed == [("sstext", 2, 0.0, "SolverError: two-shot fits fail")] * 2
+    assert all(r.runtime_ms > 0 for r in rows if r.solver == "sstext" and r.shots == 1)
 
 
 @pytest.mark.parametrize("fixed_eval", [False, True], ids=["resplit", "fixed-eval-set"])
@@ -838,25 +977,23 @@ def test_run_benchmark_default_cfg_uses_dataset_tau(monkeypatch, dataset_tau):
     ds = _bench_dataset()
     ds = Dataset.create(embeddings=ds.embeddings, labels=ds.labels,
                         prototypes=ds.prototypes, tau=dataset_tau)
-    fit_taus, score_taus = [], []
-    real_fit, real_score = experiment._fit_cells, experiment._score
+    fit_taus = []
+    real_fit = experiment._fit_cells
 
     def fitting(*args):
         fit_taus.append(args[-1].tau)
         return real_fit(*args)
 
-    def scoring(*args):
-        score_taus.append(args[-1])
-        return real_score(*args)
-
     monkeypatch.setattr(experiment, "_fit_cells", fitting)
-    monkeypatch.setattr(experiment, "_score", scoring)
+    products, chunks = _spy_scoring(monkeypatch)
     run_benchmark(ds, solvers=("sstext",), shot_grid=(1, 2), seeds=2,
                   unlabeled_multiplier=0, include_timing=False)
     expected = SolverConfig().tau if dataset_tau is None else dataset_tau
-    # one batch fit of both shot counts' seeds, then one scoring pass per cell
+    # one batch fit of both shot counts' seeds, then one scoring product
+    # of all four cells
     assert fit_taus == [expected]
-    assert score_taus == [expected] * 4
+    assert [tau for _, _, tau, _ in products] == [expected]
+    assert chunks == [(4, 3, 240)]
 
 
 @pytest.mark.parametrize("grid", [dict(solvers=()), dict(solvers=("bogus",)),
