@@ -463,8 +463,12 @@ def _write_blobs(manifest_path: Path, manifest: dict, blobs: dict) -> None:
 
 def _write_json(path: Path | None, payload: dict) -> None:
     """``payload`` as indented JSON with sorted keys, at ``path`` or on
-    stdout when it is None."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    stdout when it is None. A NaN or infinite number is a DataError,
+    raised before anything is written: JSON has no token for it."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DataError(f"cannot write {path or 'stdout'} as JSON: {exc}") from None
     if path is None:
         sys.stdout.write(text)
     else:

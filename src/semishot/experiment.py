@@ -23,10 +23,11 @@ each solver fits a batch in one call, which gives every cell the fit it
 gets alone; a batch that raises is refitted cell by cell. A batch takes
 as many cells as keep its arrays under a fixed count of values, so
 memory does not grow with the grid. Only one batch's splits are held at
-a time. Each solver's batch is scored once: its prototypes go through
-one flat product with the pool (or a fixed eval set), the labels are
-the argmax of those scores, and every cell's metrics are counted over
-its own eval rows in one pass. Rows come back in grid order.
+a time. Each solver's batch is scored once: its distinct prototype
+arrays (zeroshot's cells all hold the same one) go through one flat
+product with the pool (or a fixed eval set), the labels are the argmax
+of those scores, and every cell's metrics are counted over its own eval
+rows in one pass. Rows come back in grid order.
 """
 
 from __future__ import annotations
@@ -271,9 +272,12 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[EvalSet, np.ndarray]:
             placed += 1
     labels = rng.choice(spec.class_count, size=spec.pool_size,
                         p=spec.marginal)
-    samples = centers[labels] + spec.noise * rng.standard_normal(
-        (spec.pool_size, spec.dim))
-    text = centers + spec.text_noise * rng.standard_normal(centers.shape)
+    # a noise near the float64 limit overflows here; normalize_rows then
+    # rejects the non-finite rows
+    with np.errstate(over="ignore"):
+        samples = centers[labels] + spec.noise * rng.standard_normal(
+            (spec.pool_size, spec.dim))
+        text = centers + spec.text_noise * rng.standard_normal(centers.shape)
     pool = EvalSet(
         embeddings=normalize_rows(samples),
         labels=labels.astype(np.int64),
@@ -351,11 +355,11 @@ def _top_class(scores: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _labels(prototypes: np.ndarray, embeddings: np.ndarray, tau: float,
-            masks: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+def _labels(prototypes: np.ndarray, embeddings: np.ndarray,
+            tau: float) -> tuple[np.ndarray, np.ndarray]:
     """The (B, P) labels of the (B, C, D) ``prototypes`` on the P rows of
-    ``embeddings``, and whether each matrix's scores are finite on the
-    columns its row of ``masks`` marks (every column when None).
+    ``embeddings``, and a (B, P) mask of the columns where a matrix's
+    scores are not all finite.
 
     The matrices' rows are stacked into one (B * C, D) operand, and each
     chunk of at most ``_BATCH_VALUES`` scores is one 2-D product with the
@@ -370,7 +374,7 @@ def _labels(prototypes: np.ndarray, embeddings: np.ndarray, tau: float,
     b, c, d = prototypes.shape
     flat = prototypes.reshape(b * c, d)
     labels = np.empty((b, embeddings.shape[0]), dtype=np.int64)
-    finite = np.ones(b, dtype=bool)
+    bad = np.zeros(labels.shape, dtype=bool)
     step = max(1, _BATCH_VALUES // (c * embeddings.shape[0]))
     for lo in range(0, b, step):
         hi = min(b, lo + step)
@@ -381,11 +385,8 @@ def _labels(prototypes: np.ndarray, embeddings: np.ndarray, tau: float,
             labels[lo:hi] = _top_class(scores)
         ok = np.isfinite(scores)
         if not ok.all():
-            bad = ~ok.all(axis=1)
-            if masks is not None:
-                bad &= masks[lo:hi]
-            finite[lo:hi] = ~bad.any(axis=1)
-    return labels, finite
+            bad[lo:hi] = ~ok.all(axis=1)
+    return labels, bad
 
 
 def _score(prototypes: list, embeddings: np.ndarray, truth: np.ndarray,
@@ -401,14 +402,16 @@ def _score(prototypes: list, embeddings: np.ndarray, truth: np.ndarray,
     overflow or invalid value behind such scores is silenced, so that
     its error is the only signal. A bad ``tau`` raises.
 
-    Every matrix that passes is scored against all P rows in one flat
-    product (``_labels``), labels are the argmax of the scores, ties to
-    the lowest class, and the metrics of all of them are one pass
-    (``_metrics``). The argmax of ``predict_probs`` differs only where
-    exp() rounds a logit within ~1e-16 of its row's max up to that max,
-    a tie it gives to the lower class.
+    Every distinct matrix that passes is scored against all P rows in
+    one flat product (``_labels``); entries that are the same array
+    object, such as zeroshot's text prototypes in every cell, share its
+    label row. Labels are the argmax of the scores, ties to the lowest
+    class, and the metrics of all entries are one pass (``_metrics``),
+    each over its own split. The argmax of ``predict_probs`` differs
+    only where exp() rounds a logit within ~1e-16 of its row's max up to
+    that max, a tie it gives to the lower class.
     """
-    outcomes, scored, stack = list(prototypes), [], []
+    outcomes, scored, which, stack, seen = list(prototypes), [], [], [], {}
     sizes = [truth.size] * len(outcomes) if masks is None else masks.sum(axis=1)
     for i, p in enumerate(prototypes):
         if isinstance(p, Exception):
@@ -416,22 +419,30 @@ def _score(prototypes: list, embeddings: np.ndarray, truth: np.ndarray,
         if not sizes[i]:
             outcomes[i] = DataError("eval split is empty")
             continue
-        try:
-            stack.append(check_array(p, "prototypes", (class_count, embeddings.shape[1])))
-        except DataError as exc:
-            outcomes[i] = exc
+        key = id(p)  # the list holds every entry, so ids stay distinct
+        if key not in seen:
+            try:
+                stack.append(check_array(p, "prototypes", (class_count, embeddings.shape[1])))
+                seen[key] = len(stack) - 1
+            except DataError as exc:
+                seen[key] = exc
+        if isinstance(seen[key], Exception):
+            outcomes[i] = seen[key]
         else:
             scored.append(i)
+            which.append(seen[key])
     if not scored:
         return outcomes
     tau = check_tau(tau)
+    labels, bad = _labels(np.stack(stack), embeddings, tau)
+    labels, bad = labels[which], bad[which]
     if masks is not None:
         masks = masks[scored]
-    labels, finite = _labels(np.stack(stack), embeddings, tau, masks)
+        bad &= masks
     reports = _metrics(labels, truth, class_count, masks)
-    for i, ok, report in zip(scored, finite, reports):
-        outcomes[i] = report if ok else DataError(
-            "similarity matrix contains non-finite entries")
+    for i, failed, report in zip(scored, bad.any(axis=1), reports):
+        outcomes[i] = (DataError("similarity matrix contains non-finite entries")
+                       if failed else report)
     return outcomes
 
 

@@ -276,7 +276,8 @@ def _adapt(supports: list[SupportSet], text_prototypes: np.ndarray,
     proto_snaps: list[np.ndarray] = []
     for round_idx in range(1, rounds + 1):
         if unlabeled is not None:
-            scores = _scores(prototypes, unlabeled, cfg.tau)
+            with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+                scores = _scores(prototypes, unlabeled, cfg.tau)
             try:
                 if not np.all(np.isfinite(scores)):
                     raise DataError("similarity matrix contains non-finite entries")

@@ -17,25 +17,34 @@ iterations the plan is a per-column softmax carrying mass 1/M, which
 ignores the row marginal entirely.
 
 ``solve_transport`` is the one entry point. It takes the scores of
-``zeroshot.similarity_matrix`` and picks the domain: when
-the score span ``s.max() - s.min()`` is at most 700, every entry of the
+``zeroshot.similarity_matrix`` and picks one of three routes. When the
+score span ``s.max() - s.min()`` is at most 700, every entry of the
 kernel ``exp(s - s.max())`` is a normal float64, and the plan comes from
-scaling that kernel with matrix-vector products; otherwise, or when a
-kernel scale factor vanishes or overflows, it scales the scores in log
-space. Both domains run the same rounds and give the same plan to
-roundoff. ``init_plan`` plus ``sinkhorn`` scale an explicit kernel and
-are the tests' reference; ``sinkhorn`` runs the same row/column loop as
-the kernel domain, and every route shares one input check and one plan
-builder.
+scaling that kernel with matrix-vector products. Past that span, with
+at least one round, each row takes its own shift, ``exp(s - max_j
+s_ij)``: a row shift is a row scaling, which the first row update
+absorbs exactly, so the same scaling gives the same plan. That route
+holds only under the column condition, every column's best shifted
+score at least -700, so that each column keeps a normal entry and only
+entries far below their row max flush toward zero; and only while the
+scale factors stay small enough that those flushed entries carry no
+mass. (A column shift is not absorbed: at 10 rounds it moves plans by
+~1e-2.) Every other element, and one whose kernel scale factor
+vanished or overflowed, is scaled in log space. All routes run the same
+rounds and give the same plan to roundoff. ``init_plan`` plus
+``sinkhorn`` scale an explicit kernel and are the tests' reference;
+``sinkhorn`` runs the same row/column loop as the kernel routes, and
+every route shares one input check and one plan builder.
 
 The scaling loops work over leading batch axes. The private ``_solve``
 balances a batch of same-shaped problems at once, each element on the
-route its own span picks, and ``solve_transport`` is that solve at B=1;
-the solvers' round loop calls ``_solve`` directly, on scores it has
-checked itself. Each route is one pass over its elements: the kernel
-loop returns a mask of the elements whose scale factors held, and the
-ones that failed join the log pass. Batched matrix products never mix
-elements, so every plan is the one its element gets alone.
+route its own scores pick, and ``solve_transport`` is that solve at
+B=1; the solvers' round loop calls ``_solve`` directly, on scores it
+has checked itself. The two kernel routes share one pass and the log
+route is another: the kernel loop returns a mask of the elements whose
+scale factors held, and the ones that failed join the log pass.
+Batched matrix products never mix elements, so every plan is the one
+its element gets alone.
 """
 
 from __future__ import annotations
@@ -51,6 +60,12 @@ from .zeroshot import _logsumexp, check_array, check_count, check_marginal
 # kernel shifted by its max keeps every entry a positive normal float64
 # while the score span is at most this.
 _EXP_SAFE_SPAN = 700.0
+
+# A row-shifted kernel flushes the entries more than ~708 below their
+# row max to subnormals or zero, each off by less than exp(-744). While
+# the largest row scale times the largest column scale stays at most
+# this, no such entry can carry more than exp(-44) ~ 1e-19 of plan mass.
+_FLUSH_REACH = np.exp(_EXP_SAFE_SPAN)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,8 +124,8 @@ def _build_plan(values: np.ndarray, row_marginal: np.ndarray) -> TransportPlan:
                          residual=marginal_residual(values, row_marginal))
 
 
-def _scale(q: np.ndarray, m: np.ndarray,
-           iterations: int) -> tuple[np.ndarray, np.ndarray]:
+def _scale(q: np.ndarray, m: np.ndarray, iterations: int,
+           reach: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The row/column loop on nonnegative kernels (..., C, M) with row
     marginals (..., C): the balanced plans
     ``r[..., :, None] * q * c[..., None, :]`` and a (...) bool mask of
@@ -121,7 +136,9 @@ def _scale(q: np.ndarray, m: np.ndarray,
     Zero-mass rows get a zero scale. An element fails, and its plan
     carries inf or NaN, when a scale factor a target needs comes out
     zero or non-finite, that is, when its denominator vanished,
-    overflowed or was too small to divide. Never raises.
+    overflowed or was too small to divide. With a (...) ``reach``, an
+    element also fails when its final ``max(r) * max(c)`` passes its
+    entry. Never raises.
     """
     col_target = 1.0 / q.shape[-1]
     r = np.ones(m.shape)
@@ -136,6 +153,8 @@ def _scale(q: np.ndarray, m: np.ndarray,
                 ok &= (np.isfinite(r) & ((r > 0) | ~positive)).all(axis=-1)
             c = col_target / np.matmul(q_t, r[..., None])[..., 0]
             ok &= (np.isfinite(c) & (c > 0)).all(axis=-1)
+        if reach is not None:
+            ok &= r.max(axis=-1) * c.max(axis=-1) <= reach
         plans = r[..., :, None] * q * c[..., None, :]
     return plans, ok
 
@@ -186,8 +205,13 @@ def solve_transport(similarities: np.ndarray, row_marginal: np.ndarray,
     zero iterations, by the column step). When the score span is at most
     700, the kernel ``exp(s - s.max())`` has only normal positive
     entries and is scaled directly with matrix-vector products. Past
-    that span, or when a kernel scale factor vanishes or overflows, the
-    rounds run on the scores in log space, where every update is an
+    that span, with ``iterations > 0``, each row is shifted by its own
+    max instead, which the first row update absorbs as well, provided
+    every column's best shifted score is at least -700 (the column
+    condition) and the scale factors stay below ``_FLUSH_REACH``. Wide
+    spans at zero iterations, wide spans that fail the column
+    condition, and kernels whose scale factor vanishes or overflows run
+    the rounds on the scores in log space, where every update is an
     addition of log factors: entries too small to matter flush to zero
     instead of dragging whole rows or columns to zero and killing the
     scaling denominators.
@@ -201,17 +225,32 @@ def _solve(s: np.ndarray, m: np.ndarray, iterations: int) -> np.ndarray:
     """The ``solve_transport`` plan values of every element of a batch of
     checked scores (B, C, M) and row marginals (B, C).
 
-    Each element takes the route its own score span picks, and the
-    elements of one route are scaled together in one pass. The elements
-    whose kernel scaling failed join the log pass, so an element's plan
-    is the one it gets at B=1.
+    Each element takes the route its own scores pick: span at most 700,
+    the global shift ``exp(s - s.max())``; wider, with ``iterations >
+    0`` and the column condition, a shift per row ``exp(s - max_j
+    s_ij)``, whose scales must also stay within ``_FLUSH_REACH``; else
+    log space. Both kernel routes are one ``_scale`` pass, with one shift
+    array, and the log route is one ``_scale_log`` pass. An element whose
+    kernel scaling failed joins the log pass by itself, never with the
+    rest of its route, so an element's plan is the one it gets at B=1. A
+    batch without a wide span computes no row maxima.
     """
     s_max = s.max(axis=(-2, -1))
     in_log = s_max - s.min(axis=(-2, -1)) > _EXP_SAFE_SPAN
+    shift, reach = s_max[:, None, None], None
+    if iterations and in_log.any():
+        wide = np.flatnonzero(in_log)
+        reach = np.where(in_log, _FLUSH_REACH, np.inf)
+        shift = np.repeat(shift, s.shape[-2], axis=-2)
+        rows = s[wide]
+        shift[wide] = rows.max(axis=-1, keepdims=True)
+        # a row-shifted kernel holds only while every column keeps a normal lead
+        in_log[wide] = (rows - shift[wide]).max(axis=-2).min(axis=-1) < -_EXP_SAFE_SPAN
     kernel = np.flatnonzero(~in_log)
     if kernel.size:
-        q = np.exp(_take(s, kernel) - s_max[kernel, None, None])
-        kernel_plans, ok = _scale(q, _take(m, kernel), iterations)
+        q = _take(s, kernel) - _take(shift, kernel)
+        kernel_plans, ok = _scale(np.exp(q, out=q), _take(m, kernel), iterations,
+                                  None if reach is None else reach[kernel])
         if kernel.size == len(s) and ok.all():
             return kernel_plans
         in_log[kernel[~ok]] = True  # a scale under- or overflowed

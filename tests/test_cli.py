@@ -80,6 +80,19 @@ def test_generate_rejects_bad_flags(tmp_path, capsys):
     assert not (tmp_path / "z").exists()
 
 
+@pytest.mark.parametrize("flag", ["--noise", "--text-noise"])
+def test_generate_with_overflowing_noise_fails_without_a_warning(tmp_path, capsys, flag):
+    # a noise of 1e308 overflows the draw itself: the rows are refused as
+    # non-finite, and no RuntimeWarning reaches stderr first
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["generate", flag, "1e308", "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG and not caught
+    err = capsys.readouterr().err
+    assert "Warning" not in err and "contains non-finite entries" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_generate_names_the_text_prototypes_that_fail(tmp_path, capsys):
     # the noise overflows the norm of every text prototype, not of a pool row
     assert main(["generate", "--text-noise", "1e300",
@@ -191,6 +204,24 @@ def test_adapt_non_finite_objective_is_a_solver_failure(dataset_dir, tmp_path, c
         assert code == EXIT_SOLVER, (text, unl)
         assert "objective is not finite at round 1" in capsys.readouterr().err
         assert not (out / "fit_report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["adapt", "benchmark"])
+def test_subnormal_tau_fails_the_fit_without_a_warning(dataset_dir, tmp_path, capsys, command):
+    # scores divided by tau=1e-320 overflow in the solvers' round loop;
+    # the finiteness check after them is the only signal
+    flags = {"adapt": ["--solver", "sstextu", "--out", str(tmp_path / "fit")],
+             "benchmark": ["--no-timing", "--seeds", "1", "--shots-grid", "1",
+                           "--out-csv", str(tmp_path / "b.csv")]}[command]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--data", str(dataset_dir / "manifest.json"),
+                     "--tau", "1e-320", *flags])
+    assert code == EXIT_SOLVER and not caught
+    err = capsys.readouterr().err
+    assert "Warning" not in err and "Traceback" not in err
+    if command == "adapt":
+        assert "similarity matrix contains non-finite entries" in err
 
 
 # ---------------------------------------------------------------- eval

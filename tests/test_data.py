@@ -603,6 +603,20 @@ def test_error_types_are_value_errors():
     assert issubclass(ss.SolverError, RuntimeError)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_write_json_refuses_non_finite_numbers_before_writing(tmp_path, capsys, bad):
+    # JSON has no NaN or Infinity token: the report is refused, naming the
+    # file, and nothing is written, neither to the file nor to stdout
+    path = tmp_path / "sub" / "report.json"
+    with pytest.raises(DataError, match=f"cannot write {path} as JSON"):
+        ss.data._write_json(path, {"ok": 1.0, "rows": [{"aca": bad}]})
+    assert not path.parent.exists()
+    with pytest.raises(DataError, match="cannot write stdout as JSON"):
+        ss.data._write_json(None, {"aca": bad})
+    assert capsys.readouterr().out == ""
+
+
 # ---------------------------------------------------------------- blob fuzz
 
 

@@ -772,28 +772,35 @@ def test_run_benchmark_failing_batch_element_fails_only_its_cell(monkeypatch):
 
 
 def _spy_scoring(monkeypatch):
-    """Record each ``_labels`` call (prototype shape, pool rows, tau and
-    each cell's eval size) and each scoring chunk's shape."""
-    products, chunks = [], []
-    real_labels, real_top = experiment._labels, experiment._top_class
+    """Record each ``_labels`` call (prototype shape, pool rows and tau),
+    each ``_metrics`` call's eval size per cell and each scoring chunk's
+    shape."""
+    products, counted, chunks = [], [], []
+    real_labels, real_metrics = experiment._labels, experiment._metrics
+    real_top = experiment._top_class
 
-    def labelling(prototypes, embeddings, tau, masks):
-        sizes = [embeddings.shape[0]] * len(prototypes) if masks is None else masks.sum(1)
-        products.append((prototypes.shape, embeddings.shape[0], tau, list(sizes)))
-        return real_labels(prototypes, embeddings, tau, masks)
+    def labelling(prototypes, embeddings, tau):
+        products.append((prototypes.shape, embeddings.shape[0], tau))
+        return real_labels(prototypes, embeddings, tau)
+
+    def metrics(predictions, truth, class_count, masks=None):
+        counted.append([truth.size] * len(predictions) if masks is None
+                       else masks.sum(1).tolist())
+        return real_metrics(predictions, truth, class_count, masks)
 
     def top(scores):
         chunks.append(scores.shape)
         return real_top(scores)
 
     monkeypatch.setattr(experiment, "_labels", labelling)
+    monkeypatch.setattr(experiment, "_metrics", metrics)
     monkeypatch.setattr(experiment, "_top_class", top)
-    return products, chunks
+    return products, counted, chunks
 
 
 def test_run_benchmark_scores_each_solvers_batch_in_one_product(monkeypatch):
     ds = _bench_dataset()
-    products, chunks = _spy_scoring(monkeypatch)
+    products, counted, chunks = _spy_scoring(monkeypatch)
     # 80 shots x 3 classes cannot be drawn from 240 items: those cells
     # are not scored
     rows = run_benchmark(ds, shot_grid=(1, 2, 80), seeds=[4, 1, 7],
@@ -801,30 +808,55 @@ def test_run_benchmark_scores_each_solvers_batch_in_one_product(monkeypatch):
                          include_timing=False)
     assert sum(1 for r in rows if not r.error) == 4 * 2 * 3
     # one batch: each solver's six cells against the whole 240-row pool,
-    # in one chunk, each counted on its own remainder
+    # in one chunk, each counted on its own remainder; zeroshot's six cells
+    # share one prototype array, which is one (1, C, D) product
     remainder = [240 - (k + 8) * 3 for k in (1, 2) for _ in range(3)]
-    assert products == [((6, 3, 16), 240, ds.tau, remainder)] * 4
-    assert chunks == [(6, 3, 240)] * 4
+    assert products == [((1, 3, 16), 240, ds.tau)] + [((6, 3, 16), 240, ds.tau)] * 3
+    assert counted == [remainder] * 4
+    assert chunks == [(1, 3, 240)] + [(6, 3, 240)] * 3
 
 
-@pytest.mark.parametrize("budget, batches, cells", [
-    (2 * 3 * 240 + 1, [6], [2, 2, 2]), (4 * 3 * 240, [6], [4, 2]), (100, [1] * 6, [1] * 6)],
+@pytest.mark.parametrize("budget, cells", [
+    (2 * 3 * 240 + 1, [[2, 2, 2]]), (4 * 3 * 240, [[4, 2]]), (100, [[1]] * 6)],
     ids=["two-cells", "four-cells", "under-one-cell"])
-def test_run_benchmark_scoring_chunks_stay_under_the_value_budget(monkeypatch, budget, batches,
-                                                                  cells):
+def test_run_benchmark_scoring_chunks_stay_under_the_value_budget(monkeypatch, budget, cells):
     # without unlabeled rows a cell fits in (k * 3) * 19 values but scores
     # 3 * 240: one fit batch of all six cells is scored in chunks, and a
-    # cell over the budget fits and scores alone
+    # cell over the budget fits and scores alone; zeroshot's one shared
+    # matrix is one chunk in each batch
     ds = _bench_dataset()
     grid = dict(shot_grid=(1, 2), seeds=3, cfg=SolverConfig(tau=ds.tau),
                 unlabeled_multiplier=0, include_timing=False)
     unbounded = rows_to_csv(run_benchmark(ds, **grid))
-    products, chunks = _spy_scoring(monkeypatch)
+    products, _, chunks = _spy_scoring(monkeypatch)
     monkeypatch.setattr(experiment, "_BATCH_VALUES", budget)
     assert rows_to_csv(run_benchmark(ds, **grid)) == unbounded
-    assert [shape[0] for shape, *_ in products] == batches * 4
-    assert chunks == [(n, 3, 240) for n in cells] * 4
+    assert [shape[0] for shape, *_ in products] == [
+        n for batch in cells for n in [1] + [sum(batch)] * 3]
+    assert chunks == [(n, 3, 240) for batch in cells for n in [1] + batch * 3]
     assert all(np.prod(shape) <= budget for shape in chunks if shape[0] > 1)
+
+
+@pytest.mark.parametrize("fixed_eval", [False, True], ids=["resplit", "fixed-eval-set"])
+def test_run_benchmark_scores_zeroshots_shared_prototypes_once(monkeypatch, fixed_eval):
+    # every zeroshot cell holds the same text-prototype array: it is one
+    # (1, C, D) product, and each cell is still counted on its own split
+    ds = _bench_dataset()
+    eval_set = synthetic_dataset(small_spec(seed=9, pool_size=60)).pool() if fixed_eval else None
+    products, counted, _ = _spy_scoring(monkeypatch)
+    rows = run_benchmark(ds, solvers=("zeroshot",), shot_grid=(1, 2), seeds=3,
+                         cfg=SolverConfig(tau=ds.tau), unlabeled_multiplier=8,
+                         include_timing=False, eval_set=eval_set)
+    scored_rows = 60 if fixed_eval else 240
+    assert products == [((1, 3, 16), scored_rows, ds.tau)]
+    assert counted == [[scored_rows] * 6 if fixed_eval
+                       else [240 - (k + 8) * 3 for k in (1, 2) for _ in range(3)]]
+    pool = ds.pool()
+    for row in rows:
+        spec = SamplingSpec(shots=row.shots, unlabeled_multiplier=8, seed=row.seed)
+        report = evaluate_prototypes(ds.prototypes, eval_set or sample_support(pool, spec)[2],
+                                     ds.tau)
+        assert not row.error and (row.aca, row.acc) == (report.aca, report.acc)
 
 
 _DEFAULT_FAMILY_TAUS = {"dataset-tau": DEFAULT_SYNTHETIC_TAU, "0.003": 0.003, "0.1": 0.1}
@@ -876,8 +908,8 @@ def test_flat_scoring_can_flip_only_near_ties(monkeypatch, tau):
     near = 0
     for cell_fits in fits.values():
         prototypes = np.stack([fit.prototypes for fit in cell_fits])
-        flat, finite = experiment._labels(prototypes, ds.embeddings, tau, None)
-        assert finite.all()
+        flat, bad = experiment._labels(prototypes, ds.embeddings, tau)
+        assert not bad.any()
         for w, labels in zip(prototypes, flat):
             scores = similarity_matrix(w, ds.embeddings, tau)
             second, top = np.sort(scores, axis=0)[-2:]
@@ -985,14 +1017,14 @@ def test_run_benchmark_default_cfg_uses_dataset_tau(monkeypatch, dataset_tau):
         return real_fit(*args)
 
     monkeypatch.setattr(experiment, "_fit_cells", fitting)
-    products, chunks = _spy_scoring(monkeypatch)
+    products, _, chunks = _spy_scoring(monkeypatch)
     run_benchmark(ds, solvers=("sstext",), shot_grid=(1, 2), seeds=2,
                   unlabeled_multiplier=0, include_timing=False)
     expected = SolverConfig().tau if dataset_tau is None else dataset_tau
     # one batch fit of both shot counts' seeds, then one scoring product
     # of all four cells
     assert fit_taus == [expected]
-    assert [tau for _, _, tau, _ in products] == [expected]
+    assert [tau for _, _, tau in products] == [expected]
     assert chunks == [(4, 3, 240)]
 
 

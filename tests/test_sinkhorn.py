@@ -1,6 +1,10 @@
+from unittest import mock
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semishot import (
     ConfigError,
@@ -218,8 +222,9 @@ def test_solve_transport_matches_kernel_with_zero_marginal(rng):
 
 
 def test_solve_transport_survives_huge_score_spans(rng):
-    # spans far past exp() range: the kernel route would underflow to a
-    # zero matrix, the score-space route balances it fine
+    # spans far past exp() range: a globally shifted kernel would
+    # underflow to a zero matrix; the row-shifted kernel or log space
+    # balances it fine
     s = rng.standard_normal((4, 10)) * 900.0
     m = random_marginal(rng, 4)
     plan = solve_transport(s, m, iterations=10)
@@ -273,27 +278,128 @@ def span_scores(rng, span):
     return s
 
 
-@pytest.mark.parametrize("span, route", [(699.9, ["_scale"]), (700.1, ["_scale_log"])],
+def row_shifted(s):
+    """The kernel of a wide span: each row shifted by its own max."""
+    return np.exp(s - s.max(axis=-1, keepdims=True))
+
+
+def globally_shifted(s):
+    """The kernel of a span within 700: shifted by the global max."""
+    return np.exp(s - s.max())
+
+
+@pytest.fixture
+def kernels(routes, monkeypatch):
+    """The kernels ``_scale`` is given, one (B, C, M) array per call."""
+    seen = []
+    spy = transport._scale
+
+    def recording(q, *args):
+        seen.append(q.copy())
+        return spy(q, *args)
+
+    monkeypatch.setattr(transport, "_scale", recording)
+    return seen
+
+
+@pytest.mark.parametrize("span, kernel", [(699.9, globally_shifted), (700.1, row_shifted)],
                          ids=["under-700", "over-700"])
-def test_solve_transport_domain_follows_score_span(rng, routes, span, route):
+def test_solve_transport_domain_follows_score_span(rng, kernels, routes, span, kernel):
+    # both spans take the kernel route: within 700 the kernel is shifted
+    # by the global max, past it each row by its own max, and either way
+    # the plan is the explicit normalized kernel's
     s = span_scores(rng, span)
     assert np.ptp(s) == span
     m = random_marginal(rng, 3)
     reference = sinkhorn(init_plan(s), m, iterations=10)
     routes.clear()
     plan = solve_transport(s, m, iterations=10)
-    assert routes == route
+    assert routes == ["_scale"]
+    assert np.array_equal(kernels[-1][0], kernel(s))
     np.testing.assert_allclose(plan.values, reference.values, rtol=1e-12, atol=0)
 
 
-def test_solve_transport_span_rule_ignores_row_and_column_maxima(rng, routes):
+def test_solve_transport_wide_span_with_column_leads_takes_the_row_shifted_kernel(rng,
+                                                                                  routes):
     # every row and column max is within 10 of the global max, but one
-    # entry sits 800 below it: the span alone sends this to log space
+    # entry sits 800 below it: the span is wide, every column keeps a lead,
+    # and the row-shifted kernel flushes that entry to zero as log space does
     s = rng.uniform(-5.0, 5.0, size=(3, 4))
     s[1, 2] = -800.0
-    plan = solve_transport(s, random_marginal(rng, 3), iterations=10)
-    assert routes == ["_scale_log"]
+    m = random_marginal(rng, 3)
+    plan = solve_transport(s, m, iterations=10)
+    assert routes == ["_scale"]
+    assert plan.values[1, 2] == 0.0
+    np.testing.assert_allclose(plan.values, transport._scale_log(s[None], m[None], 10)[0],
+                               rtol=1e-12, atol=0)
     assert np.allclose(plan.values.sum(axis=0), 0.25, atol=1e-12)
+
+
+@pytest.mark.parametrize("span", [750.0, 900.0, 1200.0])
+def test_row_shifted_plan_matches_log_space(rng, routes, span):
+    s = span_scores(rng, span)
+    s[1] += 250.0  # rows at different heights
+    m = random_marginal(rng, 3)
+    plan = solve_transport(s, m, iterations=10)
+    assert np.ptp(s) > 700 and routes == ["_scale"]
+    # the entries more than ~745 below their row max flush to zero; log
+    # space keeps them, at a mass far below any roundoff of the plan
+    np.testing.assert_allclose(plan.values, transport._scale_log(s[None], m[None], 10)[0],
+                               rtol=1e-12, atol=1e-150)
+
+
+def test_wide_span_without_a_column_lead_goes_to_log_space(rng, routes):
+    # column 3 sits 900 below every row's max: a row-shifted kernel would
+    # flush it whole, so the element is scaled in log space
+    s = rng.uniform(-5.0, 5.0, size=(3, 6))
+    s[:, 3] -= 900.0
+    m = random_marginal(rng, 3)
+    plan = solve_transport(s, m, iterations=10)
+    assert routes == ["_scale_log"]
+    assert np.allclose(plan.values.sum(axis=0), 1.0 / 6.0, atol=1e-12)
+    assert np.all(plan.values[:, 3] > 0)
+
+
+def test_wide_span_at_zero_iterations_goes_to_log_space(rng, routes):
+    # with no row update a row shift would not be absorbed
+    s = span_scores(rng, 900.0)
+    plan = solve_transport(s, random_marginal(rng, 3), iterations=0)
+    assert routes == ["_scale_log"]
+    expected = np.exp(s - s.max(axis=0))
+    expected = expected / expected.sum(axis=0) / 8.0
+    np.testing.assert_allclose(plan.values, expected, rtol=1e-12, atol=0)
+
+
+def test_narrow_elements_keep_the_global_shift_beside_wide_ones(rng, kernels, routes):
+    # in a batch with a row-shifted element, each narrow element is
+    # bitwise the _scale of its own exp(s - s.max())
+    s = np.stack([span_scores(rng, span) for span in (650.0, 900.0, 20.0)])
+    m = np.stack([random_marginal(rng, 3) for _ in range(3)])
+    values = transport._solve(s, m, 10)
+    assert routes == ["_scale"]
+    assert np.array_equal(kernels[0], np.stack([globally_shifted(s[0]), row_shifted(s[1]),
+                                                globally_shifted(s[2])]))
+    for b in (0, 2):
+        alone, ok = transport._scale(globally_shifted(s[b])[None], m[b][None], 10)
+        assert ok[0] and np.array_equal(values[b], alone[0])
+
+
+def test_row_shifted_element_whose_flushed_entries_could_carry_mass_goes_to_log_space(
+        routes):
+    # entry (0, 1) sits 800 below its row max, and row 1 cannot fill
+    # column 1: converged, that entry carries 0.4. After 400 rounds the
+    # scales have grown past exp(700), so the flushed kernel entry is not
+    # negligible; log space finds the mass, the kernel would not
+    s = np.array([[0.0, -800.0], [-1000.0, 0.0]])
+    m = np.array([0.9, 0.1])
+    plan = solve_transport(s, m, iterations=400)
+    assert routes == ["_scale", "_scale_log"]
+    assert plan.values[0, 1] == pytest.approx(0.4, abs=1e-6)
+    routes.clear()
+    plan = solve_transport(s, m, iterations=10)
+    assert routes == ["_scale"]
+    np.testing.assert_allclose(plan.values, transport._scale_log(s[None], m[None], 10)[0],
+                               rtol=1e-12, atol=1e-300)
 
 
 def test_solve_transport_vanishing_kernel_denominator_falls_back(rng, routes, monkeypatch):
@@ -326,10 +432,13 @@ def test_kernel_route_scaling_rebuilds_values_from_exp_scores(rng, routes):
     np.testing.assert_allclose(plan.values, reference.values, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("scale, route", [(2.0, ["_scale"]), (900.0, ["_scale_log"])],
-                         ids=["kernel", "log"])
-def test_zero_marginal_row_carries_no_mass_in_either_domain(rng, routes, scale, route):
-    s = rng.standard_normal((3, 6)) * scale
+@pytest.mark.parametrize("build, route", [
+    (lambda s: s * 2.0, ["_scale"]),
+    (lambda s: s * 2.0 + np.array([[800.0], [0.0], [0.0]]), ["_scale"]),
+    (lambda s: s * 2.0 - np.array([0, 0, 0, 900.0, 0, 0]), ["_scale_log"])],
+    ids=["kernel", "row-shifted", "log"])
+def test_zero_marginal_row_carries_no_mass_in_either_domain(rng, routes, build, route):
+    s = build(rng.standard_normal((3, 6)))
     plan = solve_transport(s, np.array([0.7, 0.0, 0.3]), iterations=7)
     assert routes == route
     assert np.array_equal(plan.values[1], np.zeros(6))
@@ -337,31 +446,36 @@ def test_zero_marginal_row_carries_no_mass_in_either_domain(rng, routes, scale, 
 
 
 def test_batched_solve_gives_each_element_its_own_plan(rng, routes, monkeypatch):
-    # one element under the 700 span, one over it, and one whose kernel
-    # scaling fails: the spy zeroes a column of that element's kernel
-    kernel_ok, over, kernel_fails = (span_scores(rng, span) for span in (650.0, 900.0, 600.0))
-    s = np.stack([kernel_ok, over, kernel_fails])
-    m = np.stack([random_marginal(rng, 3) for _ in range(3)])
-    failing_kernel = np.exp(kernel_fails - kernel_fails.max())
+    # a narrow element; a wide one without a column lead; a narrow and a
+    # wide one whose kernel scaling fails (the spy zeroes a column of
+    # theirs); and a wide one that the row-shifted kernel balances
+    kernel_ok, no_lead, kernel_fails, wide_fails, wide_ok = (
+        span_scores(rng, span) for span in (650.0, 900.0, 600.0, 800.0, 1000.0))
+    no_lead[:, 4] -= 1500.0
+    s = np.stack([kernel_ok, no_lead, kernel_fails, wide_fails, wide_ok])
+    m = np.stack([random_marginal(rng, 3) for _ in range(5)])
+    failing = [globally_shifted(kernel_fails), row_shifted(wide_fails)]
     real = transport._scale
 
     def empty_column(q, *args):
         q = q.copy()
         for element in q.reshape((-1,) + q.shape[-2:]):
-            if np.array_equal(element, failing_kernel):
+            if any(np.array_equal(element, kernel) for kernel in failing):
                 element[:, 2] = 0.0
         return real(q, *args)
 
     monkeypatch.setattr(transport, "_scale", empty_column)
     routes.clear()
     values = transport._solve(s, m, 10)
-    # one kernel pass over both kernel elements; the failing one joins the
-    # log pass, which scales both of its elements at once
+    # one kernel pass over the four kernel elements; the two failing ones
+    # join the log pass, which scales them with the one without a lead
     assert routes == ["_scale", "_scale_log"]
-    for b, expected in enumerate([["_scale"], ["_scale_log"], ["_scale", "_scale_log"]]):
+    expected = [["_scale"], ["_scale_log"], ["_scale", "_scale_log"],
+                ["_scale", "_scale_log"], ["_scale"]]
+    for b, route in enumerate(expected):
         routes.clear()
         plan = solve_transport(s[b], m[b], iterations=10)
-        assert routes == expected
+        assert routes == route
         assert np.array_equal(values[b], plan.values)
 
 
@@ -377,6 +491,48 @@ def test_batched_solve_sends_an_organic_kernel_failure_to_log_space(rng, routes)
         plan = solve_transport(s[b], m[b], iterations=10)
         assert routes == expected
         assert np.array_equal(values[b], plan.values)
+
+
+def _log_space_plan(s, m, iterations):
+    """The scaling rounds on exp(s) with every factor kept as its log:
+    the reference a row-shifted kernel plan must match."""
+    def logsumexp(a, axis):
+        top = a.max(axis=axis, keepdims=True)
+        top = np.where(np.isfinite(top), top, 0.0)
+        with np.errstate(divide="ignore"):
+            return np.squeeze(np.log(np.exp(a - top).sum(axis=axis, keepdims=True)) + top,
+                              axis=axis)
+
+    log_r, log_c = np.zeros(len(m)), np.zeros(s.shape[1])
+    for _ in range(max(iterations, 1)):
+        if iterations:
+            with np.errstate(divide="ignore"):
+                log_r = np.log(m) - logsumexp(s + log_c, axis=1)
+        log_c = -np.log(s.shape[1]) - logsumexp(s + log_r[:, None], axis=0)
+    return np.exp(log_r[:, None] + s + log_c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(2, 6), cols=st.integers(2, 30),
+       span=st.floats(700.5, 6000.0), noise=st.floats(0.5, 400.0),
+       iterations=st.integers(1, 12),
+       exponents=st.lists(st.floats(-300.0, 0.0), min_size=6, max_size=6))
+def test_kernel_plans_match_log_space_wherever_the_kernel_held(seed, rows, cols, span, noise,
+                                                              iterations, exponents):
+    # rows at heights spread over the span, each with its own noise: the
+    # column condition passes or fails, tiny marginals can fail the scales
+    rng = np.random.default_rng(seed)
+    heights = rng.uniform(0.0, span, rows)
+    heights[:2] = 0.0, span
+    s = heights[:, None] + noise * rng.standard_normal((rows, cols))
+    m = 10.0 ** np.array(exponents[:rows])
+    m /= m.sum()
+    with mock.patch.object(transport, "_scale_log", wraps=transport._scale_log) as log:
+        values = transport._solve(s[None], m[None], iterations)[0]
+    if log.called:
+        return
+    np.testing.assert_allclose(values, _log_space_plan(s, m, iterations),
+                               rtol=2e-15 * np.ptp(s), atol=1e-17)
 
 
 # ---------------------------------------------------------------- codes
