@@ -469,9 +469,12 @@ def silhouette_score(embeddings: np.ndarray, labels: np.ndarray) -> float:
     - 2 x.y, clamped at 0 before the square root. The rows are first
     centred on their mean: the score does not change under translation,
     and centring keeps the identity's cancellation down to the spread of
-    the data rather than its offset. Distances are taken between the k
-    distinct rows of the pool, and a distinct row is exactly 0 from
-    itself, so exact duplicates are exactly 0 apart. That k x k matrix is
+    the data rather than its offset. They are then scaled by a power of
+    two to a largest magnitude in [0.5, 1): that is exact, the score does
+    not change under scaling either, and no squared distance under- or
+    overflows. Distances are taken between the k distinct rows of the
+    pool, and a distinct row is exactly 0 from itself, so exact
+    duplicates are exactly 0 apart. That k x k matrix is
     symmetric, so it is walked in row blocks [lo, hi) against the columns
     [lo, k) only: each block adds its rows' class sums and, through its
     transpose, the sums of the columns past hi, so each distinct pair is
@@ -488,6 +491,7 @@ def silhouette_score(embeddings: np.ndarray, labels: np.ndarray) -> float:
     n, d = x.shape
     counts = np.bincount(dense)
     x = x - x.mean(axis=0)
+    x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
     # distinct rows are the distance columns; row i's own column is col[i]
     row_bytes = x.view(np.dtype((np.void, x.itemsize * d))).ravel()
     _, first, col = np.unique(row_bytes, return_index=True, return_inverse=True)

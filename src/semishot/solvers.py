@@ -116,7 +116,9 @@ def estimate_marginal(support: SupportSet) -> np.ndarray:
 def correct_marginal(marginal: np.ndarray, ratio: float = 0.25) -> np.ndarray:
     """Floor zero entries at ratio * (smallest positive entry), then
     renormalize. Estimates with no zeros pass through unchanged; an
-    all-zero estimate is rejected."""
+    all-zero estimate is rejected. The estimate is first scaled by a
+    power of two to a largest entry in [0.5, 1), which is exact and keeps
+    the sum from overflowing."""
     if not 0.0 < check_real(ratio, "ratio") < 1.0:
         raise ConfigError(f"ratio must be in (0, 1), got {ratio}")
     m = check_array(marginal, "marginal", (None,), finite=True)
@@ -127,6 +129,7 @@ def correct_marginal(marginal: np.ndarray, ratio: float = 0.25) -> np.ndarray:
         raise DataError("marginal has no positive entries")
     if positive.all():
         return m
+    m = np.ldexp(m, -np.frexp(m.max())[1])
     floor = ratio * m[positive].min()
     floored = np.maximum(m, floor)
     return floored / floored.sum()

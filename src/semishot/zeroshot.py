@@ -1,11 +1,12 @@
 """Text-prototype ensembling, the scoring rule and softmax prediction.
 
-``similarity_matrix`` (scores (W @ V.T) / tau, classes by points) and
-``_logsumexp`` are the one scoring rule that prediction, the loss
-evaluators and the transport step read; ``_scores`` is the unchecked
-core of the former over a leading batch axis, which the solvers' round
-loop runs. The evaluation's scoring pass takes the same (W @ V.T) / tau
-with a batch's prototype rows stacked into one 2-D product.
+``similarity_matrix`` (scores (W @ V.T) / tau, classes by points) is
+the one scoring rule that prediction, the loss evaluators and the
+transport step read, and ``_logsumexp`` the normaliser the first two
+share; ``_scores`` is the unchecked core of the former over a leading
+batch axis, which the solvers' round loop runs. The evaluation's
+scoring pass takes the same (W @ V.T) / tau with a batch's prototype
+rows stacked into one 2-D product.
 
 The package's intake checks live here too: ``check_tau``,
 ``check_count`` and ``check_real`` for scalar fields (a ConfigError),
@@ -101,14 +102,19 @@ def ensemble_text_prototypes(per_class_templates: np.ndarray) -> np.ndarray:
 
     ``per_class_templates`` has shape (C, J, D) with J >= 1 templates per
     class. A class whose template mean collapses to (near) zero has no
-    usable direction and raises DataError.
+    usable direction and raises DataError. Each class's templates are
+    first scaled by a power of two to a largest magnitude in [0.5, 1):
+    that is exact, the direction does not depend on it, and no mean or
+    norm overflows; the (near) zero test reads the unscaled norm.
     """
     tmpl = check_array(per_class_templates, "templates", (None, None, None), finite=True)
     if tmpl.shape[1] == 0:
         raise DataError("at least one template per class is required")
-    means = tmpl.mean(axis=1)
+    exponents = np.frexp(np.abs(tmpl).max(axis=(1, 2), initial=0.0))[1]
+    means = np.ldexp(tmpl, -exponents[:, None, None]).mean(axis=1)
     norms = np.linalg.norm(means, axis=1)
-    degenerate = np.flatnonzero(norms < 1e-8)
+    with np.errstate(over="ignore"):
+        degenerate = np.flatnonzero(np.ldexp(norms, exponents) < 1e-8)
     if degenerate.size:
         raise DataError(
             f"template mean for classes {degenerate.tolist()} is (near) zero; "
@@ -122,7 +128,9 @@ def similarity_matrix(prototypes: np.ndarray, embeddings: np.ndarray,
     """Scaled cosine-style scores, classes by points: (W @ V.T) / tau."""
     tau = check_tau(tau)
     w = check_array(prototypes, "prototypes", (None, None))
-    s = _scores(w, check_array(embeddings, "embeddings", (None, w.shape[1])), tau)
+    v = check_array(embeddings, "embeddings", (None, w.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        s = _scores(w, v, tau)
     if not np.all(np.isfinite(s)):
         raise DataError("similarity matrix contains non-finite entries")
     return s

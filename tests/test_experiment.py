@@ -33,7 +33,7 @@ from semishot import (
     split_indices,
     synthetic_dataset,
 )
-from semishot import data, experiment, solvers, transport, zeroshot
+from semishot import data, experiment, solvers, zeroshot
 from semishot.experiment import CSV_HEADER, DEFAULT_SYNTHETIC_TAU, SOLVER_NAMES
 
 from conftest import traced_peak_mb, unit_rows
@@ -409,6 +409,18 @@ def test_silhouette_far_from_origin_matches_naive(rng):
                                                    abs=1e-10)
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e300, 1e-300, 2.0**500, 2.0**-900])
+def test_silhouette_does_not_depend_on_scale(scale):
+    # squared distances of the raw rows would over- or underflow here
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((60, 5))
+    y = rng.integers(0, 3, 60)
+    base = silhouette_score(x, y)
+    assert silhouette_score(x * scale, y) == pytest.approx(base, rel=1e-12)
+    if np.frexp(scale)[0] == 0.5:  # a power of two scales exactly
+        assert silhouette_score(x * scale, y) == base
+
+
 def test_silhouette_duplicates_are_exactly_zero_apart(rng):
     # every class is copies of one point, so a is 0 only if every
     # duplicate pair is exactly 0 apart, and each score is exactly 1
@@ -646,24 +658,24 @@ _BATCH_SETTINGS = {
 @pytest.mark.parametrize("cfg_kw, run_kw", _BATCH_SETTINGS.values(), ids=_BATCH_SETTINGS.keys())
 def test_run_benchmark_rows_equal_cell_by_cell_fits(monkeypatch, cfg_kw, run_kw):
     # tau=0.003 puts score spans on both sides of 700, so the batches
-    # mix kernel and log transport routes
+    # mix globally and row-shifted kernels
     ds = _bench_dataset()
     held_out = synthetic_dataset(small_spec(seed=9, pool_size=60)).pool()
     eval_set = held_out if run_kw.get("eval_set") else None
     mult = run_kw.get("unlabeled_multiplier", 8)
     cfg = SolverConfig(tau=0.003, **cfg_kw)
-    routes = []
-    for name in ("_scale", "_scale_log"):
-        def spy(*args, _real=getattr(transport, name), _name=name):
-            routes.append(_name)
-            return _real(*args)
+    wide = []
 
-        monkeypatch.setattr(transport, name, spy)
+    def spy(s, *args, _real=solvers._solve):
+        wide.extend((np.ptp(s, axis=(-2, -1)) > 700).tolist())
+        return _real(s, *args)
+
+    monkeypatch.setattr(solvers, "_solve", spy)
     rows = run_benchmark(ds, shot_grid=(1, 4), seeds=[3, 0, 5], cfg=cfg,
                          unlabeled_multiplier=mult, include_timing=False,
                          eval_set=eval_set)
     if mult:
-        assert {"_scale", "_scale_log"} <= set(routes)
+        assert {True, False} <= set(wide)
     pool = ds.pool()
     for row in rows:
         spec = SamplingSpec(shots=row.shots, unlabeled_multiplier=mult, seed=row.seed)

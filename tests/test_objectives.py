@@ -126,6 +126,17 @@ def test_logit_evaluators_reject_nonfinite_prototypes(rng, evaluate, bad):
         evaluate(y, v, w)
 
 
+@pytest.mark.parametrize("evaluate", [
+    lambda y, v, w: eval_tightness(y, v, w, tau=1e-320),
+    lambda y, v, w: eval_contrast(v, w, tau=1e-320),
+    lambda y, v, w: eval_ce(y, v, w, tau=1e-320),
+], ids=["tightness", "contrast", "ce"])
+def test_logit_evaluators_reject_overflowing_logits_without_warnings(evaluate):
+    # 1/1e-320 overflows; the suite turns any RuntimeWarning into an error
+    with pytest.raises(DataError, match="non-finite"):
+        evaluate(np.eye(2)[[0, 1, 0]], np.eye(3), np.eye(2, 3))
+
+
 # ---------------------------------------------------------------- cross-entropy
 
 

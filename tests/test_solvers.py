@@ -40,6 +40,11 @@ def test_correct_marginal_floors_zero_entries():
     assert out2.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_correct_marginal_of_a_huge_estimate_does_not_overflow():
+    out = correct_marginal(np.array([1e308, 1e308, 0.0]), ratio=0.25)
+    np.testing.assert_allclose(out, [4 / 9, 4 / 9, 1 / 9], rtol=1e-15)
+
+
 def test_correct_marginal_passthrough_without_zeros():
     m = np.array([0.6, 0.3, 0.1])
     assert np.array_equal(correct_marginal(m, ratio=0.25), m)

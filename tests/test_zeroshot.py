@@ -9,6 +9,7 @@ from semishot import (
     ensemble_text_prototypes,
     predict_labels,
     predict_probs,
+    similarity_matrix,
 )
 
 from conftest import unit_rows
@@ -47,6 +48,22 @@ def test_ensemble_rejects_empty_and_nonfinite(rng):
     bad[0, 0, 0] = np.inf
     with pytest.raises(DataError):
         ensemble_text_prototypes(bad)
+
+
+@pytest.mark.parametrize("templates, expected", [
+    (np.full((2, 2, 3), 1e308), np.full((2, 3), 3.0 ** -0.5)),
+    ([[[1e308, 1e308, 0.0]], [[0.0, 1e308, 1e308]]],
+     [[2.0 ** -0.5, 2.0 ** -0.5, 0.0], [0.0, 2.0 ** -0.5, 2.0 ** -0.5]])],
+    ids=["mean-overflows", "norm-overflows"])
+def test_ensemble_of_huge_templates_does_not_overflow(templates, expected):
+    np.testing.assert_allclose(ensemble_text_prototypes(templates), expected, rtol=1e-15)
+
+
+def test_ensemble_near_zero_test_reads_the_unscaled_norm():
+    # scaled to [0.5, 1) these would be far from zero; unscaled they are not
+    with pytest.raises(DataError, match="near"):
+        ensemble_text_prototypes(np.full((1, 2, 3), 1e-10))
+    assert ensemble_text_prototypes(np.full((1, 2, 3), 1e-8)).shape == (1, 3)
 
 
 def test_ensemble_requires_3d(rng):
@@ -112,6 +129,15 @@ def test_predict_probs_rejects_nonfinite(rng):
     v[0, 0] = np.nan
     with pytest.raises(DataError):
         predict_probs(v, unit_rows(rng, 2, 3), tau=1.0)
+
+
+def test_overflowing_scores_are_a_data_error_without_warnings():
+    # 1/1e-320 overflows; the suite turns any RuntimeWarning into an error
+    w, v = np.eye(2, 3), np.eye(3)
+    with pytest.raises(DataError, match="non-finite"):
+        similarity_matrix(w, v, 1e-320)
+    with pytest.raises(DataError, match="non-finite"):
+        predict_probs(v, w, 1e-320)
 
 
 def test_tau_validation(rng):
