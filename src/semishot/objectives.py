@@ -165,7 +165,8 @@ class _ClassSums:
                    tau: float) -> "_ClassSums":
         """This record with the unlabeled sums of (B, C, M) codes over
         (B, M, D) unlabeled embeddings."""
-        sums = np.matmul(codes, embeddings) / (embeddings.shape[-2] * tau)
+        sums = np.matmul(codes, embeddings)
+        sums /= embeddings.shape[-2] * tau
         return replace(self, unlabeled=sums)
 
     def parts(self, prototypes: np.ndarray,
@@ -218,7 +219,8 @@ def _class_sums(embeddings: np.ndarray, labels: np.ndarray, tau: float,
     lam_unl = lambdas.unlabeled_weights(counts)
     observed = np.isfinite(lam_text)
     ratio = np.divide(lam_unl, lam_text, out=np.full(counts.shape, 2.0), where=observed)
-    labeled = np.matmul(np.swapaxes(labels, -1, -2), embeddings) / (labels.shape[-2] * tau)
+    labeled = np.matmul(np.swapaxes(labels, -1, -2), embeddings)
+    labeled /= labels.shape[-2] * tau
     return _ClassSums(labeled=labeled, unlabeled=np.zeros_like(labeled),
                       lam_text=np.where(observed, lam_text, 0.0),
                       lam_unl=np.where(observed, lam_unl, 0.0),

@@ -24,7 +24,11 @@ only the labeled sums read the support rows, and they are built for
 each run of equal N and joined on the batch axis. Checks that cannot
 change between rounds run once: the temperature when SolverConfig is
 built, the text prototypes and an oracle class marginal once per fit.
-The finite-score and finite-objective checks run every round.
+The finite-score and finite-objective checks run every round; the
+transport solve finds non-finite scores from the maxima and minima its
+shift takes. A round makes two (B, C, M) arrays: the scores, and the
+kernel that the solve builds the plan in and the codes overwrite once
+the plan's residual is read.
 """
 
 from __future__ import annotations
@@ -279,18 +283,16 @@ def _adapt(supports: list[SupportSet], text_prototypes: np.ndarray,
     proto_snaps: list[np.ndarray] = []
     for round_idx in range(1, rounds + 1):
         if unlabeled is not None:
-            with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            with np.errstate(over="ignore", invalid="ignore"):  # _solve checks
                 scores = _scores(prototypes, unlabeled, cfg.tau)
             try:
-                if not np.all(np.isfinite(scores)):
-                    raise DataError("similarity matrix contains non-finite entries")
                 values = _solve(scores, marginal, cfg.ot_iters)
-                codes = _class_codes(values)
+                residuals.append(np.abs(values.sum(axis=-1) - marginal).sum(axis=-1))
+                codes = _class_codes(values)  # over the plan, read just above
             except (DegeneratePlanError, DataError) as exc:
                 raise SolverError(
                     f"pseudo-label step failed at round {round_idx}: {exc}",
                     iteration=round_idx) from exc
-            residuals.append(np.abs(values.sum(axis=-1) - marginal).sum(axis=-1))
             sums = base.with_codes(codes, unlabeled, cfg.tau)
         if round_idx == 1:
             trace.append(_trace_entry(sums, prototypes, t, round_idx))

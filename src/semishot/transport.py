@@ -40,9 +40,13 @@ builder.
 The scaling loop works over leading batch axes. The private ``_solve``
 balances a batch of same-shaped problems at once, and
 ``solve_transport`` is that solve at B=1; the solvers' round loop calls
-``_solve`` directly, on scores it has checked itself. An element that
+``_solve`` directly, and ``_solve`` finds a NaN or an infinity in the
+scores from the maxima and minima its shift takes. An element that
 absorbs rebuilds only its own kernel, and batched matrix products never
-mix elements, so every plan is the one its element gets alone.
+mix elements, so every plan is the one its element gets alone. A solve
+writes its plan into the kernel it exponentiated, and ``_class_codes``
+writes the codes over that plan, so a round makes one (B, C, M) array
+for the pair and never writes its caller's scores or ``plan0``.
 """
 
 from __future__ import annotations
@@ -131,7 +135,8 @@ def _scale(q: np.ndarray, m: np.ndarray, iterations: int, s: np.ndarray | None =
            shift: np.ndarray | None = None, reach: np.ndarray | None = None) -> np.ndarray:
     """The row/column loop on nonnegative kernels (..., C, M) with row
     marginals (..., C): the balanced plans
-    ``r[..., :, None] * q * c[..., None, :]``.
+    ``r[..., :, None] * q * c[..., None, :]``, built into ``q``, which
+    is overwritten and returned.
 
     Each round sets r to hit ``m`` and then c to hit the uniform 1/M;
     ``iterations=0`` keeps r at one and runs the column step once.
@@ -139,9 +144,12 @@ def _scale(q: np.ndarray, m: np.ndarray, iterations: int, s: np.ndarray | None =
     target needs comes out zero or non-finite, that is, when its
     denominator vanished, overflowed or was too small to divide; with a
     (B,) ``reach``, a column step also fails for an element whose
-    ``max(r) * max(c)`` passes its entry. Without scores a failure
-    raises DegeneratePlanError. With scores ``s`` (B, C, M), where ``q``
-    is ``exp(s - shift)`` and is rebuilt in place, a failing element
+    ``max(r) * max(c)`` passes its entry. One min and max over the whole
+    batch, with zero-mass rows offset to a scale of one, tell whether
+    every element's step held; the per-element test runs only when they
+    do not, or with a ``reach``. Without scores a failure raises
+    DegeneratePlanError. With scores ``s`` (B, C, M), where ``q`` is
+    ``exp(s - shift)`` and is rebuilt in place, a failing element
     absorbs its scales instead (Schmitzer's stabilised scaling): the
     scale the step keeps folds into that element's row (B, C, 1) or
     column (B, 1, M) shift, the axis the step overwrites is shifted to a
@@ -153,6 +161,7 @@ def _scale(q: np.ndarray, m: np.ndarray, iterations: int, s: np.ndarray | None =
     r = np.ones(m.shape)
     c = np.ones(q.shape[:-2] + q.shape[-1:])
     positive = m > 0
+    massless = np.where(positive, 0.0, 1.0)
     a = b = None
 
     def absorb(held, step):
@@ -180,18 +189,27 @@ def _scale(q: np.ndarray, m: np.ndarray, iterations: int, s: np.ndarray | None =
         for _ in range(max(iterations, 1)):
             if iterations:
                 r = _row_step(q, c, m, positive)
-                held = (np.isfinite(r) & ((r > 0) | ~positive)).all(axis=-1)
-                if not held.all():
+                if not _all_held(r + massless):
+                    held = (np.isfinite(r) & ((r > 0) | ~positive)).all(axis=-1)
                     e = absorb(held, "row")
                     r[e] = _row_step(q[e], c[e], m[e], positive[e])
             c = _column_step(q, r)
-            held = (np.isfinite(c) & (c > 0)).all(axis=-1)
-            if reach is not None:
-                held &= r.max(axis=-1) * c.max(axis=-1) <= reach
-            if not held.all():
-                e = absorb(held, "column")
-                c[e] = _column_step(q[e], r[e])
-        return r[..., :, None] * q * c[..., None, :]
+            if reach is not None or not _all_held(c):
+                held = (np.isfinite(c) & (c > 0)).all(axis=-1)
+                if reach is not None:
+                    held &= r.max(axis=-1) * c.max(axis=-1) <= reach
+                if not held.all():
+                    e = absorb(held, "column")
+                    c[e] = _column_step(q[e], r[e])
+        q *= r[..., :, None]
+        q *= c[..., None, :]
+        return q
+
+
+def _all_held(scales: np.ndarray) -> bool:
+    """Whether every scale factor of the batch is positive and finite; a
+    NaN fails both tests."""
+    return bool(scales.min() > 0) and bool(scales.max() < np.inf)
 
 
 def _row_step(q: np.ndarray, c: np.ndarray, m: np.ndarray, positive: np.ndarray) -> np.ndarray:
@@ -216,7 +234,7 @@ def sinkhorn(plan0: np.ndarray, row_marginal: np.ndarray,
     q, m, iterations = _checked_inputs(plan0, row_marginal, iterations, "plan")
     if np.any(q < 0):
         raise DataError("plan entries must be nonnegative")
-    return _build_plan(_scale(q, m, iterations), m)
+    return _build_plan(_scale(q.copy(), m, iterations), m)
 
 
 def solve_transport(similarities: np.ndarray, row_marginal: np.ndarray,
@@ -244,17 +262,23 @@ def solve_transport(similarities: np.ndarray, row_marginal: np.ndarray,
 
 def _solve(s: np.ndarray, m: np.ndarray, iterations: int) -> np.ndarray:
     """The ``solve_transport`` plan values of every element of a batch of
-    checked scores (B, C, M) and row marginals (B, C).
+    scores (B, C, M) and row marginals (B, C), in a new array; ``s`` is
+    read, not written.
 
-    Each element starts from the shift its own first step absorbs: span
-    at most 700, the global max, ``exp(s - s.max())``; wider, the max of
-    each row, or of each column at zero iterations. All elements share
-    one ``_scale`` pass; one that absorbs rebuilds only its own kernel,
-    so an element's plan is the one it gets at B=1. A batch without a
-    wide span computes no row or column maxima and no reach checks.
+    Scores holding a NaN or an infinity are a DataError, found from the
+    batch maxima and minima that the shift takes anyway. Each element
+    starts from the shift its own first step absorbs: span at most 700,
+    the global max, ``exp(s - s.max())``; wider, the max of each row, or
+    of each column at zero iterations. All elements share one ``_scale``
+    pass; one that absorbs rebuilds only its own kernel, so an
+    element's plan is the one it gets at B=1. A batch without a wide
+    span computes no row or column maxima and no reach checks.
     """
     s_max = s.max(axis=(-2, -1), keepdims=True)
-    wide = s_max - s.min(axis=(-2, -1), keepdims=True) > _EXP_SAFE_SPAN
+    s_min = s.min(axis=(-2, -1), keepdims=True)
+    if not (np.isfinite(s_max).all() and np.isfinite(s_min).all()):
+        raise DataError("similarity matrix contains non-finite entries")
+    wide = s_max - s_min > _EXP_SAFE_SPAN
     shift, reach = s_max, None
     if wide.any():
         shift = np.where(wide, s.max(axis=-1 if iterations else -2, keepdims=True), s_max)
@@ -265,9 +289,12 @@ def _solve(s: np.ndarray, m: np.ndarray, iterations: int) -> np.ndarray:
 
 def _class_codes(values: np.ndarray) -> np.ndarray:
     """Plan columns renormalized to the simplex, over leading batch axes:
-    (..., C, M) plans give (..., C, M) codes."""
+    (..., C, M) plans give (..., C, M) codes. The codes are written over
+    ``values``, which is returned; a caller that still needs the plan
+    passes a copy."""
     col_sums = values.sum(axis=-2)
     if np.any(col_sums <= 0):
         raise DegeneratePlanError("plan has an empty column; codes are undefined")
-    return values / col_sums[..., None, :]
+    values /= col_sums[..., None, :]
+    return values
 

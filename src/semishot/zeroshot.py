@@ -139,8 +139,11 @@ def similarity_matrix(prototypes: np.ndarray, embeddings: np.ndarray,
 def _scores(prototypes: np.ndarray, embeddings: np.ndarray, tau: float) -> np.ndarray:
     """``similarity_matrix`` without its checks, over any leading batch
     axes: (..., C, D) prototypes and (..., M, D) embeddings give
-    (..., C, M) scores."""
-    return np.matmul(prototypes, np.swapaxes(embeddings, -1, -2)) / tau
+    (..., C, M) scores, a new array that the product is divided by
+    ``tau`` in; neither argument is written."""
+    scores = np.matmul(prototypes, np.swapaxes(embeddings, -1, -2))
+    scores /= tau
+    return scores
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:

@@ -25,6 +25,15 @@ def unit_rows(rng, n, d):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
+def unwritten(call, *arrays):
+    """``call(*arrays)``, asserting that it leaves the bytes of every
+    array as they were."""
+    before = [a.tobytes() for a in arrays]
+    out = call(*arrays)
+    assert [a.tobytes() for a in arrays] == before
+    return out
+
+
 def random_support(rng, n, c, d, ensure_all_classes=False):
     """Random labeled set; optionally force every class to appear."""
     if ensure_all_classes:

@@ -162,6 +162,26 @@ def test_direct_construction_rejects_bad_rows(build, rows):
         build(rows)
 
 
+def test_drawn_support_is_the_pool_rows_normalized_without_a_second_check(rng):
+    # a drawn support skips the constructor's tests, whose rows and
+    # one-hot were checked where they were made; the constructor keeps
+    # them, and an empty draw still fails
+    pool = EvalSet(embeddings=rng.standard_normal((60, 5)) * 3.0,
+                   labels=rng.integers(0, 4, 60), class_count=4)
+    norms = ss.data._checked_row_norms(pool.embeddings)
+    spec = ss.SamplingSpec(shots=2, unlabeled_multiplier=3, seed=5)
+    split = ss.experiment._draw_split(pool, norms, spec)
+    idx, _, _ = ss.split_indices(pool.labels, 4, spec)
+    assert split.support.embeddings.tobytes() == normalize_rows(pool.embeddings)[idx].tobytes()
+    assert np.array_equal(split.support.labels, np.eye(4)[pool.labels[idx]])
+    assert not split.support.embeddings.flags.writeable
+    assert not split.support.labels.flags.writeable
+    with pytest.raises(DataError, match="unit-norm"):
+        SupportSet(embeddings=pool.embeddings[idx], labels=split.support.labels)
+    with pytest.raises(DataError, match="at least one sample"):
+        SupportSet._of_unit_rows(np.zeros((0, 5)), np.zeros(0, dtype=np.int64), 4)
+
+
 def test_direct_construction_accepts_unit_rows_within_tolerance():
     emb = np.array([[1.0 + 5e-5, 0.0], [0.0, 1.0]])
     assert SupportSet(embeddings=emb, labels=np.eye(2)).n == 2

@@ -1,6 +1,9 @@
+import ast
 import importlib
 import pkgutil
+import sys
 import types
+from pathlib import Path
 
 import semishot
 
@@ -43,3 +46,21 @@ def test_exports_match_the_public_names():
     namespace = {}
     exec("from semishot import *", namespace)
     assert set(exported) <= namespace.keys()
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    # the package depends on NumPy alone; an absolute import of anything
+    # else (scipy, numba, ...) would add a dependency
+    allowed = sys.stdlib_module_names | {"numpy"}
+    sources = sorted(Path(semishot.__file__).parent.glob("*.py"))
+    assert len(sources) == len(SUBMODULES) + 1  # with __init__.py
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name} imports {name}"

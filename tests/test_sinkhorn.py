@@ -16,7 +16,7 @@ from semishot import (
 )
 from semishot import transport
 
-from conftest import unit_rows
+from conftest import unit_rows, unwritten
 
 
 def random_marginal(rng, c):
@@ -84,6 +84,24 @@ def test_init_plan_rejects_nonfinite_scores(bad):
     # bad input is a DataError, not a vanished-mass solver failure
     with pytest.raises(DataError, match="non-finite"):
         init_plan(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("iterations", [0, 10])
+def test_transport_and_scores_leave_their_inputs_unwritten(rng, iterations):
+    # the plan is built in the kernel the solve makes, and sinkhorn
+    # scales a copy of plan0, which check_array would hand back as is;
+    # wide spans rebuild kernels from the scores, which must stay as given
+    w, v = unit_rows(rng, 3, 6), unit_rows(rng, 8, 6)
+    m = random_marginal(rng, 3)
+    s = unwritten(lambda a, b: similarity_matrix(a, b, 0.05), w, v)
+    plan0 = init_plan(s)
+    unwritten(lambda q, r: sinkhorn(q, r, iterations), plan0, m)
+    unwritten(lambda q, r: solve_transport(q, r, iterations), s, m)
+    wide = span_scores(rng, 900.0)
+    wide[:, 3] -= 900.0  # column 3 has no lead: the kernel absorbs
+    unwritten(lambda q, r: solve_transport(q, r, iterations), wide, m)
+    unwritten(lambda q, r: transport._solve(q, r, iterations),
+               np.stack([s[:, :3], wide[:, :3]]), np.stack([m, m]))
 
 
 # ---------------------------------------------------------------- residual
@@ -535,7 +553,7 @@ def test_extract_pseudolabels_column_renormalization():
 def test_extract_pseudolabels_rows_sum_to_one(rng):
     s = rng.standard_normal((4, 9)) * 3.0
     plan = solve_transport(s, random_marginal(rng, 4), iterations=6)
-    codes = transport._class_codes(plan.values)
+    codes = transport._class_codes(plan.values.copy())  # it writes over its argument
     assert codes.shape == (4, 9)
     assert np.allclose(codes.sum(axis=0), 1.0, atol=1e-12)
     assert (codes >= 0.0).all()
@@ -543,8 +561,17 @@ def test_extract_pseudolabels_rows_sum_to_one(rng):
 
 def test_extract_pseudolabels_uniform_plan(rng):
     plan = sinkhorn(np.full((4, 6), 1.0 / 24.0), np.full(4, 0.25), iterations=2)
-    codes = transport._class_codes(plan.values)
+    codes = transport._class_codes(plan.values.copy())
     assert np.allclose(codes, 0.25, atol=1e-12)
+
+
+def test_class_codes_are_written_over_the_plan(rng):
+    values = solve_transport(rng.standard_normal((3, 5)), random_marginal(rng, 3)).values
+    expected = values / values.sum(axis=0)
+    plan = values.copy()
+    codes = transport._class_codes(plan)
+    assert codes is plan
+    assert np.array_equal(codes, expected)
 
 
 def test_extract_pseudolabels_empty_column_raises():

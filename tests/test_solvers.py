@@ -18,10 +18,12 @@ from semishot import (
     fit_simpleshot,
     fit_sstext,
     fit_sstextu,
+    similarity_matrix,
+    solve_transport,
     update_prototypes,
 )
 
-from conftest import random_codes, random_support, random_unlabeled, unit_rows
+from conftest import random_codes, random_support, random_unlabeled, unit_rows, unwritten
 
 
 # ---------------------------------------------------------------- marginals
@@ -479,6 +481,68 @@ def test_integral_counts_of_any_integer_type_are_accepted():
     kernel = ss.init_plan(inputs[0])
     assert np.array_equal(ss.sinkhorn(kernel, inputs[1], iterations=2.0).values,
                           ss.sinkhorn(kernel, inputs[1], iterations=2).values)
+
+
+def test_sstextu_round_loop_is_bitwise_the_public_pieces(rng):
+    # each round: similarity_matrix -> solve_transport -> the plan over
+    # its column sums -> update_prototypes, with the plan's residual
+    # read before the codes are written over it
+    sup = random_support(rng, 9, 4, 6, ensure_all_classes=True)
+    unl = random_unlabeled(rng, 40, 6)
+    t = unit_rows(rng, 4, 6)
+    cfg = SolverConfig(tau=0.05, bcm_iters=3, ot_iters=7, track_codes=True)
+    result = fit_sstextu(sup, unl, t, cfg)
+    w, codes, residuals = t, [], []
+    for _ in range(cfg.bcm_iters):
+        plan = solve_transport(similarity_matrix(w, unl.embeddings, cfg.tau),
+                               result.marginal, cfg.ot_iters)
+        residuals.append(plan.residual)
+        codes.append((plan.values / plan.values.sum(axis=0)).T)
+        w = update_prototypes(sup, unl, codes[-1], t, cfg.tau, cfg.lambdas)
+    assert result.prototypes.tobytes() == w.tobytes()
+    assert result.ot_residuals.tolist() == residuals
+    assert len(result.pseudolabel_trace) == len(codes)
+    for got, want in zip(result.pseudolabel_trace, codes):
+        assert got.tobytes() == want.tobytes()
+    # every snapshot is its own array, and a later fit writes none of them
+    snaps = result.pseudolabel_trace + result.prototype_trace
+    for i, a in enumerate(snaps):
+        assert not any(np.shares_memory(a, b) for b in snaps[i + 1:])
+    kept = [a.copy() for a in snaps]
+    fit_sstextu(sup, unl, t, cfg)
+    assert all(np.array_equal(a, b) for a, b in zip(snaps, kept))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_nonfinite_scores_fail_the_batch_at_round_one(rng, bad):
+    # one element's unlabeled rows carry a NaN or an infinity; the
+    # transport solve finds it from its shift's maxima and minima
+    supports = [random_support(rng, 5, 3, 4, ensure_all_classes=True) for _ in range(3)]
+    t = unit_rows(rng, 3, 4)
+    stacked = np.stack([random_unlabeled(rng, 10, 4).embeddings for _ in range(3)])
+    stacked[1, 2:4] = bad
+    with pytest.raises(SolverError) as info:
+        ss.solvers._adapt(supports, t, SolverConfig(tau=0.05), stacked)
+    assert str(info.value) == ("pseudo-label step failed at round 1: "
+                               "similarity matrix contains non-finite entries")
+    assert info.value.iteration == 1
+    with pytest.raises(DataError, match="non-finite"):
+        solve_transport(np.array([[0.0, bad], [1.0, 0.0]]), np.array([0.5, 0.5]))
+
+
+def test_fits_leave_their_inputs_unwritten(rng):
+    sup = random_support(rng, 8, 3, 6, ensure_all_classes=True)
+    unl = random_unlabeled(rng, 20, 6)
+    t = unit_rows(rng, 3, 6)
+    oracle = np.array([0.5, 0.3, 0.2])
+    cfg = SolverConfig(tau=0.002, marginal_source="oracle", track_codes=True)
+    unwritten(lambda *_: fit_sstextu(sup, unl, t, cfg, oracle_marginal=oracle),
+              sup.embeddings, sup.labels, unl.embeddings, t, oracle)
+    # a batch of mixed N, some of whose spans at tau=0.002 pass 700
+    supports = [random_support(rng, n, 3, 6) for n in (4, 4, 7)]
+    stacked = np.stack([random_unlabeled(rng, 20, 6).embeddings for _ in supports])
+    unwritten(lambda *_: ss.solvers._adapt(supports, t, cfg, stacked, [oracle] * 3),
+              stacked, t, oracle, *(s.embeddings for s in supports))
 
 
 def test_sstextu_dim_mismatch(rng):
