@@ -246,9 +246,9 @@ def _adapt_split(dataset: Dataset, args) -> tuple[SupportSet, UnlabeledSet,
 
 def _refuse_overwrite(command: str, writes, datasets) -> None:
     """Raise ConfigError when a file that ``command`` would write, each a
-    (flag, value, path) of ``writes``, is a file of one of the dataset
-    manifests ``datasets`` (None entries skipped) that it reads, or a
-    file that an earlier entry of ``writes`` names."""
+    (flag, value, path) of ``writes``, is a file of one of the dataset or
+    prototype manifests ``datasets`` (None entries skipped) that it
+    reads, or a file that an earlier entry of ``writes`` names."""
     owners = {}
     for manifest in filter(None, datasets):
         owners.update(dict.fromkeys(_dataset_files(manifest), f"a file of dataset {manifest}"))
@@ -294,6 +294,8 @@ def cmd_adapt(args) -> int:
 def cmd_eval(args) -> int:
     dataset = load_dataset(args.data)
     prototypes = load_prototypes(args.prototypes)
+    if args.out is not None:
+        _refuse_overwrite("eval", [("--out", args.out, args.out)], [args.data, args.prototypes])
     tau = _resolve_tau(args.tau, dataset)
     report = evaluate_prototypes(prototypes, dataset.pool(), tau)
     payload = {

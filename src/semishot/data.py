@@ -164,23 +164,23 @@ class SupportSet:
     ) -> "SupportSet":
         """Build a support set from integer class labels."""
         class_count = check_count(class_count, "class_count", 1)
-        return cls._of_unit_rows(normalize_rows(embeddings), class_indices, class_count)
+        emb = normalize_rows(embeddings)
+        idx = _class_labels(class_indices, emb.shape[0], class_count, "class_indices")
+        return cls._of_unit_rows(emb, idx, class_count)
 
     @classmethod
     def _of_unit_rows(cls, unit_rows: np.ndarray, class_indices: np.ndarray,
                       class_count: int) -> "SupportSet":
         """``from_indices`` of float64 rows that already are unit rows,
         such as ``normalize_rows`` gives or ``_unit_rows_at`` gathers from
-        norms checked once, kept as they are. The unit-row and one-hot
-        tests of the constructor are skipped: the rows' norms were
-        checked where they were taken, and the one-hot is built here
-        from checked class indices."""
+        norms checked once, kept as they are, and of checked class
+        indices. Only an empty set is refused: the one-hot is built here
+        from those indices."""
         emb = _readonly(unit_rows)
-        idx = _class_labels(class_indices, emb.shape[0], class_count, "class_indices")
         if emb.shape[0] < 1:
             raise DataError("support set must contain at least one sample")
         onehot = np.zeros((emb.shape[0], class_count), dtype=np.float64)
-        onehot[np.arange(emb.shape[0]), idx] = 1.0
+        onehot[np.arange(emb.shape[0]), class_indices] = 1.0
         support = object.__new__(cls)
         object.__setattr__(support, "embeddings", emb)
         object.__setattr__(support, "labels", _readonly(onehot))

@@ -44,8 +44,8 @@ import numpy as np
 from .data import (Dataset, EvalSet, SupportSet, UnlabeledSet, _checked_row_norms,
                    _class_labels, _readonly, _unit_rows_at, normalize_rows)
 from .errors import ConfigError, DataError, GenerationError, SamplingError
-from .solvers import FitResult, SolverConfig, _adapt, fit_simpleshot
-from .zeroshot import (DEFAULT_TAU, check_array, check_count, check_marginal,
+from .solvers import FitResult, SolverConfig, _adapt, _checked_oracle, fit_simpleshot
+from .zeroshot import (DEFAULT_TAU, _scores, check_array, check_count, check_marginal,
                        check_real, check_tau)
 
 SOLVER_NAMES = ("zeroshot", "simpleshot", "sstext", "sstextu")
@@ -172,8 +172,13 @@ def split_indices(labels: np.ndarray, class_count: int,
     per-class when stratified), then the unlabeled draw from the
     remainder, then everything left.
     """
-    labels = check_array(labels, "labels", (None,), dtype=None)
-    class_count = check_count(class_count, "class_count", 1)
+    return _split_indices(check_array(labels, "labels", (None,), dtype=None),
+                          check_count(class_count, "class_count", 1), spec)
+
+
+def _split_indices(labels: np.ndarray, class_count: int,
+                   spec: SamplingSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``split_indices`` of checked labels and class count."""
     pool_n = labels.shape[0]
     n = spec.shots * class_count
     m = spec.unlabeled_multiplier * class_count
@@ -236,7 +241,7 @@ def _draw_split(pool: EvalSet, norms: np.ndarray, spec: SamplingSpec) -> _Split:
     support rows are gathered and divided by their norms, bitwise the
     rows ``normalize_rows`` gives them; the unlabeled and eval draws
     stay as pool indices."""
-    sup_idx, unl_idx, eval_idx = split_indices(pool.labels, pool.class_count, spec)
+    sup_idx, unl_idx, eval_idx = _split_indices(pool.labels, pool.class_count, spec)
     support = SupportSet._of_unit_rows(_unit_rows_at(pool.embeddings, norms, sup_idx),
                                        pool.labels[sup_idx], pool.class_count)
     oracle_marginal = None
@@ -299,22 +304,17 @@ def synthetic_dataset(spec: SyntheticSpec,
 
 
 def _metrics(predictions: np.ndarray, truth: np.ndarray, class_count: int,
-             masks: np.ndarray | None = None) -> list[MetricReport]:
+             masks: np.ndarray) -> list[MetricReport]:
     """The metrics of each row of (B, P) ``predictions`` against the P
     labels of ``truth``, over the columns that its row of the (B, P)
-    ``masks`` marks (every column when None): recall per class (NaN for
-    a class absent from those columns), its mean over the present
-    classes, and plain accuracy. Hits and totals are counts of 0/1
-    entries taken as products with the one-hot truth, exact in float64;
-    aca stays each row's own 1-D mean, as a 2-D row mean rounds
-    differently."""
+    ``masks`` marks: recall per class (NaN for a class absent from those
+    columns), its mean over the present classes, and plain accuracy.
+    Hits and totals are counts of 0/1 entries taken as products with the
+    one-hot truth, exact in float64; aca stays each row's own 1-D mean,
+    as a 2-D row mean rounds differently."""
     onehot = np.equal.outer(truth, np.arange(class_count)).astype(np.float64)
-    correct = predictions == truth
-    if masks is None:
-        totals = np.broadcast_to(onehot.sum(axis=0), (correct.shape[0], class_count))
-    else:
-        correct &= masks
-        totals = masks.astype(np.float64) @ onehot
+    correct = (predictions == truth) & masks
+    totals = masks.astype(np.float64) @ onehot
     hits = correct.astype(np.float64) @ onehot
     present = totals > 0
     recall = np.full(hits.shape, np.nan)
@@ -332,7 +332,7 @@ def balanced_accuracy(predictions: np.ndarray, truth: np.ndarray,
     true = _class_labels(truth, pred.size, class_count, "truth")
     if pred.size == 0:
         raise DataError("predictions and truth must be nonempty")
-    return _metrics(pred[None], true, class_count)[0].aca
+    return _metrics(pred[None], true, class_count, np.ones((1, pred.size), dtype=bool))[0].aca
 
 
 def _top_class(scores: np.ndarray) -> np.ndarray:
@@ -362,8 +362,8 @@ def _labels(prototypes: np.ndarray, embeddings: np.ndarray,
     scores are not all finite.
 
     The matrices' rows are stacked into one (B * C, D) operand, and each
-    chunk of at most ``_BATCH_VALUES`` scores is one 2-D product with the
-    transposed view of the rows, divided by ``tau`` in place. Keep it
+    chunk of at most ``_BATCH_VALUES`` scores is one 2-D ``_scores``
+    product with the transposed view of the rows. Keep it
     flat: at the sweep grid's (25, 5, 64) x (64, 1500) a 3-D ``matmul``
     runs one small GEMM per matrix and took 1.7 ms (0.69 ms with a
     contiguous (D, P) copy), the flat product 0.32 ms, and 25 per-seed
@@ -379,9 +379,7 @@ def _labels(prototypes: np.ndarray, embeddings: np.ndarray,
     for lo in range(0, b, step):
         hi = min(b, lo + step)
         with np.errstate(over="ignore", invalid="ignore"):
-            scores = np.matmul(flat[lo * c:hi * c], embeddings.T)
-            scores /= tau
-            scores = scores.reshape(hi - lo, c, -1)
+            scores = _scores(flat[lo * c:hi * c], embeddings, tau).reshape(hi - lo, c, -1)
             labels[lo:hi] = _top_class(scores)
         ok = np.isfinite(scores)
         if not ok.all():
@@ -390,17 +388,16 @@ def _labels(prototypes: np.ndarray, embeddings: np.ndarray,
 
 
 def _score(prototypes: list, embeddings: np.ndarray, truth: np.ndarray,
-           class_count: int, tau: float,
-           masks: np.ndarray | None = None) -> list[MetricReport | Exception]:
+           class_count: int, tau: float, masks: np.ndarray) -> list[MetricReport | Exception]:
     """The metrics of each prototype matrix of ``prototypes`` on its eval
     split, or the exception that fails it: entry b's split is the rows
     of ``embeddings`` (P rows with class labels ``truth``) that row b of
-    the (B, P) ``masks`` marks, every row when None. An entry that
-    already is an exception (a failed fit) stays as it is. An empty
-    split fails its matrix, as does a matrix that is not (C, D) for the
-    rows, and one whose scores on its split are not all finite; the
-    overflow or invalid value behind such scores is silenced, so that
-    its error is the only signal. A bad ``tau`` raises.
+    the (B, P) ``masks`` marks. An entry that already is an exception (a
+    failed fit) stays as it is. An empty split fails its matrix, as does
+    a matrix that is not (C, D) for the rows, and one whose scores on its
+    split are not all finite; the overflow or invalid value behind such
+    scores is silenced, so that its error is the only signal. ``tau`` and
+    the matrices are trusted: the public entries and the fits check them.
 
     Every distinct matrix that passes is scored against all P rows in
     one flat product (``_labels``); entries that are the same array
@@ -411,36 +408,24 @@ def _score(prototypes: list, embeddings: np.ndarray, truth: np.ndarray,
     only where exp() rounds a logit within ~1e-16 of its row's max up to
     that max, a tie it gives to the lower class.
     """
-    outcomes, scored, which, stack, seen = list(prototypes), [], [], [], {}
-    sizes = [truth.size] * len(outcomes) if masks is None else masks.sum(axis=1)
-    for i, p in enumerate(prototypes):
+    outcomes, scored, which, distinct = list(prototypes), [], [], {}
+    shape = (class_count, embeddings.shape[1])
+    for i, (p, size) in enumerate(zip(prototypes, masks.sum(axis=1))):
         if isinstance(p, Exception):
             continue
-        if not sizes[i]:
+        if not size:
             outcomes[i] = DataError("eval split is empty")
-            continue
-        key = id(p)  # the list holds every entry, so ids stay distinct
-        if key not in seen:
-            try:
-                stack.append(check_array(p, "prototypes", (class_count, embeddings.shape[1])))
-                seen[key] = len(stack) - 1
-            except DataError as exc:
-                seen[key] = exc
-        if isinstance(seen[key], Exception):
-            outcomes[i] = seen[key]
+        elif p.shape != shape:
+            outcomes[i] = DataError(f"prototypes shape {p.shape}, expected {shape}")
         else:
-            scored.append(i)
-            which.append(seen[key])
+            scored.append(i)  # the list holds every entry, so ids stay distinct
+            which.append(distinct.setdefault(id(p), (len(distinct), p))[0])
     if not scored:
         return outcomes
-    tau = check_tau(tau)
-    labels, bad = _labels(np.stack(stack), embeddings, tau)
-    labels, bad = labels[which], bad[which]
-    if masks is not None:
-        masks = masks[scored]
-        bad &= masks
-    reports = _metrics(labels, truth, class_count, masks)
-    for i, failed, report in zip(scored, bad.any(axis=1), reports):
+    labels, bad = _labels(np.stack([p for _, p in distinct.values()]), embeddings, tau)
+    masks = masks[scored]
+    reports = _metrics(labels[which], truth, class_count, masks)
+    for i, failed, report in zip(scored, (bad[which] & masks).any(axis=1), reports):
         outcomes[i] = (DataError("similarity matrix contains non-finite entries")
                        if failed else report)
     return outcomes
@@ -451,8 +436,9 @@ def evaluate_prototypes(prototypes: np.ndarray, eval_set: EvalSet,
     """Score prototypes on an eval split (balanced and plain accuracy).
     The prototypes must be one row per class of the split. Labels are
     the argmax of the scores (W @ V.T) / tau, ties to the lowest class."""
-    outcome, = _score([prototypes], eval_set.embeddings, eval_set.labels,
-                      eval_set.class_count, tau)
+    w = check_array(prototypes, "prototypes", (eval_set.class_count, eval_set.dim))
+    outcome, = _score([w], eval_set.embeddings, eval_set.labels, eval_set.class_count,
+                      check_tau(tau), np.ones((1, eval_set.count), dtype=bool))
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -565,6 +551,7 @@ def fit_solver(name: str, dataset: Dataset, support: SupportSet,
                unlabeled: UnlabeledSet, cfg: SolverConfig,
                oracle_marginal: np.ndarray | None = None) -> FitResult:
     """Dispatch one solver by name on an already-sampled split."""
+    oracle_marginal = _checked_oracle(oracle_marginal, support, cfg)
     return _fit_splits(name, dataset, [_Split(support, None, None, oracle_marginal)],
                       unlabeled.embeddings[None], cfg)[0]
 
@@ -644,15 +631,14 @@ def _run_batch(dataset: Dataset, dataset_name: str, pool: EvalSet, norms: np.nda
     unlabeled = _unit_rows_at(pool.embeddings, norms,
                               np.stack([split.unl_idx for split in splits]))
     fits = {solver: _fit_cells(solver, dataset, splits, unlabeled, cfg) for solver in solvers}
-    masks = None
+    scored_on = pool if eval_set is None else eval_set
+    masks = np.full((len(splits), scored_on.count), eval_set is not None)
     if eval_set is None:  # each cell's eval rows, as a mask over the pool
-        masks = np.zeros((len(splits), pool.count), dtype=bool)
         for mask, split in zip(masks, splits):
             mask[split.eval_idx] = True
     # drop the fit inputs, so that they and the scores never peak together
     del splits, unlabeled
     drawn = [spec for spec, _ in drawn]
-    scored_on = pool if eval_set is None else eval_set
     for solver in solvers:
         outcomes = _score([fit if isinstance(fit, Exception) else fit.prototypes
                            for fit in fits[solver]], scored_on.embeddings, scored_on.labels,

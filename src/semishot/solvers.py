@@ -23,7 +23,7 @@ exactly as its own one-element fit. Their labeled counts N may differ:
 only the labeled sums read the support rows, and they are built for
 each run of equal N and joined on the batch axis. Checks that cannot
 change between rounds run once: the temperature when SolverConfig is
-built, the text prototypes and an oracle class marginal once per fit.
+built, the text prototypes once per call and an oracle marginal on entry.
 The finite-score and finite-objective checks run every round; the
 transport solve finds non-finite scores from the maxima and minima its
 shift takes. A round makes two (B, C, M) arrays: the scores, and the
@@ -128,9 +128,14 @@ def correct_marginal(marginal: np.ndarray, ratio: float = 0.25) -> np.ndarray:
     m = check_array(marginal, "marginal", (None,), finite=True)
     if np.any(m < 0):
         raise DataError("marginal must be nonnegative")
-    positive = m > 0
-    if not positive.any():
+    if not np.any(m > 0):
         raise DataError("marginal has no positive entries")
+    return _floored(m, ratio)
+
+
+def _floored(m: np.ndarray, ratio: float) -> np.ndarray:
+    """``correct_marginal`` of arguments that it accepts, unchecked."""
+    positive = m > 0
     if positive.all():
         return m
     m = np.ldexp(m, -np.frexp(m.max())[1])
@@ -184,16 +189,24 @@ def fit_sstext(support: SupportSet, text_prototypes: np.ndarray,
     return _adapt([support], text_prototypes, cfg or SolverConfig())[0]
 
 
+def _checked_oracle(oracle_marginal, support: SupportSet, cfg: SolverConfig):
+    """``oracle_marginal``, checked as a class distribution of the
+    support's classes when the oracle marginal source reads it."""
+    if oracle_marginal is None or cfg.marginal_source != "oracle":
+        return oracle_marginal
+    return check_marginal(oracle_marginal, support.class_count, "oracle marginal")
+
+
 def _resolve_marginal(support: SupportSet, cfg: SolverConfig,
                       oracle_marginal: np.ndarray | None) -> np.ndarray:
     if cfg.marginal_source == "oracle":
         if oracle_marginal is None:
             raise ConfigError("marginal_source 'oracle' needs oracle_marginal")
-        return check_marginal(oracle_marginal, support.class_count, "oracle marginal")
+        return oracle_marginal
     estimate = estimate_marginal(support)
     if cfg.marginal_source == "support_raw":
         return estimate
-    return correct_marginal(estimate, cfg.marginal_ratio)
+    return _floored(estimate, cfg.marginal_ratio)
 
 
 def fit_sstextu(support: SupportSet, unlabeled: UnlabeledSet,
@@ -211,8 +224,9 @@ def fit_sstextu(support: SupportSet, unlabeled: UnlabeledSet,
     labeled-only closed form, so the prototypes equal fit_sstext's
     output exactly and the trace repeats its final value.
     """
-    return _adapt([support], text_prototypes, cfg or SolverConfig(),
-                  unlabeled.embeddings[None], [oracle_marginal])[0]
+    cfg = cfg or SolverConfig()
+    return _adapt([support], text_prototypes, cfg, unlabeled.embeddings[None],
+                  [_checked_oracle(oracle_marginal, support, cfg)])[0]
 
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:

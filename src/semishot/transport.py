@@ -7,8 +7,8 @@ of the scaled similarities, and alternating row/column scaling pulls it
 toward both marginals. Scaling updates never touch the plan matrix
 itself, only a row and a column scale vector, so entries stay
 nonnegative by construction. The scale vectors stay inside the solve: a
-returned plan carries its values, its target row marginal and the L1
-gap between its row sums and that target.
+returned plan carries its values and the L1 gap between its row sums
+and the target row marginal.
 
 The column update always runs last: returned plans satisfy the column
 constraint exactly (up to roundoff) while the row constraint holds
@@ -77,12 +77,10 @@ class TransportPlan:
     """A coupling between classes (rows) and unlabeled points (columns).
 
     values: (C, M) nonnegative matrix; each column sums to 1/M.
-    row_marginal: (C,) target row sums the scaling aimed at.
     residual: L1 gap between achieved and target row sums.
     """
 
     values: np.ndarray
-    row_marginal: np.ndarray
     residual: float
 
 
@@ -127,8 +125,7 @@ def _checked_inputs(matrix: np.ndarray, row_marginal: np.ndarray, iterations: in
 
 
 def _build_plan(values: np.ndarray, row_marginal: np.ndarray) -> TransportPlan:
-    return TransportPlan(values=values, row_marginal=row_marginal,
-                         residual=marginal_residual(values, row_marginal))
+    return TransportPlan(values=values, residual=marginal_residual(values, row_marginal))
 
 
 def _scale(q: np.ndarray, m: np.ndarray, iterations: int, s: np.ndarray | None = None,

@@ -5,8 +5,8 @@ the one scoring rule that prediction, the loss evaluators and the
 transport step read, and ``_logsumexp`` the normaliser the first two
 share; ``_scores`` is the unchecked core of the former over a leading
 batch axis, which the solvers' round loop runs. The evaluation's
-scoring pass takes the same (W @ V.T) / tau with a batch's prototype
-rows stacked into one 2-D product.
+scoring pass calls ``_scores`` too, with a batch's prototype rows
+stacked into one 2-D operand.
 
 The package's intake checks live here too: ``check_tau``,
 ``check_count`` and ``check_real`` for scalar fields (a ConfigError),

@@ -1,9 +1,11 @@
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from semishot import SupportSet, UnlabeledSet
+from semishot.zeroshot import check_array
 
 
 def traced_peak_mb(fn):
@@ -60,3 +62,20 @@ def random_codes(rng, m, c):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def array_checks(monkeypatch):
+    """The ``what`` of every ``check_array`` call that a semishot module
+    makes while the test runs, in call order: the check is patched in
+    each module that binds it."""
+    calls = []
+
+    def counting(x, what, *args, **kwargs):
+        calls.append(what)
+        return check_array(x, what, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "semishot" and getattr(module, "check_array", None) is check_array:
+            monkeypatch.setattr(module, "check_array", counting)
+    return calls

@@ -1,6 +1,8 @@
 import argparse
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -29,6 +31,21 @@ def dataset_dir(tmp_path_factory):
 
 def read_files(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+# Artifacts pinned byte for byte; a change that moves them on purpose
+# rewrites these files and says so.
+GOLDEN = Path(__file__).parent / "goldens"
+
+
+def normalised(path, **dirs):
+    """The text of the JSON report at ``path`` with each directory of
+    ``dirs`` echoed as <its name> and without a timed top-level
+    ``runtime_ms`` line."""
+    text = path.read_text()
+    for name, directory in dirs.items():
+        text = text.replace(str(directory), f"<{name}>")
+    return re.sub(r'\n  "runtime_ms": [^\n]*', "", text)
 
 
 def test_python_dash_m_runs_the_cli():
@@ -227,6 +244,26 @@ def test_subnormal_tau_fails_the_fit_without_a_warning(dataset_dir, tmp_path, ca
 # ---------------------------------------------------------------- eval
 
 
+def test_adapt_and_eval_match_their_goldens(dataset_dir, tmp_path):
+    # each solver's fit report and prototype blob, then eval --silhouette
+    # of the sstextu prototypes
+    data = ["--data", str(dataset_dir / "manifest.json")]
+    got, hashes = {}, ""
+    for solver in ("sstext", "sstextu"):
+        fit = tmp_path / solver
+        assert main(["adapt", *data, "--solver", solver, "--shots", "2",
+                     "--unlabeled-mult", "8", "--seed", "1", "--out", str(fit)]) == EXIT_OK
+        got[f"adapt_{solver}.json"] = normalised(fit / "fit_report.json",
+                                                 data=dataset_dir, tmp=tmp_path)
+        blob = hashlib.sha256((fit / "prototypes.f32").read_bytes()).hexdigest()
+        hashes += f"{blob}  adapt_{solver}/prototypes.f32\n"
+    got["prototypes.sha256"] = hashes
+    assert main(["eval", *data, "--prototypes", str(fit / "prototypes.json"), "--silhouette",
+                 "--out", str(tmp_path / "eval.json")]) == EXIT_OK
+    got["eval.json"] = normalised(tmp_path / "eval.json", data=dataset_dir, tmp=tmp_path)
+    assert got == {name: (GOLDEN / name).read_text() for name in got}
+
+
 def test_eval_reports_to_stdout(dataset_dir, tmp_path, capsys):
     fit = tmp_path / "fit"
     main(["adapt", "--data", str(dataset_dir / "manifest.json"),
@@ -267,6 +304,19 @@ def test_eval_shape_mismatch(dataset_dir, tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("target", ["prototypes.json", "prototypes.f32"])
+def test_eval_refuses_to_overwrite_its_prototypes(dataset_dir, tmp_path, capsys, target):
+    fit = tmp_path / "fit"
+    assert main(["adapt", "--data", str(dataset_dir / "manifest.json"), "--solver", "sstext",
+                 "--out", str(fit)]) == EXIT_OK
+    before = [read_files(fit), read_files(dataset_dir)]
+    code = main(["eval", "--data", str(dataset_dir / "manifest.json"),
+                 "--prototypes", str(fit / "prototypes.json"), "--out", str(fit / target)])
+    assert code == EXIT_CONFIG
+    assert f"eval --out {fit / target} would overwrite" in capsys.readouterr().err
+    assert [read_files(fit), read_files(dataset_dir)] == before  # nothing changed
+
+
 def test_eval_missing_file(dataset_dir, tmp_path):
     code = main(["eval", "--data", str(dataset_dir / "manifest.json"),
                  "--prototypes", str(tmp_path / "nope.json")])
@@ -300,11 +350,14 @@ def test_benchmark_grid_csv(dataset_dir, tmp_path):
 
 def test_benchmark_matches_the_committed_golden_csv(tmp_path):
     # built-in synthetic family, generator seed 0, default grid, 3 seeds;
-    # the committed CSV was written before the batched scoring pass
+    # the committed CSV was written before the batched scoring pass, the
+    # JSON before the scoring pass lost its unmasked path
     out = tmp_path / "golden.csv"
     assert main(["benchmark", "--gen-seed", "0", "--seeds", "3", "--no-timing",
-                 "--out-csv", str(out)]) == EXIT_OK
+                 "--out-csv", str(out), "--out-json", str(tmp_path / "golden.json")]) == EXIT_OK
     assert out.read_bytes() == (Path(__file__).parent / "benchmark_golden.csv").read_bytes()
+    assert normalised(tmp_path / "golden.json", tmp=tmp_path) == (
+        GOLDEN / "benchmark.json").read_text()
 
 
 def test_benchmark_byte_identical_across_runs_and_threads(dataset_dir,

@@ -631,11 +631,11 @@ def test_run_benchmark_draws_each_split_once(monkeypatch):
     ds = _bench_dataset()
     draws = []
 
-    def counting(labels, class_count, spec):
+    def counting(labels, class_count, spec, _real=experiment._split_indices):
         draws.append((spec.shots, spec.seed))
-        return split_indices(labels, class_count, spec)
+        return _real(labels, class_count, spec)
 
-    monkeypatch.setattr(experiment, "split_indices", counting)
+    monkeypatch.setattr(experiment, "_split_indices", counting)
     rows = run_benchmark(ds, solvers=("zeroshot", "simpleshot", "sstext", "sstextu"),
                          shot_grid=(1, 2), seeds=3, cfg=SolverConfig(tau=ds.tau),
                          unlabeled_multiplier=8, include_timing=False)
@@ -795,9 +795,8 @@ def _spy_scoring(monkeypatch):
         products.append((prototypes.shape, embeddings.shape[0], tau))
         return real_labels(prototypes, embeddings, tau)
 
-    def metrics(predictions, truth, class_count, masks=None):
-        counted.append([truth.size] * len(predictions) if masks is None
-                       else masks.sum(1).tolist())
+    def metrics(predictions, truth, class_count, masks):
+        counted.append(masks.sum(1).tolist())
         return real_metrics(predictions, truth, class_count, masks)
 
     def top(scores):
@@ -1004,6 +1003,31 @@ def test_run_benchmark_misshapen_prototypes_fail_only_their_solver(monkeypatch):
     assert [r.error for r in rows if r.error] == [
         "DataError: prototypes shape (2, 16), expected (3, 16)"] * 2
     assert sum(1 for r in rows if not r.error) == 3 * 2
+
+
+def test_run_benchmark_checks_no_array_per_cell(monkeypatch, array_checks):
+    # the harness trusts what the draw, the fits and the pool hand it:
+    # a run of one batch makes as many array checks at 2 seeds as at 6,
+    # and the oracle marginal source adds none per cell either
+    ds = _bench_dataset()
+    batches = []
+    real = experiment._run_batch
+
+    def batch(*args):
+        batches.append(len(args[5]))
+        return real(*args)
+
+    monkeypatch.setattr(experiment, "_run_batch", batch)
+    counts = []
+    for seeds, source in ((2, "support_estimate"), (6, "support_estimate"), (6, "oracle")):
+        array_checks.clear()
+        rows = run_benchmark(ds, shot_grid=(1, 2), seeds=seeds,
+                             cfg=SolverConfig(tau=ds.tau, marginal_source=source),
+                             unlabeled_multiplier=8, include_timing=False)
+        assert not any(r.error for r in rows)
+        counts.append(len(array_checks))
+    assert batches == [4, 12, 12]
+    assert counts[0] == counts[1] == counts[2]
 
 
 def test_run_benchmark_empty_eval_split_fails_every_cell():

@@ -25,6 +25,7 @@ from semishot import (
     eval_semi_objective,
     eval_tightness,
     evaluate_prototypes,
+    fit_solver,
     fit_sstext,
     fit_sstextu,
     init_plan,
@@ -58,6 +59,7 @@ EVAL = EvalSet(embeddings=EMB, labels=IDX, class_count=C)
 POLICY = LambdaPolicy.adaptive()
 ORACLE = SolverConfig(tau=0.1, marginal_source="oracle")
 SPEC = SamplingSpec(shots=1, unlabeled_multiplier=0)
+DATASET = Dataset.create(EMB, IDX, PROTOS)
 
 # each entry passes the malformed value ``a`` in one array argument
 ARRAY_CALLS = {
@@ -82,6 +84,7 @@ ARRAY_CALLS = {
         SUP, UNL, a, PROTOS, 0.1, POLICY),
     "fit_sstext": lambda a, tmp: fit_sstext(SUP, a),
     "fit_sstextu-oracle": lambda a, tmp: fit_sstextu(SUP, UNL, PROTOS, ORACLE, a),
+    "fit_solver-oracle": lambda a, tmp: fit_solver("sstextu", DATASET, SUP, UNL, ORACLE, a),
     "correct_marginal": lambda a, tmp: correct_marginal(a),
     "normalize_rows": lambda a, tmp: normalize_rows(a),
     "SupportSet-embeddings": lambda a, tmp: SupportSet(embeddings=a, labels=ONEHOT),
