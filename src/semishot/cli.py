@@ -244,14 +244,17 @@ def _adapt_split(dataset: Dataset, args) -> tuple[SupportSet, UnlabeledSet,
     return split.support, unlabeled, split.oracle_marginal
 
 
-def _refuse_overwrite(command: str, writes, datasets) -> None:
+def _refuse_overwrite(command: str, writes, reads) -> None:
     """Raise ConfigError when a file that ``command`` would write, each a
-    (flag, value, path) of ``writes``, is a file of one of the dataset or
-    prototype manifests ``datasets`` (None entries skipped) that it
-    reads, or a file that an earlier entry of ``writes`` names."""
+    (flag, value, path) of ``writes``, is a file of one of the manifests
+    that it reads, each a (kind, manifest) of ``reads`` with kind
+    "dataset" or "prototypes" (None manifests skipped), or a file that an
+    earlier entry of ``writes`` names."""
     owners = {}
-    for manifest in filter(None, datasets):
-        owners.update(dict.fromkeys(_dataset_files(manifest), f"a file of dataset {manifest}"))
+    for kind, manifest in reads:
+        if manifest is not None:
+            owners.update(dict.fromkeys(_dataset_files(manifest),
+                                        f"a file of {kind} {manifest}"))
     for flag, value, path in writes:
         target = path.resolve()
         if target in owners:
@@ -265,7 +268,7 @@ def cmd_adapt(args) -> int:
     out: Path = args.out
     manifest = out / "prototypes.json"
     _refuse_overwrite("adapt", [("--out", out, path) for path in (
-        manifest, _prototype_blob(manifest), out / "fit_report.json")], [args.data])
+        manifest, _prototype_blob(manifest), out / "fit_report.json")], [("dataset", args.data)])
     tau = _resolve_tau(args.tau, dataset)
     cfg = _solver_config(args, tau, dataset.class_count)
     support, unlabeled, oracle_marginal = _adapt_split(dataset, args)
@@ -295,7 +298,8 @@ def cmd_eval(args) -> int:
     dataset = load_dataset(args.data)
     prototypes = load_prototypes(args.prototypes)
     if args.out is not None:
-        _refuse_overwrite("eval", [("--out", args.out, args.out)], [args.data, args.prototypes])
+        _refuse_overwrite("eval", [("--out", args.out, args.out)],
+                          [("dataset", args.data), ("prototypes", args.prototypes)])
     tau = _resolve_tau(args.tau, dataset)
     report = evaluate_prototypes(prototypes, dataset.pool(), tau)
     payload = {
@@ -331,7 +335,7 @@ def cmd_benchmark(args) -> int:
     eval_set = None if args.eval_data is None else load_dataset(args.eval_data).pool()
     _refuse_overwrite("benchmark", [(flag, path, path) for flag, path in (
         ("--out-csv", args.out_csv), ("--out-json", args.out_json)) if path is not None],
-        [args.data, args.eval_data])
+        [("dataset", args.data), ("dataset", args.eval_data)])
 
     rows = run_benchmark(
         dataset, solvers=solvers, shot_grid=shot_grid, seeds=args.seeds,

@@ -19,6 +19,7 @@ out, surfacing large deviations as warnings on the returned dataset.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -470,12 +471,47 @@ def _write_blobs(manifest_path: Path, manifest: dict, blobs: dict) -> None:
     _write_json(manifest_path, manifest)
 
 
+@functools.cache
+def _flat_encoder(level: int) -> json.JSONEncoder:
+    """The compact C encoder whose item separator ends in the indent of
+    a container's items at nesting ``level``."""
+    return json.JSONEncoder(sort_keys=True, allow_nan=False,
+                            separators=(",\n" + "  " * (level + 1), ": "))
+
+
+def _json_text(value, level: int = 0) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)``
+    at nesting ``level``, byte for byte, for string-keyed dicts. CPython
+    serves ``indent`` with its pure-Python encoder; here a container that
+    holds no container is one call of the C encoder, whose separators
+    already indent its items, and only its braces are re-indented. The
+    containers above it are joined by hand."""
+    children = value.values() if isinstance(value, dict) else value
+    inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
+    if not isinstance(value, (dict, list, tuple)) or not any(
+            isinstance(v, (dict, list, tuple)) for v in children):
+        text = _flat_encoder(level).encode(value)
+        if len(text) == 2 or text[0] not in "{[":  # empty, or a scalar
+            return text
+        return text[0] + inner + text[1:-1] + outer + text[-1]
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [f"{json.encoder.encode_basestring_ascii(key)}: {_json_text(v, level + 1)}"
+                 for key, v in sorted(value.items())]
+    else:
+        brackets = "[]"
+        items = [_json_text(v, level + 1) for v in value]
+    return brackets[0] + inner + ("," + inner).join(items) + outer + brackets[1]
+
+
 def _write_json(path: Path | None, payload: dict) -> None:
-    """``payload`` as indented JSON with sorted keys, at ``path`` or on
-    stdout when it is None. A NaN or infinite number is a DataError,
-    raised before anything is written: JSON has no token for it."""
+    """``payload`` as indented JSON with sorted keys (the bytes of
+    ``json.dumps(payload, indent=2, sort_keys=True)``, see
+    ``_json_text``), at ``path`` or on stdout when it is None. A NaN or
+    infinite number is a DataError, raised before anything is written:
+    JSON has no token for it."""
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        text = _json_text(payload) + "\n"
     except ValueError as exc:
         raise DataError(f"cannot write {path or 'stdout'} as JSON: {exc}") from None
     if path is None:

@@ -20,14 +20,17 @@ bitwise the rows it would normalize on its own. Cells are packed in
 grid order into batches that span shot counts (they share the
 unlabeled count M = multiplier x C; their labeled counts N differ), and
 each solver fits a batch in one call, which gives every cell the fit it
-gets alone; a batch that raises is refitted cell by cell. A batch takes
+gets alone; a batch that raises is refitted cell by cell. The labeled
+class sums are built once per batch, one product for each run of equal
+N, and simpleshot, sstext and sstextu all read them. A batch takes
 as many cells as keep its arrays under a fixed count of values, so
 memory does not grow with the grid. Only one batch's splits are held at
 a time. Each solver's batch is scored once: its distinct prototype
 arrays (zeroshot's cells all hold the same one) go through one flat
 product with the pool (or a fixed eval set), the labels are the argmax
 of those scores, and every cell's metrics are counted over its own eval
-rows in one pass. Rows come back in grid order.
+rows in one pass, from a one-hot truth and per-cell class totals built
+once for all solvers. Rows come back in grid order.
 """
 
 from __future__ import annotations
@@ -44,7 +47,9 @@ import numpy as np
 from .data import (Dataset, EvalSet, SupportSet, UnlabeledSet, _checked_row_norms,
                    _class_labels, _readonly, _unit_rows_at, normalize_rows)
 from .errors import ConfigError, DataError, GenerationError, SamplingError
-from .solvers import FitResult, SolverConfig, _adapt, _checked_oracle, fit_simpleshot
+from .objectives import _labeled_sums, _LabeledSums
+from .solvers import (FitResult, SolverConfig, _adapt, _checked_oracle, _simpleshot,
+                      fit_simpleshot)
 from .zeroshot import (DEFAULT_TAU, _scores, check_array, check_count, check_marginal,
                        check_real, check_tau)
 
@@ -303,25 +308,50 @@ def synthetic_dataset(spec: SyntheticSpec,
     )
 
 
-def _metrics(predictions: np.ndarray, truth: np.ndarray, class_count: int,
-             masks: np.ndarray) -> list[MetricReport]:
-    """The metrics of each row of (B, P) ``predictions`` against the P
-    labels of ``truth``, over the columns that its row of the (B, P)
-    ``masks`` marks: recall per class (NaN for a class absent from those
-    columns), its mean over the present classes, and plain accuracy.
-    Hits and totals are counts of 0/1 entries taken as products with the
-    one-hot truth, exact in float64; aca stays each row's own 1-D mean,
-    as a 2-D row mean rounds differently."""
-    onehot = np.equal.outer(truth, np.arange(class_count)).astype(np.float64)
-    correct = (predictions == truth) & masks
-    totals = masks.astype(np.float64) @ onehot
-    hits = correct.astype(np.float64) @ onehot
+class _Truth(NamedTuple):
+    """The eval side of a batch of B cells, built once for all of its
+    solvers: the class labels of the P scored rows, in the type of
+    ``_top_class``'s labels so that they compare without a cast, their
+    (P, C) one-hot, the (B, P) masks of the rows each cell is counted
+    on, and each cell's (B, C) class totals over its rows."""
+
+    labels: np.ndarray
+    onehot: np.ndarray
+    masks: np.ndarray
+    totals: np.ndarray
+
+
+def _truth(labels: np.ndarray, class_count: int, masks: np.ndarray) -> _Truth:
+    """The ``_Truth`` of rows with class ``labels`` under (B, P) ``masks``.
+    Totals are counts of 0/1 entries taken as a product with the
+    one-hot, exact in float64, so any subset of cells reads its own."""
+    onehot = np.equal.outer(labels, np.arange(class_count)).astype(np.float64)
+    return _Truth(labels.astype(np.min_scalar_type(class_count - 1)), onehot, masks,
+                  masks.astype(np.float64) @ onehot)
+
+
+def _metrics(predictions: np.ndarray, truth: _Truth, cells) -> list[MetricReport]:
+    """The metrics of each row of (B', P) ``predictions`` against
+    ``truth``, row i over the columns that the mask of cell ``cells[i]``
+    marks: recall per class (NaN for a class absent from those columns),
+    its mean over the present classes, and plain accuracy. Hits are
+    counts taken as a product with the one-hot, exact in float64. The
+    aca of a row with every class present is its row of one 2-D row
+    mean, bitwise the row's own 1-D mean; a row with an absent class
+    takes the 1-D mean of its present entries."""
+    masks, totals = truth.masks[cells], truth.totals[cells]
+    hits = ((predictions == truth.labels) & masks).astype(np.float64) @ truth.onehot
     present = totals > 0
     recall = np.full(hits.shape, np.nan)
     np.divide(hits, totals, out=recall, where=present)
     acc = hits.sum(axis=1) / totals.sum(axis=1)
-    return [MetricReport(aca=float(r[m].mean()), acc=float(a), per_class_recall=r)
-            for r, m, a in zip(recall, present, acc)]
+    full = present.all(axis=1)
+    aca = np.empty(len(recall))
+    aca[full] = recall[full].mean(axis=1)
+    for i in np.flatnonzero(~full):
+        aca[i] = recall[i][present[i]].mean()
+    return [MetricReport(aca=a, acc=c, per_class_recall=r)
+            for r, a, c in zip(recall, aca.tolist(), acc.tolist())]
 
 
 def balanced_accuracy(predictions: np.ndarray, truth: np.ndarray,
@@ -332,7 +362,8 @@ def balanced_accuracy(predictions: np.ndarray, truth: np.ndarray,
     true = _class_labels(truth, pred.size, class_count, "truth")
     if pred.size == 0:
         raise DataError("predictions and truth must be nonempty")
-    return _metrics(pred[None], true, class_count, np.ones((1, pred.size), dtype=bool))[0].aca
+    every = _truth(true, class_count, np.ones((1, pred.size), dtype=bool))
+    return _metrics(pred[None], every, [0])[0].aca
 
 
 def _top_class(scores: np.ndarray) -> np.ndarray:
@@ -341,15 +372,18 @@ def _top_class(scores: np.ndarray) -> np.ndarray:
     slice of contiguous rows, where ``argmax(axis=1)`` would make one
     strided C-element call per point. A row takes the label only where
     it beats every lower class strictly, and labels only grow, so a
-    running maximum records it."""
+    running maximum records it. Labels are of the smallest unsigned type
+    that holds C - 1: at the sweep grid's (25, 5, 1500) the walk took
+    0.22 ms in uint8 and 0.72 ms in int64 (2-vCPU Xeon)."""
     best = scores[:, 0].copy()
-    labels = np.zeros(best.shape, dtype=np.int64)
+    kind = np.min_scalar_type(scores.shape[1] - 1)
+    labels = np.zeros(best.shape, dtype=kind)
     beats = np.empty(best.shape, dtype=bool)
     step = np.empty_like(labels)
     for c in range(1, scores.shape[1]):
         row = scores[:, c]
         np.greater(row, best, out=beats)
-        np.multiply(beats, c, out=step)
+        np.multiply(beats, kind.type(c), out=step)
         np.maximum(labels, step, out=labels)
         np.maximum(best, row, out=best)
     return labels
@@ -358,8 +392,8 @@ def _top_class(scores: np.ndarray) -> np.ndarray:
 def _labels(prototypes: np.ndarray, embeddings: np.ndarray,
             tau: float) -> tuple[np.ndarray, np.ndarray]:
     """The (B, P) labels of the (B, C, D) ``prototypes`` on the P rows of
-    ``embeddings``, and a (B, P) mask of the columns where a matrix's
-    scores are not all finite.
+    ``embeddings``, in ``_top_class``'s type, and a (B, P) mask of the
+    columns where a matrix's scores are not all finite.
 
     The matrices' rows are stacked into one (B * C, D) operand, and each
     chunk of at most ``_BATCH_VALUES`` scores is one 2-D ``_scores``
@@ -373,7 +407,7 @@ def _labels(prototypes: np.ndarray, embeddings: np.ndarray,
     default family."""
     b, c, d = prototypes.shape
     flat = prototypes.reshape(b * c, d)
-    labels = np.empty((b, embeddings.shape[0]), dtype=np.int64)
+    labels = np.empty((b, embeddings.shape[0]), dtype=np.min_scalar_type(c - 1))
     bad = np.zeros(labels.shape, dtype=bool)
     step = max(1, _BATCH_VALUES // (c * embeddings.shape[0]))
     for lo in range(0, b, step):
@@ -387,17 +421,17 @@ def _labels(prototypes: np.ndarray, embeddings: np.ndarray,
     return labels, bad
 
 
-def _score(prototypes: list, embeddings: np.ndarray, truth: np.ndarray,
-           class_count: int, tau: float, masks: np.ndarray) -> list[MetricReport | Exception]:
+def _score(prototypes: list, embeddings: np.ndarray, truth: _Truth,
+           tau: float) -> list[MetricReport | Exception]:
     """The metrics of each prototype matrix of ``prototypes`` on its eval
     split, or the exception that fails it: entry b's split is the rows
-    of ``embeddings`` (P rows with class labels ``truth``) that row b of
-    the (B, P) ``masks`` marks. An entry that already is an exception (a
-    failed fit) stays as it is. An empty split fails its matrix, as does
-    a matrix that is not (C, D) for the rows, and one whose scores on its
-    split are not all finite; the overflow or invalid value behind such
-    scores is silenced, so that its error is the only signal. ``tau`` and
-    the matrices are trusted: the public entries and the fits check them.
+    of ``embeddings`` that row b of ``truth.masks`` marks. An entry that
+    already is an exception (a failed fit) stays as it is. An empty split
+    fails its matrix, as does a matrix that is not (C, D) for the rows,
+    and one whose scores on its split are not all finite; the overflow
+    or invalid value behind such scores is silenced, so that its error
+    is the only signal. ``tau`` and the matrices are trusted: the public
+    entries and the fits check them.
 
     Every distinct matrix that passes is scored against all P rows in
     one flat product (``_labels``); entries that are the same array
@@ -409,8 +443,8 @@ def _score(prototypes: list, embeddings: np.ndarray, truth: np.ndarray,
     that max, a tie it gives to the lower class.
     """
     outcomes, scored, which, distinct = list(prototypes), [], [], {}
-    shape = (class_count, embeddings.shape[1])
-    for i, (p, size) in enumerate(zip(prototypes, masks.sum(axis=1))):
+    shape = (truth.onehot.shape[1], embeddings.shape[1])
+    for i, (p, size) in enumerate(zip(prototypes, truth.totals.sum(axis=1))):
         if isinstance(p, Exception):
             continue
         if not size:
@@ -423,11 +457,11 @@ def _score(prototypes: list, embeddings: np.ndarray, truth: np.ndarray,
     if not scored:
         return outcomes
     labels, bad = _labels(np.stack([p for _, p in distinct.values()]), embeddings, tau)
-    masks = masks[scored]
-    reports = _metrics(labels[which], truth, class_count, masks)
-    for i, failed, report in zip(scored, (bad[which] & masks).any(axis=1), reports):
+    reports = _metrics(labels[which], truth, scored)
+    failed = (bad[which] & truth.masks[scored]).any(axis=1)
+    for i, fails, report in zip(scored, failed, reports):
         outcomes[i] = (DataError("similarity matrix contains non-finite entries")
-                       if failed else report)
+                       if fails else report)
     return outcomes
 
 
@@ -437,8 +471,9 @@ def evaluate_prototypes(prototypes: np.ndarray, eval_set: EvalSet,
     The prototypes must be one row per class of the split. Labels are
     the argmax of the scores (W @ V.T) / tau, ties to the lowest class."""
     w = check_array(prototypes, "prototypes", (eval_set.class_count, eval_set.dim))
-    outcome, = _score([w], eval_set.embeddings, eval_set.labels, eval_set.class_count,
-                      check_tau(tau), np.ones((1, eval_set.count), dtype=bool))
+    every = _truth(eval_set.labels, eval_set.class_count,
+                   np.ones((1, eval_set.count), dtype=bool))
+    outcome, = _score([w], eval_set.embeddings, every, check_tau(tau))
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -557,34 +592,39 @@ def fit_solver(name: str, dataset: Dataset, support: SupportSet,
 
 
 def _fit_splits(name: str, dataset: Dataset, splits: list[_Split], unlabeled: np.ndarray,
-               cfg: SolverConfig) -> list[FitResult]:
+               cfg: SolverConfig, labeled: _LabeledSums | None = None) -> list[FitResult]:
     """One solver's fits of a batch of splits, in order, whose unlabeled
-    embeddings are the (B, M, D) ``unlabeled``: sstext and sstextu fit
-    them in one call, whose wall time each result shares."""
+    embeddings are the (B, M, D) ``unlabeled``: simpleshot, sstext and
+    sstextu fit them in one call each, whose wall time each result
+    shares. ``labeled`` is the supports' labeled products when the
+    caller shares them between solvers; without it each call builds its
+    own."""
     if name == "zeroshot":
         return [FitResult(
             prototypes=dataset.prototypes,
             objective_trace=np.array([], dtype=np.float64),
             runtime_ms=0.0,
         )] * len(splits)
-    if name == "simpleshot":
-        return [fit_simpleshot(split.support) for split in splits]
     supports = [split.support for split in splits]
+    if name == "simpleshot":
+        if labeled is None:  # fit_solver's split, or a failed batch's cell alone
+            return [fit_simpleshot(support) for support in supports]
+        return _simpleshot(labeled)
     if name == "sstext":
-        return _adapt(supports, dataset.prototypes, cfg)
+        return _adapt(supports, dataset.prototypes, cfg, labeled=labeled)
     if name == "sstextu":
         return _adapt(supports, dataset.prototypes, cfg, unlabeled,
-                      [split.oracle_marginal for split in splits])
+                      [split.oracle_marginal for split in splits], labeled=labeled)
     raise ConfigError(f"unknown solver {name!r}; expected one of {SOLVER_NAMES}")
 
 
 def _fit_cells(name: str, dataset: Dataset, splits: list[_Split], unlabeled: np.ndarray,
-               cfg: SolverConfig) -> list[FitResult | Exception]:
-    """``_fit_splits`` of the batch or, when the batch raises, of each
-    split alone, so that only a split whose own fit raises holds the
-    exception."""
+               cfg: SolverConfig, labeled: _LabeledSums | None) -> list[FitResult | Exception]:
+    """``_fit_splits`` of the batch, sharing ``labeled``, or, when the
+    batch raises, of each split alone, so that only a split whose own
+    fit raises holds the exception."""
     try:
-        return _fit_splits(name, dataset, splits, unlabeled, cfg)
+        return _fit_splits(name, dataset, splits, unlabeled, cfg, labeled)
     except Exception:
         pass  # the batch raised: find the splits whose own fit raises
     fits = []
@@ -615,9 +655,11 @@ def _run_batch(dataset: Dataset, dataset_name: str, pool: EvalSet, norms: np.nda
     """The rows, keyed by (solver, shots, seed), of every solver's cells
     on the splits of ``specs``: the splits are drawn in order from the
     pool, whose row norms are ``norms``, their unlabeled rows are
-    gathered with one index into one (B, M, D) array, each solver fits
-    them as one batch and scores that batch once, against the pool with
-    each cell's eval rows as a mask, or against ``eval_set``."""
+    gathered with one index into one (B, M, D) array, and their labeled
+    products are built once for the solvers that read them. Each solver
+    fits the splits as one batch and scores that batch once, against the
+    pool with each cell's eval rows as a mask, or against ``eval_set``;
+    the masks' one-hot truth and class totals are built once too."""
     rows, drawn = {}, []
     for spec in specs:
         try:
@@ -630,19 +672,22 @@ def _run_batch(dataset: Dataset, dataset_name: str, pool: EvalSet, norms: np.nda
     splits = [split for _, split in drawn]
     unlabeled = _unit_rows_at(pool.embeddings, norms,
                               np.stack([split.unl_idx for split in splits]))
-    fits = {solver: _fit_cells(solver, dataset, splits, unlabeled, cfg) for solver in solvers}
+    labeled = (_labeled_sums([split.support for split in splits])
+               if set(solvers) - {"zeroshot"} else None)
+    fits = {solver: _fit_cells(solver, dataset, splits, unlabeled, cfg, labeled)
+            for solver in solvers}
     scored_on = pool if eval_set is None else eval_set
     masks = np.full((len(splits), scored_on.count), eval_set is not None)
     if eval_set is None:  # each cell's eval rows, as a mask over the pool
         for mask, split in zip(masks, splits):
             mask[split.eval_idx] = True
+    truth = _truth(scored_on.labels, scored_on.class_count, masks)
     # drop the fit inputs, so that they and the scores never peak together
-    del splits, unlabeled
+    del splits, unlabeled, labeled
     drawn = [spec for spec, _ in drawn]
     for solver in solvers:
         outcomes = _score([fit if isinstance(fit, Exception) else fit.prototypes
-                           for fit in fits[solver]], scored_on.embeddings, scored_on.labels,
-                          scored_on.class_count, cfg.tau, masks)
+                           for fit in fits[solver]], scored_on.embeddings, truth, cfg.tau)
         rows.update({(solver, spec.shots, spec.seed): _run_cell(
             dataset, dataset_name, solver, spec, outcome,
             fit.runtime_ms if include_timing and not isinstance(fit, Exception) else 0.0)
@@ -683,7 +728,9 @@ def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
     that span shot counts, each of as many cells as keep B·(N + M)·(C +
     D) under ``_BATCH_VALUES`` float64 values (one cell when a cell
     alone is larger), and each solver fits a batch in one call; every
-    cell gets the fit it gets alone. A split that cannot be drawn fails
+    cell gets the fit it gets alone. A batch's labeled class sums are
+    built once, one product for each run of equal N, and shared by
+    simpleshot, sstext and sstextu. A split that cannot be drawn fails
     each solver's cell on it with the same error; when a batch fit
     raises, its cells are refitted one by one, so a failed fit or
     scoring fails its own cell only. Rows come back in grid order. An
@@ -692,9 +739,11 @@ def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
     integer, or a shot count or multiplier that SamplingSpec rejects
     raises ConfigError.
 
-    With ``include_timing`` a batched cell's ``runtime_ms`` is the batch
-    fit's wall time divided by its cell count, an amortised share that
-    the cells of one batch have in common across their shot counts.
+    With ``include_timing`` a batched cell's ``runtime_ms`` (simpleshot's
+    as well as sstext's and sstextu's) is the batch fit's wall time, the
+    shared labeled sums included, divided by its cell count, an
+    amortised share that the cells of one batch have in common across
+    their shot counts.
 
     By default every seed evaluates on the pool remainder left after its
     own support/unlabeled draw. Each solver's batch is scored once: one
@@ -771,24 +820,38 @@ def rows_to_csv(rows: list[BenchmarkRow]) -> str:
 
 
 def aggregate_rows(rows: list[BenchmarkRow]) -> list[dict]:
-    """Mean/std of balanced accuracy per (solver, shots) over clean rows."""
+    """Mean/std of balanced and plain accuracy per (solver, shots) over
+    clean rows, None for a group without one. The groups with equal
+    clean-row counts are one 2-D mean and std over the last axis, bitwise
+    each group's own 1-D mean and std."""
     groups: dict[tuple[str, int], list[BenchmarkRow]] = {}
     for row in rows:
         groups.setdefault((row.solver, row.shots), []).append(row)
+    clean = {key: [r for r in members if not r.error] for key, members in groups.items()}
+    by_count: dict[int, list[tuple[str, int]]] = {}
+    for key, kept in clean.items():
+        by_count.setdefault(len(kept), []).append(key)
+    stats = {}
+    for count, keys in by_count.items():
+        if not count:
+            stats.update(dict.fromkeys(keys, ((None, None), (None, None))))
+            continue
+        values = np.array([[[r.aca for r in clean[key]], [r.acc for r in clean[key]]]
+                           for key in keys])
+        stats.update(zip(keys, zip(values.mean(axis=-1).tolist(),
+                                   values.std(axis=-1).tolist())))
     out = []
-    for (solver, shots), members in sorted(groups.items()):
-        clean = [r for r in members if not r.error]
-        aca = np.array([r.aca for r in clean])
-        acc = np.array([r.acc for r in clean])
+    for key in sorted(groups):
+        (aca_mean, acc_mean), (aca_std, acc_std) = stats[key]
         out.append({
-            "solver": solver,
-            "K": shots,
-            "cells": len(members),
-            "failed": len(members) - len(clean),
-            "aca_mean": float(aca.mean()) if clean else None,
-            "aca_std": float(aca.std()) if clean else None,
-            "acc_mean": float(acc.mean()) if clean else None,
-            "acc_std": float(acc.std()) if clean else None,
+            "solver": key[0],
+            "K": key[1],
+            "cells": len(groups[key]),
+            "failed": len(groups[key]) - len(clean[key]),
+            "aca_mean": aca_mean,
+            "aca_std": aca_std,
+            "acc_mean": acc_mean,
+            "acc_std": acc_std,
         })
     return out
 

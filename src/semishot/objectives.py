@@ -22,12 +22,16 @@ the code-weighted unlabeled sums Z^T U, so its value and the
 closed-form prototype update are both read off one record of those sums
 and the per-class weights. The record carries a leading batch axis, so
 the solvers fit many same-shaped problems at once; the public entry
-points use it with one element.
+points use it with one element. Its labeled sums are read off a record
+of raw products Y^T V and class counts, built once for a batch of
+supports and shared with the class-mean solver.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+import itertools
+import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -152,15 +156,6 @@ class _ClassSums:
     step_labeled: np.ndarray
     step_unlabeled: np.ndarray
 
-    @classmethod
-    def joined(cls, records: list["_ClassSums"]) -> "_ClassSums":
-        """One record of the batches of ``records`` in order, each field
-        concatenated on the batch axis."""
-        if len(records) == 1:
-            return records[0]
-        return cls(**{f.name: np.concatenate([getattr(r, f.name) for r in records])
-                      for f in fields(cls)})
-
     def with_codes(self, codes: np.ndarray, embeddings: np.ndarray,
                    tau: float) -> "_ClassSums":
         """This record with the unlabeled sums of (B, C, M) codes over
@@ -173,10 +168,12 @@ class _ClassSums:
               text_prototypes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The (B,) few-shot, text-penalty and unlabeled terms."""
         diff = prototypes - text_prototypes
+        np.multiply(diff, diff, out=diff)
         product = prototypes * self.labeled
         tight = -product.reshape(product.shape[:-2] + (-1,)).sum(axis=-1)
-        penalty = _dot(self.lam_text, (diff * diff).sum(axis=-1))
-        unl = -_dot(self.lam_unl, (prototypes * self.unlabeled).sum(axis=-1))
+        penalty = _dot(self.lam_text, diff.sum(axis=-1))
+        np.multiply(prototypes, self.unlabeled, out=product)
+        unl = -_dot(self.lam_unl, product.sum(axis=-1))
         return tight, penalty, unl
 
     def totals(self, prototypes: np.ndarray, text_prototypes: np.ndarray) -> np.ndarray:
@@ -202,11 +199,60 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def _class_sums(embeddings: np.ndarray, labels: np.ndarray, tau: float,
-                lambdas: LambdaPolicy) -> _ClassSums:
-    """The labeled sums and per-class weights of a batch of support sets,
-    (B, N, D) unit rows with (B, N, C) one-hot labels, with zero
-    unlabeled sums.
+@dataclass(frozen=True, eq=False)
+class _LabeledSums:
+    """The labeled products of a batch of B support sets that share C and
+    D: the raw class sums Y^T V (B, C, D), the class counts K (B, C) and
+    the labeled counts N (B,), and the wall time in ms that building them
+    took. Every solver that reads labeled data derives its own values
+    from them: simpleshot's class means and the (B, C, D) sums of
+    ``_ClassSums``."""
+
+    raw: np.ndarray
+    counts: np.ndarray
+    sizes: np.ndarray
+    ms: float
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """Same-shaped arrays as one (B, ...) array; a view when B=1."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    """``arrays`` concatenated on the batch axis; the array itself when
+    there is one."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _labeled_product(embeddings: np.ndarray,
+                     labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Y^T V and the class counts of (B, N, D) unit rows with (B, N, C)
+    one-hot labels: one batched product, (B, C, D), and (B, C)."""
+    return np.matmul(np.swapaxes(labels, -1, -2), embeddings), labels.sum(axis=-2)
+
+
+def _labeled_sums(supports: list[SupportSet]) -> _LabeledSums:
+    """The labeled products of the supports, one ``_labeled_product`` for
+    each run of equal N, joined on the batch axis; each element's are
+    bitwise its own."""
+    start = time.perf_counter()
+    raws, counts, sizes = [], [], []
+    for n, run in itertools.groupby(supports, key=lambda s: s.n):
+        run = list(run)
+        raw, count = _labeled_product(_stack([s.embeddings for s in run]),
+                                      _stack([s.labels for s in run]))
+        raws.append(raw)
+        counts.append(count)
+        sizes += [n] * len(run)
+    return _LabeledSums(raw=_joined(raws), counts=_joined(counts), sizes=np.array(sizes),
+                        ms=(time.perf_counter() - start) * 1e3)
+
+
+def _class_sums(labeled: _LabeledSums, tau: float, lambdas: LambdaPolicy) -> _ClassSums:
+    """The labeled sums Y^T V / (N tau) and per-class weights of a batch
+    of labeled products, with zero unlabeled sums. The quotient is
+    bitwise that of dividing each element's product by its own N tau.
 
     This is the one place that handles unobserved classes (infinite text
     weight): zero reported weights drop them from the objective, and with
@@ -214,14 +260,13 @@ def _class_sums(embeddings: np.ndarray, labels: np.ndarray, tau: float,
     prototype rows; the closed-form step keeps the adaptive weight
     ratio's finite limit, 2.
     """
-    counts = labels.sum(axis=-2)
+    counts = labeled.counts
     lam_text = lambdas.text_weights(counts)
     lam_unl = lambdas.unlabeled_weights(counts)
     observed = np.isfinite(lam_text)
     ratio = np.divide(lam_unl, lam_text, out=np.full(counts.shape, 2.0), where=observed)
-    labeled = np.matmul(np.swapaxes(labels, -1, -2), embeddings)
-    labeled /= labels.shape[-2] * tau
-    return _ClassSums(labeled=labeled, unlabeled=np.zeros_like(labeled),
+    sums = labeled.raw / (labeled.sizes * tau)[:, None, None]
+    return _ClassSums(labeled=sums, unlabeled=np.zeros_like(sums),
                       lam_text=np.where(observed, lam_text, 0.0),
                       lam_unl=np.where(observed, lam_unl, 0.0),
                       step_labeled=0.5 / lam_text, step_unlabeled=0.5 * ratio)
@@ -232,7 +277,7 @@ def _support_sums(support: SupportSet, unlabeled: UnlabeledSet | None,
                   lambdas: LambdaPolicy) -> _ClassSums:
     """The one-element record of a support set, with the unlabeled sums
     of (M, C) ``codes`` when unlabeled points and codes are given."""
-    sums = _class_sums(support.embeddings[None], support.labels[None], tau, lambdas)
+    sums = _class_sums(_labeled_sums([support]), tau, lambdas)
     if unlabeled is None or unlabeled.count == 0 or codes is None:
         return sums
     c, d = sums.labeled.shape[1:]

@@ -21,7 +21,9 @@ D (the cells of a benchmark grid do, across its shot counts) are
 scored, balanced and stepped together, and each element comes out
 exactly as its own one-element fit. Their labeled counts N may differ:
 only the labeled sums read the support rows, and they are built for
-each run of equal N and joined on the batch axis. Checks that cannot
+each run of equal N and joined on the batch axis, once for a batch that
+several solvers fit: simpleshot's class means are read off the same raw
+sums and class counts. Checks that cannot
 change between rounds run once: the temperature when SolverConfig is
 built, the text prototypes once per call and an oracle marginal on entry.
 The finite-score and finite-objective checks run every round; the
@@ -33,7 +35,6 @@ the plan's residual is read.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -42,7 +43,7 @@ import numpy as np
 from .data import SupportSet, UnlabeledSet
 from .errors import ConfigError, DataError, DegeneratePlanError, SolverError
 from .objectives import (LambdaPolicy, _check_prototypes, _class_sums, _ClassSums,
-                         _support_sums)
+                         _labeled_sums, _LabeledSums, _support_sums)
 from .transport import _class_codes, _solve
 from .zeroshot import (DEFAULT_TAU, _scores, check_array, check_count, check_marginal,
                        check_real, check_tau)
@@ -134,14 +135,17 @@ def correct_marginal(marginal: np.ndarray, ratio: float = 0.25) -> np.ndarray:
 
 
 def _floored(m: np.ndarray, ratio: float) -> np.ndarray:
-    """``correct_marginal`` of arguments that it accepts, unchecked."""
+    """``correct_marginal`` of arguments that it accepts, unchecked, of
+    each row of a (..., C) ``m``; a row without zeros passes through. A
+    ratio of another real type is taken as the float it multiplies as."""
     positive = m > 0
     if positive.all():
         return m
-    m = np.ldexp(m, -np.frexp(m.max())[1])
-    floor = ratio * m[positive].min()
-    floored = np.maximum(m, floor)
-    return floored / floored.sum()
+    scaled = np.ldexp(m, -np.frexp(m.max(axis=-1, keepdims=True))[1])
+    floor = float(ratio) * np.where(positive, scaled, np.inf).min(axis=-1, keepdims=True)
+    floored = np.maximum(scaled, floor)
+    return np.where(positive.all(axis=-1, keepdims=True), m,
+                    floored / floored.sum(axis=-1, keepdims=True))
 
 
 def fit_simpleshot(support: SupportSet) -> FitResult:
@@ -149,18 +153,23 @@ def fit_simpleshot(support: SupportSet) -> FitResult:
     labeled samples get an all-zero row (they score 0 for every point,
     so they are never predicted while any observed class scores > 0)
     and are flagged in missing_classes."""
+    return _simpleshot(_labeled_sums([support]))[0]
+
+
+def _simpleshot(labeled: _LabeledSums) -> list[FitResult]:
+    """fit_simpleshot of every element of a batch of labeled products:
+    the raw class sums over max(K_c, 1). Each result's ``runtime_ms`` is
+    the batch's wall time, the products' included, divided by B."""
     start = time.perf_counter()
-    counts = support.shot_counts
-    sums = support.labels.T @ support.embeddings
-    denom = np.where(counts > 0, counts, 1.0)
-    prototypes = sums / denom[:, None]
-    elapsed = (time.perf_counter() - start) * 1e3
-    return FitResult(
-        prototypes=prototypes,
+    prototypes = labeled.raw / np.maximum(labeled.counts, 1.0)[..., None]
+    missing = labeled.counts == 0
+    elapsed = ((time.perf_counter() - start) * 1e3 + labeled.ms) / len(prototypes)
+    return [FitResult(
+        prototypes=p,
         objective_trace=np.array([], dtype=np.float64),
         runtime_ms=elapsed,
-        missing_classes=np.flatnonzero(counts == 0),
-    )
+        missing_classes=np.flatnonzero(m),
+    ) for p, m in zip(prototypes, missing)]
 
 
 def update_prototypes(support: SupportSet, unlabeled: UnlabeledSet | None,
@@ -197,13 +206,17 @@ def _checked_oracle(oracle_marginal, support: SupportSet, cfg: SolverConfig):
     return check_marginal(oracle_marginal, support.class_count, "oracle marginal")
 
 
-def _resolve_marginal(support: SupportSet, cfg: SolverConfig,
-                      oracle_marginal: np.ndarray | None) -> np.ndarray:
+def _resolve_marginals(labeled: _LabeledSums, cfg: SolverConfig,
+                       oracle_marginals: list[np.ndarray | None]) -> np.ndarray:
+    """The (B, C) transport row marginals of a batch: its oracle
+    marginals, or its supports' class frequencies, floored unless the
+    source is "support_raw"; each row bitwise that of its support's
+    ``estimate_marginal`` and ``correct_marginal``."""
     if cfg.marginal_source == "oracle":
-        if oracle_marginal is None:
+        if any(o is None for o in oracle_marginals):
             raise ConfigError("marginal_source 'oracle' needs oracle_marginal")
-        return oracle_marginal
-    estimate = estimate_marginal(support)
+        return np.stack(oracle_marginals)
+    estimate = labeled.counts / labeled.sizes[:, None]
     if cfg.marginal_source == "support_raw":
         return estimate
     return _floored(estimate, cfg.marginal_ratio)
@@ -229,22 +242,6 @@ def fit_sstextu(support: SupportSet, unlabeled: UnlabeledSet,
                   [_checked_oracle(oracle_marginal, support, cfg)])[0]
 
 
-def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    """Same-shaped arrays as one (B, ...) array; a view when B=1."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
-def _labeled_sums(supports: list[SupportSet], cfg: SolverConfig) -> _ClassSums:
-    """The class sums of the supports, built for each run of equal N and
-    joined on the batch axis; each element's sums are bitwise its own."""
-    records = []
-    for _, run in itertools.groupby(supports, key=lambda s: s.n):
-        run = list(run)
-        records.append(_class_sums(_stack([s.embeddings for s in run]),
-                                   _stack([s.labels for s in run]), cfg.tau, cfg.lambdas))
-    return _ClassSums.joined(records)
-
-
 def _trace_entry(sums: _ClassSums, prototypes: np.ndarray, t: np.ndarray,
                  round_idx: int) -> np.ndarray:
     """The (B,) objective values of a round, or SolverError when one
@@ -259,16 +256,19 @@ def _trace_entry(sums: _ClassSums, prototypes: np.ndarray, t: np.ndarray,
 
 def _adapt(supports: list[SupportSet], text_prototypes: np.ndarray,
            cfg: SolverConfig, unlabeled: np.ndarray | None = None,
-           oracle_marginals: list[np.ndarray | None] | None = None) -> list[FitResult]:
+           oracle_marginals: list[np.ndarray | None] | None = None,
+           labeled: _LabeledSums | None = None) -> list[FitResult]:
     """fit_sstext (no ``unlabeled``) or fit_sstextu of every element of a
     batch of problems that share the text prototypes, one FitResult per
     element, each exactly the element's own B=1 fit. ``unlabeled`` holds
     the elements' unlabeled embeddings as one (B, M, D) array; the
-    supports may differ in N.
+    supports may differ in N. ``labeled`` is the supports' labeled
+    products when a caller shares them between solvers; without it they
+    are built here.
 
     A round scores, balances and steps every element at once; an error
     in any element fails the whole call. Each result's ``runtime_ms`` is
-    the call's wall time divided by B.
+    the call's wall time, the labeled products' included, divided by B.
     """
     start = time.perf_counter()
     t = _check_prototypes(supports[0], text_prototypes, "text prototypes")
@@ -282,12 +282,14 @@ def _adapt(supports: list[SupportSet], text_prototypes: np.ndarray,
             unlabeled = None
     # huge or tiny fixed weights can overflow the sums and the step;
     # _trace_entry turns every non-finite value they feed into a SolverError
+    labeled, shared_ms = ((_labeled_sums(supports), 0.0) if labeled is None
+                          else (labeled, labeled.ms))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        base = _labeled_sums(supports, cfg)
+        base = _class_sums(labeled, cfg.tau, cfg.lambdas)
     marginal = None
     if unlabeled is not None:
-        oracles = oracle_marginals or [None] * len(supports)
-        marginal = np.stack([_resolve_marginal(s, cfg, o) for s, o in zip(supports, oracles)])
+        marginal = _resolve_marginals(labeled, cfg,
+                                      oracle_marginals or [None] * len(supports))
 
     prototypes = np.broadcast_to(t, base.labeled.shape)
     sums = base
@@ -323,7 +325,7 @@ def _adapt(supports: list[SupportSet], text_prototypes: np.ndarray,
             proto_snaps.append(prototypes)
     if not trace:
         trace.append(_trace_entry(base, prototypes, t, 0))
-    elapsed = (time.perf_counter() - start) * 1e3 / len(supports)
+    elapsed = ((time.perf_counter() - start) * 1e3 + shared_ms) / len(supports)
     objective = np.stack(trace, axis=-1)
     residual = np.stack(residuals, axis=-1) if residuals else None
     return [FitResult(

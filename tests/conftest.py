@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from semishot import SupportSet, UnlabeledSet
+from semishot import SupportSet, UnlabeledSet, objectives
 from semishot.zeroshot import check_array
 
 
@@ -78,4 +78,23 @@ def array_checks(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "semishot" and getattr(module, "check_array", None) is check_array:
             monkeypatch.setattr(module, "check_array", counting)
+    return calls
+
+
+@pytest.fixture
+def labeled_products(monkeypatch):
+    """The (B, N) of every labeled class-sum product
+    (``objectives._labeled_product``) that a semishot module makes while
+    the test runs, in call order: the product is patched in each module
+    that binds it."""
+    calls = []
+    real = objectives._labeled_product
+
+    def counting(embeddings, labels):
+        calls.append(embeddings.shape[:2])
+        return real(embeddings, labels)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "semishot" and getattr(module, "_labeled_product", None) is real:
+            monkeypatch.setattr(module, "_labeled_product", counting)
     return calls

@@ -72,6 +72,11 @@ def test_generate_writes_loadable_dataset(dataset_dir):
     assert report["version"] == semishot.__version__
 
 
+def test_generate_report_matches_its_golden(dataset_dir):
+    assert normalised(dataset_dir / "generate_report.json", data=dataset_dir) == (
+        GOLDEN / "generate_report.json").read_text()
+
+
 def test_generate_deterministic_bytes(dataset_dir, tmp_path):
     again = tmp_path / "again"
     assert main(["generate", *GEN_FLAGS, "--out", str(again)]) == EXIT_OK
@@ -245,8 +250,8 @@ def test_subnormal_tau_fails_the_fit_without_a_warning(dataset_dir, tmp_path, ca
 
 
 def test_adapt_and_eval_match_their_goldens(dataset_dir, tmp_path):
-    # each solver's fit report and prototype blob, then eval --silhouette
-    # of the sstextu prototypes
+    # each solver's fit report, prototype manifest and prototype blob,
+    # then eval --silhouette of the sstextu prototypes
     data = ["--data", str(dataset_dir / "manifest.json")]
     got, hashes = {}, ""
     for solver in ("sstext", "sstextu"):
@@ -255,6 +260,8 @@ def test_adapt_and_eval_match_their_goldens(dataset_dir, tmp_path):
                      "--unlabeled-mult", "8", "--seed", "1", "--out", str(fit)]) == EXIT_OK
         got[f"adapt_{solver}.json"] = normalised(fit / "fit_report.json",
                                                  data=dataset_dir, tmp=tmp_path)
+        got[f"prototypes_{solver}.json"] = normalised(fit / "prototypes.json",
+                                                      data=dataset_dir, tmp=tmp_path)
         blob = hashlib.sha256((fit / "prototypes.f32").read_bytes()).hexdigest()
         hashes += f"{blob}  adapt_{solver}/prototypes.f32\n"
     got["prototypes.sha256"] = hashes
@@ -313,7 +320,8 @@ def test_eval_refuses_to_overwrite_its_prototypes(dataset_dir, tmp_path, capsys,
     code = main(["eval", "--data", str(dataset_dir / "manifest.json"),
                  "--prototypes", str(fit / "prototypes.json"), "--out", str(fit / target)])
     assert code == EXIT_CONFIG
-    assert f"eval --out {fit / target} would overwrite" in capsys.readouterr().err
+    assert (f"eval --out {fit / target} would overwrite {(fit / target).resolve()}, "
+            f"a file of prototypes {fit / 'prototypes.json'}\n") in capsys.readouterr().err
     assert [read_files(fit), read_files(dataset_dir)] == before  # nothing changed
 
 

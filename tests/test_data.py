@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import tempfile
 import warnings
@@ -635,6 +637,33 @@ def test_write_json_refuses_non_finite_numbers_before_writing(tmp_path, capsys, 
     with pytest.raises(DataError, match="cannot write stdout as JSON"):
         ss.data._write_json(None, {"aca": bad})
     assert capsys.readouterr().out == ""
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**80, 2**80),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.sampled_from([-0.0, 5e-324, 1e308, 0.1, np.float64(-0.0)]),
+    st.text(), st.sampled_from(["", "\n\t\"\\", "é€😀", "\x00\x1f", "},\n  {"]))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(payload=st.dictionaries(st.text(max_size=6), _JSON_VALUES, max_size=5))
+@example(payload={"empty": {}, "none": [], "nested": [[], [{}], [[1, 2], [3]]],
+                  "rows": [{"aca": 0.5, "error": ""}, {"aca": None, "error": "x"}]})
+@example(payload={})
+def test_write_json_is_the_indented_stdlib_encoding(payload):
+    # every container that holds no container goes through the C encoder:
+    # the bytes are those of the stdlib's indented encoder all the same
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        ss.data._write_json(None, payload)
+    assert out.getvalue() == json.dumps(payload, indent=2, sort_keys=True,
+                                        allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------- blob fuzz

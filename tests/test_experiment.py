@@ -34,7 +34,7 @@ from semishot import (
     synthetic_dataset,
 )
 from semishot import data, experiment, solvers, zeroshot
-from semishot.experiment import CSV_HEADER, DEFAULT_SYNTHETIC_TAU, SOLVER_NAMES
+from semishot.experiment import BenchmarkRow, CSV_HEADER, DEFAULT_SYNTHETIC_TAU, SOLVER_NAMES
 
 from conftest import traced_peak_mb, unit_rows
 
@@ -323,7 +323,7 @@ def test_scoring_fails_a_cell_only_on_its_own_non_finite_scores(rng):
     masks = np.ones((2, 30), dtype=bool)
     masks[0, 0] = False
     w = unit_rows(rng, 3, 8)
-    kept, failed = experiment._score([w, w], emb, truth, 3, 0.01, masks)
+    kept, failed = experiment._score([w, w], emb, experiment._truth(truth, 3, masks), 0.01)
     assert str(failed) == "similarity matrix contains non-finite entries"
     alone = evaluate_prototypes(w, EvalSet(embeddings=emb[1:], labels=truth[1:],
                                            class_count=3), 0.01)
@@ -701,9 +701,9 @@ def test_run_benchmark_batches_stay_under_the_value_budget(monkeypatch):
                 cfg=SolverConfig(tau=0.003), unlabeled_multiplier=8, include_timing=False)
     sizes = []
 
-    def spy(supports, *args):
+    def spy(supports, *args, **kwargs):
         sizes.append([s.n for s in supports])
-        return solvers._adapt(supports, *args)
+        return solvers._adapt(supports, *args, **kwargs)
 
     monkeypatch.setattr(experiment, "_adapt", spy)
     unbounded = rows_to_csv(run_benchmark(ds, **grid))
@@ -727,9 +727,9 @@ def test_run_benchmark_fits_a_sweep_grid_in_one_call_per_solver(monkeypatch):
     calls, norm_passes = [], []
     real = data._row_norms
 
-    def fitting(supports, *args):
+    def fitting(supports, *args, **kwargs):
         calls.append(len(supports))
-        return solvers._adapt(supports, *args)
+        return solvers._adapt(supports, *args, **kwargs)
 
     def norming(arr, what):
         norm_passes.append(arr.shape)
@@ -795,9 +795,9 @@ def _spy_scoring(monkeypatch):
         products.append((prototypes.shape, embeddings.shape[0], tau))
         return real_labels(prototypes, embeddings, tau)
 
-    def metrics(predictions, truth, class_count, masks):
-        counted.append(masks.sum(1).tolist())
-        return real_metrics(predictions, truth, class_count, masks)
+    def metrics(predictions, truth, cells):
+        counted.append(truth.masks[cells].sum(1).tolist())
+        return real_metrics(predictions, truth, cells)
 
     def top(scores):
         chunks.append(scores.shape)
@@ -940,10 +940,10 @@ def test_run_benchmark_failed_fit_with_timing_has_zero_runtime(monkeypatch):
     ds = _bench_dataset()
     real = experiment._adapt
 
-    def failing(supports, *args):
+    def failing(supports, *args, **kwargs):
         if any(support.n == 6 for support in supports):
             raise SolverError("two-shot fits fail")
-        return real(supports, *args)
+        return real(supports, *args, **kwargs)
 
     monkeypatch.setattr(experiment, "_adapt", failing)
     rows = run_benchmark(ds, solvers=("zeroshot", "sstext"), shot_grid=(1, 2), seeds=2,
@@ -967,14 +967,15 @@ def test_run_benchmark_non_finite_prototypes_fail_only_their_solver(monkeypatch,
     grid = dict(shot_grid=(1, 2), seeds=3, cfg=cfg, unlabeled_multiplier=8,
                 include_timing=False, eval_set=eval_set)
     clean = run_benchmark(ds, **grid)
-    real = experiment.fit_simpleshot
+    real = experiment._simpleshot
 
-    def poisoned(support):
-        fit = real(support)
-        fit.prototypes[1, :2] = bad
-        return fit
+    def poisoned(labeled):
+        fits = real(labeled)
+        for fit in fits:
+            fit.prototypes[1, :2] = bad
+        return fits
 
-    monkeypatch.setattr(experiment, "fit_simpleshot", poisoned)
+    monkeypatch.setattr(experiment, "_simpleshot", poisoned)
     rows = run_benchmark(ds, **grid)
     one_bad = np.ones((3, 16))
     one_bad[1, 0] = np.inf
@@ -996,8 +997,8 @@ def test_run_benchmark_non_finite_prototypes_fail_only_their_solver(monkeypatch,
 
 def test_run_benchmark_misshapen_prototypes_fail_only_their_solver(monkeypatch):
     ds = _bench_dataset()
-    monkeypatch.setattr(experiment, "fit_simpleshot",
-                        lambda support: solvers.FitResult(np.ones((2, 16)), np.array([]), 0.0))
+    monkeypatch.setattr(experiment, "_simpleshot", lambda labeled: [
+        solvers.FitResult(np.ones((2, 16)), np.array([]), 0.0)] * len(labeled.sizes))
     rows = run_benchmark(ds, shot_grid=(1,), seeds=2, cfg=SolverConfig(tau=ds.tau),
                          unlabeled_multiplier=8, include_timing=False)
     assert [r.error for r in rows if r.error] == [
@@ -1030,6 +1031,17 @@ def test_run_benchmark_checks_no_array_per_cell(monkeypatch, array_checks):
     assert counts[0] == counts[1] == counts[2]
 
 
+@pytest.mark.parametrize("seeds", [2, 6])
+def test_run_benchmark_builds_one_labeled_product_per_run_of_equal_n(labeled_products, seeds):
+    # simpleshot, sstext and sstextu read one set of labeled class sums
+    # per batch: one product for each run of equal N, at any seed count
+    ds = _bench_dataset()
+    rows = run_benchmark(ds, shot_grid=(1, 2), seeds=seeds, cfg=SolverConfig(tau=ds.tau),
+                         unlabeled_multiplier=8, include_timing=False)
+    assert not any(r.error for r in rows)
+    assert labeled_products == [(seeds, 3), (seeds, 6)]
+
+
 def test_run_benchmark_empty_eval_split_fails_every_cell():
     ds = _bench_dataset()
     # (8 + 72) x 3 classes takes the whole 240-item pool
@@ -1049,7 +1061,7 @@ def test_run_benchmark_default_cfg_uses_dataset_tau(monkeypatch, dataset_tau):
     real_fit = experiment._fit_cells
 
     def fitting(*args):
-        fit_taus.append(args[-1].tau)
+        fit_taus.append(args[4].tau)  # (name, dataset, splits, unlabeled, cfg, labeled)
         return real_fit(*args)
 
     monkeypatch.setattr(experiment, "_fit_cells", fitting)
@@ -1104,6 +1116,68 @@ def test_aggregate_rows_mean_and_std():
     assert agg[0]["aca_mean"] == pytest.approx(acas.mean(), abs=1e-12)
     assert agg[0]["aca_std"] == pytest.approx(acas.std(), abs=1e-12)
     assert agg[0]["cells"] == 5 and agg[0]["failed"] == 0
+
+
+def test_aggregate_rows_with_failed_cells_is_each_groups_own_mean_and_std(rng):
+    # ragged clean counts (5, 3, 3, 1 and none): groups of one count are
+    # one 2-D pass, each bitwise its own 1-D mean and std; a group
+    # without a clean row gives None
+    rows, clean = [], {}
+    for (solver, shots), failed in {("sstext", 1): 0, ("sstext", 2): 2, ("sstextu", 1): 5,
+                                    ("sstextu", 2): 2, ("zeroshot", 1): 4}.items():
+        for seed in range(5):
+            aca, acc = rng.random(2)
+            error = "SolverError: x" if seed < failed else ""
+            rows.append(BenchmarkRow(solver, "d", shots, 8, seed, aca, acc, 0.0, error))
+            if not error:
+                clean.setdefault((solver, shots), []).append((aca, acc))
+    out = aggregate_rows(rows)
+    assert [(a["solver"], a["K"], a["cells"], a["failed"]) for a in out] == [
+        ("sstext", 1, 5, 0), ("sstext", 2, 5, 2), ("sstextu", 1, 5, 5),
+        ("sstextu", 2, 5, 2), ("zeroshot", 1, 5, 4)]
+    for a in out:
+        kept = np.array(clean.get((a["solver"], a["K"]), [])).reshape(-1, 2)
+        if not kept.size:
+            assert [a[k] for k in ("aca_mean", "aca_std", "acc_mean", "acc_std")] == [None] * 4
+            continue
+        aca, acc = kept[:, 0].copy(), kept[:, 1].copy()
+        assert (a["aca_mean"], a["aca_std"], a["acc_mean"], a["acc_std"]) == (
+            float(aca.mean()), float(aca.std()), float(acc.mean()), float(acc.std()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 9, 16, 50, 127, 200])
+def test_last_axis_mean_and_std_are_each_rows_own(rng, n):
+    # the rule behind the passes of _metrics over (B, C) recalls and of
+    # aggregate_rows over (groups, 2, n) accuracies
+    values = rng.random((150, 2, n)) * rng.choice([1e-3, 1.0, 1e3], size=(150, 2, 1))
+    means, stds = values.mean(axis=-1), values.std(axis=-1)
+    for row, mean, std in zip(values.reshape(-1, n), means.ravel().tolist(),
+                              stds.ravel().tolist()):
+        assert (float(row.mean()), float(row.std())) == (mean, std)
+    assert values[:, 0].mean(axis=-1).tolist() == means[:, 0].tolist()
+
+
+def test_metrics_full_rows_are_each_cells_own_1d_mean(rng):
+    # cells with every class present take the 2-D row mean; cell 1 masks
+    # away every row of class 2 and takes its 1-D mean of present classes
+    c, p = 6, 400
+    truth = np.arange(p) % c
+    predictions = np.where(rng.random((5, p)) < 0.6, truth, rng.integers(0, c, (5, p)))
+    masks = rng.random((5, p)) < 0.7
+    masks[1, truth == 2] = False
+    reports = experiment._metrics(predictions[[0, 1, 3, 4]], experiment._truth(truth, c, masks),
+                                  [0, 1, 3, 4])
+    assert np.isnan(reports[1].per_class_recall[2])
+    for cell, report in zip([0, 1, 3, 4], reports):
+        mask = masks[cell]
+        recall = np.full(c, np.nan)
+        for k in range(c):
+            rows = mask & (truth == k)
+            if rows.any():
+                recall[k] = np.count_nonzero(predictions[cell][rows] == k) / np.count_nonzero(rows)
+        assert report.per_class_recall.tobytes() == recall.tobytes()
+        assert report.aca == float(recall[~np.isnan(recall)].mean())
+        assert report.acc == np.count_nonzero((predictions[cell] == truth) & mask) / mask.sum()
 
 
 def test_rows_to_json_shape():

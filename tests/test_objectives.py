@@ -16,6 +16,7 @@ from semishot import (
     eval_semi_objective,
     eval_tightness,
 )
+from semishot import objectives
 
 from conftest import random_codes, random_support, random_unlabeled, unit_rows
 
@@ -387,3 +388,29 @@ def test_gradient_zero_rows_for_unobserved_classes(rng):
     fd = _fd_gradient(fn, w)
     assert np.linalg.norm(fd[2]) < 1e-8
     assert np.linalg.norm(fd[:2]) > 1e-2  # the observed rows do move it
+
+
+@pytest.mark.parametrize("shared_text", [True, False], ids=["shared-text", "per-element-text"])
+def test_class_sums_totals_are_the_unbuffered_expression(rng, shared_text):
+    # parts squares its difference in place and reuses one product buffer
+    # for the tightness and unlabeled terms: the totals are bitwise those
+    # of fresh temporaries. Class 3 is absent from every support
+    b, c, d, m = 4, 5, 7, 11
+    supports = [SupportSet.from_indices(unit_rows(rng, 6, d), rng.integers(0, 3, 6), c)
+                for _ in range(b)]
+    base = objectives._class_sums(objectives._labeled_sums(supports), 0.05,
+                                  LambdaPolicy.adaptive())
+    codes = np.stack([random_codes(rng, m, c).T for _ in range(b)])
+    sums = base.with_codes(codes, np.stack([unit_rows(rng, m, d) for _ in range(b)]), 0.05)
+    assert not sums.lam_text[:, 3].any()
+    w = rng.standard_normal((b, c, d))
+    t = unit_rows(rng, c, d) if shared_text else rng.standard_normal((b, c, d))
+    diff = w - t
+    product = w * sums.labeled
+    expected = (-product.reshape(b, -1).sum(axis=-1)
+                + objectives._dot(sums.lam_text, (diff * diff).sum(axis=-1))
+                - objectives._dot(sums.lam_unl, (w * sums.unlabeled).sum(axis=-1)))
+    assert sums.totals(w, t).tobytes() == expected.tobytes()
+    kept = w.copy()
+    sums.totals(w, t)
+    assert np.array_equal(w, kept)

@@ -587,3 +587,62 @@ def test_batched_fit_is_each_elements_own_fit(rng, cfg, m):
                     if mine is not None:
                         assert all(np.array_equal(x, y)
                                    for x, y in zip(mine, theirs, strict=True))
+
+
+def test_batched_simpleshot_is_bitwise_each_supports_own(rng):
+    # runs of equal N (N = 2 comes back after other runs), absent classes
+    # at N = 1 and 2: the batch's class means are each support's own
+    # 2-D product over its class counts, zero rows and all
+    c, d = 4, 16
+    supports = [random_support(rng, n, c, d) for n in (1, 2, 2, 6, 6, 6, 2, 40)]
+    fits = ss.solvers._simpleshot(ss.objectives._labeled_sums(supports))
+    missing = 0
+    for sup, fit in zip(supports, fits):
+        counts = sup.labels.sum(axis=0).astype(np.int64)
+        own = (sup.labels.T @ sup.embeddings) / np.where(counts > 0, counts, 1.0)[:, None]
+        assert fit.prototypes.tobytes() == own.tobytes()
+        assert fit.prototypes.tobytes() == fit_simpleshot(sup).prototypes.tobytes()
+        assert fit.missing_classes.tolist() == np.flatnonzero(counts == 0).tolist()
+        assert not fit.prototypes[fit.missing_classes].any()
+        missing += fit.missing_classes.size
+    assert missing > 0
+
+
+@pytest.mark.parametrize("m", [0, 30], ids=["labeled-only", "unlabeled"])
+def test_adapt_on_a_shared_labeled_record_is_bitwise_its_own(rng, m):
+    # the record simpleshot reads is the one sstext and sstextu derive
+    # their class sums from: handed in or built inside, the fit is the same
+    c, d = 3, 8
+    t = unit_rows(rng, c, d)
+    supports = [random_support(rng, n, c, d) for n in (2, 5, 5, 9, 2)]
+    stacked = np.stack([random_unlabeled(rng, m, d).embeddings for _ in supports])
+    labeled = ss.objectives._labeled_sums(supports)
+    cfg = SolverConfig(tau=0.01, track_codes=True)
+    for unlabeled in (None, stacked):
+        shared = ss.solvers._adapt(supports, t, cfg, unlabeled, labeled=labeled)
+        own = ss.solvers._adapt(supports, t, cfg, unlabeled)
+        for a, b in zip(shared, own, strict=True):
+            assert a.prototypes.tobytes() == b.prototypes.tobytes()
+            assert a.objective_trace.tobytes() == b.objective_trace.tobytes()
+            assert (a.ot_residuals is None) == (b.ot_residuals is None)
+            if a.ot_residuals is not None:
+                assert a.ot_residuals.tobytes() == b.ot_residuals.tobytes()
+
+
+@pytest.mark.parametrize("source", ["support_estimate", "support_raw"])
+def test_batch_marginals_are_each_supports_own(rng, source):
+    # one (B, C) pass over the batch's class counts: rows with absent
+    # classes are floored, the others pass through, each bitwise the
+    # public estimate and correction of its support alone
+    supports = [random_support(rng, n, 4, 6) for n in (1, 2, 2, 8, 8, 3, 40)]
+    cfg = SolverConfig(marginal_source=source, marginal_ratio=0.3)
+    got = ss.solvers._resolve_marginals(ss.objectives._labeled_sums(supports), cfg,
+                                        [None] * len(supports))
+    floored = 0
+    for sup, row in zip(supports, got):
+        own = estimate_marginal(sup)
+        if source == "support_estimate":
+            floored += int(not own.all())
+            own = correct_marginal(own, 0.3)
+        assert row.tobytes() == own.tobytes()
+    assert floored or source == "support_raw"
