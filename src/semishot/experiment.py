@@ -22,7 +22,8 @@ unlabeled count M = multiplier x C; their labeled counts N differ), and
 each solver fits a batch in one call, which gives every cell the fit it
 gets alone; a batch that raises is refitted cell by cell. The labeled
 class sums are built once per batch, one product for each run of equal
-N, and simpleshot, sstext and sstextu all read them. A batch takes
+N, and simpleshot, sstext and sstextu all read them; no solver's timed
+share includes them. A batch takes
 as many cells as keep its arrays under a fixed count of values, so
 memory does not grow with the grid. Only one batch's splits are held at
 a time. Each solver's batch is scored once: its distinct prototype
@@ -48,8 +49,8 @@ from .data import (Dataset, EvalSet, SupportSet, UnlabeledSet, _checked_row_norm
                    _class_labels, _readonly, _unit_rows_at, normalize_rows)
 from .errors import ConfigError, DataError, GenerationError, SamplingError
 from .objectives import _labeled_sums, _LabeledSums
-from .solvers import (FitResult, SolverConfig, _adapt, _checked_oracle, _simpleshot,
-                      fit_simpleshot)
+from .solvers import FitResult, SolverConfig, _adapt, _checked_oracle, _simpleshot
+from .solvers import fit_simpleshot  # noqa: F401  (a name perfbench/spans.py traces)
 from .zeroshot import (DEFAULT_TAU, _scores, check_array, check_count, check_marginal,
                        check_real, check_tau)
 
@@ -321,12 +322,18 @@ class _Truth(NamedTuple):
     totals: np.ndarray
 
 
+def _label_type(class_count: int) -> np.dtype:
+    """The type of predicted and truth labels over ``class_count``
+    classes: the smallest unsigned type that holds C - 1."""
+    return np.min_scalar_type(class_count - 1)
+
+
 def _truth(labels: np.ndarray, class_count: int, masks: np.ndarray) -> _Truth:
     """The ``_Truth`` of rows with class ``labels`` under (B, P) ``masks``.
     Totals are counts of 0/1 entries taken as a product with the
     one-hot, exact in float64, so any subset of cells reads its own."""
     onehot = np.equal.outer(labels, np.arange(class_count)).astype(np.float64)
-    return _Truth(labels.astype(np.min_scalar_type(class_count - 1)), onehot, masks,
+    return _Truth(labels.astype(_label_type(class_count)), onehot, masks,
                   masks.astype(np.float64) @ onehot)
 
 
@@ -376,7 +383,7 @@ def _top_class(scores: np.ndarray) -> np.ndarray:
     that holds C - 1: at the sweep grid's (25, 5, 1500) the walk took
     0.22 ms in uint8 and 0.72 ms in int64 (2-vCPU Xeon)."""
     best = scores[:, 0].copy()
-    kind = np.min_scalar_type(scores.shape[1] - 1)
+    kind = _label_type(scores.shape[1])
     labels = np.zeros(best.shape, dtype=kind)
     beats = np.empty(best.shape, dtype=bool)
     step = np.empty_like(labels)
@@ -407,7 +414,7 @@ def _labels(prototypes: np.ndarray, embeddings: np.ndarray,
     default family."""
     b, c, d = prototypes.shape
     flat = prototypes.reshape(b * c, d)
-    labels = np.empty((b, embeddings.shape[0]), dtype=np.min_scalar_type(c - 1))
+    labels = np.empty((b, embeddings.shape[0]), dtype=_label_type(c))
     bad = np.zeros(labels.shape, dtype=bool)
     step = max(1, _BATCH_VALUES // (c * embeddings.shape[0]))
     for lo in range(0, b, step):
@@ -597,8 +604,8 @@ def _fit_splits(name: str, dataset: Dataset, splits: list[_Split], unlabeled: np
     embeddings are the (B, M, D) ``unlabeled``: simpleshot, sstext and
     sstextu fit them in one call each, whose wall time each result
     shares. ``labeled`` is the supports' labeled products when the
-    caller shares them between solvers; without it each call builds its
-    own."""
+    caller shares them between solvers, and then no result's time
+    includes them; without it each call builds and times its own."""
     if name == "zeroshot":
         return [FitResult(
             prototypes=dataset.prototypes,
@@ -607,9 +614,7 @@ def _fit_splits(name: str, dataset: Dataset, splits: list[_Split], unlabeled: np
         )] * len(splits)
     supports = [split.support for split in splits]
     if name == "simpleshot":
-        if labeled is None:  # fit_solver's split, or a failed batch's cell alone
-            return [fit_simpleshot(support) for support in supports]
-        return _simpleshot(labeled)
+        return _simpleshot(supports, labeled)
     if name == "sstext":
         return _adapt(supports, dataset.prototypes, cfg, labeled=labeled)
     if name == "sstextu":
@@ -740,10 +745,12 @@ def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
     raises ConfigError.
 
     With ``include_timing`` a batched cell's ``runtime_ms`` (simpleshot's
-    as well as sstext's and sstextu's) is the batch fit's wall time, the
-    shared labeled sums included, divided by its cell count, an
-    amortised share that the cells of one batch have in common across
-    their shot counts.
+    as well as sstext's and sstextu's) is its solver's batch fit wall
+    time divided by the batch's cell count, an amortised share that the
+    cells of one batch have in common across their shot counts. The
+    shared labeled sums are charged to no solver, like the draw of the
+    splits, so each product's time is counted at most once; a cell
+    refitted alone builds its own and is charged for them.
 
     By default every seed evaluates on the pool remainder left after its
     own support/unlabeled draw. Each solver's batch is scored once: one

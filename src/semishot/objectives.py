@@ -30,7 +30,6 @@ supports and shared with the class-mean solver.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -203,15 +202,13 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _LabeledSums:
     """The labeled products of a batch of B support sets that share C and
     D: the raw class sums Y^T V (B, C, D), the class counts K (B, C) and
-    the labeled counts N (B,), and the wall time in ms that building them
-    took. Every solver that reads labeled data derives its own values
-    from them: simpleshot's class means and the (B, C, D) sums of
-    ``_ClassSums``."""
+    the labeled counts N (B,). Every solver that reads labeled data
+    derives its own values from them: simpleshot's class means and the
+    (B, C, D) sums of ``_ClassSums``."""
 
     raw: np.ndarray
     counts: np.ndarray
     sizes: np.ndarray
-    ms: float
 
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
@@ -236,7 +233,6 @@ def _labeled_sums(supports: list[SupportSet]) -> _LabeledSums:
     """The labeled products of the supports, one ``_labeled_product`` for
     each run of equal N, joined on the batch axis; each element's are
     bitwise its own."""
-    start = time.perf_counter()
     raws, counts, sizes = [], [], []
     for n, run in itertools.groupby(supports, key=lambda s: s.n):
         run = list(run)
@@ -245,8 +241,7 @@ def _labeled_sums(supports: list[SupportSet]) -> _LabeledSums:
         raws.append(raw)
         counts.append(count)
         sizes += [n] * len(run)
-    return _LabeledSums(raw=_joined(raws), counts=_joined(counts), sizes=np.array(sizes),
-                        ms=(time.perf_counter() - start) * 1e3)
+    return _LabeledSums(raw=_joined(raws), counts=_joined(counts), sizes=np.array(sizes))
 
 
 def _class_sums(labeled: _LabeledSums, tau: float, lambdas: LambdaPolicy) -> _ClassSums:

@@ -153,17 +153,21 @@ def fit_simpleshot(support: SupportSet) -> FitResult:
     labeled samples get an all-zero row (they score 0 for every point,
     so they are never predicted while any observed class scores > 0)
     and are flagged in missing_classes."""
-    return _simpleshot(_labeled_sums([support]))[0]
+    return _simpleshot([support])[0]
 
 
-def _simpleshot(labeled: _LabeledSums) -> list[FitResult]:
-    """fit_simpleshot of every element of a batch of labeled products:
-    the raw class sums over max(K_c, 1). Each result's ``runtime_ms`` is
-    the batch's wall time, the products' included, divided by B."""
+def _simpleshot(supports: list[SupportSet],
+                labeled: _LabeledSums | None = None) -> list[FitResult]:
+    """fit_simpleshot of every support of a batch: the raw class sums over
+    max(K_c, 1). ``labeled`` is the supports' labeled products when a
+    caller shares them between solvers; without it they are built here.
+    Each result's ``runtime_ms`` is the call's wall time divided by B,
+    so products handed in are not charged to it."""
     start = time.perf_counter()
+    labeled = _labeled_sums(supports) if labeled is None else labeled
     prototypes = labeled.raw / np.maximum(labeled.counts, 1.0)[..., None]
     missing = labeled.counts == 0
-    elapsed = ((time.perf_counter() - start) * 1e3 + labeled.ms) / len(prototypes)
+    elapsed = (time.perf_counter() - start) * 1e3 / len(prototypes)
     return [FitResult(
         prototypes=p,
         objective_trace=np.array([], dtype=np.float64),
@@ -268,7 +272,8 @@ def _adapt(supports: list[SupportSet], text_prototypes: np.ndarray,
 
     A round scores, balances and steps every element at once; an error
     in any element fails the whole call. Each result's ``runtime_ms`` is
-    the call's wall time, the labeled products' included, divided by B.
+    the call's wall time divided by B, so products handed in are not
+    charged to it.
     """
     start = time.perf_counter()
     t = _check_prototypes(supports[0], text_prototypes, "text prototypes")
@@ -282,8 +287,7 @@ def _adapt(supports: list[SupportSet], text_prototypes: np.ndarray,
             unlabeled = None
     # huge or tiny fixed weights can overflow the sums and the step;
     # _trace_entry turns every non-finite value they feed into a SolverError
-    labeled, shared_ms = ((_labeled_sums(supports), 0.0) if labeled is None
-                          else (labeled, labeled.ms))
+    labeled = _labeled_sums(supports) if labeled is None else labeled
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         base = _class_sums(labeled, cfg.tau, cfg.lambdas)
     marginal = None
@@ -325,7 +329,7 @@ def _adapt(supports: list[SupportSet], text_prototypes: np.ndarray,
             proto_snaps.append(prototypes)
     if not trace:
         trace.append(_trace_entry(base, prototypes, t, 0))
-    elapsed = ((time.perf_counter() - start) * 1e3 + shared_ms) / len(supports)
+    elapsed = (time.perf_counter() - start) * 1e3 / len(supports)
     objective = np.stack(trace, axis=-1)
     residual = np.stack(residuals, axis=-1) if residuals else None
     return [FitResult(

@@ -969,8 +969,8 @@ def test_run_benchmark_non_finite_prototypes_fail_only_their_solver(monkeypatch,
     clean = run_benchmark(ds, **grid)
     real = experiment._simpleshot
 
-    def poisoned(labeled):
-        fits = real(labeled)
+    def poisoned(supports, labeled=None):
+        fits = real(supports, labeled)
         for fit in fits:
             fit.prototypes[1, :2] = bad
         return fits
@@ -997,8 +997,8 @@ def test_run_benchmark_non_finite_prototypes_fail_only_their_solver(monkeypatch,
 
 def test_run_benchmark_misshapen_prototypes_fail_only_their_solver(monkeypatch):
     ds = _bench_dataset()
-    monkeypatch.setattr(experiment, "_simpleshot", lambda labeled: [
-        solvers.FitResult(np.ones((2, 16)), np.array([]), 0.0)] * len(labeled.sizes))
+    monkeypatch.setattr(experiment, "_simpleshot", lambda supports, labeled=None: [
+        solvers.FitResult(np.ones((2, 16)), np.array([]), 0.0)] * len(supports))
     rows = run_benchmark(ds, shot_grid=(1,), seeds=2, cfg=SolverConfig(tau=ds.tau),
                          unlabeled_multiplier=8, include_timing=False)
     assert [r.error for r in rows if r.error] == [

@@ -592,12 +592,15 @@ def test_batched_fit_is_each_elements_own_fit(rng, cfg, m):
 def test_batched_simpleshot_is_bitwise_each_supports_own(rng):
     # runs of equal N (N = 2 comes back after other runs), absent classes
     # at N = 1 and 2: the batch's class means are each support's own
-    # 2-D product over its class counts, zero rows and all
+    # 2-D product over its class counts, zero rows and all, whether the
+    # labeled products are handed in or built inside
     c, d = 4, 16
     supports = [random_support(rng, n, c, d) for n in (1, 2, 2, 6, 6, 6, 2, 40)]
-    fits = ss.solvers._simpleshot(ss.objectives._labeled_sums(supports))
+    fits = ss.solvers._simpleshot(supports, ss.objectives._labeled_sums(supports))
+    own_sums = ss.solvers._simpleshot(supports)
     missing = 0
-    for sup, fit in zip(supports, fits):
+    for sup, fit, mine in zip(supports, fits, own_sums, strict=True):
+        assert fit.prototypes.tobytes() == mine.prototypes.tobytes()
         counts = sup.labels.sum(axis=0).astype(np.int64)
         own = (sup.labels.T @ sup.embeddings) / np.where(counts > 0, counts, 1.0)[:, None]
         assert fit.prototypes.tobytes() == own.tobytes()
