@@ -24,6 +24,7 @@ from .data import (
     UnlabeledSet,
     _dataset_files,
     _prototype_blob,
+    _resolve_files,
     _write_json,
     load_dataset,
     load_prototypes,
@@ -255,8 +256,7 @@ def _refuse_overwrite(command: str, writes, reads) -> None:
         if manifest is not None:
             owners.update(dict.fromkeys(_dataset_files(manifest),
                                         f"a file of {kind} {manifest}"))
-    for flag, value, path in writes:
-        target = path.resolve()
+    for (flag, value, _), target in zip(writes, _resolve_files([path for *_, path in writes])):
         if target in owners:
             raise ConfigError(f"{command} {flag} {value} would overwrite {target}, "
                               f"{owners[target]}")

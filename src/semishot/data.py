@@ -22,6 +22,8 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,6 +46,8 @@ NORM_KEEP_TOL = 1e-6
 NORM_WARN_TOL = 0.1
 # Bound on row norms that the in-memory containers accept.
 NORM_VALID_TOL = 1e-4
+# Elements that _row_norms squares at once (128 KiB of float64).
+_NORM_CHUNK = 1 << 14
 # Manifest keys that name a dataset blob.
 _DATASET_BLOBS = ("embeddings", "labels", "prototypes", "unlabeled", "templates")
 
@@ -85,12 +89,28 @@ def _owned(given, arr: np.ndarray) -> np.ndarray:
 
 
 def _row_norms(arr: np.ndarray, what: str) -> np.ndarray:
-    """The Euclidean norms of the rows of ``arr``. A row with norm below
-    ``MIN_ROW_NORM`` (a zero vector has no direction to keep) or past the
-    float64 range is a DataError; the overflow is silenced so that this
-    check is the only signal."""
+    """The Euclidean norms of the float64 rows of ``arr``, bitwise
+    ``np.linalg.norm(arr, axis=1)``, which is ``sqrt(add.reduce(arr *
+    arr, axis=1))``. C-contiguous rows are squared and summed in chunks
+    of at most ``_NORM_CHUNK`` elements (one row at least) into one
+    output vector, so no n x d square is built; a row's sum reads only
+    its own row, so the chunks do not change it. Other layouts take
+    ``np.linalg.norm`` itself: there the summation order follows the
+    strides, and a chunk of one row would sum in another order. A row
+    with norm below ``MIN_ROW_NORM`` (a zero vector has no direction to
+    keep) or past the float64 range is a DataError; the overflow is
+    silenced so that this check is the only signal."""
+    n, d = arr.shape
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(arr, axis=1)
+        if not arr.flags.c_contiguous:
+            norms = np.linalg.norm(arr, axis=1)
+        else:
+            norms = np.empty(n)
+            step = max(1, _NORM_CHUNK // max(d, 1))
+            for lo in range(0, n, step):
+                chunk = arr[lo:lo + step]
+                np.add.reduce(chunk * chunk, axis=1, out=norms[lo:lo + step])
+            np.sqrt(norms, out=norms)
     bad = np.flatnonzero((norms < MIN_ROW_NORM) | np.isinf(norms))
     if bad.size:
         raise DataError(f"{what} rows {bad[:8].tolist()} have norm below "
@@ -448,12 +468,37 @@ def _ingest_unit_rows(arr: np.ndarray, what: str, warnings: list[str]) -> np.nda
     return arr
 
 
-def _dataset_files(manifest_path: Path) -> set[Path]:
+def _resolve_files(paths) -> list[str]:
+    """``[str(Path(path).resolve()) for path in paths]``, resolving each
+    directory once. ``Path.resolve()`` walks a path a component at a
+    time and follows only the symlinks, so a name that is no symlink (or
+    is absent) resolves to its resolved directory joined with it, which
+    takes one ``lstat`` of the name. A symlink is resolved in full, and
+    so are the names "", "." and "..", which name no entry of a
+    directory."""
+    dirs, resolved = {}, []
+    for path in paths:
+        head, name = os.path.split(path)
+        if name in ("", ".", ".."):
+            resolved.append(str(Path(path).resolve()))
+            continue
+        if head not in dirs:
+            dirs[head] = str(Path(head or ".").resolve())
+        target = os.path.join(dirs[head], name)
+        try:
+            link = stat.S_ISLNK(os.lstat(target).st_mode)
+        except OSError:  # absent, or under a non-directory: joined as it is
+            link = False
+        resolved.append(str(Path(target).resolve()) if link else target)
+    return resolved
+
+
+def _dataset_files(manifest_path: Path) -> set[str]:
     """The resolved paths of a dataset manifest that ``load_dataset`` has
     read and of every blob it names."""
     manifest = json.loads(manifest_path.read_text())
-    return {manifest_path.resolve(), *((manifest_path.parent / manifest[key]).resolve()
-                                       for key in _DATASET_BLOBS if key in manifest)}
+    return set(_resolve_files([manifest_path, *(manifest_path.parent / manifest[key]
+                                                for key in _DATASET_BLOBS if key in manifest)]))
 
 
 def _prototype_blob(manifest_path: Path) -> Path:

@@ -284,10 +284,13 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[EvalSet, np.ndarray]:
     labels = rng.choice(spec.class_count, size=spec.pool_size,
                         p=spec.marginal)
     # a noise near the float64 limit overflows here; normalize_rows then
-    # rejects the non-finite rows
+    # rejects the non-finite rows. The draw is scaled and shifted in
+    # place: IEEE addition commutes, so the rows are bitwise
+    # centers[labels] + noise * draw.
+    samples = rng.standard_normal((spec.pool_size, spec.dim))
     with np.errstate(over="ignore"):
-        samples = centers[labels] + spec.noise * rng.standard_normal(
-            (spec.pool_size, spec.dim))
+        samples *= spec.noise
+        samples += centers[labels]
         text = centers + spec.text_noise * rng.standard_normal(centers.shape)
     pool = EvalSet(
         embeddings=normalize_rows(samples),
@@ -486,6 +489,34 @@ def evaluate_prototypes(prototypes: np.ndarray, eval_set: EvalSet,
     return outcome
 
 
+def _distinct_rows(x: np.ndarray, mean: np.ndarray,
+                   exponent) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``ldexp(x - mean, exponent)``, for C-contiguous
+    float64 ``x``, in the order ``np.unique`` gives their bytes as void
+    rows, and each row's index
+    among them, bitwise that ``np.unique``'s rows and inverse. It sorts
+    void rows by memcmp, so by the first column's 8 bytes first, which
+    sort the same way read as a big-endian u8: where no two
+    first-column keys are equal, a stable argsort of them is the order
+    and every row is distinct. Only where a key repeats is a centred
+    copy of ``x`` made, for ``np.unique`` to order. The distinct rows
+    are gathered from ``x``, then centred and scaled in place."""
+    keys = np.ldexp(x[:, 0] - mean[0], exponent).view(">u8")
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    if np.all(ranked[1:] != ranked[:-1]):
+        col = np.empty_like(order)
+        col[order] = np.arange(order.size)
+    else:
+        centred = x - mean
+        np.ldexp(centred, exponent, out=centred)
+        row_bytes = centred.view(np.dtype((np.void, x.itemsize * x.shape[1]))).ravel()
+        _, order, col = np.unique(row_bytes, return_index=True, return_inverse=True)
+    distinct = x[order]
+    distinct -= mean
+    return np.ldexp(distinct, exponent, out=distinct), col
+
+
 def silhouette_score(embeddings: np.ndarray, labels: np.ndarray) -> float:
     """Mean silhouette over samples (Rousseeuw 1987): (b - a) / max(a, b),
     with a the mean Euclidean distance to same-labeled points and b the
@@ -500,42 +531,48 @@ def silhouette_score(embeddings: np.ndarray, labels: np.ndarray) -> float:
     the data rather than its offset. They are then scaled by a power of
     two to a largest magnitude in [0.5, 1): that is exact, the score does
     not change under scaling either, and no squared distance under- or
-    overflows. Distances are taken between the k distinct rows of the
-    pool, and a distinct row is exactly 0 from itself, so exact
-    duplicates are exactly 0 apart. That k x k matrix is
-    symmetric, so it is walked in row blocks [lo, hi) against the columns
-    [lo, k) only: each block adds its rows' class sums and, through its
-    transpose, the sums of the columns past hi, so each distinct pair is
-    computed once. ``_SILHOUETTE_BLOCK`` bounds the elements of one block;
-    a block holds at least one row.
+    overflows. fl(x - m) is monotone in x, so that largest magnitude is
+    read off the column extremes, with no centred copy. Distances are
+    taken between the k distinct rows of the pool, in the byte order
+    ``np.unique`` gives them (``_distinct_rows``, which reads only the
+    first column when its values differ), and a distinct row is exactly
+    0 from itself, so exact duplicates are exactly 0 apart. That k x k
+    matrix is symmetric, so it is walked in row blocks [lo, hi) against
+    the columns [lo, k) only: each block adds its rows' class sums and,
+    through its transpose, the sums of the columns past hi, so each
+    distinct pair is computed once. ``_SILHOUETTE_BLOCK`` bounds the
+    elements of one block, and the block bounds fix the summation order;
+    a block holds at least one row. Every block is written into one
+    buffer of max(``_SILHOUETTE_BLOCK``, k) values.
     """
-    x = check_array(embeddings, "silhouette embeddings", (None, None), finite=True)
+    x = np.ascontiguousarray(check_array(embeddings, "silhouette embeddings",
+                                         (None, None), finite=True))
     y = check_array(labels, "silhouette labels", x.shape[:1], dtype=None)
     if x.shape[1] == 0:
         raise DataError("silhouette embeddings have no columns")
     classes, dense = np.unique(y, return_inverse=True)
     if classes.size < 2:
         raise DataError("silhouette needs at least two distinct labels")
-    n, d = x.shape
+    n = x.shape[0]
     counts = np.bincount(dense)
-    x = x - x.mean(axis=0)
-    x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
+    mean = x.mean(axis=0)
+    peak = max((x.max(axis=0) - mean).max(), -(x.min(axis=0) - mean).min())
     # distinct rows are the distance columns; row i's own column is col[i]
-    row_bytes = x.view(np.dtype((np.void, x.itemsize * d))).ravel()
-    _, first, col = np.unique(row_bytes, return_index=True, return_inverse=True)
-    distinct = x[first]
+    distinct, col = _distinct_rows(x, mean, -np.frexp(peak)[1])
     distinct_sq = np.einsum("ij,ij->i", distinct, distinct)
-    k = first.size
+    k = distinct.shape[0]
     # members[j, c]: how many points of class c sit at distinct row j
     members = np.zeros((k, classes.size))
     np.add.at(members, (col, dense), 1.0)
 
     # sums[j, c]: summed distance from distinct row j to the points of class c
     sums = np.zeros_like(members)
+    buffer = np.empty(max(_SILHOUETTE_BLOCK, k))
     lo = 0
     while lo < k:
         hi = min(k, lo + max(1, _SILHOUETTE_BLOCK // (k - lo)))
-        dist = distinct[lo:hi] @ distinct[lo:].T
+        dist = buffer[:(hi - lo) * (k - lo)].reshape(hi - lo, k - lo)
+        np.matmul(distinct[lo:hi], distinct[lo:].T, out=dist)
         dist *= -2.0
         dist += distinct_sq[lo:hi, None]
         dist += distinct_sq[lo:]
@@ -645,13 +682,15 @@ def _run_cell(dataset: Dataset, dataset_name: str, solver: str, spec: SamplingSp
               outcome: MetricReport | Exception, runtime_ms: float) -> BenchmarkRow:
     """The row of one cell: its metrics, or the error of its draw, fit
     or scoring."""
-    cell = dict(solver=solver, dataset=dataset_name, shots=spec.shots,
-                unlabeled_count=spec.unlabeled_multiplier * dataset.class_count,
-                seed=spec.seed)
+    unlabeled_count = spec.unlabeled_multiplier * dataset.class_count
     if isinstance(outcome, Exception):
-        return BenchmarkRow(**cell, aca=float("nan"), acc=float("nan"), runtime_ms=0.0,
+        return BenchmarkRow(solver=solver, dataset=dataset_name, shots=spec.shots,
+                            unlabeled_count=unlabeled_count, seed=spec.seed,
+                            aca=float("nan"), acc=float("nan"), runtime_ms=0.0,
                             error=f"{type(outcome).__name__}: {outcome}")
-    return BenchmarkRow(**cell, aca=outcome.aca, acc=outcome.acc, runtime_ms=runtime_ms)
+    return BenchmarkRow(solver=solver, dataset=dataset_name, shots=spec.shots,
+                        unlabeled_count=unlabeled_count, seed=spec.seed,
+                        aca=outcome.aca, acc=outcome.acc, runtime_ms=runtime_ms)
 
 
 def _run_batch(dataset: Dataset, dataset_name: str, pool: EvalSet, norms: np.ndarray,

@@ -8,19 +8,6 @@ from semishot import SupportSet, UnlabeledSet, objectives
 from semishot.zeroshot import check_array
 
 
-def traced_peak_mb(fn):
-    """Peak memory, in MiB, that ``fn()`` allocates while it runs, as
-    tracemalloc sees it (NumPy's array buffers included)."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        fn()
-        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
-    finally:
-        tracemalloc.stop()
-
-
 def unit_rows(rng, n, d):
     """Random unit-norm rows."""
     x = rng.standard_normal((n, d))
@@ -79,6 +66,24 @@ def array_checks(monkeypatch):
         if name.split(".")[0] == "semishot" and getattr(module, "check_array", None) is check_array:
             monkeypatch.setattr(module, "check_array", counting)
     return calls
+
+
+@pytest.fixture
+def peak_bytes():
+    """A function that calls ``fn()`` and returns the peak bytes that it
+    allocates while it runs, as tracemalloc sees it (NumPy's array
+    buffers included)."""
+    def measure(fn):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    return measure
 
 
 @pytest.fixture

@@ -467,6 +467,84 @@ def test_benchmark_refuses_to_overwrite_its_inputs(tmp_path, capsys, monkeypatch
     assert not any(path.exists() for path in outs.values() if path.parent == tmp_path)
 
 
+def _fitted_dataset(tmp_path):
+    """A generated dataset and an adapt output of it, under ``tmp_path``."""
+    data, fit = tmp_path / "data", tmp_path / "fit"
+    assert main(["generate", *GEN_FLAGS, "--out", str(data)]) == EXIT_OK
+    assert main(["adapt", "--data", str(data / "manifest.json"), "--solver", "sstext",
+                 "--out", str(fit)]) == EXIT_OK
+    return data, fit
+
+
+def test_adapt_refuses_a_directory_that_links_to_its_dataset(tmp_path, capsys):
+    data, _ = _fitted_dataset(tmp_path)
+    alias = tmp_path / "alias"
+    alias.symlink_to(data, target_is_directory=True)
+    before = read_files(data)
+    code = main(["adapt", "--data", str(data / "manifest.json"), "--solver", "sstextu",
+                 "--out", str(alias)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: adapt --out {alias} would overwrite {(data / 'prototypes.f32').resolve()}, "
+        f"a file of dataset {data / 'manifest.json'}\n")
+    assert read_files(data) == before  # nothing written, nothing changed
+
+
+def test_eval_refuses_a_link_to_a_dataset_blob(tmp_path, capsys):
+    data, fit = _fitted_dataset(tmp_path)
+    out = tmp_path / "eval.json"
+    out.symlink_to(data / "embeddings.f32")
+    before = [read_files(data), read_files(fit)]
+    code = main(["eval", "--data", str(data / "manifest.json"),
+                 "--prototypes", str(fit / "prototypes.json"), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: eval --out {out} would overwrite {(data / 'embeddings.f32').resolve()}, "
+        f"a file of dataset {data / 'manifest.json'}\n")
+    assert [read_files(data), read_files(fit)] == before
+
+
+def test_eval_refuses_the_target_of_a_linked_blob(tmp_path, capsys):
+    # the manifest's embeddings blob is a symlink into another directory;
+    # writing its target would change the dataset as well
+    data, fit = _fitted_dataset(tmp_path)
+    store = tmp_path / "store"
+    store.mkdir()
+    (data / "embeddings.f32").rename(store / "emb.f32")
+    (data / "embeddings.f32").symlink_to(store / "emb.f32")
+    before = [read_files(store), read_files(fit)]
+    code = main(["eval", "--data", str(data / "manifest.json"),
+                 "--prototypes", str(fit / "prototypes.json"), "--out", str(store / "emb.f32")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: eval --out {store / 'emb.f32'} would overwrite "
+        f"{(store / 'emb.f32').resolve()}, a file of dataset {data / 'manifest.json'}\n")
+    assert [read_files(store), read_files(fit)] == before
+
+
+@pytest.mark.parametrize("via_link", [False, True], ids=["absent-dir", "linked-dir"])
+def test_benchmark_resolves_an_out_csv_that_ends_in_dotdot(tmp_path, capsys, monkeypatch,
+                                                           via_link):
+    # a name ".." is resolved in full: past a symlink it is the parent of
+    # the link's target, not of the link
+    data, _ = _fitted_dataset(tmp_path)
+    (tmp_path / "held" / "inner").mkdir(parents=True)
+    if via_link:
+        (tmp_path / "hop").symlink_to(tmp_path / "held" / "inner", target_is_directory=True)
+        csv_path, json_path = tmp_path / "hop" / "..", tmp_path / "held"
+    else:
+        csv_path, json_path = tmp_path / "held" / "absent" / "..", tmp_path / "held"
+    monkeypatch.setattr("semishot.cli.run_benchmark", None)  # no fit may run
+    before = sorted(tmp_path.rglob("*"))
+    code = main(["benchmark", "--data", str(data / "manifest.json"), *BENCH_FLAGS,
+                 "--out-csv", str(csv_path), "--out-json", str(json_path)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: benchmark --out-json {json_path} would overwrite {json_path.resolve()}, "
+        f"the --out-csv file\n")
+    assert sorted(tmp_path.rglob("*")) == before  # nothing written
+
+
 def test_benchmark_flag_validation(dataset_dir, tmp_path):
     data = ["--data", str(dataset_dir / "manifest.json")]
     out = ["--out-csv", str(tmp_path / "v.csv")]

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -25,7 +26,7 @@ from semishot import (
     save_prototypes,
 )
 
-from conftest import traced_peak_mb, unit_rows
+from conftest import unit_rows
 
 SIGNALLING_NAN32 = b"\x01\x00\x80\x7f"  # little-endian float32 sNaN
 
@@ -98,6 +99,49 @@ def test_normalized_rows_gathered_are_the_rows_normalized_alone(seed, source, ta
     stacked = np.stack([idx, idx[::-1]])
     assert ss.data._unit_rows_at(x, norms, stacked)[1].tobytes() == (
         normalize_rows(x[idx[::-1]]).tobytes())
+
+
+_LAYOUTS = {
+    "C": lambda x: x,
+    "F": np.asfortranarray,
+    "row-strided": lambda x: np.repeat(x, 2, axis=0)[::2],
+    "column-strided": lambda x: np.repeat(x, 2, axis=1)[:, ::2],
+}
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS.values(), ids=_LAYOUTS.keys())
+@pytest.mark.parametrize("d", [1, 64, 512])
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, "past-budget"])
+def test_row_norms_are_bitwise_linalg_norm(layout, d, n):
+    # the chunked squares sum each row as np.linalg.norm does, in every
+    # layout, at the chunk bounds and one row past a chunk
+    n = ss.data._NORM_CHUNK // d + 1 if n == "past-budget" else n
+    rng = np.random.default_rng(n * 1000 + d)
+    x = layout(rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, 1)))
+    norms = ss.data._row_norms(x, "x")
+    assert norms.tobytes() == np.linalg.norm(x, axis=1).tobytes()
+    assert normalize_rows(x).tobytes() == (x / np.linalg.norm(x, axis=1)[:, None]).tobytes()
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS.values(), ids=_LAYOUTS.keys())
+def test_row_norms_refuse_the_rows_linalg_norm_finds_bad(layout):
+    # rows past the float64 range or below MIN_ROW_NORM, in several
+    # chunks, and more of them than the message names
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((700, 64))
+    x[[3, 255, 256, 257, 400, 511, 512, 600, 699]] *= 1e160
+    x[[10, 300]] = 0.0
+    x = layout(x)
+    with np.errstate(over="ignore"):
+        ref = np.linalg.norm(x, axis=1)
+    bad = np.flatnonzero((ref < ss.data.MIN_ROW_NORM) | np.isinf(ref))
+    assert bad.size == 11
+    for check in (lambda: ss.data._row_norms(x, "x"), lambda: normalize_rows(x, "x"),
+                  lambda: ss.data._checked_row_norms(x, "x")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=re.escape(f"x rows {bad[:8].tolist()} ")):
+                check()
 
 
 _SNAN_ROWS = {
@@ -479,6 +523,46 @@ def test_round_trip_bit_exact(tmp_path, rng):
     assert first == second
 
 
+def test_load_peaks_under_1_7_times_the_widened_embeddings(tmp_path, peak_bytes):
+    # the float32 bytes, their float64 widening and its finite mask; the
+    # row norms square one chunk at a time, not a second n x d array
+    ds = ss.synthetic_dataset(ss.SyntheticSpec(seed=0))
+    save_dataset(ds, tmp_path / "manifest.json")
+    assert (ds.n, ds.dim) == (1500, 64)
+    peak = peak_bytes(lambda: load_dataset(tmp_path / "manifest.json"))
+    assert peak <= 1.7 * ds.embeddings.nbytes
+
+
+_RESOLVED = ["real/f", "link/f", "link/flink", "link/..", "link/.", ".", "", "..",
+             "link/missing", "real/f/under-a-file", "link/../real/./f", "absent/../link/flink",
+             "/", "link/flink/..", "link", "f", "dangling", "loop", "loop/x", "//x", "/.."]
+
+
+def test_resolve_files_is_path_resolve(tmp_path, monkeypatch):
+    # one directory resolve and an lstat per plain name give the path
+    # that Path.resolve() walks to, or raise as it raises
+    (tmp_path / "real").mkdir()
+    (tmp_path / "real" / "f").write_text("x")
+    (tmp_path / "link").symlink_to(tmp_path / "real", target_is_directory=True)
+    (tmp_path / "real" / "flink").symlink_to(tmp_path / "real" / "f")
+    (tmp_path / "dangling").symlink_to(tmp_path / "nowhere")
+    (tmp_path / "loop").symlink_to(tmp_path / "loop")
+    monkeypatch.chdir(tmp_path)
+
+    def outcome(call):
+        try:
+            return call()
+        except Exception as exc:
+            return type(exc)
+
+    for name in _RESOLVED:
+        for path in (Path(name), tmp_path / name):
+            expected = outcome(lambda: str(path.resolve()))
+            assert outcome(lambda: ss.data._resolve_files([path])[0]) == expected, path
+    paths = [Path(name) for name in _RESOLVED if not name.startswith("loop")]
+    assert ss.data._resolve_files(paths) == [str(path.resolve()) for path in paths]
+
+
 def test_two_saves_byte_identical(tmp_path, rng):
     ds = _tiny_dataset(rng)
     save_dataset(ds, tmp_path / "a" / "manifest.json")
@@ -595,13 +679,13 @@ def test_load_prototypes_rejects_signalling_nan(tmp_path, rng):
             load_prototypes(path)
 
 
-def test_dataset_create_allocates_the_embeddings_once(rng):
+def test_dataset_create_allocates_the_embeddings_once(rng, peak_bytes):
     # the renormalized rows are handed to the dataset, not copied again
     emb = unit_rows(rng, 1500, 64)
     labels, protos = np.arange(1500) % 5, unit_rows(rng, 5, 64)
-    peak = traced_peak_mb(
+    peak = peak_bytes(
         lambda: Dataset.create(embeddings=emb, labels=labels, prototypes=protos))
-    assert peak < 1.5 * emb.nbytes / 2**20
+    assert peak < 1.5 * emb.nbytes
 
 
 def test_dataset_create_validates(rng):

@@ -22,6 +22,7 @@ from semishot import (
     fit_solver,
     fit_sstext,
     generate_synthetic,
+    normalize_rows,
     predict_labels,
     predict_probs,
     rows_to_csv,
@@ -36,7 +37,7 @@ from semishot import (
 from semishot import data, experiment, solvers, zeroshot
 from semishot.experiment import BenchmarkRow, CSV_HEADER, DEFAULT_SYNTHETIC_TAU, SOLVER_NAMES
 
-from conftest import traced_peak_mb, unit_rows
+from conftest import unit_rows
 
 
 def small_spec(**kw):
@@ -202,6 +203,30 @@ def test_generate_infeasible_separation():
                                          noise=0.1,
                                          marginal=tuple([0.02] * 50),
                                          pool_size=10))
+
+
+@pytest.mark.parametrize("spec", [small_spec(), small_spec(noise=0.65, seed=4),
+                                  SyntheticSpec(seed=11), small_spec(noise=1e-300)],
+                         ids=["small", "noisy", "default", "tiny-noise"])
+def test_generate_is_the_out_of_place_expression(spec):
+    # the noise is scaled and shifted in place; the sum commutes, so the
+    # rows are bitwise centers[labels] + noise * draw
+    rng = np.random.default_rng(spec.seed)
+    centers = np.empty((spec.class_count, spec.dim))
+    placed = 0
+    while placed < spec.class_count:
+        candidate = rng.standard_normal(spec.dim)
+        candidate /= np.linalg.norm(candidate)
+        if placed == 0 or np.all(centers[:placed] @ candidate <= np.cos(spec.separation)):
+            centers[placed] = candidate
+            placed += 1
+    labels = rng.choice(spec.class_count, size=spec.pool_size, p=spec.marginal)
+    samples = centers[labels] + spec.noise * rng.standard_normal((spec.pool_size, spec.dim))
+    text = centers + spec.text_noise * rng.standard_normal(centers.shape)
+    pool, got_text = generate_synthetic(spec)
+    assert pool.embeddings.tobytes() == normalize_rows(samples).tobytes()
+    assert np.array_equal(pool.labels, labels)
+    assert got_text.tobytes() == normalize_rows(text).tobytes()
 
 
 def test_synthetic_dataset_bundles_pool_and_text():
@@ -488,11 +513,151 @@ def test_silhouette_pool_of_one_point(rng):
     assert silhouette_score(np.repeat(point, 6, axis=0), np.arange(6) % 2) == 0.0
 
 
-def test_silhouette_memory_stays_block_sized(rng):
+def test_silhouette_memory_stays_block_sized(rng, peak_bytes):
     # the default budget holds one block of 2^16 distances, not n x n
     x = rng.standard_normal((3000, 32))
     y = rng.integers(0, 5, size=3000)
-    assert traced_peak_mb(lambda: silhouette_score(x, y)) < 8.0
+    assert peak_bytes(lambda: silhouette_score(x, y)) < 8.0 * 2**20
+
+
+def test_silhouette_peak_is_the_distinct_rows_and_one_block(peak_bytes):
+    # no centred or scaled copy of the pool and no sorted copy of its
+    # bytes: the gathered distinct rows and one block buffer
+    pool, _ = generate_synthetic(SyntheticSpec(seed=0))
+    x, y = pool.embeddings, pool.labels
+    assert x.shape == (1500, 64)
+    assert peak_bytes(lambda: silhouette_score(x, y)) <= 2.5 * x.nbytes
+
+
+def unique_rows_silhouette(x, y, block):
+    """The silhouette as ``silhouette_score`` computes it, by its plain
+    expressions: a centred and scaled copy of ``x``, ``np.unique`` of
+    its void rows, and a fresh product per block."""
+    classes, dense = np.unique(y, return_inverse=True)
+    counts = np.bincount(dense)
+    x = x - x.mean(axis=0)
+    x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
+    _, first, col = np.unique(x.view(np.dtype((np.void, 8 * x.shape[1]))).ravel(),
+                              return_index=True, return_inverse=True)
+    distinct = x[first]
+    sq = np.einsum("ij,ij->i", distinct, distinct)
+    k = first.size
+    members = np.zeros((k, classes.size))
+    np.add.at(members, (col, dense), 1.0)
+    sums = np.zeros_like(members)
+    lo = 0
+    while lo < k:
+        hi = min(k, lo + max(1, block // (k - lo)))
+        dist = distinct[lo:hi] @ distinct[lo:].T
+        dist *= -2.0
+        dist += sq[lo:hi, None]
+        dist += sq[lo:]
+        np.sqrt(np.maximum(dist, 0.0), out=dist)
+        np.fill_diagonal(dist, 0.0)
+        sums[lo:hi] += dist @ members[lo:]
+        sums[hi:] += dist[:, hi - lo:].T @ members[lo:hi]
+        lo = hi
+    rows, own = np.arange(x.shape[0]), counts[dense]
+    class_sums = sums[col]
+    a = np.where(own > 1, class_sums[rows, dense] / np.maximum(own - 1, 1), 0.0)
+    means = class_sums / counts
+    means[rows, dense] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
+    s = np.where(denom > 0, (b - a) / np.where(denom > 0, denom, 1.0), 0.0)
+    return float(np.where(own > 1, s, 0.0).mean())
+
+
+@pytest.mark.parametrize("noise", [0.15, 0.25, 0.35, 0.45, 0.55, 0.65])
+def test_silhouette_is_bitwise_its_plain_expressions(noise):
+    # the acceptance-13 family, as generated and after the float32 round
+    # trip of a stored dataset
+    for seed in range(2):
+        pool, _ = generate_synthetic(SyntheticSpec(noise=noise, seed=seed))
+        for x in (pool.embeddings, pool.embeddings.astype(np.float32).astype(np.float64)):
+            expected = unique_rows_silhouette(x, pool.labels, experiment._SILHOUETTE_BLOCK)
+            assert silhouette_score(x, pool.labels) == expected
+
+
+@pytest.mark.parametrize("budget", [1, 37, 1 << 16])
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+def test_silhouette_is_bitwise_its_plain_expressions_per_block(rng, monkeypatch,
+                                                               budget, ties):
+    x = rng.standard_normal((90, 5)) * 1e3 + 7.0
+    if ties:  # repeated first columns and whole duplicate rows
+        x[:, 0] = np.round(x[:, 0], -3)
+        x[60:] = x[:30]
+    y = rng.integers(0, 3, size=90)
+    monkeypatch.setattr(experiment, "_SILHOUETTE_BLOCK", budget)
+    assert silhouette_score(x, y) == unique_rows_silhouette(x, y, budget)
+
+
+_DISTINCT_ROW_CASES = {
+    "distinct": (lambda rng: rng.standard_normal((50, 4)), True),
+    "negative": (lambda rng: -np.abs(rng.standard_normal((50, 4))) - 3.0, True),
+    "signed-zeros": (lambda rng: np.column_stack(
+        [[1.0, -1.0, 0.0, -0.0, 2.0, -2.0], rng.standard_normal((6, 3))]), True),
+    "one-column": (lambda rng: rng.standard_normal((50, 1)), True),
+    "first-column-ties": (lambda rng: np.column_stack(
+        [np.repeat([0.5, -1.0, 2.0], 10), rng.standard_normal((30, 3))]), False),
+    "signed-zero-ties": (lambda rng: np.column_stack(
+        [[0.0, -0.0] * 5, rng.standard_normal((10, 3))]), False),
+    "duplicate-rows": (lambda rng: np.tile(rng.standard_normal((10, 4)), (3, 1)), False),
+    "one-column-duplicates": (lambda rng: rng.integers(-3, 3, size=(40, 1)) * 1.0, False),
+}
+
+
+@pytest.mark.parametrize("build,fast", _DISTINCT_ROW_CASES.values(),
+                         ids=_DISTINCT_ROW_CASES.keys())
+def test_distinct_rows_are_np_uniques_void_rows(rng, monkeypatch, build, fast):
+    # the first column's bytes read as >u8 order the rows as np.unique
+    # orders void rows; a repeated key falls back to np.unique itself
+    x = build(rng)
+    mean = x.mean(axis=0)
+    exponent = -np.frexp(np.abs(x - mean).max())[1]
+    centred = np.ldexp(x - mean, exponent)
+    _, first, col = np.unique(centred.view(np.dtype((np.void, 8 * x.shape[1]))).ravel(),
+                              return_index=True, return_inverse=True)
+    sorts = []
+    real_unique = np.unique
+
+    def spy(values, *args, **kwargs):
+        sorts.append(values.dtype.kind)
+        return real_unique(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    rows, got = experiment._distinct_rows(x, mean, exponent)
+    assert sorts == ([] if fast else ["V"])
+    assert rows.tobytes() == centred[first].tobytes()
+    assert np.array_equal(got, col)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_silhouette_scale_is_the_centred_rows_largest_magnitude(rng, monkeypatch, sign):
+    # read off the column extremes; skewed data puts it on either side
+    x = sign * rng.exponential(size=(200, 3)) ** 3
+    seen = []
+    real = experiment._distinct_rows
+
+    def spy(x, mean, exponent):
+        seen.append(exponent)
+        return real(x, mean, exponent)
+
+    monkeypatch.setattr(experiment, "_distinct_rows", spy)
+    silhouette_score(x, rng.integers(0, 3, size=200))
+    assert seen == [-np.frexp(np.abs(x - x.mean(axis=0)).max())[1]]
+    centred = x - x.mean(axis=0)
+    assert np.frexp(centred.max())[1] != np.frexp(-centred.min())[1]
+
+
+def test_silhouette_of_any_layout_is_its_c_order_copys(rng):
+    # a Fortran-order pool was a ValueError of the void view
+    x = rng.standard_normal((80, 6))
+    y = rng.integers(0, 3, size=80)
+    expected = silhouette_score(x, y)
+    for layout in (np.asfortranarray(x), np.repeat(x, 2, axis=1)[:, ::2],
+                   np.repeat(x, 2, axis=0)[::2]):
+        assert silhouette_score(layout, y) == expected
 
 
 @pytest.mark.parametrize("x", [
