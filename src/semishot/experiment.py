@@ -21,17 +21,17 @@ grid order into batches that span shot counts (they share the
 unlabeled count M = multiplier x C; their labeled counts N differ), and
 each solver fits a batch in one call, which gives every cell the fit it
 gets alone; a batch that raises is refitted cell by cell. The labeled
-class sums are built once per batch, one product for each run of equal
-N, and simpleshot, sstext and sstextu all read them; no solver's timed
-share includes them. A batch takes
-as many cells as keep its arrays under a fixed count of values, so
-memory does not grow with the grid. Only one batch's splits are held at
-a time. Each solver's batch is scored once: its distinct prototype
-arrays (zeroshot's cells all hold the same one) go through one flat
-product with the pool (or a fixed eval set), the labels are the argmax
-of those scores, and every cell's metrics are counted over its own eval
-rows in one pass, from a one-hot truth and per-cell class totals built
-once for all solvers. Rows come back in grid order.
+class sums are built once per batch, one product per support, and
+simpleshot, sstext and sstextu all read them; no solver's timed share
+includes them. A batch takes as many cells as keep its arrays under a
+fixed count of values, so memory does not grow with the grid. Only
+one batch's splits are held at a time. Each solver's batch is scored
+once: its distinct prototype arrays (zeroshot's cells all hold the same
+one) go through one flat product with the pool (or a fixed eval set),
+the labels are the argmax of those scores, and every cell's metrics are
+counted over its own eval rows in one pass, from a one-hot truth and
+per-cell class totals built once for all solvers. Rows come back in
+grid order.
 """
 
 from __future__ import annotations
@@ -211,13 +211,13 @@ def _split_indices(labels: np.ndarray, class_count: int,
 
 class _Split(NamedTuple):
     """One split: its support set, the pool indices of its unlabeled draw
-    and of its eval split (None for a split a caller sampled) and the
-    hidden-label class marginal of the unlabeled draw (None when it is
-    empty), which the oracle marginal source reads."""
+    and of its eval split, and the hidden-label class marginal of the
+    unlabeled draw (None when it is empty), which the oracle marginal
+    source reads."""
 
     support: SupportSet
-    unl_idx: np.ndarray | None
-    eval_idx: np.ndarray | None
+    unl_idx: np.ndarray
+    eval_idx: np.ndarray
     oracle_marginal: np.ndarray | None
 
 
@@ -630,33 +630,32 @@ def fit_solver(name: str, dataset: Dataset, support: SupportSet,
                unlabeled: UnlabeledSet, cfg: SolverConfig,
                oracle_marginal: np.ndarray | None = None) -> FitResult:
     """Dispatch one solver by name on an already-sampled split."""
-    oracle_marginal = _checked_oracle(oracle_marginal, support, cfg)
-    return _fit_splits(name, dataset, [_Split(support, None, None, oracle_marginal)],
-                      unlabeled.embeddings[None], cfg)[0]
+    return _fit_splits(name, dataset, [support], unlabeled.embeddings[None], cfg,
+                       [_checked_oracle(oracle_marginal, support, cfg)])[0]
 
 
-def _fit_splits(name: str, dataset: Dataset, splits: list[_Split], unlabeled: np.ndarray,
-               cfg: SolverConfig, labeled: _LabeledSums | None = None) -> list[FitResult]:
-    """One solver's fits of a batch of splits, in order, whose unlabeled
-    embeddings are the (B, M, D) ``unlabeled``: simpleshot, sstext and
-    sstextu fit them in one call each, whose wall time each result
-    shares. ``labeled`` is the supports' labeled products when the
-    caller shares them between solvers, and then no result's time
-    includes them; without it each call builds and times its own."""
+def _fit_splits(name: str, dataset: Dataset, supports: list[SupportSet],
+                unlabeled: np.ndarray, cfg: SolverConfig, oracles: list[np.ndarray | None],
+                labeled: _LabeledSums | None = None) -> list[FitResult]:
+    """One solver's fits of a batch of supports, in order, whose unlabeled
+    embeddings are the (B, M, D) ``unlabeled`` and whose oracle marginals
+    are ``oracles``: simpleshot, sstext and sstextu fit them in one call
+    each, whose wall time each result shares. ``labeled`` is the
+    supports' labeled products when the caller shares them between
+    solvers, and then no result's time includes them; without it each
+    call builds and times its own."""
     if name == "zeroshot":
         return [FitResult(
             prototypes=dataset.prototypes,
             objective_trace=np.array([], dtype=np.float64),
             runtime_ms=0.0,
-        )] * len(splits)
-    supports = [split.support for split in splits]
+        )] * len(supports)
     if name == "simpleshot":
         return _simpleshot(supports, labeled)
     if name == "sstext":
         return _adapt(supports, dataset.prototypes, cfg, labeled=labeled)
     if name == "sstextu":
-        return _adapt(supports, dataset.prototypes, cfg, unlabeled,
-                      [split.oracle_marginal for split in splits], labeled=labeled)
+        return _adapt(supports, dataset.prototypes, cfg, unlabeled, oracles, labeled=labeled)
     raise ConfigError(f"unknown solver {name!r}; expected one of {SOLVER_NAMES}")
 
 
@@ -665,14 +664,17 @@ def _fit_cells(name: str, dataset: Dataset, splits: list[_Split], unlabeled: np.
     """``_fit_splits`` of the batch, sharing ``labeled``, or, when the
     batch raises, of each split alone, so that only a split whose own
     fit raises holds the exception."""
+    supports = [split.support for split in splits]
+    oracles = [split.oracle_marginal for split in splits]
     try:
-        return _fit_splits(name, dataset, splits, unlabeled, cfg, labeled)
+        return _fit_splits(name, dataset, supports, unlabeled, cfg, oracles, labeled)
     except Exception:
         pass  # the batch raised: find the splits whose own fit raises
     fits = []
-    for b, split in enumerate(splits):
+    for b in range(len(splits)):
         try:
-            fits.append(_fit_splits(name, dataset, [split], unlabeled[b:b + 1], cfg)[0])
+            fits.append(_fit_splits(name, dataset, supports[b:b + 1], unlabeled[b:b + 1],
+                                    cfg, oracles[b:b + 1])[0])
         except Exception as exc:
             fits.append(exc)
     return fits
@@ -752,6 +754,17 @@ def _seed_list(seeds) -> list[int]:
     return [check_count(seed, "seed") for seed in items]
 
 
+def _listed(entries, what: str, kind: str) -> list:
+    """``entries`` as a list; anything that is not an iterable of
+    hashable entries is a ConfigError."""
+    try:
+        items = list(entries)
+        set(items)
+    except TypeError:
+        raise ConfigError(f"{what} must be an iterable of {kind}, got {entries!r}") from None
+    return items
+
+
 def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
                   shot_grid=(1, 2, 4, 8, 16), seeds: int = 50,
                   cfg: SolverConfig | None = None,
@@ -773,15 +786,14 @@ def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
     D) under ``_BATCH_VALUES`` float64 values (one cell when a cell
     alone is larger), and each solver fits a batch in one call; every
     cell gets the fit it gets alone. A batch's labeled class sums are
-    built once, one product for each run of equal N, and shared by
-    simpleshot, sstext and sstextu. A split that cannot be drawn fails
-    each solver's cell on it with the same error; when a batch fit
-    raises, its cells are refitted one by one, so a failed fit or
-    scoring fails its own cell only. Rows come back in grid order. An
-    unknown solver, an empty solver list, shot grid or seed list, an
-    entry repeated in any of the three, a seed that is not a nonnegative
-    integer, or a shot count or multiplier that SamplingSpec rejects
-    raises ConfigError.
+    built once, one product per support, and shared by simpleshot,
+    sstext and sstextu. A split that cannot be drawn fails each solver's
+    cell on it with the same error; when a batch fit raises, its cells
+    are refitted one by one, so a failed fit or scoring fails its own
+    cell only. Rows come back in grid order. An unknown solver, an empty
+    solver list, shot grid or seed list, an entry repeated in any of the
+    three, a seed that is not a nonnegative integer, or a shot count or
+    multiplier that SamplingSpec rejects raises ConfigError.
 
     With ``include_timing`` a batched cell's ``runtime_ms`` (simpleshot's
     as well as sstext's and sstextu's) is its solver's batch fit wall
@@ -816,6 +828,8 @@ def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
     if cfg is None:
         cfg = SolverConfig(tau=_resolve_tau(None, dataset))
     seed_list = _seed_list(seeds)
+    solvers = _listed(solvers, "solvers", "solver names")
+    shot_grid = _listed(shot_grid, "shot_grid", "shot counts")
     if not (solvers and shot_grid and seed_list and set(solvers) <= set(SOLVER_NAMES)):
         raise ConfigError(f"benchmark needs solvers from {SOLVER_NAMES}, a shot count "
                           f"and a seed; got {solvers!r}, {shot_grid!r}, {seeds!r}")

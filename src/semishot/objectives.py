@@ -23,13 +23,12 @@ closed-form prototype update are both read off one record of those sums
 and the per-class weights. The record carries a leading batch axis, so
 the solvers fit many same-shaped problems at once; the public entry
 points use it with one element. Its labeled sums are read off a record
-of raw products Y^T V and class counts, built once for a batch of
-supports and shared with the class-mean solver.
+of raw products Y^T V and class counts, one product per support, built
+once for a batch of supports and shared with the class-mean solver.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -201,47 +200,21 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class _LabeledSums:
     """The labeled products of a batch of B support sets that share C and
-    D: the raw class sums Y^T V (B, C, D), the class counts K (B, C) and
-    the labeled counts N (B,). Every solver that reads labeled data
+    D: the raw class sums Y^T V (B, C, D) and the class counts K (B, C),
+    float sums of the one-hot labels, whose row sums are the labeled
+    counts N, exact in float64. Every solver that reads labeled data
     derives its own values from them: simpleshot's class means and the
     (B, C, D) sums of ``_ClassSums``."""
 
     raw: np.ndarray
     counts: np.ndarray
-    sizes: np.ndarray
-
-
-def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    """Same-shaped arrays as one (B, ...) array; a view when B=1."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
-def _joined(arrays: list[np.ndarray]) -> np.ndarray:
-    """``arrays`` concatenated on the batch axis; the array itself when
-    there is one."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
-def _labeled_product(embeddings: np.ndarray,
-                     labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Y^T V and the class counts of (B, N, D) unit rows with (B, N, C)
-    one-hot labels: one batched product, (B, C, D), and (B, C)."""
-    return np.matmul(np.swapaxes(labels, -1, -2), embeddings), labels.sum(axis=-2)
 
 
 def _labeled_sums(supports: list[SupportSet]) -> _LabeledSums:
-    """The labeled products of the supports, one ``_labeled_product`` for
-    each run of equal N, joined on the batch axis; each element's are
-    bitwise its own."""
-    raws, counts, sizes = [], [], []
-    for n, run in itertools.groupby(supports, key=lambda s: s.n):
-        run = list(run)
-        raw, count = _labeled_product(_stack([s.embeddings for s in run]),
-                                      _stack([s.labels for s in run]))
-        raws.append(raw)
-        counts.append(count)
-        sizes += [n] * len(run)
-    return _LabeledSums(raw=_joined(raws), counts=_joined(counts), sizes=np.array(sizes))
+    """The labeled products of the supports, one Y^T V per support,
+    stacked on the batch axis."""
+    return _LabeledSums(raw=np.stack([s.labels.T @ s.embeddings for s in supports]),
+                        counts=np.stack([s.labels.sum(axis=0) for s in supports]))
 
 
 def _class_sums(labeled: _LabeledSums, tau: float, lambdas: LambdaPolicy) -> _ClassSums:
@@ -260,7 +233,7 @@ def _class_sums(labeled: _LabeledSums, tau: float, lambdas: LambdaPolicy) -> _Cl
     lam_unl = lambdas.unlabeled_weights(counts)
     observed = np.isfinite(lam_text)
     ratio = np.divide(lam_unl, lam_text, out=np.full(counts.shape, 2.0), where=observed)
-    sums = labeled.raw / (labeled.sizes * tau)[:, None, None]
+    sums = labeled.raw / (counts.sum(axis=1) * tau)[:, None, None]
     return _ClassSums(labeled=sums, unlabeled=np.zeros_like(sums),
                       lam_text=np.where(observed, lam_text, 0.0),
                       lam_unl=np.where(observed, lam_unl, 0.0),

@@ -20,12 +20,12 @@ loop that runs over a leading batch axis: B problems that share M, C and
 D (the cells of a benchmark grid do, across its shot counts) are
 scored, balanced and stepped together, and each element comes out
 exactly as its own one-element fit. Their labeled counts N may differ:
-only the labeled sums read the support rows, and they are built for
-each run of equal N and joined on the batch axis, once for a batch that
-several solvers fit: simpleshot's class means are read off the same raw
-sums and class counts. Checks that cannot
-change between rounds run once: the temperature when SolverConfig is
-built, the text prototypes once per call and an oracle marginal on entry.
+only the labeled sums read the support rows, one product per support,
+built once for a batch that several solvers fit: simpleshot's class
+means are read off the same raw sums and class counts. Checks that
+cannot change between rounds run once: the temperature when
+SolverConfig is built, the text prototypes once per call and an oracle
+marginal on entry.
 The finite-score and finite-objective checks run every round; the
 transport solve finds non-finite scores from the maxima and minima its
 shift takes. A round makes two (B, C, M) arrays: the scores, and the
@@ -220,7 +220,7 @@ def _resolve_marginals(labeled: _LabeledSums, cfg: SolverConfig,
         if any(o is None for o in oracle_marginals):
             raise ConfigError("marginal_source 'oracle' needs oracle_marginal")
         return np.stack(oracle_marginals)
-    estimate = labeled.counts / labeled.sizes[:, None]
+    estimate = labeled.counts / labeled.counts.sum(axis=1, keepdims=True)
     if cfg.marginal_source == "support_raw":
         return estimate
     return _floored(estimate, cfg.marginal_ratio)

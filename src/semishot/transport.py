@@ -30,8 +30,9 @@ factors grow far enough that flushed entries could carry mass, the
 element absorbs them (Schmitzer's stabilised scaling, arXiv:1610.06519):
 the scale factors fold into a per-row and a per-column shift, the
 kernel is rebuilt from the scores and the step is retaken. Every
-element runs the same rounds and, wherever its row masses are normal
-floats, gets the plan that log-space scaling would give, to roundoff.
+element runs the same rounds and gets the plan that log-space scaling
+would give, to roundoff: row masses are normal floats, as
+``check_marginal`` requires of every positive entry.
 ``init_plan`` plus ``sinkhorn`` scale an explicit kernel in the same
 loop, with no scores to rebuild it from, and are the tests' reference;
 ``sinkhorn`` and ``solve_transport`` share one input check and one plan

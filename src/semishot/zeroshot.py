@@ -88,12 +88,18 @@ def check_array(x, what: str, shape: tuple[int | None, ...] | None = None,
 
 
 def check_marginal(marginal: np.ndarray, size: int, what: str = "marginal") -> np.ndarray:
-    """A length-``size`` class distribution: nonnegative, summing to one."""
+    """A length-``size`` class distribution: nonnegative, summing to one,
+    with every positive entry a normal float (at least
+    ``np.finfo(float).tiny``): the transport scaling can underflow the
+    row scale of a subnormal mass to zero, where log space keeps it."""
     m = check_array(marginal, what, (size,))
     with np.errstate(over="ignore"):
         total = m.sum()
     if np.any(m < 0) or not np.isclose(total, 1.0, atol=1e-9):
         raise DataError(f"{what} must be nonnegative and sum to one")
+    if np.any((m > 0) & (m < np.finfo(np.float64).tiny)):
+        raise DataError(f"{what} has a positive entry below the smallest normal float "
+                        f"{np.finfo(np.float64).tiny}")
     return m
 
 
@@ -125,9 +131,12 @@ def ensemble_text_prototypes(per_class_templates: np.ndarray) -> np.ndarray:
 
 def similarity_matrix(prototypes: np.ndarray, embeddings: np.ndarray,
                       tau: float) -> np.ndarray:
-    """Scaled cosine-style scores, classes by points: (W @ V.T) / tau."""
+    """Scaled cosine-style scores, classes by points: (W @ V.T) / tau.
+    Prototypes with no rows are a DataError."""
     tau = check_tau(tau)
     w = check_array(prototypes, "prototypes", (None, None))
+    if w.shape[0] == 0:
+        raise DataError("prototypes must have at least one row")
     v = check_array(embeddings, "embeddings", (None, w.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         s = _scores(w, v, tau)
@@ -168,6 +177,9 @@ def predict_probs(embeddings: np.ndarray, prototypes: np.ndarray, tau: float) ->
 
 
 def predict_labels(probs: np.ndarray) -> np.ndarray:
-    """Per-row argmax; ties break toward the lowest class index."""
+    """Per-row argmax; ties break toward the lowest class index. A matrix
+    with no columns is a DataError."""
     p = check_array(probs, "probability matrix", (None, None), dtype=None)
+    if p.shape[1] == 0:
+        raise DataError("probability matrix must have at least one column")
     return np.argmax(p, axis=1).astype(np.int64)

@@ -51,20 +51,25 @@ def rng():
     return np.random.default_rng(1234)
 
 
+def spy(monkeypatch, real, record):
+    """Patch ``real`` in every semishot module that binds it with a call
+    that passes its arguments to ``record`` first, then returns
+    ``real``'s result."""
+    def spying(*args, **kwargs):
+        record(*args, **kwargs)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "semishot" and getattr(module, real.__name__, None) is real:
+            monkeypatch.setattr(module, real.__name__, spying)
+
+
 @pytest.fixture
 def array_checks(monkeypatch):
     """The ``what`` of every ``check_array`` call that a semishot module
-    makes while the test runs, in call order: the check is patched in
-    each module that binds it."""
+    makes while the test runs, in call order."""
     calls = []
-
-    def counting(x, what, *args, **kwargs):
-        calls.append(what)
-        return check_array(x, what, *args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "semishot" and getattr(module, "check_array", None) is check_array:
-            monkeypatch.setattr(module, "check_array", counting)
+    spy(monkeypatch, check_array, lambda x, what, *args, **kwargs: calls.append(what))
     return calls
 
 
@@ -87,19 +92,9 @@ def peak_bytes():
 
 
 @pytest.fixture
-def labeled_products(monkeypatch):
-    """The (B, N) of every labeled class-sum product
-    (``objectives._labeled_product``) that a semishot module makes while
-    the test runs, in call order: the product is patched in each module
-    that binds it."""
+def labeled_sums(monkeypatch):
+    """The batch size B of every ``objectives._labeled_sums`` call that a
+    semishot module makes while the test runs, in call order."""
     calls = []
-    real = objectives._labeled_product
-
-    def counting(embeddings, labels):
-        calls.append(embeddings.shape[:2])
-        return real(embeddings, labels)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "semishot" and getattr(module, "_labeled_product", None) is real:
-            monkeypatch.setattr(module, "_labeled_product", counting)
+    spy(monkeypatch, objectives._labeled_sums, lambda supports: calls.append(len(supports)))
     return calls

@@ -1,20 +1,25 @@
 import argparse
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semishot
 from semishot import load_dataset, load_prototypes
 from semishot.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, build_parser, main
-from semishot.experiment import CSV_HEADER
+from semishot.experiment import CSV_HEADER, SOLVER_NAMES
 
 
 GEN_FLAGS = ["--classes", "3", "--dim", "16", "--pool", "150",
@@ -75,6 +80,16 @@ def test_generate_writes_loadable_dataset(dataset_dir):
 def test_generate_report_matches_its_golden(dataset_dir):
     assert normalised(dataset_dir / "generate_report.json", data=dataset_dir) == (
         GOLDEN / "generate_report.json").read_text()
+
+
+def test_generate_dataset_matches_its_golden(dataset_dir):
+    # the manifest byte for byte and the sha256 of each blob it names
+    assert (dataset_dir / "manifest.json").read_text() == (
+        GOLDEN / "generate_manifest.json").read_text()
+    hashes = "".join(
+        f"{hashlib.sha256((dataset_dir / name).read_bytes()).hexdigest()}  {name}\n"
+        for name in ("embeddings.f32", "labels.u32", "prototypes.f32", "unlabeled.f32"))
+    assert hashes == (GOLDEN / "generate_blobs.sha256").read_text()
 
 
 def test_generate_deterministic_bytes(dataset_dir, tmp_path):
@@ -608,3 +623,100 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+
+
+# ---------------------------------------------------------------- fuzz
+
+# Flag values the fuzz draws: zero, negative, huge, subnormal, non-finite
+# and non-numeric. Sizes, round counts and seed counts draw from SMALL,
+# so that no example allocates or loops much; a huge integer goes only
+# to flags whose size a draw or a check refuses first, or that are only
+# echoed (--threads starts no thread).
+EDGE = ("0", "-1", "1e308", "5e-324", "nan", "inf", "-inf", "abc", "0.5", "1")
+HUGE = str(10 ** 20)
+SMALL = ("0", "-1", "1", "2", "3", "5e-324", "nan", "abc")
+
+FIT_FLAGS = {
+    "--tau": EDGE, "--t-bcm": SMALL, "--t-ot": SMALL, "--ratio-r": EDGE,
+    "--lambda-mode": ("adaptive", "fixed", "abc"), "--lambda-text": EDGE,
+    "--lambda-unlabeled": EDGE,
+    "--marginal-source": ("support_estimate", "support_raw", "oracle", "abc"),
+    "--unlabeled-mult": (*EDGE, HUGE, "8"),
+}
+
+# each command's leading argv, then the optional flags it draws from;
+# None marks a flag without a value. {data}, {protos} and {tmp} are the
+# fuzz dataset, a prototype manifest fitted on it and the example's own
+# directory: every output goes under {tmp}.
+FUZZ = {
+    "generate": (["--out", "{tmp}/gen"], {
+        "--classes": SMALL, "--dim": SMALL, "--pool": (*SMALL, "40"),
+        "--seed": (*EDGE, HUGE), "--separation": EDGE, "--noise": EDGE,
+        "--text-noise": EDGE, "--tau": EDGE,
+        "--marginal": ("0.5,0.5", "1,5e-324", "nan,1", "1e308,1e308", "0,1", "abc", ""),
+    }),
+    "adapt": (["--data", "{data}", "--solver", "sstextu", "--out", "{tmp}/fit"], {
+        **FIT_FLAGS, "--solver": SOLVER_NAMES, "--shots": (*EDGE, HUGE, "2"),
+        "--seed": (*EDGE, HUGE), "--stratified": None,
+    }),
+    "eval": (["--data", "{data}", "--prototypes", "{protos}"], {
+        "--tau": EDGE, "--silhouette": None, "--out": ("{tmp}/eval.json",),
+    }),
+    "benchmark": (["--out-csv", "{tmp}/b.csv", "--out-json", "{tmp}/b.json"], {
+        **FIT_FLAGS, "--data": ("{data}",), "--eval-data": ("{data}",),
+        "--gen-seed": (*EDGE, HUGE), "--name": ("x", ""),
+        "--solvers": ("sstextu", "zeroshot,simpleshot", "sstext,sstext", "abc", ""),
+        "--shots-grid": ("1", "1,2", "0", "-1", "2,2", "abc", "", HUGE),
+        "--seeds": SMALL, "--threads": (*EDGE, HUGE), "--no-timing": None,
+    }),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """The fuzz's own 120-row dataset and a prototype manifest fitted on
+    it, apart from the files other tests read."""
+    root = tmp_path_factory.mktemp("fuzz")
+    assert main(["generate", "--classes", "3", "--dim", "8", "--pool", "120",
+                 "--out", str(root / "data")]) == EXIT_OK
+    data = root / "data" / "manifest.json"
+    assert main(["adapt", "--data", str(data), "--solver", "sstext", "--shots", "2",
+                 "--out", str(root / "fit")]) == EXIT_OK
+    return {"data": str(data), "protos": str(root / "fit" / "prototypes.json")}
+
+
+def _refuse_constant(token):
+    raise AssertionError(f"JSON holds {token}")
+
+
+@pytest.mark.parametrize("command", FUZZ)
+@settings(max_examples=30, deadline=None)
+@given(draw=st.data())
+def test_cli_fuzz_exits_with_a_documented_code(fuzz_inputs, command, draw):
+    # any mix of edge values, repeats included: nothing but argparse's
+    # SystemExit leaves main, the exit code is documented, no warning is
+    # raised and every JSON written holds only finite numbers
+    lead, table = FUZZ[command]
+    argv = [command, *lead]
+    for flag in draw.draw(st.lists(st.sampled_from(sorted(table)), max_size=6)):
+        argv.append(flag)
+        if table[flag] is not None:
+            argv.append(draw.draw(st.sampled_from(table[flag])))
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [arg.format(tmp=tmp, **fuzz_inputs) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SOLVER), (argv, err.getvalue())
+        assert not caught, (argv, [str(w.message) for w in caught])
+        assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+        reports = [path.read_text() for path in Path(tmp).rglob("*.json")]
+        if command == "eval" and code == EXIT_OK and "--out" not in argv:
+            reports.append(out.getvalue())
+        for text in reports:
+            json.loads(text, parse_constant=_refuse_constant)

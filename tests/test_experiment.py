@@ -1197,14 +1197,19 @@ def test_run_benchmark_checks_no_array_per_cell(monkeypatch, array_checks):
 
 
 @pytest.mark.parametrize("seeds", [2, 6])
-def test_run_benchmark_builds_one_labeled_product_per_run_of_equal_n(labeled_products, seeds):
+def test_run_benchmark_builds_each_batchs_labeled_sums_once(labeled_sums, seeds):
     # simpleshot, sstext and sstextu read one set of labeled class sums
-    # per batch: one product for each run of equal N, at any seed count
+    # per batch, built once over all of its supports, at any seed count
+    # and however many solvers read them; zeroshot alone builds none
     ds = _bench_dataset()
-    rows = run_benchmark(ds, shot_grid=(1, 2), seeds=seeds, cfg=SolverConfig(tau=ds.tau),
-                         unlabeled_multiplier=8, include_timing=False)
-    assert not any(r.error for r in rows)
-    assert labeled_products == [(seeds, 3), (seeds, 6)]
+    for solvers, built in ((("zeroshot",), []), (("simpleshot",), [2 * seeds]),
+                           (("zeroshot", "sstextu"), [2 * seeds]), (SOLVER_NAMES, [2 * seeds])):
+        labeled_sums.clear()
+        rows = run_benchmark(ds, solvers=solvers, shot_grid=(1, 2), seeds=seeds,
+                             cfg=SolverConfig(tau=ds.tau), unlabeled_multiplier=8,
+                             include_timing=False)
+        assert not any(r.error for r in rows)
+        assert labeled_sums == built, solvers
 
 
 def test_run_benchmark_empty_eval_split_fails_every_cell():

@@ -22,6 +22,7 @@ from semishot import (
     correlate,
     ensemble_text_prototypes,
     eval_ce,
+    eval_contrast,
     eval_semi_objective,
     eval_tightness,
     evaluate_prototypes,
@@ -33,6 +34,7 @@ from semishot import (
     normalize_rows,
     predict_labels,
     predict_probs,
+    run_benchmark,
     save_prototypes,
     silhouette_score,
     similarity_matrix,
@@ -109,7 +111,8 @@ ARRAY_CALLS = {
 
 MALFORMED = {"ragged": [[1.0, 2.0], [3.0]], "text": "abc"}
 
-# malformed counts, and the spec's marginal: configuration, not data
+# malformed counts, the spec's marginal and the benchmark grid:
+# configuration, not data
 COUNT_CALLS = {
     "EvalSet-fractional-count": lambda tmp: EvalSet(EMB, IDX, class_count=1.5),
     "EvalSet-text-count": lambda tmp: EvalSet(EMB, IDX, class_count="2"),
@@ -124,6 +127,26 @@ COUNT_CALLS = {
     "SyntheticSpec-text-marginal": lambda tmp: SyntheticSpec(marginal=("a",) * 5),
     "SyntheticSpec-ragged-marginal": lambda tmp: SyntheticSpec(
         marginal=((0.2, 0.2), 0.2, 0.2, 0.2)),
+    "SyntheticSpec-subnormal-marginal": lambda tmp: SyntheticSpec(
+        class_count=2, marginal=(1.0, 5e-324)),
+    "run_benchmark-count-shot-grid": lambda tmp: run_benchmark(DATASET, shot_grid=5),
+    "run_benchmark-unhashable-solvers": lambda tmp: run_benchmark(
+        DATASET, solvers=[["sstext"]]),
+}
+
+NO_PROTOTYPES = np.empty((0, D))
+SUBNORMAL = np.array([1.0, 5e-324, 0.0])
+
+# well-formed arrays that a call cannot use: no prototype rows, no
+# classes, a positive class mass below the smallest normal float
+DATA_CALLS = {
+    "similarity_matrix-no-prototypes": lambda tmp: similarity_matrix(NO_PROTOTYPES, EMB, 0.1),
+    "predict_probs-no-prototypes": lambda tmp: predict_probs(EMB, NO_PROTOTYPES, 0.1),
+    "eval_contrast-no-prototypes": lambda tmp: eval_contrast(EMB, NO_PROTOTYPES, 0.1),
+    "eval_ce-no-prototypes": lambda tmp: eval_ce(np.empty((N, 0)), EMB, NO_PROTOTYPES, 0.1),
+    "predict_labels-no-columns": lambda tmp: predict_labels(np.empty((N, 0))),
+    "solve_transport-subnormal-marginal": lambda tmp: solve_transport(SCORES, SUBNORMAL),
+    "fit_sstextu-subnormal-oracle": lambda tmp: fit_sstextu(SUP, UNL, PROTOS, ORACLE, SUBNORMAL),
 }
 
 
@@ -131,7 +154,8 @@ COUNT_CALLS = {
     "call, expected",
     [pytest.param(lambda tmp, f=f, a=a: f(a, tmp), DataError, id=f"{name}-{kind}")
      for name, f in ARRAY_CALLS.items() for kind, a in MALFORMED.items()]
-    + [pytest.param(f, ConfigError, id=name) for name, f in COUNT_CALLS.items()])
+    + [pytest.param(f, ConfigError, id=name) for name, f in COUNT_CALLS.items()]
+    + [pytest.param(f, DataError, id=name) for name, f in DATA_CALLS.items()])
 def test_malformed_input_raises_a_typed_error(tmp_path, call, expected):
     with pytest.raises(SemishotError) as info:
         call(tmp_path)

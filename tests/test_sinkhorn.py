@@ -8,6 +8,8 @@ from semishot import (
     ConfigError,
     DataError,
     DegeneratePlanError,
+    SolverConfig,
+    fit_sstextu,
     init_plan,
     marginal_residual,
     similarity_matrix,
@@ -16,7 +18,7 @@ from semishot import (
 )
 from semishot import transport
 
-from conftest import unit_rows, unwritten
+from conftest import random_support, random_unlabeled, unit_rows, unwritten
 
 
 def random_marginal(rng, c):
@@ -271,6 +273,31 @@ def test_solve_transport_validation(rng):
         solve_transport(np.array([[np.inf, 0.0]]), np.array([1.0]), iterations=1)
     with pytest.raises(DataError):
         solve_transport(s, np.array([0.9, 0.2]), iterations=1)
+
+
+@pytest.mark.parametrize("mass, refused", [
+    (5e-324, True), (np.finfo(float).tiny / 2, True),
+    (np.finfo(float).tiny, False), (1e-300, False)],
+    ids=["smallest-subnormal", "half-tiny", "tiny", "1e-300"])
+def test_a_row_mass_below_the_smallest_normal_float_is_refused(rng, mass, refused):
+    # a subnormal mass would leave its retaken row scale zero, so that
+    # the second column lands on the first row, where log space puts it
+    # on the second; a normal mass, however small, gets log space's plan
+    s = np.array([[0.0, -2000.0], [0.0, 0.0]])
+    m = np.array([1.0, mass])  # 1 + mass rounds to 1
+    sup = random_support(rng, 4, 2, 3, ensure_all_classes=True)
+    unl = random_unlabeled(rng, 5, 3)
+    cfg = SolverConfig(tau=0.1, marginal_source="oracle")
+    if refused:
+        with pytest.raises(DataError, match="below the smallest normal float"):
+            solve_transport(s, m, iterations=1)
+        with pytest.raises(DataError, match="oracle marginal"):
+            fit_sstextu(sup, unl, unit_rows(rng, 2, 3), cfg, m)
+        return
+    np.testing.assert_allclose(solve_transport(s, m, iterations=1).values,
+                               _log_space_plan(s, m, 1), rtol=2e-15 * 2000.0, atol=1e-17)
+    fit = fit_sstextu(sup, unl, unit_rows(rng, 2, 3), cfg, m)
+    assert np.array_equal(fit.marginal, m) and np.all(np.isfinite(fit.prototypes))
 
 
 # ---------------------------------------------------------------- kernel shifts and absorption

@@ -590,7 +590,7 @@ def test_batched_fit_is_each_elements_own_fit(rng, cfg, m):
 
 
 def test_batched_simpleshot_is_bitwise_each_supports_own(rng):
-    # runs of equal N (N = 2 comes back after other runs), absent classes
+    # supports of mixed N (N = 2 comes back after others), absent classes
     # at N = 1 and 2: the batch's class means are each support's own
     # 2-D product over its class counts, zero rows and all, whether the
     # labeled products are handed in or built inside
