@@ -13,14 +13,18 @@ their center (renormalized), and derives text prototypes as noisy
 copies of the centers. It stands in for embedding datasets at desk
 scale while keeping difficulty tunable through the noise level.
 
-Benchmarks run a (solver, shots, seed) grid serially. Each (shots,
-seed) split is drawn once for every solver. The pool's row norms are
-taken once per run, and each draw divides the rows it gathers by them,
-bitwise the rows it would normalize on its own. Cells are packed in
-grid order into batches that span shot counts (they share the
-unlabeled count M = multiplier x C; their labeled counts N differ), and
-each solver fits a batch in one call, which gives every cell the fit it
-gets alone; a batch that raises is refitted cell by cell. The labeled
+Benchmarks run a (solver, shots, seed) grid serially, and every
+solver fits the same splits. A batch's splits take one permutation and
+one normalised gather per seed, shared by the batch's shot counts: a
+uniform draw order depends on the seed alone, the pool's row norms are
+taken once per run, the head of a seed's order that its longest split
+reads is gathered and divided by them once, and each split's support
+and unlabeled rows are slices of it, bitwise the rows it would
+normalize on its own. Cells are packed in grid order into batches that
+span shot counts (they share the unlabeled count M = multiplier x C;
+their labeled counts N differ), and each solver fits a batch in one
+call, which gives every cell the fit it gets alone; a batch that raises
+is refitted cell by cell. The labeled
 class sums are built once per batch, one product per support, and
 simpleshot, sstext and sstextu all read them; no solver's timed share
 includes them. A batch takes as many cells as keep its arrays under a
@@ -178,45 +182,49 @@ def split_indices(labels: np.ndarray, class_count: int,
     per-class when stratified), then the unlabeled draw from the
     remainder, then everything left.
     """
-    return _split_indices(check_array(labels, "labels", (None,), dtype=None),
-                          check_count(class_count, "class_count", 1), spec)
+    labels = check_array(labels, "labels", (None,), dtype=None)
+    class_count = check_count(class_count, "class_count", 1)
+    n, m = _split_sizes(labels.shape[0], class_count, spec)
+    order = _draw_order(labels, class_count, spec)
+    return order[:n], order[n:n + m], order[n + m:]
 
 
-def _split_indices(labels: np.ndarray, class_count: int,
-                   spec: SamplingSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``split_indices`` of checked labels and class count."""
-    pool_n = labels.shape[0]
+def _split_sizes(pool_n: int, class_count: int, spec: SamplingSpec) -> tuple[int, int]:
+    """``spec``'s support and unlabeled counts, which a pool of ``pool_n`` must supply."""
     n = spec.shots * class_count
     m = spec.unlabeled_multiplier * class_count
     if n + m > pool_n:
         raise SamplingError(
             f"pool of {pool_n} cannot supply {n} support + {m} unlabeled items")
+    return n, m
+
+
+def _draw_order(labels: np.ndarray, class_count: int, spec: SamplingSpec) -> np.ndarray:
+    """The pool indices in ``spec``'s draw order: support, unlabeled, then
+    eval. A uniform order is a permutation that only the seed chooses."""
     rng = np.random.default_rng(spec.seed)
-    if spec.stratified:
-        picks = []
-        for c in range(class_count):
-            members = np.flatnonzero(labels == c)
-            if members.size < spec.shots:
-                raise SamplingError(
-                    f"class {c} has {members.size} pool items, needs {spec.shots}")
-            picks.append(rng.choice(members, size=spec.shots, replace=False))
-        support = np.concatenate(picks)
-        rest = np.setdiff1d(np.arange(pool_n), support)
-        rest = rng.permutation(rest)
-    else:
-        perm = rng.permutation(pool_n)
-        support, rest = perm[:n], perm[n:]
-    return support, rest[:m], rest[m:]
+    if not spec.stratified:
+        return rng.permutation(labels.size)
+    picks = []
+    for c in range(class_count):
+        members = np.flatnonzero(labels == c)
+        if members.size < spec.shots:
+            raise SamplingError(
+                f"class {c} has {members.size} pool items, needs {spec.shots}")
+        picks.append(rng.choice(members, size=spec.shots, replace=False))
+    support = np.concatenate(picks)
+    rest = np.setdiff1d(np.arange(labels.size), support)
+    return np.concatenate([support, rng.permutation(rest)])
 
 
 class _Split(NamedTuple):
-    """One split: its support set, the pool indices of its unlabeled draw
-    and of its eval split, and the hidden-label class marginal of the
-    unlabeled draw (None when it is empty), which the oracle marginal
-    source reads."""
+    """One split: its support set, the unit rows of its unlabeled draw,
+    the pool indices of its eval split, and the hidden-label class
+    marginal of the unlabeled draw (None when it is empty), which the
+    oracle marginal source reads."""
 
     support: SupportSet
-    unl_idx: np.ndarray
+    unlabeled: np.ndarray
     eval_idx: np.ndarray
     oracle_marginal: np.ndarray | None
 
@@ -236,25 +244,38 @@ def sample_support(pool: EvalSet, spec: SamplingSpec) -> tuple[SupportSet,
 
 def _sample(pool: EvalSet, spec: SamplingSpec) -> tuple[_Split, UnlabeledSet]:
     """``spec``'s split of ``pool`` and its unlabeled set."""
-    norms = _checked_row_norms(pool.embeddings)
-    split = _draw_split(pool, norms, spec)
-    unlabeled = _unit_rows_at(pool.embeddings, norms, split.unl_idx)
-    return split, UnlabeledSet(embeddings=_readonly(unlabeled))
+    split, = _draws(pool, _checked_row_norms(pool.embeddings), [spec])
+    if isinstance(split, SamplingError):
+        raise split
+    return split, UnlabeledSet(embeddings=_readonly(split.unlabeled))
 
 
-def _draw_split(pool: EvalSet, norms: np.ndarray, spec: SamplingSpec) -> _Split:
-    """``spec``'s split of ``pool``, whose row norms are ``norms``: the
-    support rows are gathered and divided by their norms, bitwise the
-    rows ``normalize_rows`` gives them; the unlabeled and eval draws
-    stay as pool indices."""
-    sup_idx, unl_idx, eval_idx = _split_indices(pool.labels, pool.class_count, spec)
-    support = SupportSet._of_unit_rows(_unit_rows_at(pool.embeddings, norms, sup_idx),
-                                       pool.labels[sup_idx], pool.class_count)
-    oracle_marginal = None
-    if unl_idx.size:
-        hidden = np.bincount(pool.labels[unl_idx], minlength=pool.class_count)
-        oracle_marginal = hidden / hidden.sum()
-    return _Split(support, unl_idx, eval_idx, oracle_marginal)
+def _draws(pool: EvalSet, norms: np.ndarray, specs: list[SamplingSpec]):
+    """Yield each of ``specs``' splits of ``pool``, whose row norms are
+    ``norms``, or its SamplingError. A seed's uniform specs share its
+    order, and the head of it that they read is normalised once."""
+    sized, heads = [], {}
+    for spec in specs:
+        key = spec if spec.stratified else spec.seed
+        try:
+            n, m = _split_sizes(pool.count, pool.class_count, spec)
+            order, length = heads.get(key) or (
+                _draw_order(pool.labels, pool.class_count, spec), 0)
+            heads[key] = order, max(length, n + m)
+            sized.append((key, n, m))
+        except SamplingError as exc:
+            sized.append(exc)
+    heads = {key: (order, _unit_rows_at(pool.embeddings, norms, order[:length]))
+             for key, (order, length) in heads.items()}
+    for drawn in sized:
+        if not isinstance(drawn, SamplingError):
+            key, n, m = drawn
+            order, head = heads[key]
+            hidden = np.bincount(pool.labels[order[n:n + m]], minlength=pool.class_count)
+            drawn = _Split(
+                SupportSet._of_unit_rows(head[:n], pool.labels[order[:n]], pool.class_count),
+                head[n:n + m], order[n + m:], hidden / hidden.sum() if m else None)
+        yield drawn
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[EvalSet, np.ndarray]:
@@ -699,25 +720,24 @@ def _run_batch(dataset: Dataset, dataset_name: str, pool: EvalSet, norms: np.nda
                solvers, specs: list[SamplingSpec], cfg: SolverConfig,
                include_timing: bool, eval_set: EvalSet | None) -> dict:
     """The rows, keyed by (solver, shots, seed), of every solver's cells
-    on the splits of ``specs``: the splits are drawn in order from the
-    pool, whose row norms are ``norms``, their unlabeled rows are
-    gathered with one index into one (B, M, D) array, and their labeled
-    products are built once for the solvers that read them. Each solver
+    on the splits of ``specs``, drawn from the pool (row norms ``norms``)
+    with one permutation and one normalised gather per seed: their
+    unlabeled rows are stacked into one (B, M, D) array and their labeled
+    products built once for the solvers that read them. Each solver
     fits the splits as one batch and scores that batch once, against the
     pool with each cell's eval rows as a mask, or against ``eval_set``;
     the masks' one-hot truth and class totals are built once too."""
-    rows, drawn = {}, []
-    for spec in specs:
-        try:
-            drawn.append((spec, _draw_split(pool, norms, spec)))
-        except Exception as exc:
+    rows, drawn, splits = {}, [], []
+    for spec, split in zip(specs, _draws(pool, norms, specs)):
+        if isinstance(split, SamplingError):
             rows.update({(solver, spec.shots, spec.seed): _run_cell(
-                dataset, dataset_name, solver, spec, exc, 0.0) for solver in solvers})
+                dataset, dataset_name, solver, spec, split, 0.0) for solver in solvers})
+        else:
+            drawn.append(spec)
+            splits.append(split)
     if not drawn:
         return rows
-    splits = [split for _, split in drawn]
-    unlabeled = _unit_rows_at(pool.embeddings, norms,
-                              np.stack([split.unl_idx for split in splits]))
+    unlabeled = np.stack([split.unlabeled for split in splits])
     labeled = (_labeled_sums([split.support for split in splits])
                if set(solvers) - {"zeroshot"} else None)
     fits = {solver: _fit_cells(solver, dataset, splits, unlabeled, cfg, labeled)
@@ -730,7 +750,6 @@ def _run_batch(dataset: Dataset, dataset_name: str, pool: EvalSet, norms: np.nda
     truth = _truth(scored_on.labels, scored_on.class_count, masks)
     # drop the fit inputs, so that they and the scores never peak together
     del splits, unlabeled, labeled
-    drawn = [spec for spec, _ in drawn]
     for solver in solvers:
         outcomes = _score([fit if isinstance(fit, Exception) else fit.prototypes
                            for fit in fits[solver]], scored_on.embeddings, truth, cfg.tau)
@@ -775,11 +794,13 @@ def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
     """Run the (solver, shots, seed) grid serially, one row per cell.
 
     ``seeds`` is a count n (seeds 0..n-1) or an iterable of seeds, each a
-    nonnegative integer. Each (shots, seed) split is drawn once and
-    handed to every solver, so rows are comparable seed-by-seed. The
-    pool's row norms are taken once per run, and every draw divides the
-    rows it gathers by them, bitwise the rows it would normalize on its
-    own.
+    nonnegative integer. Every solver fits the same splits, so rows are
+    comparable seed-by-seed. A batch's splits take one permutation and
+    one normalised gather per seed, shared by the batch's shot counts:
+    the pool's row norms are taken once per run, the head of a seed's
+    permutation that its longest split reads is divided by them once,
+    and each split's support and unlabeled rows are slices of it,
+    bitwise the rows it would normalize on its own.
 
     Cells are packed in grid order (shot count, then seed) into batches
     that span shot counts, each of as many cells as keep B·(N + M)·(C +

@@ -59,7 +59,8 @@ class SolverConfig:
     bcm_iters: block-coordinate rounds (pseudo-label step + prototype step).
     ot_iters: row/column scaling rounds inside each pseudo-label step.
     marginal_ratio: floor ratio for zero entries of the estimated class
-        marginal (fraction of the smallest observed entry).
+        marginal (fraction of the smallest observed entry); a fit whose
+        floored mass is not a positive normal float raises ConfigError.
     marginal_source: where the transport row marginal comes from;
         "support_estimate" floors and renormalizes the labeled-set
         frequencies, "support_raw" uses them uncorrected, "oracle" uses
@@ -121,9 +122,10 @@ def estimate_marginal(support: SupportSet) -> np.ndarray:
 def correct_marginal(marginal: np.ndarray, ratio: float = 0.25) -> np.ndarray:
     """Floor zero entries at ratio * (smallest positive entry), then
     renormalize. Estimates with no zeros pass through unchanged; an
-    all-zero estimate is rejected. The estimate is first scaled by a
-    power of two to a largest entry in [0.5, 1), which is exact and keeps
-    the sum from overflowing."""
+    all-zero estimate is rejected, and a ratio that floors a mass below
+    the smallest normal float is a ConfigError. The estimate is first
+    scaled by a power of two to a largest entry in [0.5, 1), which is
+    exact and keeps the sum from overflowing."""
     if not 0.0 < check_real(ratio, "ratio") < 1.0:
         raise ConfigError(f"ratio must be in (0, 1), got {ratio}")
     m = check_array(marginal, "marginal", (None,), finite=True)
@@ -137,15 +139,23 @@ def correct_marginal(marginal: np.ndarray, ratio: float = 0.25) -> np.ndarray:
 def _floored(m: np.ndarray, ratio: float) -> np.ndarray:
     """``correct_marginal`` of arguments that it accepts, unchecked, of
     each row of a (..., C) ``m``; a row without zeros passes through. A
-    ratio of another real type is taken as the float it multiplies as."""
+    ratio of another real type is taken as the float it multiplies as. A
+    floored mass that is not a positive normal float, which a tiny ratio
+    makes, is a ConfigError: transport cannot keep a subnormal mass, and
+    a zero one would leave its class as absent as no floor does."""
     positive = m > 0
     if positive.all():
         return m
     scaled = np.ldexp(m, -np.frexp(m.max(axis=-1, keepdims=True))[1])
     floor = float(ratio) * np.where(positive, scaled, np.inf).min(axis=-1, keepdims=True)
     floored = np.maximum(scaled, floor)
-    return np.where(positive.all(axis=-1, keepdims=True), m,
-                    floored / floored.sum(axis=-1, keepdims=True))
+    floored /= floored.sum(axis=-1, keepdims=True)
+    whole = positive.all(axis=-1, keepdims=True)
+    low = np.where(whole, 1.0, floored).min()
+    if low < np.finfo(np.float64).tiny:
+        raise ConfigError(f"marginal_ratio {ratio} floors a class mass to {low:g}, "
+                          f"below the smallest normal float")
+    return np.where(whole, m, floored)
 
 
 def fit_simpleshot(support: SupportSet) -> FitResult:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from semishot import SupportSet, UnlabeledSet, objectives
+from semishot import SupportSet, UnlabeledSet, experiment, objectives
 from semishot.zeroshot import check_array
 
 
@@ -98,3 +98,14 @@ def labeled_sums(monkeypatch):
     calls = []
     spy(monkeypatch, objectives._labeled_sums, lambda supports: calls.append(len(supports)))
     return calls
+
+
+@pytest.fixture
+def permutations(monkeypatch):
+    """The seed of every draw order, a permutation of the pool, that
+    ``experiment._draw_order`` makes for a semishot module while the
+    test runs, in call order."""
+    seeds = []
+    spy(monkeypatch, experiment._draw_order,
+        lambda labels, class_count, spec: seeds.append(spec.seed))
+    return seeds

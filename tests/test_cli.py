@@ -286,6 +286,23 @@ def test_adapt_and_eval_match_their_goldens(dataset_dir, tmp_path):
     assert got == {name: (GOLDEN / name).read_text() for name in got}
 
 
+def test_adapt_stratified_matches_its_goldens(dataset_dir, tmp_path):
+    # a stratified draw takes its own path through the sampler: each
+    # solver's fit report and prototype blob on it
+    got, hashes = {}, ""
+    for solver in ("sstext", "sstextu"):
+        fit = tmp_path / solver
+        assert main(["adapt", "--data", str(dataset_dir / "manifest.json"),
+                     "--solver", solver, "--shots", "3", "--unlabeled-mult", "8",
+                     "--seed", "4", "--stratified", "--out", str(fit)]) == EXIT_OK
+        got[f"adapt_{solver}_stratified.json"] = normalised(
+            fit / "fit_report.json", data=dataset_dir, tmp=tmp_path)
+        blob = hashlib.sha256((fit / "prototypes.f32").read_bytes()).hexdigest()
+        hashes += f"{blob}  adapt_{solver}_stratified/prototypes.f32\n"
+    got["prototypes_stratified.sha256"] = hashes
+    assert got == {name: (GOLDEN / name).read_text() for name in got}
+
+
 def test_eval_reports_to_stdout(dataset_dir, tmp_path, capsys):
     fit = tmp_path / "fit"
     main(["adapt", "--data", str(dataset_dir / "manifest.json"),

@@ -216,7 +216,7 @@ def test_drawn_support_is_the_pool_rows_normalized_without_a_second_check(rng):
                    labels=rng.integers(0, 4, 60), class_count=4)
     norms = ss.data._checked_row_norms(pool.embeddings)
     spec = ss.SamplingSpec(shots=2, unlabeled_multiplier=3, seed=5)
-    split = ss.experiment._draw_split(pool, norms, spec)
+    split, = ss.experiment._draws(pool, norms, [spec])
     idx, _, _ = ss.split_indices(pool.labels, 4, spec)
     assert split.support.embeddings.tobytes() == normalize_rows(pool.embeddings)[idx].tobytes()
     assert np.array_equal(split.support.labels, np.eye(4)[pool.labels[idx]])

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -37,7 +38,7 @@ from semishot import (
 from semishot import data, experiment, solvers, zeroshot
 from semishot.experiment import BenchmarkRow, CSV_HEADER, DEFAULT_SYNTHETIC_TAU, SOLVER_NAMES
 
-from conftest import unit_rows
+from conftest import spy, unit_rows
 
 
 def small_spec(**kw):
@@ -157,6 +158,28 @@ def test_sample_support_round_trip(rng):
     assert np.allclose(sup.embeddings, pool.embeddings[idx_sup], atol=1e-12)
     assert np.allclose(unl.embeddings, pool.embeddings[idx_unl], atol=1e-12)
     assert np.array_equal(sup.labels.argmax(axis=1), pool.labels[idx_sup])
+
+
+@pytest.mark.parametrize("stratified, digest", [
+    (False, "ac8b85b2d37b842ee636a3638105d754f3820f09848a8ef41d4cd050a993c1c4"),
+    (True, "17f3e73cc5879d471f1c4641e23df3ebca32e9359921a8f7d99089d162be7d76"),
+], ids=["uniform", "stratified"])
+def test_sample_support_is_its_split_of_the_normalized_pool(stratified, digest):
+    rng = np.random.default_rng(1234)
+    pool = EvalSet(embeddings=rng.standard_normal((90, 7)) * 3.0,
+                   labels=rng.integers(0, 4, 90), class_count=4)
+    spec = SamplingSpec(shots=3, unlabeled_multiplier=4, seed=6, stratified=stratified)
+    sup_idx, unl_idx, eval_idx = split_indices(pool.labels, 4, spec)
+    # the draw order of a seed is pinned: a change to it moves every split
+    assert hashlib.sha256(np.concatenate([sup_idx, unl_idx, eval_idx]).astype("<i8")
+                          .tobytes()).hexdigest() == digest
+    sup, unl, ev = sample_support(pool, spec)
+    unit = normalize_rows(pool.embeddings)
+    assert sup.embeddings.tobytes() == unit[sup_idx].tobytes()
+    assert np.array_equal(sup.labels, np.eye(4)[pool.labels[sup_idx]])
+    assert unl.embeddings.tobytes() == unit[unl_idx].tobytes()
+    assert ev.embeddings.tobytes() == pool.embeddings[eval_idx].tobytes()
+    assert np.array_equal(ev.labels, pool.labels[eval_idx])
 
 
 # ---------------------------------------------------------------- synthetic
@@ -792,21 +815,35 @@ def test_run_benchmark_tags_failed_cells():
     assert all(r.unlabeled_count == 4 * 3 for r in failed)
 
 
-def test_run_benchmark_draws_each_split_once(monkeypatch):
+def test_run_benchmark_draws_one_permutation_per_seed(monkeypatch, permutations):
     ds = _bench_dataset()
-    draws = []
-
-    def counting(labels, class_count, spec, _real=experiment._split_indices):
-        draws.append((spec.shots, spec.seed))
-        return _real(labels, class_count, spec)
-
-    monkeypatch.setattr(experiment, "_split_indices", counting)
+    pool = ds.pool()
+    fitted = []
+    spy(monkeypatch, experiment._fit_cells,
+        lambda solver, dataset, splits, unlabeled, *_: fitted.append((splits, unlabeled)))
+    # 90 shots x 3 classes plus 8 x 3 unlabeled items pass the 240-item pool
     rows = run_benchmark(ds, solvers=("zeroshot", "simpleshot", "sstext", "sstextu"),
-                         shot_grid=(1, 2), seeds=3, cfg=SolverConfig(tau=ds.tau),
-                         unlabeled_multiplier=8, include_timing=False)
-    assert len(rows) == 4 * 2 * 3 and all(not r.error for r in rows)
-    # one draw per (shots, seed), shared by all four solvers
-    assert draws == [(k, i) for k in (1, 2) for i in range(3)]
+                         shot_grid=(1, 2, 4, 90), seeds=[3, 0, 5],
+                         cfg=SolverConfig(tau=ds.tau), unlabeled_multiplier=8,
+                         include_timing=False)
+    # one batch, one permutation per seed, shared by all its shot counts
+    assert permutations == [3, 0, 5]
+    assert [bool(r.error) for r in rows] == [r.shots == 90 for r in rows]
+    assert {r.error for r in rows if r.error} == {
+        "SamplingError: pool of 240 cannot supply 270 support + 24 unlabeled items"}
+    # every solver fits the same splits, each bitwise its own spec's draw
+    assert len(fitted) == 4 and all(f[0] is fitted[0][0] for f in fitted)
+    splits, unlabeled = fitted[0]
+    specs = [SamplingSpec(shots=k, unlabeled_multiplier=8, seed=seed)
+             for k in (1, 2, 4) for seed in (3, 0, 5)]
+    assert len(splits) == len(specs) and unlabeled.shape == (len(specs), 24, 16)
+    unit = normalize_rows(pool.embeddings)
+    for split, rows_b, spec in zip(splits, unlabeled, specs):
+        sup_idx, unl_idx, eval_idx = split_indices(pool.labels, 3, spec)
+        assert split.support.embeddings.tobytes() == unit[sup_idx].tobytes()
+        assert np.array_equal(split.support.labels, np.eye(3)[pool.labels[sup_idx]])
+        assert split.unlabeled.tobytes() == rows_b.tobytes() == unit[unl_idx].tobytes()
+        assert split.eval_idx.tobytes() == eval_idx.tobytes()
 
 
 _BATCH_SETTINGS = {

@@ -2,6 +2,8 @@
 non-numeric input is a DataError, never a bare ValueError or TypeError,
 and a malformed count is a ConfigError."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,7 @@ from semishot import (
     split_indices,
     update_prototypes,
 )
+from semishot.cli import EXIT_CONFIG, EXIT_OK, main
 from semishot.zeroshot import check_array
 
 from conftest import random_support, random_unlabeled, unit_rows
@@ -160,6 +163,27 @@ def test_malformed_input_raises_a_typed_error(tmp_path, call, expected):
     with pytest.raises(SemishotError) as info:
         call(tmp_path)
     assert type(info.value) is expected
+
+
+@pytest.mark.parametrize("ratio, code", [("1e-310", EXIT_CONFIG), ("5e-324", EXIT_CONFIG),
+                                         ("1e-300", EXIT_OK)])
+def test_adapt_refuses_a_ratio_that_floors_a_mass_below_normal(tmp_path, capsys, ratio, code):
+    # the five labeled items fall in two classes and leave three absent; the
+    # ratio floors them at a subnormal mass (1e-310) or at zero (5e-324)
+    data = tmp_path / "data"
+    assert main(["generate", "--classes", "5", "--pool", "200", "--seed", "1",
+                 "--out", str(data)]) == EXIT_OK
+    out = tmp_path / "fit"
+    assert main(["adapt", "--data", str(data / "manifest.json"), "--solver", "sstextu",
+                 "--shots", "1", "--unlabeled-mult", "8", "--seed", "2",
+                 "--ratio-r", ratio, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == EXIT_CONFIG:
+        assert "marginal_ratio" in err and "Traceback" not in err
+        assert not (out / "fit_report.json").exists()
+    else:
+        marginal = json.loads((out / "fit_report.json").read_text())["marginal"]
+        assert min(marginal) >= np.finfo(np.float64).tiny
 
 
 def test_check_array_keeps_a_conforming_array_and_reads_none_as_any_length():

@@ -63,6 +63,28 @@ def test_correct_marginal_rejects_bad_input():
         correct_marginal(np.array([0.5, 0.5]), ratio=0.0)
 
 
+@pytest.mark.parametrize("ratio, fails", [(1e-310, True), (5e-324, True), (1e-300, False)])
+def test_a_floored_mass_must_be_a_normal_float(rng, ratio, fails):
+    # one class of five labeled once, one four times: each absent class
+    # is floored at ratio / 5 of the mass, subnormal at 1e-310 and zero
+    # at 5e-324, where the floor would leave it absent
+    estimate = np.array([0.2, 0.8, 0.0, 0.0, 0.0])
+    sup = SupportSet.from_indices(unit_rows(rng, 5, 4), np.array([0, 1, 1, 1, 1]), 5)
+
+    def fit():
+        return fit_sstextu(sup, random_unlabeled(rng, 8, 4), unit_rows(rng, 5, 4),
+                           SolverConfig(marginal_ratio=ratio))
+
+    if fails:
+        for call in (lambda: correct_marginal(estimate, ratio), fit):
+            with pytest.raises(ConfigError, match="marginal_ratio"):
+                call()
+    else:
+        floored = correct_marginal(estimate, ratio)
+        assert np.all(floored >= np.finfo(np.float64).tiny)
+        assert np.array_equal(fit().marginal, floored)
+
+
 # ---------------------------------------------------------------- simpleshot
 
 
