@@ -36,6 +36,9 @@ the labels are the argmax of those scores, and every cell's metrics are
 counted over its own eval rows in one pass, from a one-hot truth and
 per-cell class totals built once for all solvers. Rows come back in
 grid order.
+
+The silhouette takes each block of squared distances as one augmented
+Gram product and a square root; only a block whose root fails is clamped.
 """
 
 from __future__ import annotations
@@ -512,16 +515,12 @@ def evaluate_prototypes(prototypes: np.ndarray, eval_set: EvalSet,
 
 def _distinct_rows(x: np.ndarray, mean: np.ndarray,
                    exponent) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of ``ldexp(x - mean, exponent)``, for C-contiguous
-    float64 ``x``, in the order ``np.unique`` gives their bytes as void
-    rows, and each row's index
-    among them, bitwise that ``np.unique``'s rows and inverse. It sorts
-    void rows by memcmp, so by the first column's 8 bytes first, which
-    sort the same way read as a big-endian u8: where no two
-    first-column keys are equal, a stable argsort of them is the order
-    and every row is distinct. Only where a key repeats is a centred
-    copy of ``x`` made, for ``np.unique`` to order. The distinct rows
-    are gathered from ``x``, then centred and scaled in place."""
+    """The distinct rows r of ``ldexp(x - mean, exponent)`` (C-contiguous
+    float64 ``x``) as rows [r, 1, r.r] in ``np.unique``'s order of their
+    void bytes, and each row's index among them. Void rows sort by
+    memcmp, first by the first column's 8 bytes read as a big-endian u8:
+    where those keys differ, their stable argsort is the order; only
+    where one repeats is a centred copy of ``x`` made for ``np.unique``."""
     keys = np.ldexp(x[:, 0] - mean[0], exponent).view(">u8")
     order = np.argsort(keys, kind="stable")
     ranked = keys[order]
@@ -535,53 +534,51 @@ def _distinct_rows(x: np.ndarray, mean: np.ndarray,
         _, order, col = np.unique(row_bytes, return_index=True, return_inverse=True)
     distinct = x[order]
     distinct -= mean
-    return np.ldexp(distinct, exponent, out=distinct), col
+    np.ldexp(distinct, exponent, out=distinct)
+    sq = np.einsum("ij,ij->i", distinct, distinct)
+    return np.column_stack([distinct, np.ones_like(sq), sq]), col
 
 
 def silhouette_score(embeddings: np.ndarray, labels: np.ndarray) -> float:
     """Mean silhouette over samples (Rousseeuw 1987): (b - a) / max(a, b),
     with a the mean Euclidean distance to same-labeled points and b the
     smallest mean distance to any other label. Singleton-labeled samples
-    score 0, and so does a sample with a = b = 0. Needs at least two
-    distinct labels and finite embeddings.
+    score 0, and so does a sample with a = b = 0. Needs integer labels,
+    at least two distinct ones, and finite embeddings.
 
-    Distances come from the Gram identity ||x - y||^2 = ||x||^2 + ||y||^2
-    - 2 x.y, clamped at 0 before the square root. The rows are first
-    centred on their mean: the score does not change under translation,
-    and centring keeps the identity's cancellation down to the spread of
-    the data rather than its offset. They are then scaled by a power of
-    two to a largest magnitude in [0.5, 1): that is exact, the score does
-    not change under scaling either, and no squared distance under- or
-    overflows. fl(x - m) is monotone in x, so that largest magnitude is
-    read off the column extremes, with no centred copy. Distances are
-    taken between the k distinct rows of the pool, in the byte order
-    ``np.unique`` gives them (``_distinct_rows``, which reads only the
-    first column when its values differ), and a distinct row is exactly
-    0 from itself, so exact duplicates are exactly 0 apart. That k x k
-    matrix is symmetric, so it is walked in row blocks [lo, hi) against
-    the columns [lo, k) only: each block adds its rows' class sums and,
-    through its transpose, the sums of the columns past hi, so each
-    distinct pair is computed once. ``_SILHOUETTE_BLOCK`` bounds the
-    elements of one block, and the block bounds fix the summation order;
-    a block holds at least one row. Every block is written into one
-    buffer of max(``_SILHOUETTE_BLOCK``, k) values.
+    The rows are centred on their mean (the Gram identity then cancels
+    only the data's spread, not its offset) and scaled by a power of two,
+    read off the column extremes (fl(x - m) is monotone), to a largest
+    magnitude in [0.5, 1): both leave the score unchanged, and no squared
+    distance under- or overflows. Distances are taken between the k
+    distinct rows (``_distinct_rows``), so duplicates are exactly 0
+    apart. The symmetric k x k matrix is walked in row blocks [lo, hi)
+    against the columns [lo, k): a block adds its rows' class sums and,
+    through its transpose, those of the columns past hi. A block holds
+    at most ``_SILHOUETTE_BLOCK`` elements or one row, its bounds fix the
+    summation order, and every block is written into one buffer. Its
+    squared distances ||x||^2 + ||y||^2 - 2 x.y are one product: rows
+    [-2 x_i, ||x_i||^2, 1] (doubling is exact) by rows [x_j, 1, ||x_j||^2].
+    Its diagonal is set to 0 and its square root taken: only distinct
+    rows that nearly coincide round below 0, and a block whose root sets
+    the invalid flag has its NaNs set to 0, bitwise sqrt(max(v, 0)).
     """
     x = np.ascontiguousarray(check_array(embeddings, "silhouette embeddings",
                                          (None, None), finite=True))
     y = check_array(labels, "silhouette labels", x.shape[:1], dtype=None)
+    if y.dtype.kind not in "iu":
+        raise DataError(f"silhouette labels must be integers, got dtype {y.dtype}")
     if x.shape[1] == 0:
         raise DataError("silhouette embeddings have no columns")
     classes, dense = np.unique(y, return_inverse=True)
     if classes.size < 2:
         raise DataError("silhouette needs at least two distinct labels")
-    n = x.shape[0]
     counts = np.bincount(dense)
     mean = x.mean(axis=0)
     peak = max((x.max(axis=0) - mean).max(), -(x.min(axis=0) - mean).min())
     # distinct rows are the distance columns; row i's own column is col[i]
-    distinct, col = _distinct_rows(x, mean, -np.frexp(peak)[1])
-    distinct_sq = np.einsum("ij,ij->i", distinct, distinct)
-    k = distinct.shape[0]
+    right, col = _distinct_rows(x, mean, -np.frexp(peak)[1])
+    k, d = right.shape[0], x.shape[1]
     # members[j, c]: how many points of class c sit at distinct row j
     members = np.zeros((k, classes.size))
     np.add.at(members, (col, dense), 1.0)
@@ -592,19 +589,22 @@ def silhouette_score(embeddings: np.ndarray, labels: np.ndarray) -> float:
     lo = 0
     while lo < k:
         hi = min(k, lo + max(1, _SILHOUETTE_BLOCK // (k - lo)))
+        left = np.empty((hi - lo, d + 2))
+        np.multiply(right[lo:hi, :d], -2.0, out=left[:, :d])
+        left[:, d:] = right[lo:hi, :d - 1:-1]  # ||x_i||^2, 1
         dist = buffer[:(hi - lo) * (k - lo)].reshape(hi - lo, k - lo)
-        np.matmul(distinct[lo:hi], distinct[lo:].T, out=dist)
-        dist *= -2.0
-        dist += distinct_sq[lo:hi, None]
-        dist += distinct_sq[lo:]
-        np.maximum(dist, 0.0, out=dist)
-        np.sqrt(dist, out=dist)
+        np.matmul(left, right[lo:].T, out=dist)
         np.fill_diagonal(dist, 0.0)
+        try:
+            with np.errstate(invalid="raise"):
+                np.sqrt(dist, out=dist)
+        except FloatingPointError:  # a near-duplicate pair rounded below 0
+            dist[np.isnan(dist)] = 0.0
         sums[lo:hi] += dist @ members[lo:]
         sums[hi:] += dist[:, hi - lo:].T @ members[lo:hi]
         lo = hi
 
-    rows = np.arange(n)
+    rows = np.arange(x.shape[0])
     class_sums = sums[col]
     own_count = counts[dense]
     # self-distance is 0, so the own-class sum already excludes it

@@ -68,17 +68,20 @@ def check_array(x, what: str, shape: tuple[int | None, ...] | None = None,
                 dtype=np.float64, finite: bool = False) -> np.ndarray:
     """``x`` as an ndarray of ``dtype`` (None keeps its own), with no copy
     when it already is one. ``shape`` gives each axis length, None for
-    any length. Ragged or non-numeric input, a wrong shape and, with
-    ``finite``, a NaN or Inf entry are a DataError. A signalling NaN sets
-    the invalid flag in a widening cast, which is silenced so that the
-    finite check is the only signal."""
+    any length. Ragged, complex or non-numeric input, a wrong shape and,
+    with ``finite``, a NaN or Inf entry are a DataError; complex input is
+    refused before any cast, which would drop its imaginary part. A
+    signalling NaN sets the invalid flag in a widening cast, which is
+    silenced so that the finite check is the only signal."""
     try:
-        with np.errstate(invalid="ignore"):
-            arr = np.asarray(x, dtype=dtype)
-    except (TypeError, ValueError) as exc:
+        arr = np.asarray(x)
+        if arr.dtype.kind != "c":
+            with np.errstate(invalid="ignore"):
+                arr = np.asarray(arr, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{what} must be a numeric array: {exc}") from None
     if arr.dtype.kind not in "biuf":
-        raise DataError(f"{what} must be a numeric array, got dtype {arr.dtype}")
+        raise DataError(f"{what} must be a real numeric array, got dtype {arr.dtype}")
     if shape is not None and (arr.ndim != len(shape) or any(
             want is not None and want != got for want, got in zip(shape, arr.shape))):
         raise DataError(f"{what} shape {arr.shape}, expected {shape}")

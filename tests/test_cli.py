@@ -65,6 +65,38 @@ def test_python_dash_m_runs_the_cli():
     assert "benchmark" in done.stdout
 
 
+_CHAIN = """
+import sys
+from semishot.cli import main
+for argv in (["generate", "--out", "data"],
+             ["eval", "--data", "data/manifest.json", "--prototypes", "data/manifest.json",
+              "--silhouette", "--out", "eval.json"]):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+"""
+
+
+def test_eval_silhouette_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # generate and eval --silhouette on a default-size pool (1500 x 64),
+    # in two processes under OPENBLAS_NUM_THREADS 1 and 2: the silhouette's
+    # block products are large enough for OpenBLAS to split them over
+    # threads. Under another BLAS the variable is ignored, and this only
+    # checks that two processes write the same bytes.
+    src = str(Path(semishot.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        run = tmp_path / f"threads-{threads}"
+        run.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", _CHAIN], cwd=run, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        reports.append((run / "eval.json").read_bytes())
+    assert "silhouette" in json.loads(reports[0])
+    assert reports[0] == reports[1]
+
+
 # ---------------------------------------------------------------- generate
 
 

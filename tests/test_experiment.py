@@ -555,7 +555,8 @@ def test_silhouette_peak_is_the_distinct_rows_and_one_block(peak_bytes):
 def unique_rows_silhouette(x, y, block):
     """The silhouette as ``silhouette_score`` computes it, by its plain
     expressions: a centred and scaled copy of ``x``, ``np.unique`` of
-    its void rows, and a fresh product per block."""
+    its void rows, whole augmented operands [-2 x, |x|^2, 1] and
+    [x, 1, |x|^2], and a fresh product per block, clamped at 0."""
     classes, dense = np.unique(y, return_inverse=True)
     counts = np.bincount(dense)
     x = x - x.mean(axis=0)
@@ -564,6 +565,9 @@ def unique_rows_silhouette(x, y, block):
                               return_index=True, return_inverse=True)
     distinct = x[first]
     sq = np.einsum("ij,ij->i", distinct, distinct)
+    ones = np.ones_like(sq)
+    left = np.column_stack([-2.0 * distinct, sq, ones])
+    right = np.column_stack([distinct, ones, sq])
     k = first.size
     members = np.zeros((k, classes.size))
     np.add.at(members, (col, dense), 1.0)
@@ -571,10 +575,7 @@ def unique_rows_silhouette(x, y, block):
     lo = 0
     while lo < k:
         hi = min(k, lo + max(1, block // (k - lo)))
-        dist = distinct[lo:hi] @ distinct[lo:].T
-        dist *= -2.0
-        dist += sq[lo:hi, None]
-        dist += sq[lo:]
+        dist = left[lo:hi] @ right[lo:].T
         np.sqrt(np.maximum(dist, 0.0), out=dist)
         np.fill_diagonal(dist, 0.0)
         sums[lo:hi] += dist @ members[lo:]
@@ -615,6 +616,46 @@ def test_silhouette_is_bitwise_its_plain_expressions_per_block(rng, monkeypatch,
     assert silhouette_score(x, y) == unique_rows_silhouette(x, y, budget)
 
 
+@pytest.mark.parametrize("budget", [1, 37, None], ids=["1", "37", "default"])
+def test_silhouette_clamps_only_blocks_whose_square_root_fails(rng, monkeypatch, budget):
+    # distinct rows 1e-9 apart: their rounded squared distances fall on
+    # either side of 0, so some blocks' square roots fail and are clamped
+    if budget is not None:
+        monkeypatch.setattr(experiment, "_SILHOUETTE_BLOCK", budget)
+    base = rng.standard_normal((20, 6))
+    x = np.concatenate([base, base + 1e-9 * rng.standard_normal(base.shape)])
+    y = rng.integers(0, 3, size=40)
+    clamped = []
+    real_isnan = np.isnan
+
+    def spy(values, *args, **kwargs):
+        clamped.append(values.shape)
+        return real_isnan(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isnan", spy)
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        score = silhouette_score(x, y)
+        assert clamped
+        # well-apart rows never take the clamp
+        clamped.clear()
+        silhouette_score(base, y[:20])
+        assert not clamped
+    assert np.geterr() == before
+    assert score == unique_rows_silhouette(x, y, budget or experiment._SILHOUETTE_BLOCK)
+    assert score == pytest.approx(naive_silhouette(x, y), abs=1e-7)
+
+
+@pytest.mark.parametrize("labels", [[0.0, 1.0, 1.0, 0.0], [0.0, 1.0, np.nan, np.nan],
+                                    [True, False, True, False]],
+                         ids=["float", "nan", "bool"])
+def test_silhouette_refuses_non_integer_labels(rng, labels):
+    # a float label is no class index, and NaN would make a class of its own
+    with pytest.raises(DataError, match="integers"):
+        silhouette_score(rng.standard_normal((4, 2)), np.array(labels))
+
+
 _DISTINCT_ROW_CASES = {
     "distinct": (lambda rng: rng.standard_normal((50, 4)), True),
     "negative": (lambda rng: -np.abs(rng.standard_normal((50, 4))) - 3.0, True),
@@ -651,7 +692,11 @@ def test_distinct_rows_are_np_uniques_void_rows(rng, monkeypatch, build, fast):
     monkeypatch.setattr(np, "unique", spy)
     rows, got = experiment._distinct_rows(x, mean, exponent)
     assert sorts == ([] if fast else ["V"])
-    assert rows.tobytes() == centred[first].tobytes()
+    # each distinct row r as [r, 1, r.r]
+    assert rows[:, :-2].tobytes() == centred[first].tobytes()
+    assert np.all(rows[:, -2] == 1.0)
+    sq = np.einsum("ij,ij->i", centred[first], centred[first])
+    assert rows[:, -1].tobytes() == sq.tobytes()
     assert np.array_equal(got, col)
 
 

@@ -3,6 +3,7 @@ non-numeric input is a DataError, never a bare ValueError or TypeError,
 and a malformed count is a ConfigError."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -112,7 +113,11 @@ ARRAY_CALLS = {
     "correlate": lambda a, tmp: correlate(a, np.arange(4.0)),
 }
 
-MALFORMED = {"ragged": [[1.0, 2.0], [3.0]], "text": "abc"}
+# a cast of complex input to real would drop its imaginary part, and an
+# int past the float range overflows the cast
+MALFORMED = {"ragged": [[1.0, 2.0], [3.0]], "text": "abc",
+             "complex": np.array([[1 + 1j, 0.0], [0.0, 1.0]]),
+             "huge-int": [[1.0, 10**400], [0.0, 1.0]]}
 
 # malformed counts, the spec's marginal and the benchmark grid:
 # configuration, not data
@@ -198,3 +203,17 @@ def test_check_array_keeps_a_conforming_array_and_reads_none_as_any_length():
     with pytest.raises(DataError, match="non-finite"):
         check_array([1.0, np.nan], "x", finite=True)
     assert np.isnan(check_array([1.0, np.nan], "x")[1])  # finiteness is opt-in
+
+
+COMPLEX = {"array": np.array([[1 + 1j, 0.0]]), "scalar": np.complex64(1),
+           "numpy-scalars": [np.complex128(1 + 0j), 0.0], "list": [[1 + 1j, 0.0]]}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, None], ids=["float64", "own"])
+@pytest.mark.parametrize("x", COMPLEX.values(), ids=COMPLEX.keys())
+def test_check_array_refuses_complex_input_before_any_cast(x, dtype):
+    # a cast to float drops the imaginary part, with only a ComplexWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="real"):
+            check_array(x, "x", dtype=dtype)
