@@ -24,7 +24,7 @@ from .data import (
     UnlabeledSet,
     _dataset_files,
     _prototype_blob,
-    _resolve_files,
+    _write_file,
     _write_json,
     load_dataset,
     load_prototypes,
@@ -250,13 +250,17 @@ def _refuse_overwrite(command: str, writes, reads) -> None:
     (flag, value, path) of ``writes``, is a file of one of the manifests
     that it reads, each a (kind, manifest) of ``reads`` with kind
     "dataset" or "prototypes" (None manifests skipped), or a file that an
-    earlier entry of ``writes`` names."""
+    earlier entry of ``writes`` names, or a path that cannot be resolved."""
     owners = {}
     for kind, manifest in reads:
         if manifest is not None:
             owners.update(dict.fromkeys(_dataset_files(manifest),
                                         f"a file of {kind} {manifest}"))
-    for (flag, value, _), target in zip(writes, _resolve_files([path for *_, path in writes])):
+    for flag, value, path in writes:
+        try:
+            target = str(Path(path).resolve())
+        except (OSError, RuntimeError) as exc:  # RuntimeError: a symlink loop before 3.13
+            raise ConfigError(f"{command} {flag} {value}: cannot resolve {path}: {exc}") from None
         if target in owners:
             raise ConfigError(f"{command} {flag} {value} would overwrite {target}, "
                               f"{owners[target]}")
@@ -342,9 +346,7 @@ def cmd_benchmark(args) -> int:
         cfg=cfg, unlabeled_multiplier=args.unlabeled_mult,
         include_timing=not args.no_timing, dataset_name=name, eval_set=eval_set)
 
-    csv_text = rows_to_csv(rows)
-    args.out_csv.parent.mkdir(parents=True, exist_ok=True)
-    args.out_csv.write_text(csv_text)
+    _write_file(args.out_csv, rows_to_csv(rows).encode())
     if args.out_json is not None:
         config = _config(args, tau=tau, name=name, solvers=list(solvers),
                          shots_grid=list(shot_grid))

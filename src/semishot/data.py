@@ -15,22 +15,22 @@ Embedding rows are expected to be unit-norm. The loader keeps rows that
 are already unit-norm to float32 precision byte-stable (so that a
 save/load/save cycle is bit-exact) and renormalizes anything further
 out, surfacing large deviations as warnings on the returned dataset.
+
+Every file goes to disk through ``_write_file``, where an OS refusal is
+a ConfigError. JSON is ``json.dumps(indent=2, sort_keys=True)`` text.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-import os
-import stat
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, FormatError
+from .errors import ConfigError, DataError, FormatError
 from .zeroshot import check_array, check_count, check_tau
 
 EMBEDDING_DTYPE = np.dtype("<f4")
@@ -468,37 +468,12 @@ def _ingest_unit_rows(arr: np.ndarray, what: str, warnings: list[str]) -> np.nda
     return arr
 
 
-def _resolve_files(paths) -> list[str]:
-    """``[str(Path(path).resolve()) for path in paths]``, resolving each
-    directory once. ``Path.resolve()`` walks a path a component at a
-    time and follows only the symlinks, so a name that is no symlink (or
-    is absent) resolves to its resolved directory joined with it, which
-    takes one ``lstat`` of the name. A symlink is resolved in full, and
-    so are the names "", "." and "..", which name no entry of a
-    directory."""
-    dirs, resolved = {}, []
-    for path in paths:
-        head, name = os.path.split(path)
-        if name in ("", ".", ".."):
-            resolved.append(str(Path(path).resolve()))
-            continue
-        if head not in dirs:
-            dirs[head] = str(Path(head or ".").resolve())
-        target = os.path.join(dirs[head], name)
-        try:
-            link = stat.S_ISLNK(os.lstat(target).st_mode)
-        except OSError:  # absent, or under a non-directory: joined as it is
-            link = False
-        resolved.append(str(Path(target).resolve()) if link else target)
-    return resolved
-
-
 def _dataset_files(manifest_path: Path) -> set[str]:
     """The resolved paths of a dataset manifest that ``load_dataset`` has
     read and of every blob it names."""
     manifest = json.loads(manifest_path.read_text())
-    return set(_resolve_files([manifest_path, *(manifest_path.parent / manifest[key]
-                                                for key in _DATASET_BLOBS if key in manifest)]))
+    return {str(path.resolve()) for path in (manifest_path, *(
+        manifest_path.parent / manifest[key] for key in _DATASET_BLOBS if key in manifest))}
 
 
 def _prototype_blob(manifest_path: Path) -> Path:
@@ -509,61 +484,35 @@ def _prototype_blob(manifest_path: Path) -> Path:
 def _write_blobs(manifest_path: Path, manifest: dict, blobs: dict) -> None:
     """Write each array of ``blobs`` to the file its manifest key names,
     in that key's blob dtype, then the manifest itself."""
-    manifest_path.parent.mkdir(parents=True, exist_ok=True)
     for key, values in blobs.items():
-        np.asarray(values, dtype=_blob_dtype(key)).tofile(
-            manifest_path.parent / manifest[key])
+        _write_file(manifest_path.parent / manifest[key],
+                    np.ascontiguousarray(values, dtype=_blob_dtype(key)))
     _write_json(manifest_path, manifest)
 
 
-@functools.cache
-def _flat_encoder(level: int) -> json.JSONEncoder:
-    """The compact C encoder whose item separator ends in the indent of
-    a container's items at nesting ``level``."""
-    return json.JSONEncoder(sort_keys=True, allow_nan=False,
-                            separators=(",\n" + "  " * (level + 1), ": "))
-
-
-def _json_text(value, level: int = 0) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)``
-    at nesting ``level``, byte for byte, for string-keyed dicts. CPython
-    serves ``indent`` with its pure-Python encoder; here a container that
-    holds no container is one call of the C encoder, whose separators
-    already indent its items, and only its braces are re-indented. The
-    containers above it are joined by hand."""
-    children = value.values() if isinstance(value, dict) else value
-    inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
-    if not isinstance(value, (dict, list, tuple)) or not any(
-            isinstance(v, (dict, list, tuple)) for v in children):
-        text = _flat_encoder(level).encode(value)
-        if len(text) == 2 or text[0] not in "{[":  # empty, or a scalar
-            return text
-        return text[0] + inner + text[1:-1] + outer + text[-1]
-    if isinstance(value, dict):
-        brackets = "{}"
-        items = [f"{json.encoder.encode_basestring_ascii(key)}: {_json_text(v, level + 1)}"
-                 for key, v in sorted(value.items())]
-    else:
-        brackets = "[]"
-        items = [_json_text(v, level + 1) for v in value]
-    return brackets[0] + inner + ("," + inner).join(items) + outer + brackets[1]
+def _write_file(path: Path, data) -> None:
+    """Write the bytes-like ``data`` to ``path``, creating its directory.
+    A path that the OS refuses is a ConfigError naming it."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
 def _write_json(path: Path | None, payload: dict) -> None:
-    """``payload`` as indented JSON with sorted keys (the bytes of
-    ``json.dumps(payload, indent=2, sort_keys=True)``, see
-    ``_json_text``), at ``path`` or on stdout when it is None. A NaN or
+    """``payload`` as ``json.dumps(payload, indent=2, sort_keys=True)``
+    and a newline, at ``path`` or on stdout when it is None. A NaN or
     infinite number is a DataError, raised before anything is written:
     JSON has no token for it."""
     try:
-        text = _json_text(payload) + "\n"
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
         raise DataError(f"cannot write {path or 'stdout'} as JSON: {exc}") from None
     if path is None:
         sys.stdout.write(text)
     else:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        _write_file(path, text.encode())
 
 
 def load_dataset(manifest_path: str | Path) -> Dataset:

@@ -609,6 +609,29 @@ def test_benchmark_resolves_an_out_csv_that_ends_in_dotdot(tmp_path, capsys, mon
     assert sorted(tmp_path.rglob("*")) == before  # nothing written
 
 
+@pytest.mark.parametrize("command, flag, name", [
+    ("adapt", "--out", "loop"), ("benchmark", "--out-csv", "loop/x.csv"),
+    ("generate", "--out", "file"), ("adapt", "--out", "file"),
+    ("generate", "--out", "file/sub"), ("benchmark", "--out-csv", "dir"),
+    ("eval", "--out", "dir")])
+def test_an_unwritable_output_path_is_a_config_error(dataset_dir, tmp_path, capsys,
+                                                      command, flag, name):
+    # a self-loop symlink, an existing file where a directory must go, a
+    # path under a file, a directory where a file must go: one error line
+    # naming the path, no traceback
+    (tmp_path / "loop").symlink_to(tmp_path / "loop")
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    data = str(dataset_dir / "manifest.json")
+    lead = {"generate": GEN_FLAGS, "adapt": ["--data", data, "--solver", "sstext"],
+            "eval": ["--data", data, "--prototypes", data],
+            "benchmark": ["--data", data, *BENCH_FLAGS]}[command]
+    out = tmp_path / name
+    assert main([command, *lead, flag, str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1, err
+
+
 def test_benchmark_flag_validation(dataset_dir, tmp_path):
     data = ["--data", str(dataset_dir / "manifest.json")]
     out = ["--out-csv", str(tmp_path / "v.csv")]
@@ -685,6 +708,8 @@ EDGE = ("0", "-1", "1e308", "5e-324", "nan", "inf", "-inf", "abc", "0.5", "1")
 HUGE = str(10 ** 20)
 SMALL = ("0", "-1", "1", "2", "3", "5e-324", "nan", "abc")
 
+OUTPUT_HAZARDS = ("{tmp}/file", "{tmp}/dir", "{tmp}/loop", "{tmp}/file/sub")
+
 FIT_FLAGS = {
     "--tau": EDGE, "--t-bcm": SMALL, "--t-ot": SMALL, "--ratio-r": EDGE,
     "--lambda-mode": ("adaptive", "fixed", "abc"), "--lambda-text": EDGE,
@@ -696,7 +721,9 @@ FIT_FLAGS = {
 # each command's leading argv, then the optional flags it draws from;
 # None marks a flag without a value. {data}, {protos} and {tmp} are the
 # fuzz dataset, a prototype manifest fitted on it and the example's own
-# directory: every output goes under {tmp}.
+# directory: every output goes under {tmp}, to a new path or to one of
+# OUTPUT_HAZARDS, which each example prepares: an existing file, a
+# directory, a self-loop symlink and a path under a file.
 FUZZ = {
     "generate": (["--out", "{tmp}/gen"], {
         "--classes": SMALL, "--dim": SMALL, "--pool": (*SMALL, "40"),
@@ -751,7 +778,12 @@ def test_cli_fuzz_exits_with_a_documented_code(fuzz_inputs, command, draw):
         argv.append(flag)
         if table[flag] is not None:
             argv.append(draw.draw(st.sampled_from(table[flag])))
+    argv = [draw.draw(st.one_of(st.just(arg), st.sampled_from(OUTPUT_HAZARDS)))
+            if arg.startswith("{tmp}/") else arg for arg in argv]
     with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "file").write_text("")
+        (Path(tmp) / "dir").mkdir()
+        (Path(tmp) / "loop").symlink_to(Path(tmp) / "loop")
         argv = [arg.format(tmp=tmp, **fuzz_inputs) for arg in argv]
         out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
