@@ -6,11 +6,15 @@ resolves (tau, marginal, dataset name, solver and shot lists) in place
 of their raw flags, so runs are reproducible from their outputs alone.
 Exit codes: 0 success, 2 usage/config/data error, 3 solver or numeric
 failure.
+
+``main`` first sets glibc's malloc thresholds, once per process
+(``_tune_malloc``); importing the package leaves the allocator alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import sys
 from pathlib import Path
@@ -60,6 +64,30 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
 _SOLVER_ERRORS = (SolverError, DegeneratePlanError)
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+
+
+@functools.cache
+def _tune_malloc() -> None:
+    """Start glibc's malloc where its dynamic thresholds converge.
+
+    Freeing an mmapped chunk of up to DEFAULT_MMAP_THRESHOLD_MAX (4 MiB
+    times sizeof(long)) raises glibc's mmap threshold to the chunk's size
+    and its trim threshold to twice that. Below that ceiling the heap one
+    in-process command frees can go back to the OS, to be faulted in
+    again by the next (600-1000 minor faults per perfbench sweep or study
+    op). At the ceiling a process holds ~1 MB more. Without a C library
+    handle or mallopt, or if mallopt refuses a value, nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # TypeError: CDLL(None) on Windows
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    ceiling = 4 * 1024 * 1024 * ctypes.sizeof(ctypes.c_long)
+    if mallopt(_M_MMAP_THRESHOLD, ceiling):
+        mallopt(_M_TRIM_THRESHOLD, 2 * ceiling)
 
 
 @functools.cache
@@ -369,6 +397,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    _tune_malloc()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -66,12 +66,14 @@ SOLVER_NAMES = ("zeroshot", "simpleshot", "sstext", "sstextu")
 # A cell holds about (N + M) * (C + D) float64 values while its batch
 # fits: its support and unlabeled embeddings and its (C, M) score,
 # kernel, plan and code arrays. run_benchmark packs cells in grid order,
-# across shot counts, into batches that stay under this count (2 MiB of
+# across shot counts, into batches that stay under this count (8 MiB of
 # float64), so memory does not grow with the grid, and a cell over it
-# fits alone. Past it the arithmetic outweighs the per-call cost that
-# batching saves. The same count bounds a chunk of the eval scores, C
-# times the scored rows per cell (one cell when a cell alone is larger).
-_BATCH_VALUES = 1 << 18
+# fits alone. The default 50-seed grid is 3 batches at this count and
+# took 53 ms against 67 ms in 11 batches at 1 << 18 (2-vCPU Xeon, same
+# bytes), for ~10 MB more peak memory. The same count bounds a chunk of
+# the eval scores, C times the scored rows per cell (one cell when a
+# cell alone is larger).
+_BATCH_VALUES = 1 << 20
 
 # Distances in one silhouette_score block (512 KiB of float64).
 _SILHOUETTE_BLOCK = 1 << 16

@@ -1,4 +1,5 @@
 import argparse
+import ctypes
 import hashlib
 import io
 import json
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import types
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semishot
-from semishot import load_dataset, load_prototypes
+from semishot import cli, load_dataset, load_prototypes
 from semishot.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, build_parser, main
 from semishot.experiment import CSV_HEADER, SOLVER_NAMES
 
@@ -53,13 +55,17 @@ def normalised(path, **dirs):
     return re.sub(r'\n  "runtime_ms": [^\n]*', "", text)
 
 
-def test_python_dash_m_runs_the_cli():
-    # the package directory of the semishot under test goes first on the
-    # child's path, so the child runs this tree, not an installed copy
+def _child_env(**extra):
+    """``os.environ`` with ``extra``, and the package directory of the
+    semishot under test first on the child's path, so that the child
+    runs this tree, not an installed copy."""
     src = str(Path(semishot.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "semishot", "--help"], env=env,
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_python_dash_m_runs_the_cli():
+    done = subprocess.run([sys.executable, "-m", "semishot", "--help"], env=_child_env(),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "benchmark" in done.stdout
@@ -82,19 +88,128 @@ def test_eval_silhouette_bytes_do_not_depend_on_blas_threads(tmp_path):
     # block products are large enough for OpenBLAS to split them over
     # threads. Under another BLAS the variable is ignored, and this only
     # checks that two processes write the same bytes.
-    src = str(Path(semishot.__file__).resolve().parents[1])
     reports = []
     for threads in ("1", "2"):
         run = tmp_path / f"threads-{threads}"
         run.mkdir()
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", _CHAIN], cwd=run, env=env,
+        done = subprocess.run([sys.executable, "-c", _CHAIN], cwd=run,
+                              env=_child_env(OPENBLAS_NUM_THREADS=threads),
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         reports.append((run / "eval.json").read_bytes())
     assert "silhouette" in json.loads(reports[0])
     assert reports[0] == reports[1]
+
+
+_REPEATS = """
+import resource
+from pathlib import Path
+from semishot.cli import main
+assert main(["generate", "--out", "data"]) == 0
+faults = []
+for _ in range(12):
+    Path("out.csv").unlink(missing_ok=True)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(["benchmark", "--data", "data/manifest.json", "--seeds", "5",
+                 "--no-timing", "--out-csv", "out.csv"]) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(faults)
+"""
+
+
+def test_repeated_in_process_commands_take_no_fresh_pages(tmp_path):
+    # Twelve in-process sweep benchmarks on one dataset, in a fresh
+    # process because fault counts depend on the heap's history. With
+    # main() setting glibc's malloc thresholds, a command reuses the heap
+    # the previous one freed; without, a heap that is trimmed after one
+    # call is trimmed after every call and faulted back in (600-750
+    # minor faults each). Which heaps get trimmed depends on the lengths
+    # of paths, so two working directories of different name lengths
+    # run. A heap may still grow once after warm-up, in any call.
+    try:
+        ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        pytest.skip("no mallopt in this C library")
+    for name in ("w", "wwwwwwww"):
+        run = tmp_path / name
+        run.mkdir()
+        done = subprocess.run([sys.executable, "-c", _REPEATS], cwd=run, env=_child_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        faults = json.loads(done.stdout.splitlines()[-1])
+        assert sum(f > 64 for f in faults[3:]) <= 1, faults
+
+
+@pytest.fixture
+def untuned():
+    """main() tunes malloc again on its next call, during the test and after."""
+    cli._tune_malloc.cache_clear()
+    yield
+    cli._tune_malloc.cache_clear()
+
+
+def _no_c_library(name):
+    raise OSError("no C library handle")
+
+
+def _refusing_mallopt(param, value):
+    return 0
+
+
+@pytest.mark.parametrize("library", [
+    _no_c_library,
+    lambda name: types.SimpleNamespace(),
+    lambda name: types.SimpleNamespace(mallopt=_refusing_mallopt),
+], ids=["no-handle", "no-mallopt", "refused"])
+def test_cli_runs_unchanged_where_malloc_cannot_be_tuned(dataset_dir, tmp_path, monkeypatch,
+                                                         untuned, library):
+    out = tmp_path / "bench.csv"
+    argv = ["benchmark", "--data", str(dataset_dir / "manifest.json"), "--seeds", "2",
+            "--shots-grid", "1,2", "--no-timing", "--out-csv", str(out)]
+    assert main(argv) == EXIT_OK
+    expected = out.read_bytes()
+    out.unlink()
+    cli._tune_malloc.cache_clear()
+    monkeypatch.setattr(ctypes, "CDLL", library)
+    assert main(argv) == EXIT_OK
+    assert out.read_bytes() == expected
+
+
+def test_malloc_is_tuned_once_per_process(dataset_dir, tmp_path, monkeypatch, untuned):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    for k in range(3):
+        assert main(["benchmark", "--data", str(dataset_dir / "manifest.json"), "--seeds", "1",
+                     "--shots-grid", "1", "--out-csv", str(tmp_path / f"{k}.csv")]) == EXIT_OK
+    ceiling = 4 * 1024 * 1024 * ctypes.sizeof(ctypes.c_long)  # DEFAULT_MMAP_THRESHOLD_MAX
+    assert calls == [(cli._M_MMAP_THRESHOLD, ceiling), (cli._M_TRIM_THRESHOLD, 2 * ceiling)]
+
+
+_IMPORT_ONLY = """
+import ctypes
+opened = []
+real = ctypes.CDLL
+ctypes.CDLL = lambda name, *args, **kwargs: opened.append(name) or real(name, *args, **kwargs)
+import semishot, semishot.cli
+assert None not in opened, opened
+try:
+    semishot.cli.main(["--version"])
+except SystemExit:
+    pass
+assert opened.count(None) == 1, opened
+"""
+
+
+def test_importing_the_package_leaves_malloc_alone():
+    # a library does not retune its host process; only main() does
+    done = subprocess.run([sys.executable, "-c", _IMPORT_ONLY], env=_child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 # ---------------------------------------------------------------- generate
