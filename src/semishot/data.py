@@ -463,8 +463,7 @@ def _ingest_unit_rows(arr: np.ndarray, what: str, warnings: list[str]) -> np.nda
             f"norm {norms[heavy[0]]:.4g})"
         )
     fix = dev > NORM_KEEP_TOL
-    if np.any(fix):
-        arr[fix] = arr[fix] / norms[fix, None]
+    arr[fix] = arr[fix] / norms[fix, None]
     return arr
 
 

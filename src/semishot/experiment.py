@@ -97,8 +97,9 @@ class SamplingSpec:
     shots: labeled budget per class in expectation (total = shots * C).
     unlabeled_multiplier: unlabeled budget per class (total = mult * C).
     seed: drives every draw.
-    stratified: force exactly `shots` per class (contrast mode; the
-        default draws uniformly so class composition follows the pool).
+    stratified: a bool; force exactly `shots` per class (contrast mode;
+        the default draws uniformly so class composition follows the
+        pool).
     """
 
     shots: int
@@ -109,6 +110,8 @@ class SamplingSpec:
     def __post_init__(self):
         for name, low in (("shots", 1), ("unlabeled_multiplier", 0), ("seed", 0)):
             object.__setattr__(self, name, check_count(getattr(self, name), name, low))
+        if not isinstance(self.stratified, bool):
+            raise ConfigError(f"stratified must be a bool, got {self.stratified!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,7 +432,8 @@ def _labels(prototypes: np.ndarray, embeddings: np.ndarray,
             tau: float) -> tuple[np.ndarray, np.ndarray]:
     """The (B, P) labels of the (B, C, D) ``prototypes`` on the P rows of
     ``embeddings``, in ``_top_class``'s type, and a (B, P) mask of the
-    columns where a matrix's scores are not all finite.
+    columns where a matrix's scores are not all finite, read off each
+    chunk's scores with one finite test.
 
     The matrices' rows are stacked into one (B * C, D) operand, and each
     chunk of at most ``_BATCH_VALUES`` scores is one 2-D ``_scores``
@@ -444,16 +448,14 @@ def _labels(prototypes: np.ndarray, embeddings: np.ndarray,
     b, c, d = prototypes.shape
     flat = prototypes.reshape(b * c, d)
     labels = np.empty((b, embeddings.shape[0]), dtype=_label_type(c))
-    bad = np.zeros(labels.shape, dtype=bool)
+    bad = np.empty(labels.shape, dtype=bool)
     step = max(1, _BATCH_VALUES // (c * embeddings.shape[0]))
     for lo in range(0, b, step):
         hi = min(b, lo + step)
         with np.errstate(over="ignore", invalid="ignore"):
             scores = _scores(flat[lo * c:hi * c], embeddings, tau).reshape(hi - lo, c, -1)
             labels[lo:hi] = _top_class(scores)
-        ok = np.isfinite(scores)
-        if not ok.all():
-            bad[lo:hi] = ~ok.all(axis=1)
+        bad[lo:hi] = ~np.isfinite(scores).all(axis=1)
     return labels, bad
 
 

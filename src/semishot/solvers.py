@@ -65,9 +65,10 @@ class SolverConfig:
         "support_estimate" floors and renormalizes the labeled-set
         frequencies, "support_raw" uses them uncorrected, "oracle" uses
         a caller-supplied vector.
-    lambdas: penalty weight policy for the closed-form update.
-    track_codes: keep per-round pseudo-label and prototype snapshots on
-        the result (memory scales with bcm_iters).
+    lambdas: penalty weight policy for the closed-form update, a
+        LambdaPolicy.
+    track_codes: a bool; keep per-round pseudo-label and prototype
+        snapshots on the result (memory scales with bcm_iters).
     """
 
     tau: float = DEFAULT_TAU
@@ -89,6 +90,10 @@ class SolverConfig:
             raise ConfigError(
                 f"marginal_source must be one of {MARGINAL_SOURCES}, "
                 f"got {self.marginal_source!r}")
+        if not isinstance(self.lambdas, LambdaPolicy):
+            raise ConfigError(f"lambdas must be a LambdaPolicy, got {self.lambdas!r}")
+        if not isinstance(self.track_codes, bool):
+            raise ConfigError(f"track_codes must be a bool, got {self.track_codes!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,11 +126,12 @@ def estimate_marginal(support: SupportSet) -> np.ndarray:
 
 def correct_marginal(marginal: np.ndarray, ratio: float = 0.25) -> np.ndarray:
     """Floor zero entries at ratio * (smallest positive entry), then
-    renormalize. Estimates with no zeros pass through unchanged; an
-    all-zero estimate is rejected, and a ratio that floors a mass below
-    the smallest normal float is a ConfigError. The estimate is first
-    scaled by a power of two to a largest entry in [0.5, 1), which is
-    exact and keeps the sum from overflowing."""
+    renormalize. The result is always a new array; an estimate with no
+    zeros comes back with its values unchanged. An all-zero estimate is
+    rejected, and a ratio that floors a mass below the smallest normal
+    float is a ConfigError. The estimate is first scaled by a power of
+    two to a largest entry in [0.5, 1), which is exact and keeps the sum
+    from overflowing."""
     if not 0.0 < check_real(ratio, "ratio") < 1.0:
         raise ConfigError(f"ratio must be in (0, 1), got {ratio}")
     m = check_array(marginal, "marginal", (None,), finite=True)
@@ -138,14 +144,13 @@ def correct_marginal(marginal: np.ndarray, ratio: float = 0.25) -> np.ndarray:
 
 def _floored(m: np.ndarray, ratio: float) -> np.ndarray:
     """``correct_marginal`` of arguments that it accepts, unchecked, of
-    each row of a (..., C) ``m``; a row without zeros passes through. A
-    ratio of another real type is taken as the float it multiplies as. A
-    floored mass that is not a positive normal float, which a tiny ratio
-    makes, is a ConfigError: transport cannot keep a subnormal mass, and
-    a zero one would leave its class as absent as no floor does."""
+    each row of a (..., C) ``m``, in a new array; a row without zeros
+    keeps its values. A ratio of another real type is taken as the float
+    it multiplies as. A floored mass that is not a positive normal
+    float, which a tiny ratio makes, is a ConfigError: transport cannot
+    keep a subnormal mass, and a zero one would leave its class as
+    absent as no floor does."""
     positive = m > 0
-    if positive.all():
-        return m
     scaled = np.ldexp(m, -np.frexp(m.max(axis=-1, keepdims=True))[1])
     floor = float(ratio) * np.where(positive, scaled, np.inf).min(axis=-1, keepdims=True)
     floored = np.maximum(scaled, floor)

@@ -142,24 +142,20 @@ def _scale(q: np.ndarray, m: np.ndarray, iterations: int, s: np.ndarray | None =
     target needs comes out zero or non-finite, that is, when its
     denominator vanished, overflowed or was too small to divide; with a
     (B,) ``reach``, a column step also fails for an element whose
-    ``max(r) * max(c)`` passes its entry. One min and max over the whole
-    batch, with zero-mass rows offset to a scale of one, tell whether
-    every element's step held; the per-element test runs only when they
-    do not, or with a ``reach``. Without scores a failure raises
-    DegeneratePlanError. With scores ``s`` (B, C, M), where ``q`` is
-    ``exp(s - shift)`` and is rebuilt in place, a failing element
-    absorbs its scales instead (Schmitzer's stabilised scaling): the
-    scale the step keeps folds into that element's row (B, C, 1) or
-    column (B, 1, M) shift, the axis the step overwrites is shifted to a
-    maximum of 1, its kernel is rebuilt from its scores, and the step is
-    retaken. A retaken step is not checked again; it holds for every row
-    mass that is a normal float. An element that absorbed has its reach
-    checked from then on.
+    ``max(r) * max(c)`` passes its entry. Each step tests each element
+    once. Without scores a failure raises DegeneratePlanError. With
+    scores ``s`` (B, C, M), where ``q`` is ``exp(s - shift)`` and is
+    rebuilt in place, a failing element absorbs its scales instead
+    (Schmitzer's stabilised scaling): the scale the step keeps folds
+    into that element's row (B, C, 1) or column (B, 1, M) shift, the
+    axis the step overwrites is shifted to a maximum of 1, its kernel is
+    rebuilt from its scores, and the step is retaken. A retaken step is
+    not checked again; it holds for every row mass that is a normal
+    float. An element that absorbed has its reach checked from then on.
     """
     r = np.ones(m.shape)
     c = np.ones(q.shape[:-2] + q.shape[-1:])
     positive = m > 0
-    massless = np.where(positive, 0.0, 1.0)
     a = b = None
 
     def absorb(held, step):
@@ -187,27 +183,20 @@ def _scale(q: np.ndarray, m: np.ndarray, iterations: int, s: np.ndarray | None =
         for _ in range(max(iterations, 1)):
             if iterations:
                 r = _row_step(q, c, m, positive)
-                if not _all_held(r + massless):
-                    held = (np.isfinite(r) & ((r > 0) | ~positive)).all(axis=-1)
+                held = (np.isfinite(r) & ((r > 0) | ~positive)).all(axis=-1)
+                if not held.all():
                     e = absorb(held, "row")
                     r[e] = _row_step(q[e], c[e], m[e], positive[e])
             c = _column_step(q, r)
-            if reach is not None or not _all_held(c):
-                held = (np.isfinite(c) & (c > 0)).all(axis=-1)
-                if reach is not None:
-                    held &= r.max(axis=-1) * c.max(axis=-1) <= reach
-                if not held.all():
-                    e = absorb(held, "column")
-                    c[e] = _column_step(q[e], r[e])
+            held = (np.isfinite(c) & (c > 0)).all(axis=-1)
+            if reach is not None:
+                held &= r.max(axis=-1) * c.max(axis=-1) <= reach
+            if not held.all():
+                e = absorb(held, "column")
+                c[e] = _column_step(q[e], r[e])
         q *= r[..., :, None]
         q *= c[..., None, :]
         return q
-
-
-def _all_held(scales: np.ndarray) -> bool:
-    """Whether every scale factor of the batch is positive and finite; a
-    NaN fails both tests."""
-    return bool(scales.min() > 0) and bool(scales.max() < np.inf)
 
 
 def _row_step(q: np.ndarray, c: np.ndarray, m: np.ndarray, positive: np.ndarray) -> np.ndarray:

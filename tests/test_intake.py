@@ -119,8 +119,8 @@ MALFORMED = {"ragged": [[1.0, 2.0], [3.0]], "text": "abc",
              "complex": np.array([[1 + 1j, 0.0], [0.0, 1.0]]),
              "huge-int": [[1.0, 10**400], [0.0, 1.0]]}
 
-# malformed counts, the spec's marginal and the benchmark grid:
-# configuration, not data
+# malformed counts, the spec's marginal, the benchmark grid and config
+# fields of the wrong type: configuration, not data
 COUNT_CALLS = {
     "EvalSet-fractional-count": lambda tmp: EvalSet(EMB, IDX, class_count=1.5),
     "EvalSet-text-count": lambda tmp: EvalSet(EMB, IDX, class_count="2"),
@@ -140,6 +140,11 @@ COUNT_CALLS = {
     "run_benchmark-count-shot-grid": lambda tmp: run_benchmark(DATASET, shot_grid=5),
     "run_benchmark-unhashable-solvers": lambda tmp: run_benchmark(
         DATASET, solvers=[["sstext"]]),
+    "SolverConfig-text-lambdas": lambda tmp: SolverConfig(lambdas="adaptive"),
+    "SolverConfig-no-lambdas": lambda tmp: SolverConfig(lambdas=None),
+    "SolverConfig-text-track_codes": lambda tmp: SolverConfig(track_codes="no"),
+    "SamplingSpec-text-stratified": lambda tmp: SamplingSpec(shots=2, seed=3,
+                                                             stratified="no"),
 }
 
 NO_PROTOTYPES = np.empty((0, D))

@@ -48,8 +48,10 @@ def test_correct_marginal_of_a_huge_estimate_does_not_overflow():
 
 
 def test_correct_marginal_passthrough_without_zeros():
+    # the values pass through, in a new array
     m = np.array([0.6, 0.3, 0.1])
-    assert np.array_equal(correct_marginal(m, ratio=0.25), m)
+    out = correct_marginal(m, ratio=0.25)
+    assert np.array_equal(out, m) and not np.shares_memory(out, m)
 
 
 def test_correct_marginal_rejects_bad_input():
