@@ -4,8 +4,9 @@ Every JSON artifact embeds the tool version and the configuration:
 every flag as parsed (defaults included), with the values a command
 resolves (tau, marginal, dataset name, solver and shot lists) in place
 of their raw flags, so runs are reproducible from their outputs alone.
-Exit codes: 0 success, 2 usage/config/data error, 3 solver or numeric
-failure.
+Exit codes: 0 success, 2 usage/config/data error or out of memory, 3
+solver or numeric failure. Load notes on a dataset (``Dataset.warnings``)
+go to stderr as ``warning:`` lines.
 
 ``main`` first sets glibc's malloc thresholds, once per process
 (``_tune_malloc``); importing the package leaves the allocator alone.
@@ -295,8 +296,17 @@ def _refuse_overwrite(command: str, writes, reads) -> None:
         owners[target] = f"the {flag} file"
 
 
+def _load(manifest: Path) -> Dataset:
+    """``load_dataset(manifest)``, with each of its load notes printed as
+    one ``warning:`` line on stderr."""
+    dataset = load_dataset(manifest)
+    for note in dataset.warnings:
+        print(f"warning: {manifest}: {note}", file=sys.stderr)
+    return dataset
+
+
 def cmd_adapt(args) -> int:
-    dataset = load_dataset(args.data)
+    dataset = _load(args.data)
     out: Path = args.out
     manifest = out / "prototypes.json"
     _refuse_overwrite("adapt", [("--out", out, path) for path in (
@@ -327,7 +337,7 @@ def cmd_adapt(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    dataset = load_dataset(args.data)
+    dataset = _load(args.data)
     prototypes = load_prototypes(args.prototypes)
     if args.out is not None:
         _refuse_overwrite("eval", [("--out", args.out, args.out)],
@@ -352,7 +362,7 @@ def cmd_benchmark(args) -> int:
     if args.threads is not None and args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     if args.data is not None:
-        dataset = load_dataset(args.data)
+        dataset = _load(args.data)
         name = args.name or Path(args.data).parent.name or "dataset"
     else:
         dataset = synthetic_dataset(SyntheticSpec(seed=args.gen_seed))
@@ -364,7 +374,7 @@ def cmd_benchmark(args) -> int:
         shot_grid = tuple(int(tok) for tok in args.shots_grid.split(",") if tok)
     except ValueError:
         raise ConfigError(f"could not parse --shots-grid {args.shots_grid!r}")
-    eval_set = None if args.eval_data is None else load_dataset(args.eval_data).pool()
+    eval_set = None if args.eval_data is None else _load(args.eval_data).pool()
     _refuse_overwrite("benchmark", [(flag, path, path) for flag, path in (
         ("--out-csv", args.out_csv), ("--out-json", args.out_json)) if path is not None],
         [("dataset", args.data), ("dataset", args.eval_data)])
@@ -407,6 +417,9 @@ def main(argv=None) -> int:
         return EXIT_SOLVER
     except SemishotError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # a size flag or a manifest asked for too much
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

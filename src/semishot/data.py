@@ -149,8 +149,12 @@ def _unit_rows(x, what: str, dim: int | None = None) -> np.ndarray:
     """``x`` as a 2-d float64 matrix of ``dim`` columns (None for any),
     with no copy when it already is one, whose rows are finite with norm
     within ``NORM_VALID_TOL`` of 1. A NaN or Inf entry fails the norm
-    test too; einsum makes no full-size temporary."""
+    test too; einsum makes no full-size temporary. A ``_Handed`` ``x``
+    skips the norm test: the builder that hands it over made its rows
+    finite and unit-norm."""
     arr = check_array(x, what, (None, dim))
+    if isinstance(x, _Handed):
+        return arr
     norms = np.sqrt(np.einsum("ij,ij->i", arr, arr))
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_VALID_TOL))
     if bad.size:
@@ -292,7 +296,7 @@ class Dataset:
     templates and a positive finite tau. Every array is stored as a
     read-only copy, so later writes to the caller's arrays cannot break it;
     ``create`` and ``load_dataset`` hand over the arrays they build, which
-    are kept without a second copy.
+    are kept without a second copy or a second norm test.
     """
 
     embeddings: np.ndarray  # (N, D), unit rows

@@ -709,15 +709,13 @@ def _run_cell(dataset: Dataset, dataset_name: str, solver: str, spec: SamplingSp
               outcome: MetricReport | Exception, runtime_ms: float) -> BenchmarkRow:
     """The row of one cell: its metrics, or the error of its draw, fit
     or scoring."""
-    unlabeled_count = spec.unlabeled_multiplier * dataset.class_count
-    if isinstance(outcome, Exception):
-        return BenchmarkRow(solver=solver, dataset=dataset_name, shots=spec.shots,
-                            unlabeled_count=unlabeled_count, seed=spec.seed,
-                            aca=float("nan"), acc=float("nan"), runtime_ms=0.0,
-                            error=f"{type(outcome).__name__}: {outcome}")
+    failed = isinstance(outcome, Exception)
     return BenchmarkRow(solver=solver, dataset=dataset_name, shots=spec.shots,
-                        unlabeled_count=unlabeled_count, seed=spec.seed,
-                        aca=outcome.aca, acc=outcome.acc, runtime_ms=runtime_ms)
+                        unlabeled_count=spec.unlabeled_multiplier * dataset.class_count,
+                        seed=spec.seed, aca=float("nan") if failed else outcome.aca,
+                        acc=float("nan") if failed else outcome.acc,
+                        runtime_ms=0.0 if failed else runtime_ms,
+                        error=f"{type(outcome).__name__}: {outcome}" if failed else "")
 
 
 def _run_batch(dataset: Dataset, dataset_name: str, pool: EvalSet, norms: np.ndarray,
@@ -843,7 +841,9 @@ def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
 
     Without ``cfg`` the fits run at stock SolverConfig settings and the
     dataset's own tau when it carries one, the temperature the CLI's
-    ``benchmark`` picks when no ``--tau`` is given.
+    ``benchmark`` picks when no ``--tau`` is given. An explicit ``cfg``
+    runs at ``cfg.tau`` (DEFAULT_TAU, 0.01, unless set), not at the
+    dataset's tau.
     """
     if eval_set is not None and (eval_set.class_count, eval_set.dim) != (
             dataset.class_count, dataset.dim):

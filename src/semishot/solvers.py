@@ -264,15 +264,19 @@ def fit_sstextu(support: SupportSet, unlabeled: UnlabeledSet,
 def _trace_entry(sums: _ClassSums, prototypes: np.ndarray, t: np.ndarray,
                  round_idx: int) -> np.ndarray:
     """The (B,) objective values of a round, or SolverError when one
-    overflowed to a non-finite number (huge fixed weights can)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        totals = sums.totals(prototypes, t)
+    overflowed to a non-finite number (huge fixed weights can), silently
+    under ``_adapt``'s error state."""
+    totals = sums.totals(prototypes, t)
     if not np.all(np.isfinite(totals)):
         raise SolverError(f"objective is not finite at round {round_idx}",
                           iteration=round_idx)
     return totals
 
 
+# a tiny tau or huge fixed weights can overflow the scores, the sums and
+# the step; the fit's explicit finiteness, held-rule, empty-column and
+# normal-mass checks, not floating-point flags, are its failure signals
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _adapt(supports: list[SupportSet], text_prototypes: np.ndarray,
            cfg: SolverConfig, unlabeled: np.ndarray | None = None,
            oracle_marginals: list[np.ndarray | None] | None = None,
@@ -300,11 +304,8 @@ def _adapt(supports: list[SupportSet], text_prototypes: np.ndarray,
                             f"support dim {t.shape[-1]}")
         if unlabeled.shape[-2] == 0 or rounds == 0:
             unlabeled = None
-    # huge or tiny fixed weights can overflow the sums and the step;
-    # _trace_entry turns every non-finite value they feed into a SolverError
     labeled = _labeled_sums(supports) if labeled is None else labeled
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        base = _class_sums(labeled, cfg.tau, cfg.lambdas)
+    base = _class_sums(labeled, cfg.tau, cfg.lambdas)
     marginal = None
     if unlabeled is not None:
         marginal = _resolve_marginals(labeled, cfg,
@@ -318,8 +319,7 @@ def _adapt(supports: list[SupportSet], text_prototypes: np.ndarray,
     proto_snaps: list[np.ndarray] = []
     for round_idx in range(1, rounds + 1):
         if unlabeled is not None:
-            with np.errstate(over="ignore", invalid="ignore"):  # _solve checks
-                scores = _scores(prototypes, unlabeled, cfg.tau)
+            scores = _scores(prototypes, unlabeled, cfg.tau)
             try:
                 values = _solve(scores, marginal, cfg.ot_iters)
                 residuals.append(np.abs(values.sum(axis=-1) - marginal).sum(axis=-1))
@@ -331,8 +331,7 @@ def _adapt(supports: list[SupportSet], text_prototypes: np.ndarray,
             sums = base.with_codes(codes, unlabeled, cfg.tau)
         if round_idx == 1:
             trace.append(_trace_entry(sums, prototypes, t, round_idx))
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            prototypes = sums.minimizer(t)
+        prototypes = sums.minimizer(t)
         trace.append(_trace_entry(sums, prototypes, t, round_idx))
         if unlabeled is None:
             # the labeled-only step ignores the current prototypes, so

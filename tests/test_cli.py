@@ -286,6 +286,26 @@ def test_generate_names_the_text_prototypes_that_fail(tmp_path, capsys):
     assert "embeddings" not in err
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+@pytest.mark.parametrize("flags", [["--pool", "2000000000"], ["--dim", "100000000"]],
+                         ids=["pool", "dim"])
+def test_generate_out_of_memory_is_one_error_line(tmp_path, flags):
+    # each asks for more than the child's 1.5 GB address space; the limit
+    # is set before exec, so no process runs on such input unlimited
+    resource = pytest.importorskip("resource")
+    limit = 1536 << 20
+    done = subprocess.run([sys.executable, "-m", "semishot", "generate", *flags,
+                           "--out", str(tmp_path / "x")],
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                                (limit, limit)),
+                          env=_child_env(OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_CONFIG, done.stderr
+    assert done.stderr.startswith("error: out of memory: ")
+    assert len(done.stderr.splitlines()) == 1
+    assert not (tmp_path / "x").exists()
+
+
 # ---------------------------------------------------------------- adapt
 
 
@@ -516,6 +536,32 @@ def test_eval_missing_file(dataset_dir, tmp_path):
 BENCH_FLAGS = ["--solvers", "zeroshot,sstext", "--shots-grid", "1,2",
                "--seeds", "2", "--unlabeled-mult", "0", "--no-timing",
                "--threads", "1"]
+
+
+@pytest.mark.parametrize("command", ["adapt", "eval", "benchmark"])
+def test_load_notes_are_warning_lines_on_stderr(dataset_dir, tmp_path, capsys, command):
+    # a stored row of norm 1.5 is renormalised on load, and the note the
+    # load makes reaches stderr; the command still succeeds
+    data = tmp_path / "data"
+    data.mkdir()
+    for path in dataset_dir.iterdir():
+        (data / path.name).write_bytes(path.read_bytes())
+    rows = np.fromfile(data / "embeddings.f32", dtype="<f4").reshape(150, 16)
+    rows[3] *= np.float32(1.5) / np.linalg.norm(rows[3])
+    rows.tofile(data / "embeddings.f32")
+    manifest = str(data / "manifest.json")
+    argv = {"adapt": ["adapt", "--data", manifest, "--solver", "sstext",
+                      "--out", str(tmp_path / "fit")],
+            "eval": ["eval", "--data", manifest,
+                     "--prototypes", str(dataset_dir / "manifest.json")],
+            "benchmark": ["benchmark", "--data", manifest, *BENCH_FLAGS,
+                          "--out-csv", str(tmp_path / "rows.csv")]}[command]
+    assert main(argv) == EXIT_OK
+    notes = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith("warning:")]
+    assert len(notes) == 1, notes
+    assert notes[0].startswith(f"warning: {manifest}: embeddings: 1 rows deviated")
+    assert "first: row 3, norm 1.5)" in notes[0]
 
 
 def test_benchmark_grid_csv(dataset_dir, tmp_path):

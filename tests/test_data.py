@@ -665,6 +665,9 @@ def test_dataset_create_validates(rng):
     with pytest.raises(DataError):
         Dataset.create(embeddings=emb, labels=np.zeros(4, dtype=int),
                        prototypes=unit_rows(rng, 2, 5))  # dim mismatch
+    with pytest.raises(DataError):  # unlabeled rows of another width
+        Dataset.create(embeddings=emb, labels=np.zeros(4, dtype=int),
+                       prototypes=protos, unlabeled=unit_rows(rng, 2, 5))
 
 
 def test_error_types_are_value_errors():
