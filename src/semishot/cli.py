@@ -27,7 +27,8 @@ from .data import (
     Dataset,
     SupportSet,
     UnlabeledSet,
-    _dataset_files,
+    _DATASET_BLOBS,
+    _manifest_files,
     _prototype_blob,
     _write_file,
     _write_json,
@@ -283,7 +284,8 @@ def _refuse_overwrite(command: str, writes, reads) -> None:
     owners = {}
     for kind, manifest in reads:
         if manifest is not None:
-            owners.update(dict.fromkeys(_dataset_files(manifest),
+            blobs = _DATASET_BLOBS if kind == "dataset" else ("prototypes",)
+            owners.update(dict.fromkeys(_manifest_files(manifest, blobs),
                                         f"a file of {kind} {manifest}"))
     for flag, value, path in writes:
         try:

@@ -471,12 +471,13 @@ def _ingest_unit_rows(arr: np.ndarray, what: str, warnings: list[str]) -> np.nda
     return arr
 
 
-def _dataset_files(manifest_path: Path) -> set[str]:
-    """The resolved paths of a dataset manifest that ``load_dataset`` has
-    read and of every blob it names."""
+def _manifest_files(manifest_path: Path, blobs: tuple[str, ...]) -> set[str]:
+    """The resolved paths of a manifest that a loader has read and of the
+    blobs it names under the ``blobs`` keys, those that loader read:
+    every blob of a dataset, only ``prototypes`` of a prototype matrix."""
     manifest = json.loads(manifest_path.read_text())
     return {str(path.resolve()) for path in (manifest_path, *(
-        manifest_path.parent / manifest[key] for key in _DATASET_BLOBS if key in manifest))}
+        manifest_path.parent / manifest[key] for key in blobs if key in manifest))}
 
 
 def _prototype_blob(manifest_path: Path) -> Path:

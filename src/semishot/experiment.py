@@ -48,6 +48,7 @@ import io
 import itertools
 import numbers
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -56,7 +57,8 @@ from .data import (Dataset, EvalSet, SupportSet, UnlabeledSet, _checked_row_norm
                    _class_labels, _readonly, _unit_rows_at, normalize_rows)
 from .errors import ConfigError, DataError, GenerationError, SamplingError
 from .objectives import _labeled_sums, _LabeledSums
-from .solvers import FitResult, SolverConfig, _adapt, _checked_oracle, _simpleshot
+from .solvers import (FitResult, SolverConfig, _adapt, _checked_oracle, _fit_alone,
+                      _simpleshot)
 from .solvers import fit_simpleshot  # noqa: F401  (a name perfbench/spans.py traces)
 from .zeroshot import (DEFAULT_TAU, _scores, check_array, check_count, check_marginal,
                        check_real, check_tau)
@@ -654,52 +656,53 @@ def _resolve_tau(tau: float | None, dataset: Dataset) -> float:
 def fit_solver(name: str, dataset: Dataset, support: SupportSet,
                unlabeled: UnlabeledSet, cfg: SolverConfig,
                oracle_marginal: np.ndarray | None = None) -> FitResult:
-    """Dispatch one solver by name on an already-sampled split."""
-    return _fit_splits(name, dataset, [support], unlabeled.embeddings[None], cfg,
-                       [_checked_oracle(oracle_marginal, support, cfg)])[0]
+    """Dispatch one solver by name on an already-sampled split; zeroshot
+    reads no labeled record, so it builds none."""
+    oracles = [_checked_oracle(oracle_marginal, support, cfg)]
+    if name == "zeroshot":
+        return _fit_splits(name, dataset, None, None, cfg, oracles)[0]
+    return _fit_alone(partial(_fit_splits, name, dataset), support,
+                      unlabeled.embeddings[None], cfg, oracles)
 
 
-def _fit_splits(name: str, dataset: Dataset, supports: list[SupportSet],
-                unlabeled: np.ndarray, cfg: SolverConfig, oracles: list[np.ndarray | None],
-                labeled: _LabeledSums | None = None) -> list[FitResult]:
-    """One solver's fits of a batch of supports, in order, whose unlabeled
-    embeddings are the (B, M, D) ``unlabeled`` and whose oracle marginals
-    are ``oracles``: simpleshot, sstext and sstextu fit them in one call
-    each, whose wall time each result shares. ``labeled`` is the
-    supports' labeled products when the caller shares them between
-    solvers, and then no result's time includes them; without it each
-    call builds and times its own."""
+def _fit_splits(name: str, dataset: Dataset, labeled: _LabeledSums | None,
+                unlabeled: np.ndarray, cfg: SolverConfig,
+                oracles: list[np.ndarray | None]) -> list[FitResult]:
+    """One solver's fits of a batch of splits, in order, on their labeled
+    record ``labeled``, their only labeled input (None for zeroshot), the
+    (B, M, D) ``unlabeled`` and the oracle marginals ``oracles``:
+    simpleshot, sstext and sstextu fit them in one call each, whose wall
+    time, but not the record's, each result shares."""
     if name == "zeroshot":
         return [FitResult(
             prototypes=dataset.prototypes,
             objective_trace=np.array([], dtype=np.float64),
             runtime_ms=0.0,
-        )] * len(supports)
+        )] * len(oracles)
     if name == "simpleshot":
-        return _simpleshot(supports, labeled)
+        return _simpleshot(labeled)
     if name == "sstext":
-        return _adapt(supports, dataset.prototypes, cfg, labeled=labeled)
+        return _adapt(labeled, dataset.prototypes, cfg)
     if name == "sstextu":
-        return _adapt(supports, dataset.prototypes, cfg, unlabeled, oracles, labeled=labeled)
+        return _adapt(labeled, dataset.prototypes, cfg, unlabeled, oracles)
     raise ConfigError(f"unknown solver {name!r}; expected one of {SOLVER_NAMES}")
 
 
 def _fit_cells(name: str, dataset: Dataset, splits: list[_Split], unlabeled: np.ndarray,
                cfg: SolverConfig, labeled: _LabeledSums | None) -> list[FitResult | Exception]:
-    """``_fit_splits`` of the batch, sharing ``labeled``, or, when the
-    batch raises, of each split alone, so that only a split whose own
-    fit raises holds the exception."""
-    supports = [split.support for split in splits]
-    oracles = [split.oracle_marginal for split in splits]
+    """``_fit_splits`` of the batch on its shared record ``labeled``, or,
+    when the batch raises, of each split alone on its own support, so
+    that only a split whose own fit raises holds the exception."""
     try:
-        return _fit_splits(name, dataset, supports, unlabeled, cfg, oracles, labeled)
+        return _fit_splits(name, dataset, labeled, unlabeled, cfg,
+                           [split.oracle_marginal for split in splits])
     except Exception:
         pass  # the batch raised: find the splits whose own fit raises
     fits = []
-    for b in range(len(splits)):
+    for split, rows in zip(splits, unlabeled):
         try:
-            fits.append(_fit_splits(name, dataset, supports[b:b + 1], unlabeled[b:b + 1],
-                                    cfg, oracles[b:b + 1])[0])
+            fits.append(_fit_alone(partial(_fit_splits, name, dataset), split.support,
+                                   rows[None], cfg, [split.oracle_marginal]))
         except Exception as exc:
             fits.append(exc)
     return fits
@@ -808,15 +811,17 @@ def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
     that span shot counts, each of as many cells as keep B·(N + M)·(C +
     D) under ``_BATCH_VALUES`` float64 values (one cell when a cell
     alone is larger), and each solver fits a batch in one call; every
-    cell gets the fit it gets alone. A batch's labeled class sums are
-    built once, one product per support, and shared by simpleshot,
-    sstext and sstextu. A split that cannot be drawn fails each solver's
-    cell on it with the same error; when a batch fit raises, its cells
-    are refitted one by one, so a failed fit or scoring fails its own
-    cell only. Rows come back in grid order. An unknown solver, an empty
-    solver list, shot grid or seed list, an entry repeated in any of the
-    three, a seed that is not a nonnegative integer, or a shot count or
-    multiplier that SamplingSpec rejects raises ConfigError.
+    cell gets the fit it gets alone. A batch's labeled record, its class
+    sums Y^T V and class counts, is built once, one product per support,
+    and is the only labeled input of simpleshot, sstext and sstextu. A
+    split that cannot be drawn fails each solver's cell on it with the
+    same error; when a batch fit raises, its cells are refitted one by
+    one, each on a record of its own support, so a failed fit or scoring
+    fails its own cell only. Rows come back in grid order. An unknown
+    solver, an empty solver list, shot grid or seed list, an entry
+    repeated in any of the three, a seed that is not a nonnegative
+    integer, a shot count or multiplier that SamplingSpec rejects, or
+    fixed lambda weights of another class count raises ConfigError.
 
     With ``include_timing`` a batched cell's ``runtime_ms`` (simpleshot's
     as well as sstext's and sstextu's) is its solver's batch fit wall
@@ -862,7 +867,10 @@ def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
                           ("seeds", seed_list)):
         if len(set(entries)) != len(entries):  # each cell is one row
             raise ConfigError(f"benchmark {what} must not repeat, got {entries!r}")
-    # a bad shot count or multiplier is a config error, not a cell failure
+    # a bad shot count, multiplier or weight vector is a config error,
+    # not a cell failure
+    for weights in (cfg.lambdas.text_weights, cfg.lambdas.unlabeled_weights):
+        weights(np.zeros(dataset.class_count))
     specs = {shots: SamplingSpec(shots=shots, unlabeled_multiplier=unlabeled_multiplier)
              for shots in shot_grid}
     batches, values = [[]], 0

@@ -19,13 +19,13 @@ fit_sstext and fit_sstextu are one-element calls of one private round
 loop that runs over a leading batch axis: B problems that share M, C and
 D (the cells of a benchmark grid do, across its shot counts) are
 scored, balanced and stepped together, and each element comes out
-exactly as its own one-element fit. Their labeled counts N may differ:
-only the labeled sums read the support rows, one product per support,
-built once for a batch that several solvers fit: simpleshot's class
-means are read off the same raw sums and class counts. Checks that
-cannot change between rounds run once: the temperature when
-SolverConfig is built, the text prototypes once per call and an oracle
-marginal on entry.
+exactly as its own one-element fit. The round loop's only labeled input
+is the Y^T V/count record, one product per support, which its caller
+builds: once for a batch that several solvers fit (simpleshot's class
+means are read off it too), so N may differ, or for a public fit's one
+support. Checks that cannot change between rounds run once: the
+temperature when SolverConfig is built, the text prototypes once per
+call and an oracle marginal on entry.
 The finite-score and finite-objective checks run every round; the
 transport solve finds non-finite scores from the maxima and minima its
 shift takes. A round makes two (B, C, M) arrays: the scores, and the
@@ -36,7 +36,7 @@ the plan's residual is read.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -168,18 +168,21 @@ def fit_simpleshot(support: SupportSet) -> FitResult:
     labeled samples get an all-zero row (they score 0 for every point,
     so they are never predicted while any observed class scores > 0)
     and are flagged in missing_classes."""
-    return _simpleshot([support])[0]
+    return _fit_alone(_simpleshot, support)
 
 
-def _simpleshot(supports: list[SupportSet],
-                labeled: _LabeledSums | None = None) -> list[FitResult]:
-    """fit_simpleshot of every support of a batch: the raw class sums over
-    max(K_c, 1). ``labeled`` is the supports' labeled products when a
-    caller shares them between solvers; without it they are built here.
-    Each result's ``runtime_ms`` is the call's wall time divided by B,
-    so products handed in are not charged to it."""
+def _fit_alone(fit, support: SupportSet, *args) -> FitResult:
+    """``fit`` of ``support`` alone, charged for the record it builds."""
     start = time.perf_counter()
-    labeled = _labeled_sums(supports) if labeled is None else labeled
+    (result,) = fit(_labeled_sums([support]), *args)
+    return replace(result, runtime_ms=(time.perf_counter() - start) * 1e3)
+
+
+def _simpleshot(labeled: _LabeledSums) -> list[FitResult]:
+    """fit_simpleshot of every support of a batch: its record's raw class
+    sums over max(K_c, 1). Each result's ``runtime_ms`` is the call's
+    wall time divided by B; the record is not charged to it."""
+    start = time.perf_counter()
     prototypes = labeled.raw / np.maximum(labeled.counts, 1.0)[..., None]
     missing = labeled.counts == 0
     elapsed = (time.perf_counter() - start) * 1e3 / len(prototypes)
@@ -214,7 +217,7 @@ def update_prototypes(support: SupportSet, unlabeled: UnlabeledSet | None,
 def fit_sstext(support: SupportSet, text_prototypes: np.ndarray,
                cfg: SolverConfig | None = None) -> FitResult:
     """One closed-form step from text prototypes using labeled data only."""
-    return _adapt([support], text_prototypes, cfg or SolverConfig())[0]
+    return _fit_alone(_adapt, support, text_prototypes, cfg or SolverConfig())
 
 
 def _checked_oracle(oracle_marginal, support: SupportSet, cfg: SolverConfig):
@@ -257,8 +260,8 @@ def fit_sstextu(support: SupportSet, unlabeled: UnlabeledSet,
     output exactly and the trace repeats its final value.
     """
     cfg = cfg or SolverConfig()
-    return _adapt([support], text_prototypes, cfg, unlabeled.embeddings[None],
-                  [_checked_oracle(oracle_marginal, support, cfg)])[0]
+    return _fit_alone(_adapt, support, text_prototypes, cfg, unlabeled.embeddings[None],
+                      [_checked_oracle(oracle_marginal, support, cfg)])
 
 
 def _trace_entry(sums: _ClassSums, prototypes: np.ndarray, t: np.ndarray,
@@ -277,25 +280,24 @@ def _trace_entry(sums: _ClassSums, prototypes: np.ndarray, t: np.ndarray,
 # the step; the fit's explicit finiteness, held-rule, empty-column and
 # normal-mass checks, not floating-point flags, are its failure signals
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _adapt(supports: list[SupportSet], text_prototypes: np.ndarray,
-           cfg: SolverConfig, unlabeled: np.ndarray | None = None,
-           oracle_marginals: list[np.ndarray | None] | None = None,
-           labeled: _LabeledSums | None = None) -> list[FitResult]:
+def _adapt(labeled: _LabeledSums, text_prototypes: np.ndarray, cfg: SolverConfig,
+           unlabeled: np.ndarray | None = None,
+           oracle_marginals: list[np.ndarray | None] | None = None) -> list[FitResult]:
     """fit_sstext (no ``unlabeled``) or fit_sstextu of every element of a
     batch of problems that share the text prototypes, one FitResult per
-    element, each exactly the element's own B=1 fit. ``unlabeled`` holds
-    the elements' unlabeled embeddings as one (B, M, D) array; the
-    supports may differ in N. ``labeled`` is the supports' labeled
-    products when a caller shares them between solvers; without it they
-    are built here.
+    element, each exactly the element's own B=1 fit. ``labeled`` is the
+    supports' labeled record, the round loop's only labeled input (the
+    supports may differ in N); ``unlabeled`` holds the elements'
+    unlabeled embeddings as one (B, M, D) array.
 
-    A round scores, balances and steps every element at once; an error
-    in any element fails the whole call. Each result's ``runtime_ms`` is
-    the call's wall time divided by B, so products handed in are not
-    charged to it.
+    Every round runs one body; without unlabeled points the step does
+    not read the prototypes, so the trace is flat after its start. An
+    error in any element fails the whole call. Each result's
+    ``runtime_ms`` is the call's wall time divided by B; the record
+    handed in is not charged to it.
     """
     start = time.perf_counter()
-    t = _check_prototypes(supports[0], text_prototypes, "text prototypes")
+    t = check_array(text_prototypes, "text prototypes", labeled.raw.shape[1:], finite=True)
     rounds = 1
     if unlabeled is not None:
         rounds = cfg.bcm_iters
@@ -304,12 +306,11 @@ def _adapt(supports: list[SupportSet], text_prototypes: np.ndarray,
                             f"support dim {t.shape[-1]}")
         if unlabeled.shape[-2] == 0 or rounds == 0:
             unlabeled = None
-    labeled = _labeled_sums(supports) if labeled is None else labeled
     base = _class_sums(labeled, cfg.tau, cfg.lambdas)
+    batch = len(labeled.raw)
     marginal = None
     if unlabeled is not None:
-        marginal = _resolve_marginals(labeled, cfg,
-                                      oracle_marginals or [None] * len(supports))
+        marginal = _resolve_marginals(labeled, cfg, oracle_marginals or [None] * batch)
 
     prototypes = np.broadcast_to(t, base.labeled.shape)
     sums = base
@@ -329,21 +330,16 @@ def _adapt(supports: list[SupportSet], text_prototypes: np.ndarray,
                     f"pseudo-label step failed at round {round_idx}: {exc}",
                     iteration=round_idx) from exc
             sums = base.with_codes(codes, unlabeled, cfg.tau)
-        if round_idx == 1:
+        if not trace:
             trace.append(_trace_entry(sums, prototypes, t, round_idx))
         prototypes = sums.minimizer(t)
         trace.append(_trace_entry(sums, prototypes, t, round_idx))
-        if unlabeled is None:
-            # the labeled-only step ignores the current prototypes, so
-            # every round lands on the same point and the trace is flat
-            trace += trace[-1:] * (rounds - 1)
-            break
-        if cfg.track_codes:
+        if cfg.track_codes and unlabeled is not None:
             code_snaps.append(codes)
             proto_snaps.append(prototypes)
     if not trace:
         trace.append(_trace_entry(base, prototypes, t, 0))
-    elapsed = (time.perf_counter() - start) * 1e3 / len(supports)
+    elapsed = (time.perf_counter() - start) * 1e3 / batch
     objective = np.stack(trace, axis=-1)
     residual = np.stack(residuals, axis=-1) if residuals else None
     return [FitResult(
@@ -354,4 +350,4 @@ def _adapt(supports: list[SupportSet], text_prototypes: np.ndarray,
         ot_residuals=None if residual is None else residual[b],
         pseudolabel_trace=tuple(c[b].T for c in code_snaps) if code_snaps else None,
         prototype_trace=tuple(p[b] for p in proto_snaps) if proto_snaps else None,
-    ) for b in range(len(supports))]
+    ) for b in range(batch)]

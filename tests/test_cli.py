@@ -524,6 +524,24 @@ def test_eval_refuses_to_overwrite_its_prototypes(dataset_dir, tmp_path, capsys,
     assert [read_files(fit), read_files(dataset_dir)] == before  # nothing changed
 
 
+@pytest.mark.parametrize("key, value", [("embeddings", 5), ("labels", "report.json")],
+                         ids=["not-a-name", "names-the-report"])
+def test_eval_out_ignores_prototype_manifest_keys_it_never_reads(dataset_dir, tmp_path,
+                                                                 key, value):
+    # load_prototypes reads only the "prototypes" blob: another blob key
+    # of its manifest is neither a file it read nor a name it checked
+    fit = tmp_path / "fit"
+    assert main(["adapt", "--data", str(dataset_dir / "manifest.json"), "--solver", "sstext",
+                 "--out", str(fit)]) == EXIT_OK
+    manifest = fit / "prototypes.json"
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), key: value}))
+    out = fit / "report.json"
+    code = main(["eval", "--data", str(dataset_dir / "manifest.json"),
+                 "--prototypes", str(manifest), "--out", str(out)])
+    assert code == EXIT_OK
+    assert set(json.loads(out.read_text())) >= {"aca", "acc", "per_class_recall"}
+
+
 def test_eval_missing_file(dataset_dir, tmp_path):
     code = main(["eval", "--data", str(dataset_dir / "manifest.json"),
                  "--prototypes", str(tmp_path / "nope.json")])

@@ -948,9 +948,9 @@ def test_run_benchmark_batches_stay_under_the_value_budget(monkeypatch):
                 cfg=SolverConfig(tau=0.003), unlabeled_multiplier=8, include_timing=False)
     sizes = []
 
-    def spy(supports, *args, **kwargs):
-        sizes.append([s.n for s in supports])
-        return solvers._adapt(supports, *args, **kwargs)
+    def spy(labeled, *args, **kwargs):
+        sizes.append([int(n) for n in labeled.counts.sum(axis=1)])
+        return solvers._adapt(labeled, *args, **kwargs)
 
     monkeypatch.setattr(experiment, "_adapt", spy)
     unbounded = rows_to_csv(run_benchmark(ds, **grid))
@@ -974,9 +974,9 @@ def test_run_benchmark_fits_a_sweep_grid_in_one_call_per_solver(monkeypatch):
     calls, norm_passes = [], []
     real = data._row_norms
 
-    def fitting(supports, *args, **kwargs):
-        calls.append(len(supports))
-        return solvers._adapt(supports, *args, **kwargs)
+    def fitting(labeled, *args, **kwargs):
+        calls.append(len(labeled.raw))
+        return solvers._adapt(labeled, *args, **kwargs)
 
     def norming(arr, what):
         norm_passes.append(arr.shape)
@@ -1001,6 +1001,21 @@ def test_run_benchmark_rejects_an_eval_set_that_does_not_fit(monkeypatch, spec):
         run_benchmark(ds, shot_grid=(1,), seeds=2, eval_set=other)
     assert str(err.value) == (f"eval dataset ({other.class_count} classes, dim {other.dim}) "
                               f"does not fit (3 classes, dim 16)")
+
+
+@pytest.mark.parametrize("text, unlabeled, which", [(np.ones(4), np.ones(3), "text"),
+                                                    (np.ones(3), np.ones(2), "unlabeled")],
+                         ids=["text", "unlabeled"])
+def test_run_benchmark_rejects_fixed_weights_of_another_class_count(monkeypatch, text,
+                                                                    unlabeled, which):
+    # every sstext and sstextu fit would fail on them: one config error,
+    # raised before any cell, with LambdaPolicy's own message
+    ds = _bench_dataset()
+    monkeypatch.setattr(experiment, "_fit_cells", None)  # no fit may run
+    cfg = SolverConfig(tau=ds.tau, lambdas=LambdaPolicy.fixed(text, unlabeled))
+    with pytest.raises(ConfigError) as err:
+        run_benchmark(ds, shot_grid=(1, 2), seeds=3, cfg=cfg)
+    assert str(err.value) == f"fixed {which} weights do not match the class count"
 
 
 def test_run_benchmark_failing_batch_element_fails_only_its_cell(monkeypatch):
@@ -1187,10 +1202,10 @@ def test_run_benchmark_failed_fit_with_timing_has_zero_runtime(monkeypatch):
     ds = _bench_dataset()
     real = experiment._adapt
 
-    def failing(supports, *args, **kwargs):
-        if any(support.n == 6 for support in supports):
+    def failing(labeled, *args, **kwargs):
+        if any(n == 6 for n in labeled.counts.sum(axis=1)):
             raise SolverError("two-shot fits fail")
-        return real(supports, *args, **kwargs)
+        return real(labeled, *args, **kwargs)
 
     monkeypatch.setattr(experiment, "_adapt", failing)
     rows = run_benchmark(ds, solvers=("zeroshot", "sstext"), shot_grid=(1, 2), seeds=2,
@@ -1216,8 +1231,8 @@ def test_run_benchmark_non_finite_prototypes_fail_only_their_solver(monkeypatch,
     clean = run_benchmark(ds, **grid)
     real = experiment._simpleshot
 
-    def poisoned(supports, labeled=None):
-        fits = real(supports, labeled)
+    def poisoned(labeled):
+        fits = real(labeled)
         for fit in fits:
             fit.prototypes[1, :2] = bad
         return fits
@@ -1244,8 +1259,8 @@ def test_run_benchmark_non_finite_prototypes_fail_only_their_solver(monkeypatch,
 
 def test_run_benchmark_misshapen_prototypes_fail_only_their_solver(monkeypatch):
     ds = _bench_dataset()
-    monkeypatch.setattr(experiment, "_simpleshot", lambda supports, labeled=None: [
-        solvers.FitResult(np.ones((2, 16)), np.array([]), 0.0)] * len(supports))
+    monkeypatch.setattr(experiment, "_simpleshot", lambda labeled: [
+        solvers.FitResult(np.ones((2, 16)), np.array([]), 0.0)] * len(labeled.raw))
     rows = run_benchmark(ds, shot_grid=(1,), seeds=2, cfg=SolverConfig(tau=ds.tau),
                          unlabeled_multiplier=8, include_timing=False)
     assert [r.error for r in rows if r.error] == [

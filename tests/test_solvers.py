@@ -291,6 +291,22 @@ def test_sstextu_empty_unlabeled_equals_sstext(rng):
         assert np.array_equal(a.objective_trace[1:], np.full(3, b.objective_trace[1]))
 
 
+def test_labeled_only_tracked_fit_repeats_one_step_and_snapshots_nothing(rng):
+    # with no unlabeled points no round makes codes: a tracked fit keeps
+    # no snapshot, residual or marginal, and each round repeats the same
+    # closed-form step, so the trace is flat after its start
+    sup = random_support(rng, 8, 3, 6, ensure_all_classes=True)
+    t = unit_rows(rng, 3, 6)
+    result = fit_sstextu(sup, UnlabeledSet.empty(6), t,
+                         SolverConfig(bcm_iters=3, track_codes=True))
+    for name in ("pseudolabel_trace", "prototype_trace", "ot_residuals", "marginal"):
+        assert getattr(result, name) is None, name
+    trace = result.objective_trace
+    assert trace.shape == (4,) and trace[1] < trace[0]
+    assert trace[1:].tobytes() == np.full(3, trace[1]).tobytes()
+    assert result.prototypes.tobytes() == fit_sstext(sup, t).prototypes.tobytes()
+
+
 def test_sstextu_trace_shape_and_descent(rng):
     sup = random_support(rng, 10, 4, 8, ensure_all_classes=True)
     unl = random_unlabeled(rng, 40, 8)
@@ -546,7 +562,7 @@ def test_nonfinite_scores_fail_the_batch_at_round_one(rng, bad):
     stacked = np.stack([random_unlabeled(rng, 10, 4).embeddings for _ in range(3)])
     stacked[1, 2:4] = bad
     with pytest.raises(SolverError) as info:
-        ss.solvers._adapt(supports, t, SolverConfig(tau=0.05), stacked)
+        ss.solvers._adapt(ss.objectives._labeled_sums(supports), t, SolverConfig(tau=0.05), stacked)
     assert str(info.value) == ("pseudo-label step failed at round 1: "
                                "similarity matrix contains non-finite entries")
     assert info.value.iteration == 1
@@ -565,7 +581,8 @@ def test_fits_leave_their_inputs_unwritten(rng):
     # a batch of mixed N, some of whose spans at tau=0.002 pass 700
     supports = [random_support(rng, n, 3, 6) for n in (4, 4, 7)]
     stacked = np.stack([random_unlabeled(rng, 20, 6).embeddings for _ in supports])
-    unwritten(lambda *_: ss.solvers._adapt(supports, t, cfg, stacked, [oracle] * 3),
+    unwritten(lambda *_: ss.solvers._adapt(ss.objectives._labeled_sums(supports), t, cfg, stacked,
+                                           [oracle] * 3),
               stacked, t, oracle, *(s.embeddings for s in supports))
 
 
@@ -597,8 +614,9 @@ def test_batched_fit_is_each_elements_own_fit(rng, cfg, m):
         supports = [random_support(rng, n, c, d) for n in ns]
         unlabeled = [random_unlabeled(rng, m, d) for _ in ns]
         stacked = np.stack([u.embeddings for u in unlabeled])
-        batch = ss.solvers._adapt(supports, t, cfg, stacked)
-        labeled_only = ss.solvers._adapt(supports, t, cfg)
+        labeled = ss.objectives._labeled_sums(supports)
+        batch = ss.solvers._adapt(labeled, t, cfg, stacked)
+        labeled_only = ss.solvers._adapt(labeled, t, cfg)
         for b, (sup, unl) in enumerate(zip(supports, unlabeled)):
             for got, alone in ((batch[b], fit_sstextu(sup, unl, t, cfg)),
                                (labeled_only[b], fit_sstext(sup, t, cfg))):
@@ -616,12 +634,12 @@ def test_batched_fit_is_each_elements_own_fit(rng, cfg, m):
 def test_batched_simpleshot_is_bitwise_each_supports_own(rng):
     # supports of mixed N (N = 2 comes back after others), absent classes
     # at N = 1 and 2: the batch's class means are each support's own
-    # 2-D product over its class counts, zero rows and all, whether the
-    # labeled products are handed in or built inside
+    # 2-D product over its class counts, zero rows and all, and each
+    # support's fit on its own labeled record
     c, d = 4, 16
     supports = [random_support(rng, n, c, d) for n in (1, 2, 2, 6, 6, 6, 2, 40)]
-    fits = ss.solvers._simpleshot(supports, ss.objectives._labeled_sums(supports))
-    own_sums = ss.solvers._simpleshot(supports)
+    fits = ss.solvers._simpleshot(ss.objectives._labeled_sums(supports))
+    own_sums = [ss.solvers._simpleshot(ss.objectives._labeled_sums([sup]))[0] for sup in supports]
     missing = 0
     for sup, fit, mine in zip(supports, fits, own_sums, strict=True):
         assert fit.prototypes.tobytes() == mine.prototypes.tobytes()
@@ -633,27 +651,6 @@ def test_batched_simpleshot_is_bitwise_each_supports_own(rng):
         assert not fit.prototypes[fit.missing_classes].any()
         missing += fit.missing_classes.size
     assert missing > 0
-
-
-@pytest.mark.parametrize("m", [0, 30], ids=["labeled-only", "unlabeled"])
-def test_adapt_on_a_shared_labeled_record_is_bitwise_its_own(rng, m):
-    # the record simpleshot reads is the one sstext and sstextu derive
-    # their class sums from: handed in or built inside, the fit is the same
-    c, d = 3, 8
-    t = unit_rows(rng, c, d)
-    supports = [random_support(rng, n, c, d) for n in (2, 5, 5, 9, 2)]
-    stacked = np.stack([random_unlabeled(rng, m, d).embeddings for _ in supports])
-    labeled = ss.objectives._labeled_sums(supports)
-    cfg = SolverConfig(tau=0.01, track_codes=True)
-    for unlabeled in (None, stacked):
-        shared = ss.solvers._adapt(supports, t, cfg, unlabeled, labeled=labeled)
-        own = ss.solvers._adapt(supports, t, cfg, unlabeled)
-        for a, b in zip(shared, own, strict=True):
-            assert a.prototypes.tobytes() == b.prototypes.tobytes()
-            assert a.objective_trace.tobytes() == b.objective_trace.tobytes()
-            assert (a.ot_residuals is None) == (b.ot_residuals is None)
-            if a.ot_residuals is not None:
-                assert a.ot_residuals.tobytes() == b.ot_residuals.tobytes()
 
 
 @pytest.mark.parametrize("source", ["support_estimate", "support_raw"])
