@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import functools
+import inspect
 import sys
 from pathlib import Path
 
@@ -39,14 +40,18 @@ from .data import (
 )
 from .errors import ConfigError, DegeneratePlanError, SemishotError, SolverError
 from .experiment import (
+    DEFAULT_CLASS_COUNT,
+    DEFAULT_DIM,
     DEFAULT_MARGINAL,
     DEFAULT_NOISE,
+    DEFAULT_POOL_SIZE,
     DEFAULT_SEPARATION,
     DEFAULT_SYNTHETIC_TAU,
     DEFAULT_TEXT_NOISE,
     SOLVER_NAMES,
     SamplingSpec,
     SyntheticSpec,
+    _MAX_SYNTHETIC_VALUES,
     _resolve_tau,
     _sample,
     evaluate_prototypes,
@@ -95,7 +100,9 @@ def _tune_malloc() -> None:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process (parsing does not
-    change it)."""
+    change it). Defaults are the library's own."""
+    cfg = SolverConfig()
+    bench_defaults = inspect.signature(run_benchmark).parameters
     parser = argparse.ArgumentParser(
         prog="semishot",
         description="Few-shot prototype adaptation with text anchors and "
@@ -105,9 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic dataset")
-    gen.add_argument("--classes", type=int, default=5)
-    gen.add_argument("--dim", type=int, default=64)
-    gen.add_argument("--pool", type=int, default=1500)
+    gen.add_argument("--classes", type=int, default=DEFAULT_CLASS_COUNT)
+    gen.add_argument("--dim", type=int, default=DEFAULT_DIM)
+    gen.add_argument("--pool", type=int, default=DEFAULT_POOL_SIZE)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--separation", type=float, default=DEFAULT_SEPARATION,
                      help="minimum pairwise center angle in radians")
@@ -124,11 +131,11 @@ def build_parser() -> argparse.ArgumentParser:
     def _fit_flags(p):
         p.add_argument("--tau", type=float, default=None,
                        help=f"temperature (default: manifest value, else {DEFAULT_TAU})")
-        p.add_argument("--t-bcm", type=int, default=3,
+        p.add_argument("--t-bcm", type=int, default=cfg.bcm_iters,
                        help="block-coordinate rounds")
-        p.add_argument("--t-ot", type=int, default=10,
+        p.add_argument("--t-ot", type=int, default=cfg.ot_iters,
                        help="transport scaling rounds per pseudo-label step")
-        p.add_argument("--ratio-r", type=float, default=0.25,
+        p.add_argument("--ratio-r", type=float, default=cfg.marginal_ratio,
                        help="marginal floor ratio for unseen classes")
         p.add_argument("--lambda-mode", choices=("adaptive", "fixed"),
                        default="adaptive")
@@ -137,8 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lambda-unlabeled", type=float, default=None,
                        help="fixed unlabeled weight (lambda-mode fixed)")
         p.add_argument("--marginal-source", choices=MARGINAL_SOURCES,
-                       default="support_estimate")
-        p.add_argument("--unlabeled-mult", type=int, default=24)
+                       default=cfg.marginal_source)
+        p.add_argument("--unlabeled-mult", type=int,
+                       default=SamplingSpec.unlabeled_multiplier)
 
     adapt = sub.add_parser("adapt", help="fit prototypes on a sampled split")
     adapt.add_argument("--data", type=Path, required=True, help="dataset manifest")
@@ -176,9 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--solvers", type=str,
                        default=",".join(SOLVER_NAMES),
                        help="comma-separated solver names")
-    bench.add_argument("--shots-grid", type=str, default="1,2,4,8,16",
+    bench.add_argument("--shots-grid", type=str,
+                       default=",".join(map(str, bench_defaults["shot_grid"].default)),
                        help="comma-separated shot counts")
-    bench.add_argument("--seeds", type=int, default=50)
+    bench.add_argument("--seeds", type=int, default=bench_defaults["seeds"].default)
     _fit_flags(bench)
     bench.add_argument("--threads", type=int, default=None,
                        help="accepted and echoed in the JSON config; cells run serially")
@@ -202,8 +211,10 @@ def _parse_marginal(args) -> tuple[float, ...]:
             return tuple(float(tok) for tok in args.marginal.split(","))
         except ValueError:
             raise ConfigError(f"could not parse --marginal {args.marginal!r}")
-    if args.classes < 2:
-        raise ConfigError(f"--classes must be >= 2, got {args.classes}")
+    # SyntheticSpec's bound at its least dim, 2, before the list is built
+    if not 2 <= args.classes <= _MAX_SYNTHETIC_VALUES // 2:
+        raise ConfigError(f"--classes must be in [2, {_MAX_SYNTHETIC_VALUES // 2}], "
+                          f"got {args.classes}")
     if args.classes == len(DEFAULT_MARGINAL):
         return DEFAULT_MARGINAL
     return tuple([1.0 / args.classes] * args.classes)

@@ -13,9 +13,9 @@ their center (renormalized), and derives text prototypes as noisy
 copies of the centers. It stands in for embedding datasets at desk
 scale while keeping difficulty tunable through the noise level.
 
-Benchmarks run a (solver, shots, seed) grid serially, and every
-solver fits the same splits. A batch's splits take one permutation and
-one normalised gather per seed, shared by the batch's shot counts: a
+Benchmarks run a (solver, shots, seed) grid serially, and every solver
+fits the same splits. A batch's splits take one permutation and one
+normalised gather per seed, shared by the batch's shot counts: a
 uniform draw order depends on the seed alone, the pool's row norms are
 taken once per run, the head of a seed's order that its longest split
 reads is gathered and divided by them once, and each split's support
@@ -23,19 +23,18 @@ and unlabeled rows are slices of it, bitwise the rows it would
 normalize on its own. Cells are packed in grid order into batches that
 span shot counts (they share the unlabeled count M = multiplier x C;
 their labeled counts N differ), and each solver fits a batch in one
-call, which gives every cell the fit it gets alone; a batch that raises
-is refitted cell by cell. The labeled
-class sums are built once per batch, one product per support, and
-simpleshot, sstext and sstextu all read them; no solver's timed share
-includes them. A batch takes as many cells as keep its arrays under a
-fixed count of values, so memory does not grow with the grid. Only
-one batch's splits are held at a time. Each solver's batch is scored
-once: its distinct prototype arrays (zeroshot's cells all hold the same
-one) go through one flat product with the pool (or a fixed eval set),
-the labels are the argmax of those scores, and every cell's metrics are
-counted over its own eval rows in one pass, from a one-hot truth and
-per-cell class totals built once for all solvers. Rows come back in
-grid order.
+call, which gives every cell the fit it gets alone, or the error that
+fit raises. The labeled class sums are built once per batch, one
+product per support, and simpleshot, sstext and sstextu all read them;
+no solver's timed share includes them. A batch takes as many cells as
+keep its arrays under a fixed count of values, so memory does not grow
+with the grid. Only one batch's splits are held at a time. Each
+solver's batch is scored once: its distinct prototype arrays
+(zeroshot's cells all hold the same one) go through one flat product
+with the pool (or a fixed eval set), the labels are the argmax of
+those scores, and every cell's metrics are counted over its own eval
+rows in one pass, from a one-hot truth and per-cell class totals built
+once for all solvers. Rows come back in grid order.
 
 The silhouette takes each block of squared distances as one augmented
 Gram product and a square root; only a block whose root fails is clamped.
@@ -79,6 +78,15 @@ _BATCH_VALUES = 1 << 20
 
 # Distances in one silhouette_score block (512 KiB of float64).
 _SILHOUETTE_BLOCK = 1 << 16
+
+# SyntheticSpec refuses a pool, or a set of class centers, of more
+# float64 values than this (1 GiB); generate_synthetic peaks at ~2.1x the
+# pool's bytes.
+_MAX_SYNTHETIC_VALUES = 1 << 27
+
+# run_benchmark refuses a grid of more rows than this before it lists the
+# seeds; the default grid's 1000 rows take ~0.15 s.
+_MAX_ROWS = 1 << 20
 
 # Synthetic family defaults: 5 imbalanced classes in 64 dimensions with
 # noise calibrated so the zero-shot baseline lands mid-range (see tests)
@@ -125,6 +133,9 @@ class SyntheticSpec:
     text_noise: isotropic noise scale applied to centers to derive text
         prototypes (0 means prototypes equal the true centers).
     marginal: class probabilities for label draws.
+
+    The pool (pool_size x dim) and the centers (class_count x dim) hold
+    at most ``_MAX_SYNTHETIC_VALUES`` float64 values each.
     """
 
     class_count: int = DEFAULT_CLASS_COUNT
@@ -139,6 +150,10 @@ class SyntheticSpec:
     def __post_init__(self):
         for name, low in (("class_count", 2), ("dim", 2), ("pool_size", 1), ("seed", 0)):
             object.__setattr__(self, name, check_count(getattr(self, name), name, low))
+        for name in ("pool_size", "class_count"):
+            if getattr(self, name) * self.dim > _MAX_SYNTHETIC_VALUES:
+                raise ConfigError(f"{name} x dim must be <= {_MAX_SYNTHETIC_VALUES} values, "
+                                  f"got {getattr(self, name)} x {self.dim}")
         for name in ("separation", "noise", "text_noise"):
             object.__setattr__(self, name, check_real(getattr(self, name), name))
         if not (self.separation > 0):
@@ -667,12 +682,13 @@ def fit_solver(name: str, dataset: Dataset, support: SupportSet,
 
 def _fit_splits(name: str, dataset: Dataset, labeled: _LabeledSums | None,
                 unlabeled: np.ndarray, cfg: SolverConfig,
-                oracles: list[np.ndarray | None]) -> list[FitResult]:
+                oracles: list[np.ndarray | None]) -> list[FitResult | Exception]:
     """One solver's fits of a batch of splits, in order, on their labeled
     record ``labeled``, their only labeled input (None for zeroshot), the
-    (B, M, D) ``unlabeled`` and the oracle marginals ``oracles``:
-    simpleshot, sstext and sstextu fit them in one call each, whose wall
-    time, but not the record's, each result shares."""
+    (B, M, D) ``unlabeled`` and the oracle marginals ``oracles``, each
+    the split's own fit or the error that fit raises: simpleshot, sstext
+    and sstextu fit them in one call each, whose wall time, but not the
+    record's, each result shares."""
     if name == "zeroshot":
         return [FitResult(
             prototypes=dataset.prototypes,
@@ -686,26 +702,6 @@ def _fit_splits(name: str, dataset: Dataset, labeled: _LabeledSums | None,
     if name == "sstextu":
         return _adapt(labeled, dataset.prototypes, cfg, unlabeled, oracles)
     raise ConfigError(f"unknown solver {name!r}; expected one of {SOLVER_NAMES}")
-
-
-def _fit_cells(name: str, dataset: Dataset, splits: list[_Split], unlabeled: np.ndarray,
-               cfg: SolverConfig, labeled: _LabeledSums | None) -> list[FitResult | Exception]:
-    """``_fit_splits`` of the batch on its shared record ``labeled``, or,
-    when the batch raises, of each split alone on its own support, so
-    that only a split whose own fit raises holds the exception."""
-    try:
-        return _fit_splits(name, dataset, labeled, unlabeled, cfg,
-                           [split.oracle_marginal for split in splits])
-    except Exception:
-        pass  # the batch raised: find the splits whose own fit raises
-    fits = []
-    for split, rows in zip(splits, unlabeled):
-        try:
-            fits.append(_fit_alone(partial(_fit_splits, name, dataset), split.support,
-                                   rows[None], cfg, [split.oracle_marginal]))
-        except Exception as exc:
-            fits.append(exc)
-    return fits
 
 
 def _run_cell(dataset: Dataset, dataset_name: str, solver: str, spec: SamplingSpec,
@@ -729,9 +725,10 @@ def _run_batch(dataset: Dataset, dataset_name: str, pool: EvalSet, norms: np.nda
     with one permutation and one normalised gather per seed: their
     unlabeled rows are stacked into one (B, M, D) array and their labeled
     products built once for the solvers that read them. Each solver
-    fits the splits as one batch and scores that batch once, against the
-    pool with each cell's eval rows as a mask, or against ``eval_set``;
-    the masks' one-hot truth and class totals are built once too."""
+    fits the splits in one call, which fails each cell on its own, and
+    scores that batch once, against the pool with each cell's eval rows
+    as a mask, or against ``eval_set``; the masks' one-hot truth and
+    class totals are built once too."""
     rows, drawn, splits = {}, [], []
     for spec, split in zip(specs, _draws(pool, norms, specs)):
         if isinstance(split, SamplingError):
@@ -745,7 +742,8 @@ def _run_batch(dataset: Dataset, dataset_name: str, pool: EvalSet, norms: np.nda
     unlabeled = np.stack([split.unlabeled for split in splits])
     labeled = (_labeled_sums([split.support for split in splits])
                if set(solvers) - {"zeroshot"} else None)
-    fits = {solver: _fit_cells(solver, dataset, splits, unlabeled, cfg, labeled)
+    oracles = [split.oracle_marginal for split in splits]
+    fits = {solver: _fit_splits(solver, dataset, labeled, unlabeled, cfg, oracles)
             for solver in solvers}
     scored_on = pool if eval_set is None else eval_set
     masks = np.full((len(splits), scored_on.count), eval_set is not None)
@@ -765,16 +763,20 @@ def _run_batch(dataset: Dataset, dataset_name: str, pool: EvalSet, norms: np.nda
     return rows
 
 
-def _seed_list(seeds) -> list[int]:
+def _seed_list(seeds, most: int) -> list[int]:
     """``seeds`` as a list: a count n gives 0..n-1, an iterable its own
-    seeds; each must be a nonnegative integer."""
+    seeds; each must be a nonnegative integer. More than ``most`` seeds
+    are a ConfigError, raised before a longer list is built."""
     if isinstance(seeds, numbers.Number):
-        return list(range(check_count(seeds, "seeds")))
+        seeds = range(check_count(seeds, "seeds"))
     try:
-        items = list(seeds)
+        items = list(itertools.islice(seeds, most + 1))
     except TypeError:
         raise ConfigError(f"seeds must be a count or an iterable of seeds, "
                           f"got {seeds!r}") from None
+    if len(items) > most:
+        raise ConfigError(f"benchmark grid must be <= {_MAX_ROWS} rows: "
+                          f"at most {most} seeds for this grid")
     return [check_count(seed, "seed") for seed in items]
 
 
@@ -792,7 +794,7 @@ def _listed(entries, what: str, kind: str) -> list:
 def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
                   shot_grid=(1, 2, 4, 8, 16), seeds: int = 50,
                   cfg: SolverConfig | None = None,
-                  unlabeled_multiplier: int = 24,
+                  unlabeled_multiplier: int = SamplingSpec.unlabeled_multiplier,
                   include_timing: bool = True,
                   dataset_name: str = "dataset",
                   eval_set: EvalSet | None = None) -> list[BenchmarkRow]:
@@ -808,28 +810,28 @@ def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
     bitwise the rows it would normalize on its own.
 
     Cells are packed in grid order (shot count, then seed) into batches
-    that span shot counts, each of as many cells as keep B·(N + M)·(C +
-    D) under ``_BATCH_VALUES`` float64 values (one cell when a cell
-    alone is larger), and each solver fits a batch in one call; every
-    cell gets the fit it gets alone. A batch's labeled record, its class
-    sums Y^T V and class counts, is built once, one product per support,
-    and is the only labeled input of simpleshot, sstext and sstextu. A
-    split that cannot be drawn fails each solver's cell on it with the
-    same error; when a batch fit raises, its cells are refitted one by
-    one, each on a record of its own support, so a failed fit or scoring
-    fails its own cell only. Rows come back in grid order. An unknown
-    solver, an empty solver list, shot grid or seed list, an entry
-    repeated in any of the three, a seed that is not a nonnegative
-    integer, a shot count or multiplier that SamplingSpec rejects, or
-    fixed lambda weights of another class count raises ConfigError.
+    that span shot counts, each of as many cells as keep B·(N + M)·(C + D)
+    under ``_BATCH_VALUES`` float64 values (one cell when a cell alone is
+    larger), and each solver fits a batch in one call; every cell gets the
+    fit it gets alone, or the error that fit raises. A batch's labeled
+    record, its class sums Y^T V and class counts, is built once, one
+    product per support, and is the only labeled input of simpleshot,
+    sstext and sstextu. A split that cannot be drawn fails each solver's
+    cell on it with the same error, and a failed fit or scoring fails its
+    own cell only. Rows come back in grid order. An unknown solver, an
+    empty solver list, shot grid or seed list, an entry repeated in any of
+    the three, a seed that is not a nonnegative integer, more seeds than
+    keep the grid within ``_MAX_ROWS`` rows, a shot count or multiplier
+    that SamplingSpec rejects, or fixed lambda weights of another class
+    count raises ConfigError.
 
-    With ``include_timing`` a batched cell's ``runtime_ms`` (simpleshot's
-    as well as sstext's and sstextu's) is its solver's batch fit wall
-    time divided by the batch's cell count, an amortised share that the
-    cells of one batch have in common across their shot counts. The
-    shared labeled sums are charged to no solver, like the draw of the
-    splits, so each product's time is counted at most once; a cell
-    refitted alone builds its own and is charged for them.
+    With ``include_timing`` a cell's ``runtime_ms`` (simpleshot's as
+    well as sstext's and sstextu's) is its solver's batch fit wall time
+    divided by the batch's cell count, an amortised share that the cells
+    of one batch have in common across their shot counts; a failed
+    cell's is 0. The shared labeled sums are charged to no solver, like
+    the draw of the splits, so each product's time is counted at most
+    once.
 
     By default every seed evaluates on the pool remainder left after its
     own support/unlabeled draw. Each solver's batch is scored once: one
@@ -857,9 +859,9 @@ def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
             f"does not fit ({dataset.class_count} classes, dim {dataset.dim})")
     if cfg is None:
         cfg = SolverConfig(tau=_resolve_tau(None, dataset))
-    seed_list = _seed_list(seeds)
     solvers = _listed(solvers, "solvers", "solver names")
     shot_grid = _listed(shot_grid, "shot_grid", "shot counts")
+    seed_list = _seed_list(seeds, _MAX_ROWS // max(1, len(solvers) * len(shot_grid)))
     if not (solvers and shot_grid and seed_list and set(solvers) <= set(SOLVER_NAMES)):
         raise ConfigError(f"benchmark needs solvers from {SOLVER_NAMES}, a shot count "
                           f"and a seed; got {solvers!r}, {shot_grid!r}, {seeds!r}")

@@ -19,18 +19,18 @@ fit_sstext and fit_sstextu are one-element calls of one private round
 loop that runs over a leading batch axis: B problems that share M, C and
 D (the cells of a benchmark grid do, across its shot counts) are
 scored, balanced and stepped together, and each element comes out
-exactly as its own one-element fit. The round loop's only labeled input
+exactly as its own one-element fit, or as the error that fit raises:
+a check on one element's data fails that element alone, and the public
+fits raise its error. The round loop's only labeled input
 is the Y^T V/count record, one product per support, which its caller
 builds: once for a batch that several solvers fit (simpleshot's class
 means are read off it too), so N may differ, or for a public fit's one
 support. Checks that cannot change between rounds run once: the
 temperature when SolverConfig is built, the text prototypes once per
-call and an oracle marginal on entry.
-The finite-score and finite-objective checks run every round; the
-transport solve finds non-finite scores from the maxima and minima its
-shift takes. A round makes two (B, C, M) arrays: the scores, and the
-kernel that the solve builds the plan in and the codes overwrite once
-the plan's residual is read.
+call and an oracle marginal on entry. The finite-score, empty-column
+and finite-objective checks run every round. A round makes two
+(B, C, M) arrays: the scores, and the kernel that the solve builds the
+plan in and the codes overwrite once the plan's residual is read.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import SupportSet, UnlabeledSet
-from .errors import ConfigError, DataError, DegeneratePlanError, SolverError
+from .errors import ConfigError, DataError, SemishotError, SolverError
 from .objectives import (LambdaPolicy, _check_prototypes, _class_sums, _ClassSums,
                          _labeled_sums, _LabeledSums, _support_sums)
 from .transport import _class_codes, _solve
@@ -139,27 +139,38 @@ def correct_marginal(marginal: np.ndarray, ratio: float = 0.25) -> np.ndarray:
         raise DataError("marginal must be nonnegative")
     if not np.any(m > 0):
         raise DataError("marginal has no positive entries")
-    return _floored(m, ratio)
+    errors = [None]
+    floored = _floored(m[None], ratio, errors)[0]
+    if errors[0]:
+        raise errors[0]
+    return floored
 
 
-def _floored(m: np.ndarray, ratio: float) -> np.ndarray:
+def _fail(errors: list, bad: np.ndarray, error) -> None:
+    """Give each element that ``bad`` marks the error ``error(b)``, unless
+    it has one: an element keeps the first, which its own fit raises."""
+    for b in np.flatnonzero(bad):
+        errors[b] = errors[b] or error(b)
+
+
+def _floored(m: np.ndarray, ratio: float, errors: list) -> np.ndarray:
     """``correct_marginal`` of arguments that it accepts, unchecked, of
-    each row of a (..., C) ``m``, in a new array; a row without zeros
+    each row of a (B, C) ``m``, in a new array; a row without zeros
     keeps its values. A ratio of another real type is taken as the float
-    it multiplies as. A floored mass that is not a positive normal
-    float, which a tiny ratio makes, is a ConfigError: transport cannot
-    keep a subnormal mass, and a zero one would leave its class as
-    absent as no floor does."""
+    it multiplies as. A row with a floored mass that is not a positive
+    normal float, which a tiny ratio makes, gets a ConfigError in
+    ``errors``: transport cannot keep a subnormal mass, and a zero one
+    would leave its class as absent as no floor does."""
     positive = m > 0
     scaled = np.ldexp(m, -np.frexp(m.max(axis=-1, keepdims=True))[1])
     floor = float(ratio) * np.where(positive, scaled, np.inf).min(axis=-1, keepdims=True)
     floored = np.maximum(scaled, floor)
     floored /= floored.sum(axis=-1, keepdims=True)
     whole = positive.all(axis=-1, keepdims=True)
-    low = np.where(whole, 1.0, floored).min()
-    if low < np.finfo(np.float64).tiny:
-        raise ConfigError(f"marginal_ratio {ratio} floors a class mass to {low:g}, "
-                          f"below the smallest normal float")
+    low = np.where(whole, 1.0, floored).min(axis=-1)
+    _fail(errors, low < np.finfo(np.float64).tiny, lambda b: ConfigError(
+        f"marginal_ratio {ratio} floors a class mass to {low[b]:g}, "
+        f"below the smallest normal float"))
     return np.where(whole, m, floored)
 
 
@@ -172,9 +183,11 @@ def fit_simpleshot(support: SupportSet) -> FitResult:
 
 
 def _fit_alone(fit, support: SupportSet, *args) -> FitResult:
-    """``fit`` of ``support`` alone, charged for the record it builds."""
+    """``fit`` of ``support`` alone, charged for the record it builds; a failure raises."""
     start = time.perf_counter()
     (result,) = fit(_labeled_sums([support]), *args)
+    if isinstance(result, SemishotError):
+        raise result
     return replace(result, runtime_ms=(time.perf_counter() - start) * 1e3)
 
 
@@ -229,11 +242,12 @@ def _checked_oracle(oracle_marginal, support: SupportSet, cfg: SolverConfig):
 
 
 def _resolve_marginals(labeled: _LabeledSums, cfg: SolverConfig,
-                       oracle_marginals: list[np.ndarray | None]) -> np.ndarray:
+                       oracle_marginals: list[np.ndarray | None], errors: list) -> np.ndarray:
     """The (B, C) transport row marginals of a batch: its oracle
     marginals, or its supports' class frequencies, floored unless the
     source is "support_raw"; each row bitwise that of its support's
-    ``estimate_marginal`` and ``correct_marginal``."""
+    ``estimate_marginal`` and ``correct_marginal``, or that call's error,
+    in ``errors``."""
     if cfg.marginal_source == "oracle":
         if any(o is None for o in oracle_marginals):
             raise ConfigError("marginal_source 'oracle' needs oracle_marginal")
@@ -241,7 +255,7 @@ def _resolve_marginals(labeled: _LabeledSums, cfg: SolverConfig,
     estimate = labeled.counts / labeled.counts.sum(axis=1, keepdims=True)
     if cfg.marginal_source == "support_raw":
         return estimate
-    return _floored(estimate, cfg.marginal_ratio)
+    return _floored(estimate, cfg.marginal_ratio, errors)
 
 
 def fit_sstextu(support: SupportSet, unlabeled: UnlabeledSet,
@@ -265,14 +279,13 @@ def fit_sstextu(support: SupportSet, unlabeled: UnlabeledSet,
 
 
 def _trace_entry(sums: _ClassSums, prototypes: np.ndarray, t: np.ndarray,
-                 round_idx: int) -> np.ndarray:
-    """The (B,) objective values of a round, or SolverError when one
-    overflowed to a non-finite number (huge fixed weights can), silently
-    under ``_adapt``'s error state."""
+                 round_idx: int, errors: list) -> np.ndarray:
+    """The (B,) objective values of a round; an element whose value
+    overflowed to a non-finite number (huge fixed weights can) fails
+    with a SolverError, silently under ``_adapt``'s error state."""
     totals = sums.totals(prototypes, t)
-    if not np.all(np.isfinite(totals)):
-        raise SolverError(f"objective is not finite at round {round_idx}",
-                          iteration=round_idx)
+    _fail(errors, ~np.isfinite(totals), lambda _: SolverError(
+        f"objective is not finite at round {round_idx}", iteration=round_idx))
     return totals
 
 
@@ -282,17 +295,21 @@ def _trace_entry(sums: _ClassSums, prototypes: np.ndarray, t: np.ndarray,
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _adapt(labeled: _LabeledSums, text_prototypes: np.ndarray, cfg: SolverConfig,
            unlabeled: np.ndarray | None = None,
-           oracle_marginals: list[np.ndarray | None] | None = None) -> list[FitResult]:
+           oracle_marginals: list[np.ndarray | None] | None = None
+           ) -> list[FitResult | SemishotError]:
     """fit_sstext (no ``unlabeled``) or fit_sstextu of every element of a
-    batch of problems that share the text prototypes, one FitResult per
-    element, each exactly the element's own B=1 fit. ``labeled`` is the
-    supports' labeled record, the round loop's only labeled input (the
-    supports may differ in N); ``unlabeled`` holds the elements'
-    unlabeled embeddings as one (B, M, D) array.
+    batch of problems that share the text prototypes, one entry per
+    element, each exactly the element's own B=1 fit or the SemishotError
+    that fit raises. ``labeled`` is the supports' labeled record, the
+    round loop's only labeled input (the supports may differ in N);
+    ``unlabeled`` holds the elements' unlabeled embeddings as one
+    (B, M, D) array.
 
     Every round runs one body; without unlabeled points the step does
     not read the prototypes, so the trace is flat after its start. An
-    error in any element fails the whole call. Each result's
+    element that fails a check (a floored mass, finite scores, no empty
+    plan column, a finite objective) keeps that error and rides along,
+    silently, in rounds that move no other element. Each result's
     ``runtime_ms`` is the call's wall time divided by B; the record
     handed in is not charged to it.
     """
@@ -308,9 +325,10 @@ def _adapt(labeled: _LabeledSums, text_prototypes: np.ndarray, cfg: SolverConfig
             unlabeled = None
     base = _class_sums(labeled, cfg.tau, cfg.lambdas)
     batch = len(labeled.raw)
+    errors: list[SemishotError | None] = [None] * batch
     marginal = None
     if unlabeled is not None:
-        marginal = _resolve_marginals(labeled, cfg, oracle_marginals or [None] * batch)
+        marginal = _resolve_marginals(labeled, cfg, oracle_marginals or [None] * batch, errors)
 
     prototypes = np.broadcast_to(t, base.labeled.shape)
     sums = base
@@ -321,28 +339,28 @@ def _adapt(labeled: _LabeledSums, text_prototypes: np.ndarray, cfg: SolverConfig
     for round_idx in range(1, rounds + 1):
         if unlabeled is not None:
             scores = _scores(prototypes, unlabeled, cfg.tau)
-            try:
-                values = _solve(scores, marginal, cfg.ot_iters)
-                residuals.append(np.abs(values.sum(axis=-1) - marginal).sum(axis=-1))
-                codes = _class_codes(values)  # over the plan, read just above
-            except (DegeneratePlanError, DataError) as exc:
-                raise SolverError(
-                    f"pseudo-label step failed at round {round_idx}: {exc}",
-                    iteration=round_idx) from exc
+            values, bad = _solve(scores, marginal, cfg.ot_iters)
+            residuals.append(np.abs(values.sum(axis=-1) - marginal).sum(axis=-1))
+            codes, empty = _class_codes(values)  # over the plan, read just above
+            for failed, reason in ((bad, "similarity matrix contains non-finite entries"),
+                                   (empty, "plan has an empty column; codes are undefined")):
+                _fail(errors, failed, lambda _: SolverError(
+                    f"pseudo-label step failed at round {round_idx}: {reason}",
+                    iteration=round_idx))
             sums = base.with_codes(codes, unlabeled, cfg.tau)
         if not trace:
-            trace.append(_trace_entry(sums, prototypes, t, round_idx))
+            trace.append(_trace_entry(sums, prototypes, t, round_idx, errors))
         prototypes = sums.minimizer(t)
-        trace.append(_trace_entry(sums, prototypes, t, round_idx))
+        trace.append(_trace_entry(sums, prototypes, t, round_idx, errors))
         if cfg.track_codes and unlabeled is not None:
             code_snaps.append(codes)
             proto_snaps.append(prototypes)
     if not trace:
-        trace.append(_trace_entry(base, prototypes, t, 0))
+        trace.append(_trace_entry(base, prototypes, t, 0, errors))
     elapsed = (time.perf_counter() - start) * 1e3 / batch
     objective = np.stack(trace, axis=-1)
     residual = np.stack(residuals, axis=-1) if residuals else None
-    return [FitResult(
+    return [errors[b] or FitResult(
         prototypes=prototypes[b],
         objective_trace=objective[b],
         runtime_ms=elapsed,

@@ -41,13 +41,14 @@ builder.
 The scaling loop works over leading batch axes. The private ``_solve``
 balances a batch of same-shaped problems at once, and
 ``solve_transport`` is that solve at B=1; the solvers' round loop calls
-``_solve`` directly, and ``_solve`` finds a NaN or an infinity in the
-scores from the maxima and minima its shift takes. An element that
-absorbs rebuilds only its own kernel, and batched matrix products never
-mix elements, so every plan is the one its element gets alone. A solve
-writes its plan into the kernel it exponentiated, and ``_class_codes``
-writes the codes over that plan, so a round makes one (B, C, M) array
-for the pair and never writes its caller's scores or ``plan0``.
+``_solve`` directly. ``_solve`` masks the elements whose scores hold a
+NaN or an infinity, and ``_class_codes`` the plans with an empty column;
+neither raises. An element that absorbs rebuilds only its own kernel,
+and batched matrix products never mix elements, so every plan is the
+one its element gets alone. A solve writes its plan into the kernel it
+exponentiated, and ``_class_codes`` writes the codes over that plan, so
+a round makes one (B, C, M) array for the pair and never writes its
+caller's scores or ``plan0``.
 """
 
 from __future__ import annotations
@@ -244,44 +245,44 @@ def solve_transport(similarities: np.ndarray, row_marginal: np.ndarray,
     """
     s, m, iterations = _checked_inputs(similarities, row_marginal, iterations,
                                        "similarity matrix")
-    return _build_plan(_solve(s[None], m[None], iterations)[0], m)
+    values, _ = _solve(s[None], m[None], iterations)  # s is finite
+    return _build_plan(values[0], m)
 
 
-def _solve(s: np.ndarray, m: np.ndarray, iterations: int) -> np.ndarray:
+def _solve(s: np.ndarray, m: np.ndarray, iterations: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``solve_transport`` plan values of every element of a batch of
-    scores (B, C, M) and row marginals (B, C), in a new array; ``s`` is
-    read, not written.
+    scores (B, C, M) and row marginals (B, C), in a new array, and the
+    (B,) mask of the elements whose scores hold a NaN or an infinity,
+    whose plans are meaningless, read off the batch maxima and minima
+    that the shift takes anyway; ``s`` is read, not written.
 
-    Scores holding a NaN or an infinity are a DataError, found from the
-    batch maxima and minima that the shift takes anyway. Each element
-    starts from the shift its own first step absorbs: span at most 700,
-    the global max, ``exp(s - s.max())``; wider, the max of each row, or
-    of each column at zero iterations. All elements share one ``_scale``
-    pass; one that absorbs rebuilds only its own kernel, so an
-    element's plan is the one it gets at B=1. A batch without a wide
-    span computes no row or column maxima and no reach checks.
+    Each element starts from the shift its own first step absorbs: span
+    at most 700, the global max, ``exp(s - s.max())``; wider, the max of
+    each row, or of each column at zero iterations. All elements share
+    one ``_scale`` pass; one that absorbs rebuilds only its own kernel,
+    so an element's plan is the one it gets at B=1. A batch without a
+    wide span computes no row or column maxima and no reach checks.
     """
     s_max = s.max(axis=(-2, -1), keepdims=True)
     s_min = s.min(axis=(-2, -1), keepdims=True)
-    if not (np.isfinite(s_max).all() and np.isfinite(s_min).all()):
-        raise DataError("similarity matrix contains non-finite entries")
+    bad = ~(np.isfinite(s_max) & np.isfinite(s_min))[:, 0, 0]
     wide = s_max - s_min > _EXP_SAFE_SPAN
     shift, reach = s_max, None
     if wide.any():
         shift = np.where(wide, s.max(axis=-1 if iterations else -2, keepdims=True), s_max)
         reach = np.where(wide[:, 0, 0], _FLUSH_REACH, np.inf)
     q = s - shift
-    return _scale(np.exp(q, out=q), m, iterations, s, shift, reach)
+    return _scale(np.exp(q, out=q), m, iterations, s, shift, reach), bad
 
 
-def _class_codes(values: np.ndarray) -> np.ndarray:
+def _class_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Plan columns renormalized to the simplex, over leading batch axes:
-    (..., C, M) plans give (..., C, M) codes. The codes are written over
+    (..., C, M) plans give (..., C, M) codes, and the (...) mask of the
+    plans with an empty column, whose codes are undefined (the caller
+    silences the flags their division sets). The codes are written over
     ``values``, which is returned; a caller that still needs the plan
     passes a copy."""
     col_sums = values.sum(axis=-2)
-    if np.any(col_sums <= 0):
-        raise DegeneratePlanError("plan has an empty column; codes are undefined")
     values /= col_sums[..., None, :]
-    return values
+    return values, (col_sums <= 0).any(axis=-1)
 

@@ -1,6 +1,7 @@
 import argparse
 import ctypes
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -286,24 +287,73 @@ def test_generate_names_the_text_prototypes_that_fail(tmp_path, capsys):
     assert "embeddings" not in err
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
-@pytest.mark.parametrize("flags", [["--pool", "2000000000"], ["--dim", "100000000"]],
-                         ids=["pool", "dim"])
-def test_generate_out_of_memory_is_one_error_line(tmp_path, flags):
-    # each asks for more than the child's 1.5 GB address space; the limit
-    # is set before exec, so no process runs on such input unlimited
+def _limited(argv, limit_mb):
+    """``python -m semishot *argv`` in a child process whose address
+    space is limited to ``limit_mb`` MiB before exec, so that no process
+    runs on an oversized request unlimited."""
     resource = pytest.importorskip("resource")
-    limit = 1536 << 20
-    done = subprocess.run([sys.executable, "-m", "semishot", "generate", *flags,
-                           "--out", str(tmp_path / "x")],
+    limit = limit_mb << 20
+    return subprocess.run([sys.executable, "-m", "semishot", *argv],
                           preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
                                                                 (limit, limit)),
                           env=_child_env(OPENBLAS_NUM_THREADS="1"),
                           capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+@pytest.mark.parametrize("flags", [["--pool", "1500000"], ["--dim", "80000"]],
+                         ids=["pool", "dim"])
+def test_generate_out_of_memory_is_one_error_line(tmp_path, flags):
+    # each pool is under SyntheticSpec's ceiling and more than the
+    # child's 512 MiB address space holds, so its first allocation fails
+    done = _limited(["generate", *flags, "--out", str(tmp_path / "x")], 512)
     assert done.returncode == EXIT_CONFIG, done.stderr
     assert done.stderr.startswith("error: out of memory: ")
     assert len(done.stderr.splitlines()) == 1
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--pool", "2000000000", "--out", "{tmp}/x"],
+     "pool_size x dim must be <= 134217728 values, got 2000000000 x 64"),
+    (["generate", "--dim", "100000000", "--out", "{tmp}/x"],
+     "pool_size x dim must be <= 134217728 values, got 1500 x 100000000"),
+    (["generate", "--classes", "100000000", "--out", "{tmp}/x"],
+     "--classes must be in [2, 67108864], got 100000000"),
+    (["benchmark", "--seeds", "1000000000000", "--out-csv", "{tmp}/b.csv"],
+     "benchmark grid must be <= 1048576 rows: at most 52428 seeds for this grid"),
+], ids=["pool", "dim", "classes", "seeds"])
+def test_oversized_requests_fail_typed_before_they_allocate(tmp_path, argv, message):
+    # the boundary refuses each before it allocates: one config error
+    # line, not the out-of-memory backstop, and no output
+    done = _limited([arg.format(tmp=tmp_path) for arg in argv], 1536)
+    assert (done.returncode, done.stderr) == (EXIT_CONFIG, f"error: {message}\n")
+    assert not any(tmp_path.iterdir())
+
+
+def test_parser_defaults_are_the_librarys(tmp_path):
+    # one source per default: the CLI's fit, draw, grid and synthetic
+    # family flags start where the library's own defaults do
+    cfg = semishot.SolverConfig()
+    grid = inspect.signature(semishot.run_benchmark).parameters
+    library = {
+        "t_bcm": cfg.bcm_iters, "t_ot": cfg.ot_iters, "ratio_r": cfg.marginal_ratio,
+        "marginal_source": cfg.marginal_source,
+        "unlabeled_mult": semishot.SamplingSpec(shots=1).unlabeled_multiplier,
+    }
+    parser = build_parser()
+    for argv in (["adapt", "--data", "d", "--solver", "sstext", "--out", "o"],
+                 ["benchmark", "--out-csv", "b.csv"]):
+        args = vars(parser.parse_args(argv))
+        assert {name: args[name] for name in library} == library
+    assert grid["unlabeled_multiplier"].default == library["unlabeled_mult"]
+    bench = parser.parse_args(["benchmark", "--out-csv", "b.csv"])
+    assert (bench.shots_grid, bench.seeds) == (
+        ",".join(map(str, grid["shot_grid"].default)), grid["seeds"].default)
+    spec = semishot.SyntheticSpec()
+    gen = parser.parse_args(["generate", "--out", "g"])
+    assert (gen.classes, gen.dim, gen.pool) == (spec.class_count, spec.dim, spec.pool_size)
 
 
 # ---------------------------------------------------------------- adapt
@@ -882,9 +932,12 @@ def test_missing_subcommand_is_usage_error():
 # and non-numeric. Sizes, round counts and seed counts draw from SMALL,
 # so that no example allocates or loops much; a huge integer goes only
 # to flags whose size a draw or a check refuses first, or that are only
-# echoed (--threads starts no thread).
+# echoed (--threads starts no thread). OVERSIZED goes to the sizes that a
+# boundary ceiling bounds (pool, dim, classes, seeds); an example that
+# draws it runs only in a child process limited to 1.5 GiB before exec.
 EDGE = ("0", "-1", "1e308", "5e-324", "nan", "inf", "-inf", "abc", "0.5", "1")
 HUGE = str(10 ** 20)
+OVERSIZED = str(10 ** 12)
 SMALL = ("0", "-1", "1", "2", "3", "5e-324", "nan", "abc")
 
 OUTPUT_HAZARDS = ("{tmp}/file", "{tmp}/dir", "{tmp}/loop", "{tmp}/file/sub")
@@ -905,7 +958,8 @@ FIT_FLAGS = {
 # directory, a self-loop symlink and a path under a file.
 FUZZ = {
     "generate": (["--out", "{tmp}/gen"], {
-        "--classes": SMALL, "--dim": SMALL, "--pool": (*SMALL, "40"),
+        "--classes": (*SMALL, OVERSIZED), "--dim": (*SMALL, OVERSIZED),
+        "--pool": (*SMALL, "40", OVERSIZED),
         "--seed": (*EDGE, HUGE), "--separation": EDGE, "--noise": EDGE,
         "--text-noise": EDGE, "--tau": EDGE,
         "--marginal": ("0.5,0.5", "1,5e-324", "nan,1", "1e308,1e308", "0,1", "abc", ""),
@@ -922,7 +976,7 @@ FUZZ = {
         "--gen-seed": (*EDGE, HUGE), "--name": ("x", ""),
         "--solvers": ("sstextu", "zeroshot,simpleshot", "sstext,sstext", "abc", ""),
         "--shots-grid": ("1", "1,2", "0", "-1", "2,2", "abc", "", HUGE),
-        "--seeds": SMALL, "--threads": (*EDGE, HUGE), "--no-timing": None,
+        "--seeds": (*SMALL, OVERSIZED), "--threads": (*EDGE, HUGE), "--no-timing": None,
     }),
 }
 
@@ -964,19 +1018,24 @@ def test_cli_fuzz_exits_with_a_documented_code(fuzz_inputs, command, draw):
         (Path(tmp) / "dir").mkdir()
         (Path(tmp) / "loop").symlink_to(Path(tmp) / "loop")
         argv = [arg.format(tmp=tmp, **fuzz_inputs) for arg in argv]
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, \
-                redirect_stdout(out), redirect_stderr(err):
-            warnings.simplefilter("always")
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse's usage error
-                code = exc.code
-        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SOLVER), (argv, err.getvalue())
+        if OVERSIZED in argv:
+            done, caught = _limited(argv, 1536), []
+            code, out, err = done.returncode, done.stdout, done.stderr
+        else:
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    redirect_stdout(out), redirect_stderr(err):
+                warnings.simplefilter("always")
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse's usage error
+                    code = exc.code
+            out, err = out.getvalue(), err.getvalue()
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SOLVER), (argv, err)
         assert not caught, (argv, [str(w.message) for w in caught])
-        assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+        assert "Traceback" not in err and "Warning" not in err
         reports = [path.read_text() for path in Path(tmp).rglob("*.json")]
         if command == "eval" and code == EXIT_OK and "--out" not in argv:
-            reports.append(out.getvalue())
+            reports.append(out)
         for text in reports:
             json.loads(text, parse_constant=_refuse_constant)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from semishot import (
     LambdaPolicy,
     SamplingError,
     SamplingSpec,
+    SemishotError,
     SolverConfig,
     SolverError,
     SyntheticSpec,
@@ -72,6 +74,23 @@ def test_synthetic_spec_validation():
         small_spec(marginal=(0.5, 0.5))  # wrong length for 3 classes
     with pytest.raises(ConfigError):
         small_spec(marginal=(0.5, 0.3, 0.3))  # does not sum to one
+
+
+@pytest.mark.parametrize("sizes, message", [
+    (dict(pool_size=2 ** 21 + 1), "pool_size x dim must be <= 134217728 values, "
+                                  "got 2097153 x 64"),
+    (dict(dim=2 ** 26, pool_size=2), "class_count x dim must be <= 134217728 values, "
+                                     "got 5 x 67108864"),
+    (dict(class_count=2 ** 26 + 1, dim=2, pool_size=1, marginal=(1.0,)),
+     "class_count x dim must be <= 134217728 values, got 67108865 x 2"),
+], ids=["pool", "centers", "classes"])
+def test_synthetic_spec_refuses_sizes_past_the_ceiling(sizes, message):
+    # checked before the marginal, so a wrong-length one does not matter;
+    # the ceiling itself passes
+    with pytest.raises(ConfigError) as err:
+        SyntheticSpec(**sizes)
+    assert str(err.value) == message
+    assert SyntheticSpec(pool_size=2 ** 21).pool_size * 64 == experiment._MAX_SYNTHETIC_VALUES
 
 
 # ---------------------------------------------------------------- splits
@@ -863,9 +882,17 @@ def test_run_benchmark_tags_failed_cells():
 def test_run_benchmark_draws_one_permutation_per_seed(monkeypatch, permutations):
     ds = _bench_dataset()
     pool = ds.pool()
-    fitted = []
-    spy(monkeypatch, experiment._fit_cells,
-        lambda solver, dataset, splits, unlabeled, *_: fitted.append((splits, unlabeled)))
+    drawn, fitted = [], []
+    real = experiment._draws
+
+    def drawing(*args):
+        for split in real(*args):
+            drawn.append(split)
+            yield split
+
+    monkeypatch.setattr(experiment, "_draws", drawing)
+    spy(monkeypatch, experiment._fit_splits,
+        lambda solver, dataset, labeled, unlabeled, *_: fitted.append((labeled, unlabeled)))
     # 90 shots x 3 classes plus 8 x 3 unlabeled items pass the 240-item pool
     rows = run_benchmark(ds, solvers=("zeroshot", "simpleshot", "sstext", "sstextu"),
                          shot_grid=(1, 2, 4, 90), seeds=[3, 0, 5],
@@ -877,8 +904,10 @@ def test_run_benchmark_draws_one_permutation_per_seed(monkeypatch, permutations)
     assert {r.error for r in rows if r.error} == {
         "SamplingError: pool of 240 cannot supply 270 support + 24 unlabeled items"}
     # every solver fits the same splits, each bitwise its own spec's draw
-    assert len(fitted) == 4 and all(f[0] is fitted[0][0] for f in fitted)
-    splits, unlabeled = fitted[0]
+    assert len(fitted) == 4 and all(f[0] is fitted[0][0] and f[1] is fitted[0][1]
+                                    for f in fitted)
+    splits = [split for split in drawn if not isinstance(split, SamplingError)]
+    unlabeled = fitted[0][1]
     specs = [SamplingSpec(shots=k, unlabeled_multiplier=8, seed=seed)
              for k in (1, 2, 4) for seed in (3, 0, 5)]
     assert len(splits) == len(specs) and unlabeled.shape == (len(specs), 24, 16)
@@ -996,7 +1025,7 @@ def test_run_benchmark_fits_a_sweep_grid_in_one_call_per_solver(monkeypatch):
 def test_run_benchmark_rejects_an_eval_set_that_does_not_fit(monkeypatch, spec):
     ds = _bench_dataset()
     other = synthetic_dataset(small_spec(pool_size=60, **spec)).pool()
-    monkeypatch.setattr(experiment, "_fit_cells", None)  # no fit may run
+    monkeypatch.setattr(experiment, "_fit_splits", None)  # no fit may run
     with pytest.raises(DataError) as err:
         run_benchmark(ds, shot_grid=(1,), seeds=2, eval_set=other)
     assert str(err.value) == (f"eval dataset ({other.class_count} classes, dim {other.dim}) "
@@ -1011,7 +1040,7 @@ def test_run_benchmark_rejects_fixed_weights_of_another_class_count(monkeypatch,
     # every sstext and sstextu fit would fail on them: one config error,
     # raised before any cell, with LambdaPolicy's own message
     ds = _bench_dataset()
-    monkeypatch.setattr(experiment, "_fit_cells", None)  # no fit may run
+    monkeypatch.setattr(experiment, "_fit_splits", None)  # no fit may run
     cfg = SolverConfig(tau=ds.tau, lambdas=LambdaPolicy.fixed(text, unlabeled))
     with pytest.raises(ConfigError) as err:
         run_benchmark(ds, shot_grid=(1, 2), seeds=3, cfg=cfg)
@@ -1140,13 +1169,13 @@ def _default_family_grid(monkeypatch, tau, eval_set=None):
     batch) at ``tau``, and each solver's fits in grid order."""
     ds = synthetic_dataset(SyntheticSpec())
     fits = {}
-    real = experiment._fit_cells
+    real = experiment._fit_splits
 
     def fitting(name, *args):
         fits.setdefault(name, []).extend(real(name, *args))
         return fits[name]
 
-    monkeypatch.setattr(experiment, "_fit_cells", fitting)
+    monkeypatch.setattr(experiment, "_fit_splits", fitting)
     rows = run_benchmark(ds, seeds=5, cfg=SolverConfig(tau=tau), include_timing=False,
                          eval_set=eval_set)
     return ds, rows, fits
@@ -1203,9 +1232,8 @@ def test_run_benchmark_failed_fit_with_timing_has_zero_runtime(monkeypatch):
     real = experiment._adapt
 
     def failing(labeled, *args, **kwargs):
-        if any(n == 6 for n in labeled.counts.sum(axis=1)):
-            raise SolverError("two-shot fits fail")
-        return real(labeled, *args, **kwargs)
+        return [SolverError("two-shot fits fail") if n == 6 else fit
+                for n, fit in zip(labeled.counts.sum(axis=1), real(labeled, *args, **kwargs))]
 
     monkeypatch.setattr(experiment, "_adapt", failing)
     rows = run_benchmark(ds, solvers=("zeroshot", "sstext"), shot_grid=(1, 2), seeds=2,
@@ -1214,6 +1242,48 @@ def test_run_benchmark_failed_fit_with_timing_has_zero_runtime(monkeypatch):
     failed = [(r.solver, r.shots, r.runtime_ms, r.error) for r in rows if r.error]
     assert failed == [("sstext", 2, 0.0, "SolverError: two-shot fits fail")] * 2
     assert all(r.runtime_ms > 0 for r in rows if r.solver == "sstext" and r.shots == 1)
+
+
+_FAILING_CONFIGS = {
+    # every sstext and sstextu objective overflows at round 1
+    "tiny-tau": (SolverConfig(tau=1e-300), 12),
+    # scores overflow: sstextu's transport step, sstext's objective and
+    # every scoring fail
+    "overflowing-scores": (SolverConfig(tau=1e-310), 24),
+    # only the 4 sstextu supports with an absent class floor a mass
+    # below the smallest normal float; their batch holds 2 that do not
+    "subnormal-floor": (SolverConfig(tau=0.025, marginal_ratio=1e-310), 4),
+}
+
+
+@pytest.mark.parametrize("cfg, failures", _FAILING_CONFIGS.values(),
+                         ids=_FAILING_CONFIGS.keys())
+def test_run_benchmark_fails_each_cell_with_its_own_error(monkeypatch, cfg, failures):
+    # one fit call per solver and batch, whichever elements fail, and
+    # each row is its own cell's fit and evaluation: the error string of
+    # the first that raises, or its metrics
+    ds = _bench_dataset()
+    calls = []
+    spy(monkeypatch, solvers._adapt, lambda labeled, *_, **__: calls.append(len(labeled.raw)))
+    rows = run_benchmark(ds, shot_grid=(1, 2), seeds=3, cfg=cfg, unlabeled_multiplier=8,
+                         include_timing=False)
+    assert calls == [6, 6]
+    pool = ds.pool()
+    failed = 0
+    for row in rows:
+        spec = SamplingSpec(shots=row.shots, unlabeled_multiplier=8, seed=row.seed)
+        support, unlabeled, remainder = sample_support(pool, spec)
+        hidden = pool.labels[split_indices(pool.labels, pool.class_count, spec)[1]]
+        try:
+            fit = fit_solver(row.solver, ds, support, unlabeled, cfg,
+                             np.bincount(hidden, minlength=3) / hidden.size)
+            report = evaluate_prototypes(fit.prototypes, remainder, cfg.tau)
+        except SemishotError as exc:
+            assert row.error == f"{type(exc).__name__}: {exc}"
+            failed += 1
+        else:
+            assert not row.error and (row.aca, row.acc) == (report.aca, report.acc)
+    assert failed == failures
 
 
 @pytest.mark.parametrize("fixed_eval", [False, True], ids=["resplit", "fixed-eval-set"])
@@ -1325,13 +1395,13 @@ def test_run_benchmark_default_cfg_uses_dataset_tau(monkeypatch, dataset_tau):
     ds = Dataset.create(embeddings=ds.embeddings, labels=ds.labels,
                         prototypes=ds.prototypes, tau=dataset_tau)
     fit_taus = []
-    real_fit = experiment._fit_cells
+    real_fit = experiment._fit_splits
 
     def fitting(*args):
-        fit_taus.append(args[4].tau)  # (name, dataset, splits, unlabeled, cfg, labeled)
+        fit_taus.append(args[4].tau)  # (name, dataset, labeled, unlabeled, cfg, oracles)
         return real_fit(*args)
 
-    monkeypatch.setattr(experiment, "_fit_cells", fitting)
+    monkeypatch.setattr(experiment, "_fit_splits", fitting)
     products, _, chunks = _spy_scoring(monkeypatch)
     run_benchmark(ds, solvers=("sstext",), shot_grid=(1, 2), seeds=2,
                   unlabeled_multiplier=0, include_timing=False)
@@ -1355,6 +1425,23 @@ def test_run_benchmark_rejects_bad_grid(monkeypatch, grid):
     monkeypatch.setattr(experiment, "_run_cell", None)  # no cell may run
     with pytest.raises(ConfigError):
         run_benchmark(ds, cfg=SolverConfig(tau=ds.tau), **{"seeds": 2, **grid})
+
+
+@pytest.mark.parametrize("seeds", [3, itertools.count(), range(10 ** 12)],
+                         ids=["count", "endless-iterable", "huge-range"])
+def test_run_benchmark_refuses_a_grid_past_the_row_ceiling(monkeypatch, seeds):
+    # 4 solvers x 2 shot counts under a ceiling of 16 rows take 2 seeds at
+    # most; more are refused before they are listed, however many there are
+    ds = _bench_dataset()
+    run_batch = experiment._run_batch
+    monkeypatch.setattr(experiment, "_MAX_ROWS", 16)
+    monkeypatch.setattr(experiment, "_run_batch", None)  # no batch may run
+    with pytest.raises(ConfigError) as err:
+        run_benchmark(ds, shot_grid=(1, 2), seeds=seeds, cfg=SolverConfig(tau=ds.tau))
+    assert str(err.value) == "benchmark grid must be <= 16 rows: at most 2 seeds for this grid"
+    monkeypatch.setattr(experiment, "_run_batch", run_batch)
+    assert len(run_benchmark(ds, shot_grid=(1, 2), seeds=2, cfg=SolverConfig(tau=ds.tau),
+                             unlabeled_multiplier=8, include_timing=False)) == 16
 
 
 def test_rows_to_csv_format():

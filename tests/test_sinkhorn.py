@@ -432,7 +432,7 @@ def test_narrow_elements_keep_the_global_shift_beside_wide_ones(rng, kernels):
     # bitwise the _scale of its own exp(s - s.max())
     s = np.stack([span_scores(rng, span) for span in (650.0, 900.0, 20.0)])
     m = np.stack([random_marginal(rng, 3) for _ in range(3)])
-    values = transport._solve(s, m, 10)
+    values, _ = transport._solve(s, m, 10)
     assert np.array_equal(kernels[0], np.stack([globally_shifted(s[0]), row_shifted(s[1]),
                                                 globally_shifted(s[2])]))
     for b in (0, 2):
@@ -524,7 +524,7 @@ def test_batched_solve_gives_each_element_its_own_plan(rng, monkeypatch):
         return real(q, *args)
 
     monkeypatch.setattr(transport, "_scale", empty_row)
-    values = transport._solve(s, m, 10)
+    values, _ = transport._solve(s, m, 10)
     for b in range(5):
         assert np.array_equal(values[b], solve_transport(s[b], m[b], iterations=10).values)
         np.testing.assert_allclose(values[b], _log_space_plan(s[b], m[b], 10), rtol=1e-12,
@@ -539,7 +539,7 @@ def test_batched_solve_absorbs_an_organic_kernel_failure(rng):
     m = np.array([[0.6, 0.4], [1.0, 1e-300], [0.3, 0.7]])
     with pytest.raises(DegeneratePlanError):
         transport._scale(globally_shifted(s[1])[None], m[1][None], 10)
-    values = transport._solve(s, m, 10)
+    values, _ = transport._solve(s, m, 10)
     for b in range(3):
         assert np.array_equal(values[b], solve_transport(s[b], m[b], iterations=10).values)
         np.testing.assert_allclose(values[b], _log_space_plan(s[b], m[b], 10), rtol=1e-12,
@@ -562,7 +562,7 @@ def test_kernel_plans_match_log_space_wherever_the_kernel_held(seed, rows, cols,
     s = heights[:, None] + noise * rng.standard_normal((rows, cols))
     m = 10.0 ** np.array(exponents[:rows])
     m /= m.sum()
-    values = transport._solve(s[None], m[None], iterations)[0]
+    values = transport._solve(s[None], m[None], iterations)[0][0]
     # exponents round in proportion to the span; below a span of 10 the
     # rounding of the rounds' own arithmetic (a few ulps each) dominates
     np.testing.assert_allclose(values, _log_space_plan(s, m, iterations),
@@ -573,14 +573,15 @@ def test_kernel_plans_match_log_space_wherever_the_kernel_held(seed, rows, cols,
 
 
 def test_extract_pseudolabels_column_renormalization():
-    codes = transport._class_codes(np.array([[0.1], [0.15]]))
+    codes, empty = transport._class_codes(np.array([[0.1], [0.15]]))
+    assert not empty
     assert np.allclose(codes, [[0.4], [0.6]], atol=1e-12)
 
 
 def test_extract_pseudolabels_rows_sum_to_one(rng):
     s = rng.standard_normal((4, 9)) * 3.0
     plan = solve_transport(s, random_marginal(rng, 4), iterations=6)
-    codes = transport._class_codes(plan.values.copy())  # it writes over its argument
+    codes, _ = transport._class_codes(plan.values.copy())  # it writes over its argument
     assert codes.shape == (4, 9)
     assert np.allclose(codes.sum(axis=0), 1.0, atol=1e-12)
     assert (codes >= 0.0).all()
@@ -588,7 +589,7 @@ def test_extract_pseudolabels_rows_sum_to_one(rng):
 
 def test_extract_pseudolabels_uniform_plan(rng):
     plan = sinkhorn(np.full((4, 6), 1.0 / 24.0), np.full(4, 0.25), iterations=2)
-    codes = transport._class_codes(plan.values.copy())
+    codes, _ = transport._class_codes(plan.values.copy())
     assert np.allclose(codes, 0.25, atol=1e-12)
 
 
@@ -596,14 +597,19 @@ def test_class_codes_are_written_over_the_plan(rng):
     values = solve_transport(rng.standard_normal((3, 5)), random_marginal(rng, 3)).values
     expected = values / values.sum(axis=0)
     plan = values.copy()
-    codes = transport._class_codes(plan)
+    codes, _ = transport._class_codes(plan)
     assert codes is plan
     assert np.array_equal(codes, expected)
 
 
-def test_extract_pseudolabels_empty_column_raises():
-    with pytest.raises(DegeneratePlanError):
-        transport._class_codes(np.array([[0.5, 0.0], [0.5, 0.0]]))
+def test_extract_pseudolabels_reports_each_plan_with_an_empty_column():
+    # the codes of a plan with an empty column are undefined: its
+    # division sets the invalid flag, and the mask names it
+    plans = np.array([[[0.5, 0.0], [0.5, 0.0]], [[0.2, 0.1], [0.3, 0.4]]])
+    with np.errstate(invalid="ignore"):
+        codes, empty = transport._class_codes(plans.copy())
+    assert empty.tolist() == [True, False]
+    assert np.array_equal(codes[1], plans[1] / plans[1].sum(axis=0))
 
 
 # ---------------------------------------------------------------- quality

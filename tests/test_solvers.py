@@ -556,16 +556,27 @@ def test_sstextu_round_loop_is_bitwise_the_public_pieces(rng):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_nonfinite_scores_fail_the_batch_at_round_one(rng, bad):
     # one element's unlabeled rows carry a NaN or an infinity; the
-    # transport solve finds it from its shift's maxima and minima
+    # transport solve finds it from its shift's maxima and minima, and
+    # that element alone fails, with the error its own fit raises
     supports = [random_support(rng, 5, 3, 4, ensure_all_classes=True) for _ in range(3)]
     t = unit_rows(rng, 3, 4)
+    cfg = SolverConfig(tau=0.05, track_codes=True)
     stacked = np.stack([random_unlabeled(rng, 10, 4).embeddings for _ in range(3)])
     stacked[1, 2:4] = bad
-    with pytest.raises(SolverError) as info:
-        ss.solvers._adapt(ss.objectives._labeled_sums(supports), t, SolverConfig(tau=0.05), stacked)
-    assert str(info.value) == ("pseudo-label step failed at round 1: "
-                               "similarity matrix contains non-finite entries")
-    assert info.value.iteration == 1
+    fits = ss.solvers._adapt(ss.objectives._labeled_sums(supports), t, cfg, stacked)
+    with pytest.raises(SolverError) as info:  # a NaN row is no UnlabeledSet
+        ss.solvers._fit_alone(ss.solvers._adapt, supports[1], t, cfg, stacked[1:2])
+    assert type(fits[1]) is SolverError
+    assert str(fits[1]) == str(info.value) == ("pseudo-label step failed at round 1: "
+                                               "similarity matrix contains non-finite entries")
+    assert fits[1].iteration == info.value.iteration == 1
+    for b in (0, 2):
+        alone = fit_sstextu(supports[b], UnlabeledSet(embeddings=stacked[b]), t, cfg)
+        for name in ("prototypes", "objective_trace", "marginal", "ot_residuals"):
+            assert getattr(fits[b], name).tobytes() == getattr(alone, name).tobytes()
+        for name in ("pseudolabel_trace", "prototype_trace"):
+            assert [a.tobytes() for a in getattr(fits[b], name)] == [
+                a.tobytes() for a in getattr(alone, name)]
     with pytest.raises(DataError, match="non-finite"):
         solve_transport(np.array([[0.0, bad], [1.0, 0.0]]), np.array([0.5, 0.5]))
 
@@ -660,8 +671,10 @@ def test_batch_marginals_are_each_supports_own(rng, source):
     # public estimate and correction of its support alone
     supports = [random_support(rng, n, 4, 6) for n in (1, 2, 2, 8, 8, 3, 40)]
     cfg = SolverConfig(marginal_source=source, marginal_ratio=0.3)
+    errors = [None] * len(supports)
     got = ss.solvers._resolve_marginals(ss.objectives._labeled_sums(supports), cfg,
-                                        [None] * len(supports))
+                                        [None] * len(supports), errors)
+    assert errors == [None] * len(supports)
     floored = 0
     for sup, row in zip(supports, got):
         own = estimate_marginal(sup)
