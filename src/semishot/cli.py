@@ -18,6 +18,7 @@ import argparse
 import ctypes
 import functools
 import inspect
+import os
 import sys
 from pathlib import Path
 
@@ -28,8 +29,6 @@ from .data import (
     Dataset,
     SupportSet,
     UnlabeledSet,
-    _DATASET_BLOBS,
-    _manifest_files,
     _prototype_blob,
     _write_file,
     _write_json,
@@ -286,44 +285,51 @@ def _adapt_split(dataset: Dataset, args) -> tuple[SupportSet, UnlabeledSet,
     return split.support, unlabeled, split.oracle_marginal
 
 
+def _file_id(path) -> tuple[int, int] | str:
+    """(device, inode) of the file at ``path``, links followed, else its resolved path."""
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return str(Path(path).resolve())
+    return stat.st_dev, stat.st_ino
+
+
 def _refuse_overwrite(command: str, writes, reads) -> None:
     """Raise ConfigError when a file that ``command`` would write, each a
-    (flag, value, path) of ``writes``, is a file of one of the manifests
-    that it reads, each a (kind, manifest) of ``reads`` with kind
-    "dataset" or "prototypes" (None manifests skipped), or a file that an
-    earlier entry of ``writes`` names, or a path that cannot be resolved."""
-    owners = {}
-    for kind, manifest in reads:
-        if manifest is not None:
-            blobs = _DATASET_BLOBS if kind == "dataset" else ("prototypes",)
-            owners.update(dict.fromkeys(_manifest_files(manifest, blobs),
-                                        f"a file of {kind} {manifest}"))
+    (flag, value, path) of ``writes``, is a path that cannot be resolved
+    or the same file, link or not, as one of the ``files`` that a loader
+    read, each a (kind, manifest, files) of ``reads``, or as an earlier
+    entry of ``writes``."""
+    owners = {_file_id(path): f"a file of {kind} {manifest}"
+              for kind, manifest, files in reads for path in files}
     for flag, value, path in writes:
         try:
             target = str(Path(path).resolve())
         except (OSError, RuntimeError) as exc:  # RuntimeError: a symlink loop before 3.13
             raise ConfigError(f"{command} {flag} {value}: cannot resolve {path}: {exc}") from None
-        if target in owners:
+        key = _file_id(target)
+        if key in owners:
             raise ConfigError(f"{command} {flag} {value} would overwrite {target}, "
-                              f"{owners[target]}")
-        owners[target] = f"the {flag} file"
+                              f"{owners[key]}")
+        owners[key] = f"the {flag} file"
 
 
-def _load(manifest: Path) -> Dataset:
-    """``load_dataset(manifest)``, with each of its load notes printed as
-    one ``warning:`` line on stderr."""
-    dataset = load_dataset(manifest)
+def _load(manifest: Path, files: list) -> Dataset:
+    """``load_dataset(manifest, files=files)``, with each of its load
+    notes printed as one ``warning:`` line on stderr."""
+    dataset = load_dataset(manifest, files=files)
     for note in dataset.warnings:
         print(f"warning: {manifest}: {note}", file=sys.stderr)
     return dataset
 
 
 def cmd_adapt(args) -> int:
-    dataset = _load(args.data)
+    files = []
+    dataset = _load(args.data, files)
     out: Path = args.out
-    manifest = out / "prototypes.json"
+    manifest, report_path = out / "prototypes.json", out / "fit_report.json"
     _refuse_overwrite("adapt", [("--out", out, path) for path in (
-        manifest, _prototype_blob(manifest), out / "fit_report.json")], [("dataset", args.data)])
+        manifest, _prototype_blob(manifest), report_path)], [("dataset", args.data, files)])
     tau = _resolve_tau(args.tau, dataset)
     cfg = _solver_config(args, tau, dataset.class_count)
     support, unlabeled, oracle_marginal = _adapt_split(dataset, args)
@@ -343,18 +349,20 @@ def cmd_adapt(args) -> int:
         report["marginal"] = fit.marginal.tolist()
     if fit.ot_residuals is not None:
         report["ot_residuals"] = fit.ot_residuals.tolist()
-    _write_json(out / "fit_report.json", report)
+    _write_json(report_path, report)
     print(f"adapted {args.solver} prototypes "
           f"({support.class_count} x {support.dim}) to {out}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    dataset = _load(args.data)
-    prototypes = load_prototypes(args.prototypes)
+    data_files, proto_files = [], []
+    dataset = _load(args.data, data_files)
+    prototypes = load_prototypes(args.prototypes, files=proto_files)
     if args.out is not None:
         _refuse_overwrite("eval", [("--out", args.out, args.out)],
-                          [("dataset", args.data), ("prototypes", args.prototypes)])
+                          [("dataset", args.data, data_files),
+                           ("prototypes", args.prototypes, proto_files)])
     tau = _resolve_tau(args.tau, dataset)
     report = evaluate_prototypes(prototypes, dataset.pool(), tau)
     payload = {
@@ -374,8 +382,9 @@ def cmd_eval(args) -> int:
 def cmd_benchmark(args) -> int:
     if args.threads is not None and args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+    data_files, eval_files = [], []
     if args.data is not None:
-        dataset = _load(args.data)
+        dataset = _load(args.data, data_files)
         name = args.name or Path(args.data).parent.name or "dataset"
     else:
         dataset = synthetic_dataset(SyntheticSpec(seed=args.gen_seed))
@@ -387,10 +396,10 @@ def cmd_benchmark(args) -> int:
         shot_grid = tuple(int(tok) for tok in args.shots_grid.split(",") if tok)
     except ValueError:
         raise ConfigError(f"could not parse --shots-grid {args.shots_grid!r}")
-    eval_set = None if args.eval_data is None else _load(args.eval_data).pool()
+    eval_set = None if args.eval_data is None else _load(args.eval_data, eval_files).pool()
     _refuse_overwrite("benchmark", [(flag, path, path) for flag, path in (
         ("--out-csv", args.out_csv), ("--out-json", args.out_json)) if path is not None],
-        [("dataset", args.data), ("dataset", args.eval_data)])
+        [("dataset", args.data, data_files), ("dataset", args.eval_data, eval_files)])
 
     rows = run_benchmark(
         dataset, solvers=solvers, shot_grid=shot_grid, seeds=args.seeds,

@@ -16,12 +16,15 @@ are already unit-norm to float32 precision byte-stable (so that a
 save/load/save cycle is bit-exact) and renormalizes anything further
 out, surfacing large deviations as warnings on the returned dataset.
 
-Every file goes to disk through ``_write_file``, where an OS refusal is
-a ConfigError. JSON is ``json.dumps(indent=2, sort_keys=True)`` text.
+The loaders are the only readers of manifests and blobs, and report
+each file they read. Every file goes to disk through ``_write_file``,
+where an OS refusal is a ConfigError. JSON is ``json.dumps(indent=2,
+sort_keys=True)`` text.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -48,8 +51,6 @@ NORM_WARN_TOL = 0.1
 NORM_VALID_TOL = 1e-4
 # Elements that _row_norms squares at once (128 KiB of float64).
 _NORM_CHUNK = 1 << 14
-# Manifest keys that name a dataset blob.
-_DATASET_BLOBS = ("embeddings", "labels", "prototypes", "unlabeled", "templates")
 
 
 def _class_labels(labels, n: int, class_count: int, what: str) -> np.ndarray:
@@ -374,9 +375,9 @@ _ABSENT = object()
 
 
 def _read_manifest(manifest_path: Path, what: str, shape_keys: tuple[str, ...],
-                   required: tuple[str, ...]) -> tuple[dict, tuple[int, ...]]:
-    """Parse a JSON manifest object that declares positive integer
-    ``shape_keys``, the f32le dtype and the ``required`` blob names."""
+                   required: tuple[str, ...], files: list) -> tuple[dict, tuple[int, ...]]:
+    """Parse a JSON manifest object that declares positive integer ``shape_keys``,
+    the f32le dtype and the ``required`` blob names, and add its path to ``files``."""
     try:
         manifest = json.loads(manifest_path.read_text())
     except FileNotFoundError:
@@ -385,6 +386,7 @@ def _read_manifest(manifest_path: Path, what: str, shape_keys: tuple[str, ...],
         raise FormatError(f"cannot read {what} {manifest_path}: {exc}")
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{what} is not valid JSON: {exc}")
+    files.append(manifest_path)
     if not isinstance(manifest, dict):
         raise FormatError(f"{what} must be a JSON object")
     missing = [k for k in (*shape_keys, "dtype", *required) if k not in manifest]
@@ -428,23 +430,22 @@ def _blob_dtype(key: str) -> np.dtype:
 
 
 def _read_blob(manifest_path: Path, manifest: dict, key: str,
-               shape: tuple[int, ...]) -> np.ndarray:
+               shape: tuple[int, ...], files: list) -> np.ndarray:
     """The blob that manifest field ``key`` names, in ``shape``: labels as
     a read-only view of the file's bytes, anything else widened to
     float64, where NaN or Inf is a DataError. A signalling NaN sets the
     invalid flag in the cast, which is silenced so that this check is the
-    only signal."""
+    only signal. The blob's path is appended to ``files`` once read."""
     path = manifest_path.parent / _field(manifest, key, str)
     if not path.is_file():
         raise FormatError(f"{key} blob missing: {path}")
     raw = path.read_bytes()
+    files.append(path)
     dtype, count = _blob_dtype(key), math.prod(shape)
     expected = count * dtype.itemsize
     if len(raw) != expected:
-        raise FormatError(
-            f"{key} blob {path.name}: expected {expected} bytes for {count} "
-            f"values, found {len(raw)}"
-        )
+        raise FormatError(f"{key} blob {path.name}: expected {expected} bytes for {count} "
+                          f"values, found {len(raw)}")
     values = np.frombuffer(raw, dtype=dtype).reshape(shape)
     if key == "labels":
         return values
@@ -469,15 +470,6 @@ def _ingest_unit_rows(arr: np.ndarray, what: str, warnings: list[str]) -> np.nda
     fix = dev > NORM_KEEP_TOL
     arr[fix] = arr[fix] / norms[fix, None]
     return arr
-
-
-def _manifest_files(manifest_path: Path, blobs: tuple[str, ...]) -> set[str]:
-    """The resolved paths of a manifest that a loader has read and of the
-    blobs it names under the ``blobs`` keys, those that loader read:
-    every blob of a dataset, only ``prototypes`` of a prototype matrix."""
-    manifest = json.loads(manifest_path.read_text())
-    return {str(path.resolve()) for path in (manifest_path, *(
-        manifest_path.parent / manifest[key] for key in blobs if key in manifest))}
 
 
 def _prototype_blob(manifest_path: Path) -> Path:
@@ -519,8 +511,8 @@ def _write_json(path: Path | None, payload: dict) -> None:
         _write_file(path, text.encode())
 
 
-def load_dataset(manifest_path: str | Path) -> Dataset:
-    """Load a dataset from its JSON manifest.
+def load_dataset(manifest_path: str | Path, *, files: list | None = None) -> Dataset:
+    """Load a dataset from its JSON manifest; each file read is appended to ``files``.
 
     Blob sizes must match the declared shapes exactly. Embedding rows
     within ``NORM_KEEP_TOL`` of unit norm are kept verbatim, the rest are
@@ -528,23 +520,20 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     in ``Dataset.warnings``. The returned Dataset checks the rest of its
     invariant (label range, finite values) on construction.
     """
-    path = Path(manifest_path)
+    path, files = Path(manifest_path), [] if files is None else files
     manifest, (n, d, c) = _read_manifest(path, "manifest", ("n", "d", "c"),
-                                         ("embeddings", "labels", "prototypes"))
+                                         ("embeddings", "labels", "prototypes"), files)
+    blob = functools.partial(_read_blob, path, manifest, files=files)
     warnings: list[str] = []
-    embeddings = _ingest_unit_rows(_read_blob(path, manifest, "embeddings", (n, d)),
-                                   "embeddings", warnings)
-    labels = _read_blob(path, manifest, "labels", (n,))
-    prototypes = _read_blob(path, manifest, "prototypes", (c, d))
+    embeddings = _ingest_unit_rows(blob("embeddings", (n, d)), "embeddings", warnings)
+    labels = blob("labels", (n,))
+    prototypes = blob("prototypes", (c, d))
 
     m = _field(manifest, "m", int, 0)
     if m < 0:
         raise FormatError("manifest field 'm' must be >= 0")
-    if m > 0 or "unlabeled" in manifest:
-        unlabeled = _ingest_unit_rows(_read_blob(path, manifest, "unlabeled", (m, d)),
-                                      "unlabeled", warnings)
-    else:
-        unlabeled = np.zeros((0, d), dtype=np.float64)
+    unlabeled = (_ingest_unit_rows(blob("unlabeled", (m, d)), "unlabeled", warnings)
+                 if m > 0 or "unlabeled" in manifest else np.zeros((0, d)))
 
     tau = _field(manifest, "tau", float, None)
     if tau is not None and (not np.isfinite(tau) or tau <= 0):
@@ -555,7 +544,7 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     if "templates" in manifest:
         if j < 1:
             raise FormatError("manifest with 'templates' must declare 'j' >= 1")
-        templates = _read_blob(path, manifest, "templates", (c, j, d))
+        templates = blob("templates", (c, j, d))
 
     # every array here was built by this call, so the dataset keeps it
     return Dataset(embeddings=embeddings.view(_Handed), labels=labels.view(_Handed),
@@ -600,8 +589,9 @@ def save_prototypes(prototypes: np.ndarray, manifest_path: str | Path,
     _write_blobs(path, manifest, {"prototypes": protos})
 
 
-def load_prototypes(manifest_path: str | Path) -> np.ndarray:
-    """Load a prototype matrix written by save_prototypes."""
-    path = Path(manifest_path)
-    manifest, shape = _read_manifest(path, "prototype manifest", ("c", "d"), ("prototypes",))
-    return _read_blob(path, manifest, "prototypes", shape)
+def load_prototypes(manifest_path: str | Path, *, files: list | None = None) -> np.ndarray:
+    """Load a prototype matrix written by save_prototypes, as load_dataset."""
+    path, files = Path(manifest_path), [] if files is None else files
+    manifest, shape = _read_manifest(path, "prototype manifest", ("c", "d"),
+                                     ("prototypes",), files)
+    return _read_blob(path, manifest, "prototypes", shape, files)

@@ -309,7 +309,7 @@ def _adapt(labeled: _LabeledSums, text_prototypes: np.ndarray, cfg: SolverConfig
     not read the prototypes, so the trace is flat after its start. An
     element that fails a check (a floored mass, finite scores, no empty
     plan column, a finite objective) keeps that error and rides along,
-    silently, in rounds that move no other element. Each result's
+    silently, in rounds that move another element. Each result's
     ``runtime_ms`` is the call's wall time divided by B; the record
     handed in is not charged to it.
     """
@@ -337,6 +337,8 @@ def _adapt(labeled: _LabeledSums, text_prototypes: np.ndarray, cfg: SolverConfig
     code_snaps: list[np.ndarray] = []
     proto_snaps: list[np.ndarray] = []
     for round_idx in range(1, rounds + 1):
+        if all(errors):  # no later round can change an element's first error
+            break
         if unlabeled is not None:
             scores = _scores(prototypes, unlabeled, cfg.tau)
             values, bad = _solve(scores, marginal, cfg.ot_iters)

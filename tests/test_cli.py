@@ -392,6 +392,24 @@ def test_adapt_writes_prototypes_and_trace(dataset_dir, tmp_path):
     assert report["config"]["t_ot"] == 10
 
 
+@pytest.mark.parametrize("mult, size", [("24", 7), ("0", 0)])
+def test_adapt_fits_on_the_datasets_dedicated_unlabeled_rows(dataset_dir, tmp_path, mult, size):
+    # a dataset with M = 7 dedicated unlabeled rows: adapt fits on all of
+    # them whatever the multiplier, and --unlabeled-mult 0 on none
+    pool = load_dataset(dataset_dir / "manifest.json")
+    extra = np.random.default_rng(5).standard_normal((7, pool.dim))
+    data = tmp_path / "dedicated"
+    semishot.save_dataset(semishot.Dataset.create(
+        pool.embeddings, pool.labels, pool.prototypes, unlabeled=extra, tau=pool.tau),
+        data / "manifest.json")
+    out = tmp_path / "fit"
+    assert main(["adapt", "--data", str(data / "manifest.json"), "--solver", "sstextu",
+                 "--shots", "2", "--unlabeled-mult", mult, "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "fit_report.json").read_text())
+    assert (report["support_size"], report["unlabeled_size"]) == (6, size)
+    assert len(report.get("ot_residuals", ())) == (3 if size else 0)
+
+
 def test_adapt_without_unlabeled_reduces_to_labeled_solver(dataset_dir,
                                                            tmp_path):
     shared = ["--data", str(dataset_dir / "manifest.json"), "--shots", "2",
@@ -596,6 +614,37 @@ def test_eval_missing_file(dataset_dir, tmp_path):
     code = main(["eval", "--data", str(dataset_dir / "manifest.json"),
                  "--prototypes", str(tmp_path / "nope.json")])
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("case, message", [
+    ("directory", "cannot read manifest"),
+    ("not-json", "manifest is not valid JSON"),
+    ("not-an-object", "manifest must be a JSON object"),
+    ("unlabeled-count-without-key", "manifest missing key 'unlabeled'"),
+    ("missing-blob", "labels blob missing"),
+])
+def test_eval_dataset_load_failures_are_one_error_line(dataset_dir, tmp_path, capsys,
+                                                       case, message):
+    data = tmp_path / "data"
+    data.mkdir()
+    for path in dataset_dir.iterdir():
+        (data / path.name).write_bytes(path.read_bytes())
+    manifest = data / "manifest.json"
+    if case == "directory":
+        manifest = data
+    elif case == "missing-blob":
+        (data / "labels.u32").unlink()
+    elif case == "unlabeled-count-without-key":
+        fields = json.loads(manifest.read_text())
+        del fields["unlabeled"]
+        manifest.write_text(json.dumps({**fields, "m": 3}))
+    else:
+        manifest.write_text({"not-json": "{", "not-an-object": "[1, 2]"}[case])
+    code = main(["eval", "--data", str(manifest),
+                 "--prototypes", str(dataset_dir / "manifest.json")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
 
 
 # ---------------------------------------------------------------- benchmark
@@ -813,6 +862,32 @@ def test_eval_refuses_the_target_of_a_linked_blob(tmp_path, capsys):
         f"error: eval --out {store / 'emb.f32'} would overwrite "
         f"{(store / 'emb.f32').resolve()}, a file of dataset {data / 'manifest.json'}\n")
     assert [read_files(store), read_files(fit)] == before
+
+
+@pytest.mark.parametrize("command", ["adapt", "eval", "benchmark"])
+def test_an_output_hard_linked_to_an_input_is_refused(tmp_path, capsys, monkeypatch, command):
+    # a hard link is a path of its own that resolves to itself: only the
+    # file's device and inode show that writing it would change the input
+    data, fit = _fitted_dataset(tmp_path)
+    manifest, out = data / "manifest.json", tmp_path / "out"
+    out.mkdir()
+    source, link, flag, lead = {
+        "adapt": (data / "embeddings.f32", out / "prototypes.f32", "--out",
+                  ["--solver", "sstextu"]),
+        "eval": (fit / "prototypes.f32", out / "eval.json", "--out",
+                 ["--prototypes", str(fit / "prototypes.json")]),
+        "benchmark": (data / "labels.u32", out / "rows.csv", "--out-csv",
+                      [*BENCH_FLAGS, "--out-json", str(out / "rows.json")]),
+    }[command]
+    os.link(source, link)
+    value = out if command == "adapt" else link
+    owner = f"prototypes {fit / 'prototypes.json'}" if command == "eval" else f"dataset {manifest}"
+    before = [read_files(data), read_files(fit), read_files(out)]
+    monkeypatch.setattr("semishot.cli.run_benchmark", None)  # no fit may run
+    assert main([command, "--data", str(manifest), *lead, flag, str(value)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {command} {flag} {value} would overwrite {link.resolve()}, a file of {owner}\n")
+    assert [read_files(data), read_files(fit), read_files(out)] == before  # nothing written
 
 
 @pytest.mark.parametrize("via_link", [False, True], ids=["absent-dir", "linked-dir"])

@@ -88,6 +88,11 @@ def test_normalized_rows_gathered_are_the_rows_normalized_alone(seed, source, ta
         x = scale * rng.standard_normal((300, int(rng.integers(2, 80))))
     if source.endswith("float32"):  # as a stored dataset holds them
         x = x.astype(np.float32).astype(np.float64)
+    small = np.linalg.norm(x, axis=1) < ss.data.MIN_ROW_NORM
+    if small.any():  # a tiny Gaussian row has no direction: the pool is refused
+        with pytest.raises(DataError, match=rf"rows \[{np.flatnonzero(small)[0]}.* norm below"):
+            normalize_rows(x)
+        x = x[~small]
     idx = rng.choice(x.shape[0], size=min(take, x.shape[0]), replace=False)
     alone = normalize_rows(x[idx]).tobytes()
     assert normalize_rows(x)[idx].tobytes() == alone
@@ -184,6 +189,11 @@ def test_support_rejects_bad_onehot():
         SupportSet(embeddings=emb, labels=np.array([[0.5, 0.5], [0.0, 1.0]]))
     with pytest.raises(DataError):
         SupportSet.from_indices(emb, np.array([0, 2]), 2)
+
+
+def test_direct_support_of_zero_rows_is_refused():
+    with pytest.raises(DataError, match="at least one sample"):
+        SupportSet(embeddings=np.zeros((0, 3)), labels=np.zeros((0, 2)))
 
 
 @pytest.mark.parametrize("build", [

@@ -33,6 +33,8 @@ def test_lambda_policy_validation():
         LambdaPolicy(mode="other")
     with pytest.raises(ConfigError):
         LambdaPolicy(mode="fixed")  # missing weight vectors
+    with pytest.raises(ConfigError, match="must not carry fixed values"):
+        LambdaPolicy(mode="adaptive", fixed_text=[1.0, 1.0])
     with pytest.raises(ConfigError):
         # fixed weight arrays must match the class count at use time
         LambdaPolicy.fixed([1.0, 1.0], [1.0, 1.0]).text_weights(np.array([2, 2, 1]))

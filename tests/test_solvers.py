@@ -194,6 +194,9 @@ def test_update_requires_codes_with_unlabeled(rng):
     with pytest.raises(DataError):
         update_prototypes(sup, unl, random_codes(rng, 4, 2), t, 0.1,
                           LambdaPolicy.adaptive())
+    with pytest.raises(DataError, match="unlabeled dim 4 does not match support dim 3"):
+        update_prototypes(sup, random_unlabeled(rng, 5, 4), random_codes(rng, 5, 2), t, 0.1,
+                          LambdaPolicy.adaptive())
 
 
 def test_update_minimizes_fixed_code_objective(rng):
@@ -579,6 +582,39 @@ def test_nonfinite_scores_fail_the_batch_at_round_one(rng, bad):
                 a.tobytes() for a in getattr(alone, name)]
     with pytest.raises(DataError, match="non-finite"):
         solve_transport(np.array([[0.0, bad], [1.0, 0.0]]), np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("case, solves", [("non-finite-scores", 1), ("floored-mass", 0)])
+def test_a_batch_stops_once_every_element_has_failed(rng, monkeypatch, case, solves):
+    # NaN rows fail every element at round 1; a subnormal floor fails
+    # every element before it: no later round can change a first error,
+    # so no later round solves a plan, and each element keeps the error
+    # its own fit raises
+    if case == "floored-mass":  # class 2 is absent from every support
+        supports = [SupportSet.from_indices(unit_rows(rng, 5, 4), [0, 1, 0, 1, 0], 3)
+                    for _ in range(3)]
+        cfg = SolverConfig(tau=0.05, marginal_ratio=1e-310)
+    else:
+        supports = [random_support(rng, 5, 3, 4, ensure_all_classes=True) for _ in range(3)]
+        cfg = SolverConfig(tau=0.05)
+    stacked = np.stack([random_unlabeled(rng, 10, 4).embeddings for _ in range(3)])
+    if case == "non-finite-scores":
+        stacked[:, 2] = np.nan
+    t = unit_rows(rng, 3, 4)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return solve(*args)
+
+    solve = ss.solvers._solve
+    monkeypatch.setattr(ss.solvers, "_solve", spy)
+    fits = ss.solvers._adapt(ss.objectives._labeled_sums(supports), t, cfg, stacked)
+    assert cfg.bcm_iters == 3 and len(calls) == solves
+    for b, fit in enumerate(fits):
+        with pytest.raises(ss.errors.SemishotError) as info:
+            ss.solvers._fit_alone(ss.solvers._adapt, supports[b], t, cfg, stacked[b:b + 1])
+        assert type(fit) is type(info.value) and str(fit) == str(info.value)
 
 
 def test_fits_leave_their_inputs_unwritten(rng):
