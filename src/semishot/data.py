@@ -3,7 +3,11 @@
 Every container checks its invariant when it is constructed (shapes,
 label range and, where it holds embedding rows to score, finite
 unit-norm rows), so an instance that exists is valid however it was
-built.
+built. One ownership rule keeps it valid: each container here and
+``objectives.LambdaPolicy`` stores only read-only arrays: a copy of an
+array the caller passed, or a view, with no copy, of one that a builder
+has just made and hands over (marked ``_Handed``), whose rows skip the
+norm test that their builder made true.
 
 On-disk layout is a JSON manifest next to raw little-endian row-major
 blobs, one per manifest key that names a file. The dtype rule: labels
@@ -65,28 +69,27 @@ def _class_labels(labels, n: int, class_count: int, what: str) -> np.ndarray:
     return lab
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    """A read-only view of ``arr``: the flag goes on the view, so an
-    input array the caller still owns stays writable, and no data is
-    copied when ``arr`` is already contiguous."""
-    out = np.ascontiguousarray(arr).view()
-    out.setflags(write=False)
-    return out
-
-
 class _Handed(np.ndarray):
-    """Marks an array that ``Dataset.create`` or ``load_dataset`` has just
-    built and hands to ``Dataset``: no caller holds it, so the dataset
-    keeps it instead of a copy."""
+    """Marks an array that a builder has just made and hands to a container
+    or a ``LambdaPolicy``: no caller holds it, so the object keeps it instead
+    of a copy. Only the view passed to the constructor carries the mark."""
 
 
-def _owned(given, arr: np.ndarray) -> np.ndarray:
-    """``arr``, the checked form of the field value ``given``, read-only
-    where no write to the caller's array can reach: a copy, or ``arr``
-    itself when ``given`` was handed over."""
-    out = arr.view() if isinstance(given, _Handed) else np.array(arr)
+def _owned(given, arr: np.ndarray | None = None) -> np.ndarray:
+    """``arr``, the checked form of the field value ``given`` (``given``
+    itself by default), read-only where no write to the caller's array
+    can reach: a copy, or a view of ``arr`` when ``given`` was handed
+    over."""
+    arr = given if arr is None else arr
+    out = arr.view(np.ndarray) if isinstance(given, _Handed) else np.array(arr)
     out.setflags(write=False)
     return out
+
+
+def _store(obj, **fields) -> None:
+    """Set the checked ``fields`` on the frozen dataclass ``obj``."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
 
 
 def _row_norms(arr: np.ndarray, what: str) -> np.ndarray:
@@ -172,17 +175,16 @@ class SupportSet:
     labels: np.ndarray  # (N, C), one-hot
 
     def __post_init__(self):
-        object.__setattr__(self, "embeddings",
-                           _unit_rows(self.embeddings, "support embeddings"))
-        object.__setattr__(self, "labels", check_array(
-            self.labels, "support labels", (self.embeddings.shape[0], None)))
-        if self.embeddings.shape[0] < 1:
+        emb = _owned(self.embeddings, _unit_rows(self.embeddings, "support embeddings"))
+        lab = _owned(self.labels, check_array(
+            self.labels, "support labels", (emb.shape[0], None)))
+        if emb.shape[0] < 1:
             raise DataError("support set must contain at least one sample")
-        lab = self.labels
         if not np.all((lab == 0.0) | (lab == 1.0)):
             raise DataError("support labels must be one-hot (entries in {0,1})")
         if not np.all(lab.sum(axis=1) == 1.0):
             raise DataError("every support label row must sum to exactly 1")
+        _store(self, embeddings=emb, labels=lab)
 
     @classmethod
     def from_indices(
@@ -192,24 +194,24 @@ class SupportSet:
         class_count = check_count(class_count, "class_count", 1)
         emb = normalize_rows(embeddings)
         idx = _class_labels(class_indices, emb.shape[0], class_count, "class_indices")
-        return cls._of_unit_rows(emb, idx, class_count)
+        return cls._of_unit_rows(emb.view(_Handed), idx, class_count)
 
     @classmethod
     def _of_unit_rows(cls, unit_rows: np.ndarray, class_indices: np.ndarray,
                       class_count: int) -> "SupportSet":
         """``from_indices`` of float64 rows that already are unit rows,
         such as ``normalize_rows`` gives or ``_unit_rows_at`` gathers from
-        norms checked once, kept as they are, and of checked class
-        indices. Only an empty set is refused: the one-hot is built here
-        from those indices."""
-        emb = _readonly(unit_rows)
+        norms checked once, and of checked class indices, with no array
+        check: the drawn supports of a benchmark cell come through here.
+        Only an empty set is refused: the one-hot is built here from
+        those indices. The rows are owned as the constructor owns them."""
+        emb = _owned(unit_rows)
         if emb.shape[0] < 1:
             raise DataError("support set must contain at least one sample")
         onehot = np.zeros((emb.shape[0], class_count), dtype=np.float64)
         onehot[np.arange(emb.shape[0]), class_indices] = 1.0
         support = object.__new__(cls)
-        object.__setattr__(support, "embeddings", emb)
-        object.__setattr__(support, "labels", _readonly(onehot))
+        _store(support, embeddings=emb, labels=_owned(onehot.view(_Handed)))
         return support
 
     @property
@@ -237,16 +239,16 @@ class UnlabeledSet:
     embeddings: np.ndarray  # (M, D)
 
     def __post_init__(self):
-        object.__setattr__(self, "embeddings",
-                           _unit_rows(self.embeddings, "unlabeled embeddings"))
+        _store(self, embeddings=_owned(self.embeddings, _unit_rows(
+            self.embeddings, "unlabeled embeddings")))
 
     @classmethod
     def from_embeddings(cls, embeddings: np.ndarray) -> "UnlabeledSet":
-        return cls(embeddings=_readonly(normalize_rows(embeddings)))
+        return cls(embeddings=normalize_rows(embeddings).view(_Handed))
 
     @classmethod
     def empty(cls, dim: int) -> "UnlabeledSet":
-        return cls(embeddings=_readonly(np.zeros((0, check_count(dim, "dim")))))
+        return cls(embeddings=np.zeros((0, check_count(dim, "dim"))).view(_Handed))
 
     @property
     def count(self) -> int:
@@ -266,12 +268,11 @@ class EvalSet:
     class_count: int
 
     def __post_init__(self):
-        object.__setattr__(self, "embeddings",
-                           check_array(self.embeddings, "eval embeddings", (None, None)))
-        object.__setattr__(self, "class_count",
-                           check_count(self.class_count, "class_count", 1))
-        object.__setattr__(self, "labels", _class_labels(
-            self.labels, self.embeddings.shape[0], self.class_count, "eval labels"))
+        emb = check_array(self.embeddings, "eval embeddings", (None, None))
+        count = check_count(self.class_count, "class_count", 1)
+        labels = _class_labels(self.labels, emb.shape[0], count, "eval labels")
+        _store(self, embeddings=_owned(self.embeddings, emb),
+               labels=_owned(self.labels, labels), class_count=count)
 
     @property
     def count(self) -> int:
@@ -294,10 +295,9 @@ class Dataset:
     Construction checks the whole invariant and raises a typed error on
     the first violation: finite unit-norm embedding and unlabeled rows,
     finite (C, D) prototypes, integer labels in [0, C), finite (C, J, D)
-    templates and a positive finite tau. Every array is stored as a
-    read-only copy, so later writes to the caller's arrays cannot break it;
-    ``create`` and ``load_dataset`` hand over the arrays they build, which
-    are kept without a second copy or a second norm test.
+    templates and a positive finite tau. Its arrays follow the module's
+    ownership rule: ``create`` and ``load_dataset`` hand over the arrays
+    they build, and any other array is kept as a read-only copy.
     """
 
     embeddings: np.ndarray  # (N, D), unit rows
@@ -321,11 +321,9 @@ class Dataset:
         if templates is not None:
             templates = _owned(templates, check_array(
                 templates, "templates", (c, None, d), finite=True))
-        for name, value in (("embeddings", emb), ("labels", labels), ("prototypes", protos),
-                            ("unlabeled", unl), ("templates", templates),
-                            ("tau", None if self.tau is None else check_tau(self.tau)),
-                            ("warnings", tuple(self.warnings))):
-            object.__setattr__(self, name, value)
+        _store(self, embeddings=emb, labels=labels, prototypes=protos, unlabeled=unl,
+               templates=templates, tau=None if self.tau is None else check_tau(self.tau),
+               warnings=tuple(self.warnings))
 
     @classmethod
     def create(
@@ -366,9 +364,8 @@ class Dataset:
 
     def pool(self) -> EvalSet:
         """View the labeled part as an evaluation pool."""
-        return EvalSet(
-            embeddings=self.embeddings, labels=self.labels, class_count=self.class_count
-        )
+        return EvalSet(embeddings=self.embeddings.view(_Handed),
+                       labels=self.labels.view(_Handed), class_count=self.class_count)
 
 
 _ABSENT = object()

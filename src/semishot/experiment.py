@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import (Dataset, EvalSet, SupportSet, UnlabeledSet, _checked_row_norms,
-                   _class_labels, _readonly, _unit_rows_at, normalize_rows)
+                   _class_labels, _Handed, _unit_rows_at, normalize_rows)
 from .errors import ConfigError, DataError, GenerationError, SamplingError
 from .objectives import _labeled_sums, _LabeledSums
 from .solvers import (FitResult, SolverConfig, _adapt, _checked_oracle, _fit_alone,
@@ -262,8 +262,9 @@ def sample_support(pool: EvalSet, spec: SamplingSpec) -> tuple[SupportSet,
     and fully determined by the seed. Every pool row must have a norm
     that ``normalize_rows`` accepts."""
     split, unlabeled = _sample(pool, spec)
-    remainder = EvalSet(embeddings=pool.embeddings[split.eval_idx],
-                        labels=pool.labels[split.eval_idx], class_count=pool.class_count)
+    remainder = EvalSet(embeddings=pool.embeddings[split.eval_idx].view(_Handed),
+                        labels=pool.labels[split.eval_idx].view(_Handed),
+                        class_count=pool.class_count)
     return split.support, unlabeled, remainder
 
 
@@ -272,7 +273,7 @@ def _sample(pool: EvalSet, spec: SamplingSpec) -> tuple[_Split, UnlabeledSet]:
     split, = _draws(pool, _checked_row_norms(pool.embeddings), [spec])
     if isinstance(split, SamplingError):
         raise split
-    return split, UnlabeledSet(embeddings=_readonly(split.unlabeled))
+    return split, UnlabeledSet(embeddings=split.unlabeled.view(_Handed))
 
 
 def _draws(pool: EvalSet, norms: np.ndarray, specs: list[SamplingSpec]):
@@ -297,8 +298,8 @@ def _draws(pool: EvalSet, norms: np.ndarray, specs: list[SamplingSpec]):
             key, n, m = drawn
             order, head = heads[key]
             hidden = np.bincount(pool.labels[order[n:n + m]], minlength=pool.class_count)
-            drawn = _Split(
-                SupportSet._of_unit_rows(head[:n], pool.labels[order[:n]], pool.class_count),
+            drawn = _Split(SupportSet._of_unit_rows(
+                head[:n].view(_Handed), pool.labels[order[:n]], pool.class_count),
                 head[n:n + m], order[n + m:], hidden / hidden.sum() if m else None)
         yield drawn
 
@@ -339,8 +340,8 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[EvalSet, np.ndarray]:
         samples += centers[labels]
         text = centers + spec.text_noise * rng.standard_normal(centers.shape)
     pool = EvalSet(
-        embeddings=normalize_rows(samples),
-        labels=labels.astype(np.int64),
+        embeddings=normalize_rows(samples).view(_Handed),
+        labels=labels.astype(np.int64).view(_Handed),
         class_count=spec.class_count,
     )
     return pool, normalize_rows(text, "text prototypes")

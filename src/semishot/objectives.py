@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import SupportSet, UnlabeledSet
+from .data import SupportSet, UnlabeledSet, _owned
 from .errors import ConfigError, DataError
 from .zeroshot import _logsumexp, check_array, check_tau, similarity_matrix
 
@@ -60,7 +60,7 @@ class LambdaPolicy:
                     arr = check_array(getattr(self, name), name, (None,), finite=True)
                 except DataError as exc:
                     raise ConfigError(str(exc)) from None
-                object.__setattr__(self, name, arr)
+                object.__setattr__(self, name, _owned(getattr(self, name), arr))
             if np.any(self.fixed_text <= 0):
                 raise ConfigError("fixed text weights must be strictly positive")
             if np.any(self.fixed_unlabeled < 0):

@@ -42,10 +42,11 @@ The scaling loop works over leading batch axes. The private ``_solve``
 balances a batch of same-shaped problems at once, and
 ``solve_transport`` is that solve at B=1; the solvers' round loop calls
 ``_solve`` directly. ``_solve`` masks the elements whose scores hold a
-NaN or an infinity, and ``_class_codes`` the plans with an empty column;
-neither raises. An element that absorbs rebuilds only its own kernel,
-and batched matrix products never mix elements, so every plan is the
-one its element gets alone. A solve writes its plan into the kernel it
+NaN or an infinity and scales a kernel of ones in their place;
+``_class_codes`` masks the plans with an empty column; neither raises.
+An element that absorbs rebuilds only its own kernel, and batched
+matrix products never mix elements, so every plan is the one its
+element gets alone. A solve writes its plan into the kernel it
 exponentiated, and ``_class_codes`` writes the codes over that plan, so
 a round makes one (B, C, M) array for the pair and never writes its
 caller's scores or ``plan0``.
@@ -254,7 +255,9 @@ def _solve(s: np.ndarray, m: np.ndarray, iterations: int) -> tuple[np.ndarray, n
     scores (B, C, M) and row marginals (B, C), in a new array, and the
     (B,) mask of the elements whose scores hold a NaN or an infinity,
     whose plans are meaningless, read off the batch maxima and minima
-    that the shift takes anyway; ``s`` is read, not written.
+    that the shift takes anyway; ``s`` is read, not written. A masked
+    element's scores are taken as zeros: its kernel of ones never makes
+    a step fail and absorb.
 
     Each element starts from the shift its own first step absorbs: span
     at most 700, the global max, ``exp(s - s.max())``; wider, the max of
@@ -266,6 +269,9 @@ def _solve(s: np.ndarray, m: np.ndarray, iterations: int) -> tuple[np.ndarray, n
     s_max = s.max(axis=(-2, -1), keepdims=True)
     s_min = s.min(axis=(-2, -1), keepdims=True)
     bad = ~(np.isfinite(s_max) & np.isfinite(s_min))[:, 0, 0]
+    if bad.any():
+        keep = ~bad[:, None, None]
+        s, s_max, s_min = (np.where(keep, x, 0.0) for x in (s, s_max, s_min))
     wide = s_max - s_min > _EXP_SAFE_SPAN
     shift, reach = s_max, None
     if wide.any():

@@ -250,16 +250,6 @@ def test_direct_construction_accepts_unit_rows_within_tolerance():
     assert ev.labels.tolist() == [1, 0]
 
 
-def test_direct_construction_keeps_float64_arrays():
-    emb, labels = np.eye(2), np.eye(2)
-    sup = SupportSet(embeddings=emb, labels=labels)
-    assert sup.embeddings is emb and sup.labels is labels
-    assert UnlabeledSet(embeddings=emb).embeddings is emb
-    ev_labels = np.array([0, 1])
-    ev = EvalSet(embeddings=emb, labels=ev_labels, class_count=2)
-    assert ev.embeddings is emb and ev.labels is ev_labels
-
-
 @pytest.mark.parametrize("build", [
     lambda e: SupportSet(embeddings=e, labels=[[1.0, 0.0], [0.0, 1.0]]),
     lambda e: UnlabeledSet(embeddings=e),
@@ -323,31 +313,87 @@ def test_eval_set_rejects_out_of_range_label():
         EvalSet(embeddings=np.eye(2), labels=np.array([0, 2]), class_count=2)
 
 
+def _created(a):
+    return Dataset.create(**{key: a[key] for key in (
+        "embeddings", "labels", "prototypes", "unlabeled", "templates")})
+
+
 def _load_saved(inputs, tmp_path):
-    save_dataset(Dataset.create(**inputs), tmp_path / "manifest.json")
+    save_dataset(_created(inputs), tmp_path / "manifest.json")
     return load_dataset(tmp_path / "manifest.json")
 
 
-# every constructor that freezes its arrays, fed arrays of the dtype it
-# keeps (float64 rows, int64 labels), which it could store without a copy
+# every constructor and builder that checks arrays, fed arrays of the
+# dtype it keeps (float64 rows, int64 labels), which it could store
+# without a copy
 _FREEZING_BUILDS = {
+    "support": lambda a, tmp: SupportSet(embeddings=a["embeddings"], labels=a["onehot"]),
+    "unlabeled": lambda a, tmp: UnlabeledSet(embeddings=a["unlabeled"]),
+    "eval": lambda a, tmp: EvalSet(embeddings=a["embeddings"], labels=a["labels"],
+                                   class_count=2),
+    "lambdas": lambda a, tmp: ss.LambdaPolicy.fixed(a["text_weights"], a["unl_weights"]),
     "from_indices": lambda a, tmp: SupportSet.from_indices(a["embeddings"], a["labels"], 2),
     "from_embeddings": lambda a, tmp: UnlabeledSet.from_embeddings(a["unlabeled"]),
     "empty": lambda a, tmp: UnlabeledSet.empty(2),
-    "create": lambda a, tmp: Dataset.create(**a),
+    "create": lambda a, tmp: _created(a),
     "load": _load_saved,
 }
 
 
 @pytest.mark.parametrize("build", _FREEZING_BUILDS.values(), ids=_FREEZING_BUILDS.keys())
 def test_containers_freeze_their_arrays_not_the_callers(build, tmp_path):
+    # what the object stores is read-only, and a write to the caller's
+    # arrays after construction does not reach it
     inputs = {"embeddings": np.eye(2), "labels": np.array([0, 1]),
               "prototypes": np.eye(2), "unlabeled": np.eye(2),
-              "templates": np.ones((2, 1, 2))}
+              "templates": np.ones((2, 1, 2)), "onehot": np.eye(2),
+              "text_weights": np.ones(2), "unl_weights": np.zeros(2)}
     out = build(inputs, tmp_path)
-    stored = [v for v in vars(out).values() if isinstance(v, np.ndarray)]
-    assert stored and not any(arr.flags.writeable for arr in stored)
+    stored = {k: v for k, v in vars(out).items() if isinstance(v, np.ndarray)}
+    assert stored and not any(arr.flags.writeable for arr in stored.values())
     assert all(arr.flags.writeable for arr in inputs.values())
+    before = {k: v.copy() for k, v in stored.items()}
+    for arr in inputs.values():
+        arr[0] = 7
+    for key, arr in before.items():
+        assert np.array_equal(getattr(out, key), arr), key
+
+
+def _built_by(monkeypatch, module, name):
+    """The results of every call of ``module.name`` while the test runs."""
+    real, made = getattr(module, name), []
+
+    def recording(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    monkeypatch.setattr(module, name, recording)
+    return made
+
+
+def test_builders_keep_the_arrays_they_built(monkeypatch, rng):
+    # the no-copy side of the ownership rule: a builder's fresh arrays
+    # are kept as they are, read-only, so no hot path adds a copy
+    normalized = _built_by(monkeypatch, ss.data, "normalize_rows")
+    sup = SupportSet.from_indices(unit_rows(rng, 5, 3), [0, 1, 1, 0, 1], 2)
+    unl = UnlabeledSet.from_embeddings(unit_rows(rng, 4, 3))
+    assert np.shares_memory(sup.embeddings, normalized[0])
+    assert np.shares_memory(unl.embeddings, normalized[1])
+    ds = _tiny_dataset(rng, n=40, d=3, c=2)
+    pool = ds.pool()
+    assert np.shares_memory(pool.embeddings, ds.embeddings)
+    assert np.shares_memory(pool.labels, ds.labels)
+    heads = _built_by(monkeypatch, ss.experiment, "_unit_rows_at")
+    spec = ss.SamplingSpec(shots=2, unlabeled_multiplier=3, seed=5)
+    split, drawn = ss.experiment._sample(pool, spec)
+    support, unlabeled, remainder = ss.sample_support(pool, spec)
+    assert len(heads) == 2
+    for head, sup, unl in zip(heads, (split.support, support), (drawn, unlabeled)):
+        assert np.shares_memory(sup.embeddings, head)
+        assert np.shares_memory(unl.embeddings, head)
+    assert remainder.count == 40 - 2 * 2 - 3 * 2
+    for arr in (remainder.embeddings, remainder.labels):
+        assert not arr.flags.owndata and not arr.flags.writeable
 
 
 # ---------------------------------------------------------------- dataset invariant

@@ -546,6 +546,30 @@ def test_batched_solve_absorbs_an_organic_kernel_failure(rng):
                                    atol=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_batched_solve_scales_no_non_finite_kernel(rng, monkeypatch, bad):
+    # an element whose scores hold a NaN or an infinity is masked; it
+    # scales a kernel of ones, so no step of it fails, absorbs and is
+    # retaken, and its neighbours keep the plans they get alone
+    s = rng.uniform(0.0, 50.0, (3, 3, 8))
+    s[1, 2, 5] = bad
+    m = np.stack([random_marginal(rng, 3) for _ in range(3)])
+    steps = []
+    real = transport._row_step
+
+    def row_step(q, *args):
+        steps.append(len(q))
+        return real(q, *args)
+
+    monkeypatch.setattr(transport, "_row_step", row_step)
+    values, masked = transport._solve(s, m, 10)
+    assert steps == [3] * 10
+    assert masked.tolist() == [False, True, False]
+    assert np.all(np.isfinite(values))
+    for b in (0, 2):
+        assert np.array_equal(values[b], solve_transport(s[b], m[b], iterations=10).values)
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(2, 6), cols=st.integers(2, 30),
        span=st.floats(0.0, 6000.0), noise=st.floats(0.5, 400.0),
