@@ -1,13 +1,13 @@
 """Core data types and binary dataset serialization.
 
 Every container checks its invariant when it is constructed (shapes,
-label range and, where it holds embedding rows to score, finite
-unit-norm rows), so an instance that exists is valid however it was
-built. One ownership rule keeps it valid: each container here and
+label range, finite embedding rows and, where it holds rows to fit,
+unit norm), so an instance that exists is valid however it was built.
+One ownership rule keeps it valid: each container here and
 ``objectives.LambdaPolicy`` stores only read-only arrays: a copy of an
 array the caller passed, or a view, with no copy, of one that a builder
 has just made and hands over (marked ``_Handed``), whose rows skip the
-norm test that their builder made true.
+finite and norm tests that their builder made true.
 
 On-disk layout is a JSON manifest next to raw little-endian row-major
 blobs, one per manifest key that names a file. The dtype rule: labels
@@ -261,14 +261,15 @@ class UnlabeledSet:
 
 @dataclass(frozen=True, eq=False)
 class EvalSet:
-    """Held-out pool: embeddings with integer class labels."""
+    """Held-out pool: finite embeddings with integer class labels."""
 
     embeddings: np.ndarray  # (n, D)
     labels: np.ndarray  # (n,), in [0, class_count)
     class_count: int
 
     def __post_init__(self):
-        emb = check_array(self.embeddings, "eval embeddings", (None, None))
+        emb = check_array(self.embeddings, "eval embeddings", (None, None),
+                          finite=not isinstance(self.embeddings, _Handed))
         count = check_count(self.class_count, "class_count", 1)
         labels = _class_labels(self.labels, emb.shape[0], count, "eval labels")
         _store(self, embeddings=_owned(self.embeddings, emb),
@@ -576,13 +577,18 @@ def save_prototypes(prototypes: np.ndarray, manifest_path: str | Path,
     """Write a prototype matrix as f32le blob + JSON manifest.
 
     ``extra`` entries (config echo, version) are merged into the
-    manifest. Prototypes are not renormalized: learned prototypes are
-    not unit vectors in general.
+    manifest; one that names a key of the manifest's own is a
+    ConfigError, raised before anything is written. Prototypes are not
+    renormalized: learned prototypes are not unit vectors in general.
     """
     protos = check_array(prototypes, "prototypes", (None, None), finite=True)
     path = Path(manifest_path)
     manifest = {"c": protos.shape[0], "d": protos.shape[1], "dtype": "f32le",
-                "prototypes": _prototype_blob(path).name, **(extra or {})}
+                "prototypes": _prototype_blob(path).name}
+    clash = sorted(manifest.keys() & (extra or {}).keys())
+    if clash:
+        raise ConfigError(f"extra manifest keys {clash} would overwrite its own")
+    manifest.update(extra or {})
     _write_blobs(path, manifest, {"prototypes": protos})
 
 

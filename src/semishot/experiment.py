@@ -46,6 +46,7 @@ import csv
 import io
 import itertools
 import numbers
+import time
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import NamedTuple
@@ -688,8 +689,7 @@ def _fit_splits(name: str, dataset: Dataset, labeled: _LabeledSums | None,
     record ``labeled``, their only labeled input (None for zeroshot), the
     (B, M, D) ``unlabeled`` and the oracle marginals ``oracles``, each
     the split's own fit or the error that fit raises: simpleshot, sstext
-    and sstextu fit them in one call each, whose wall time, but not the
-    record's, each result shares."""
+    and sstextu fit them in one call each."""
     if name == "zeroshot":
         return [FitResult(
             prototypes=dataset.prototypes,
@@ -744,8 +744,12 @@ def _run_batch(dataset: Dataset, dataset_name: str, pool: EvalSet, norms: np.nda
     labeled = (_labeled_sums([split.support for split in splits])
                if set(solvers) - {"zeroshot"} else None)
     oracles = [split.oracle_marginal for split in splits]
-    fits = {solver: _fit_splits(solver, dataset, labeled, unlabeled, cfg, oracles)
-            for solver in solvers}
+    fits, shares = {}, {}
+    for solver in solvers:
+        start = time.perf_counter()
+        fits[solver] = _fit_splits(solver, dataset, labeled, unlabeled, cfg, oracles)
+        timed = include_timing and solver != "zeroshot"
+        shares[solver] = (time.perf_counter() - start) * 1e3 / len(drawn) if timed else 0.0
     scored_on = pool if eval_set is None else eval_set
     masks = np.full((len(splits), scored_on.count), eval_set is not None)
     if eval_set is None:  # each cell's eval rows, as a mask over the pool
@@ -758,9 +762,8 @@ def _run_batch(dataset: Dataset, dataset_name: str, pool: EvalSet, norms: np.nda
         outcomes = _score([fit if isinstance(fit, Exception) else fit.prototypes
                            for fit in fits[solver]], scored_on.embeddings, truth, cfg.tau)
         rows.update({(solver, spec.shots, spec.seed): _run_cell(
-            dataset, dataset_name, solver, spec, outcome,
-            fit.runtime_ms if include_timing and not isinstance(fit, Exception) else 0.0)
-            for spec, fit, outcome in zip(drawn, fits[solver], outcomes)})
+            dataset, dataset_name, solver, spec, outcome, shares[solver])
+            for spec, outcome in zip(drawn, outcomes)})
     return rows
 
 
@@ -826,11 +829,11 @@ def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
     that SamplingSpec rejects, or fixed lambda weights of another class
     count raises ConfigError.
 
-    With ``include_timing`` a cell's ``runtime_ms`` (simpleshot's as
-    well as sstext's and sstextu's) is its solver's batch fit wall time
-    divided by the batch's cell count, an amortised share that the cells
-    of one batch have in common across their shot counts; a failed
-    cell's is 0. The shared labeled sums are charged to no solver, like
+    With ``include_timing`` a cell's ``runtime_ms`` is the wall time of
+    its solver's one fit call on the batch, timed here, divided by the
+    batch's cell count, an amortised share that the cells of one batch
+    have in common across their shot counts; a zeroshot or failed cell's
+    is 0. The shared labeled sums are charged to no solver, like
     the draw of the splits, so each product's time is counted at most
     once.
 

@@ -183,7 +183,9 @@ def fit_simpleshot(support: SupportSet) -> FitResult:
 
 
 def _fit_alone(fit, support: SupportSet, *args) -> FitResult:
-    """``fit`` of ``support`` alone, charged for the record it builds; a failure raises."""
+    """``fit`` of ``support`` alone; a failure raises. This is the one
+    clock of a public fit: its ``runtime_ms`` is the wall time of the
+    whole call, the labeled record it builds included."""
     start = time.perf_counter()
     (result,) = fit(_labeled_sums([support]), *args)
     if isinstance(result, SemishotError):
@@ -193,16 +195,13 @@ def _fit_alone(fit, support: SupportSet, *args) -> FitResult:
 
 def _simpleshot(labeled: _LabeledSums) -> list[FitResult]:
     """fit_simpleshot of every support of a batch: its record's raw class
-    sums over max(K_c, 1). Each result's ``runtime_ms`` is the call's
-    wall time divided by B; the record is not charged to it."""
-    start = time.perf_counter()
+    sums over max(K_c, 1)."""
     prototypes = labeled.raw / np.maximum(labeled.counts, 1.0)[..., None]
     missing = labeled.counts == 0
-    elapsed = (time.perf_counter() - start) * 1e3 / len(prototypes)
     return [FitResult(
         prototypes=p,
         objective_trace=np.array([], dtype=np.float64),
-        runtime_ms=elapsed,
+        runtime_ms=0.0,
         missing_classes=np.flatnonzero(m),
     ) for p, m in zip(prototypes, missing)]
 
@@ -309,11 +308,8 @@ def _adapt(labeled: _LabeledSums, text_prototypes: np.ndarray, cfg: SolverConfig
     not read the prototypes, so the trace is flat after its start. An
     element that fails a check (a floored mass, finite scores, no empty
     plan column, a finite objective) keeps that error and rides along,
-    silently, in rounds that move another element. Each result's
-    ``runtime_ms`` is the call's wall time divided by B; the record
-    handed in is not charged to it.
+    silently, in rounds that move another element.
     """
-    start = time.perf_counter()
     t = check_array(text_prototypes, "text prototypes", labeled.raw.shape[1:], finite=True)
     rounds = 1
     if unlabeled is not None:
@@ -359,13 +355,12 @@ def _adapt(labeled: _LabeledSums, text_prototypes: np.ndarray, cfg: SolverConfig
             proto_snaps.append(prototypes)
     if not trace:
         trace.append(_trace_entry(base, prototypes, t, 0, errors))
-    elapsed = (time.perf_counter() - start) * 1e3 / batch
     objective = np.stack(trace, axis=-1)
     residual = np.stack(residuals, axis=-1) if residuals else None
     return [errors[b] or FitResult(
         prototypes=prototypes[b],
         objective_trace=objective[b],
-        runtime_ms=elapsed,
+        runtime_ms=0.0,
         marginal=None if marginal is None else marginal[b],
         ot_residuals=None if residual is None else residual[b],
         pseudolabel_trace=tuple(c[b].T for c in code_snaps) if code_snaps else None,

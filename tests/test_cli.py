@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -99,6 +100,90 @@ def test_eval_silhouette_bytes_do_not_depend_on_blas_threads(tmp_path):
         assert done.returncode == 0, done.stderr
         reports.append((run / "eval.json").read_bytes())
     assert "silhouette" in json.loads(reports[0])
+    assert reports[0] == reports[1]
+
+
+# the commands whose outputs must not depend on the BLAS kernel or on
+# NumPy's SIMD level, run from one directory
+_KERNEL_COMMANDS = [
+    ["generate", "--pool", "300", "--out", "data"],
+    ["adapt", "--data", "data/manifest.json", "--solver", "sstextu", "--out", "fit"],
+    ["eval", "--data", "data/manifest.json", "--prototypes", "fit/prototypes.json",
+     "--silhouette", "--out", "eval.json"],
+    ["benchmark", "--data", "data/manifest.json", "--seeds", "3", "--no-timing",
+     "--out-csv", "bench.csv", "--out-json", "bench.json"],
+]
+
+_KERNEL_CHAIN = """
+import json, sys
+from semishot.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+"""
+
+
+def _kernel_settings():
+    """The child environments whose kernels this CPU can run: an OpenBLAS
+    core type forced to Haswell (AVX2 and FMA) or Sandybridge (AVX), and
+    NumPy's AVX-512 dispatch turned off (where NumPy has it and the CPU
+    runs it). Forcing a kernel that the CPU cannot run would crash the
+    child, so a setting that it cannot run is skipped; off x86-64, all
+    are."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as cpu
+    except ImportError:  # NumPy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__ as cpu
+    x86 = platform.machine().lower() in ("x86_64", "amd64")
+    settings = [
+        ("haswell", {"OPENBLAS_CORETYPE": "Haswell"}, ("AVX2", "FMA3")),
+        ("sandybridge", {"OPENBLAS_CORETYPE": "Sandybridge"}, ("AVX",)),
+        ("no-x86-v4", {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+         ("X86_V4",)),
+    ]
+    return [pytest.param(env, id=name, marks=pytest.mark.skipif(
+        not (x86 and all(cpu.get(feature) for feature in needs)),
+        reason=f"needs x86-64 with {', '.join(needs)}")) for name, env, needs in settings]
+
+
+def _files_under(root):
+    """The bytes of every file under ``root``, by its path relative to it."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*")
+            if p.is_file()}
+
+
+@pytest.fixture(scope="module")
+def kernel_outputs(tmp_path_factory):
+    """The files that ``_KERNEL_COMMANDS`` write in this process."""
+    run = tmp_path_factory.mktemp("kernel-default")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(run)
+        assert [main(argv) for argv in _KERNEL_COMMANDS] == [EXIT_OK] * len(_KERNEL_COMMANDS)
+    return _files_under(run)
+
+
+@pytest.mark.parametrize("env", _kernel_settings())
+def test_outputs_do_not_depend_on_the_blas_kernel_or_simd_level(tmp_path, kernel_outputs,
+                                                                  env):
+    # generate, adapt --solver sstextu, eval --silhouette and benchmark
+    # --no-timing on a 300-row pool, in a child process under a forced
+    # kernel, write the bytes that this process writes: the dataset and
+    # prototype blobs, the manifests, eval.json and the benchmark CSV and
+    # JSON. fit_report.json is the known exception: its float64
+    # objective_trace and ot_residuals move in their last digits under
+    # Haswell and Sandybridge, so they are held to a relative 1e-9 and
+    # the rest of the report, but its timed runtime_ms, to its values.
+    done = subprocess.run([sys.executable, "-c", _KERNEL_CHAIN, json.dumps(_KERNEL_COMMANDS)],
+                          cwd=tmp_path, env=_child_env(**env), capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    child, own = _files_under(tmp_path), dict(kernel_outputs)
+    reports = [json.loads(files.pop("fit/fit_report.json")) for files in (child, own)]
+    assert child == own
+    for key in ("objective_trace", "ot_residuals"):
+        np.testing.assert_allclose(*(r.pop(key) for r in reports), rtol=1e-9)
+    for report in reports:
+        del report["runtime_ms"]
     assert reports[0] == reports[1]
 
 

@@ -265,6 +265,16 @@ def test_direct_construction_rejects_bad_lists(build, rows):
         build(rows)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eval_set_rejects_non_finite_rows(bad):
+    # a row that cannot be scored fails the set once, not every cell
+    # that scores against it; rows are not held to unit norm
+    emb = np.array([[3.0, 0.0], [0.0, 1.0], [0.5, bad]])
+    with pytest.raises(DataError, match="eval embeddings contains non-finite entries"):
+        EvalSet(embeddings=emb, labels=[0, 1, 1], class_count=2)
+    assert EvalSet(embeddings=emb[:2], labels=[0, 1], class_count=2).count == 2
+
+
 @pytest.mark.parametrize("labels", [[0.0, 1.0], [[0], [1]], ["0", "1"], [0, [1]]],
                          ids=["float", "2d", "text", "ragged"])
 def test_eval_set_rejects_bad_label_lists(labels):
@@ -615,6 +625,20 @@ def test_prototype_file_round_trip(tmp_path, rng):
     manifest = json.loads((tmp_path / "protos.json").read_text())
     assert manifest["version"] == "x"
     assert manifest["c"] == 4 and manifest["d"] == 6
+
+
+@pytest.mark.parametrize("extra", [{"c": 7, "prototypes": "other.f32"},
+                                   {"prototypes": "../escaped.f32"},
+                                   {"dtype": "f64le", "version": "x"}, {"d": 6}],
+                         ids=["shape-and-blob", "escaping-blob", "dtype", "same-value"])
+def test_save_prototypes_refuses_extra_keys_of_its_own_manifest(tmp_path, rng, extra):
+    # an extra key would overwrite the manifest's shape, dtype or blob
+    # name: a manifest that its loader refuses, or a blob written outside
+    # its directory; nothing is written
+    out = tmp_path / "out"
+    with pytest.raises(ss.ConfigError, match="would overwrite"):
+        save_prototypes(rng.standard_normal((4, 6)), out / "p.json", extra=extra)
+    assert not any(tmp_path.rglob("*"))
 
 
 @pytest.mark.parametrize("loader,field,value,loads", [

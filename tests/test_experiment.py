@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import time
 import warnings
 
 import numpy as np
@@ -1242,6 +1243,37 @@ def test_run_benchmark_failed_fit_with_timing_has_zero_runtime(monkeypatch):
     failed = [(r.solver, r.shots, r.runtime_ms, r.error) for r in rows if r.error]
     assert failed == [("sstext", 2, 0.0, "SolverError: two-shot fits fail")] * 2
     assert all(r.runtime_ms > 0 for r in rows if r.solver == "sstext" and r.shots == 1)
+
+
+def test_run_benchmark_cells_share_their_solvers_timed_fit_call(monkeypatch):
+    # timing on: the harness times each solver's one fit call on a batch,
+    # here at least 12 ms for sstext, and every cell of the batch, at
+    # either shot count, reads that time over its 6 cells; zeroshot's 0
+    ds = _bench_dataset()
+    batches = []
+    real_batch, real_fit = experiment._run_batch, experiment._fit_splits
+
+    def batch(*args):
+        batches.append(len(args[5]))
+        return real_batch(*args)
+
+    def fit(name, *args):
+        if name == "sstext":
+            time.sleep(0.012)
+        return real_fit(name, *args)
+
+    monkeypatch.setattr(experiment, "_run_batch", batch)
+    monkeypatch.setattr(experiment, "_fit_splits", fit)
+    rows = run_benchmark(ds, shot_grid=(1, 2), seeds=3, cfg=SolverConfig(tau=ds.tau),
+                         unlabeled_multiplier=8, include_timing=True)
+    assert batches == [6] and not any(r.error for r in rows)
+    shares = {solver: {r.runtime_ms for r in rows if r.solver == solver}
+              for solver in SOLVER_NAMES}
+    assert shares["zeroshot"] == {0.0}
+    for solver in ("simpleshot", "sstext", "sstextu"):
+        (share,) = shares[solver]
+        assert share > 0, solver
+    assert min(shares["sstext"]) >= 12.0 / 6
 
 
 _FAILING_CONFIGS = {

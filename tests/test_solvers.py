@@ -1,3 +1,5 @@
+import dataclasses
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +25,7 @@ from semishot import (
     update_prototypes,
 )
 
-from conftest import random_codes, random_support, random_unlabeled, unit_rows, unwritten
+from conftest import random_codes, random_support, random_unlabeled, spy, unit_rows, unwritten
 
 
 # ---------------------------------------------------------------- marginals
@@ -698,6 +700,53 @@ def test_batched_simpleshot_is_bitwise_each_supports_own(rng):
         assert not fit.prototypes[fit.missing_classes].any()
         missing += fit.missing_classes.size
     assert missing > 0
+
+
+def _fields(result):
+    """Every field of a FitResult, arrays (and tuples of them) as their
+    shapes and bytes."""
+    def value(v):
+        if isinstance(v, tuple):
+            return tuple(value(x) for x in v)
+        return (v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+    return {f.name: value(getattr(result, f.name)) for f in dataclasses.fields(result)}
+
+
+def test_batch_cores_keep_no_clock(rng):
+    # the cores are pure functions of their inputs: two calls on one
+    # record give the same results, field for field, runtime_ms (0)
+    # included; the public fits and the harness time a fit where they
+    # report it
+    c, d = 3, 8
+    t = unit_rows(rng, c, d)
+    supports = [random_support(rng, n, c, d) for n in (2, 5)]
+    stacked = np.stack([random_unlabeled(rng, 30, d).embeddings for _ in supports])
+    labeled = ss.objectives._labeled_sums(supports)
+    cfg = SolverConfig(tau=0.05, track_codes=True)
+    for core in (lambda: ss.solvers._simpleshot(labeled),
+                 lambda: ss.solvers._adapt(labeled, t, cfg),
+                 lambda: ss.solvers._adapt(labeled, t, cfg, stacked)):
+        first, second = core(), core()
+        assert [_fields(fit) for fit in first] == [_fields(fit) for fit in second]
+        assert [fit.runtime_ms for fit in first] == [0.0, 0.0]
+
+
+def test_public_fits_time_the_whole_call_with_its_labeled_record(rng, monkeypatch):
+    # each public fit's runtime_ms is the wall time of its call, the
+    # labeled record that it builds included: here that record takes
+    # at least 10 ms; zeroshot fits nothing
+    c, d = 3, 8
+    t = unit_rows(rng, c, d)
+    sup = random_support(rng, 6, c, d, ensure_all_classes=True)
+    unl = random_unlabeled(rng, 12, d)
+    ds = ss.Dataset.create(unit_rows(rng, 6, d), np.arange(6) % c, t)
+    spy(monkeypatch, ss.objectives._labeled_sums, lambda supports: time.sleep(0.01))
+    cfg = SolverConfig(tau=0.05)
+    fits = [fit_simpleshot(sup), fit_sstext(sup, t, cfg), fit_sstextu(sup, unl, t, cfg)]
+    fits += [ss.fit_solver(name, ds, sup, unl, cfg)
+             for name in ("simpleshot", "sstext", "sstextu")]
+    assert all(fit.runtime_ms >= 10.0 for fit in fits), [fit.runtime_ms for fit in fits]
+    assert ss.fit_solver("zeroshot", ds, sup, unl, cfg).runtime_ms == 0.0
 
 
 @pytest.mark.parametrize("source", ["support_estimate", "support_raw"])
