@@ -39,14 +39,7 @@ from .data import (
 )
 from .errors import ConfigError, DegeneratePlanError, SemishotError, SolverError
 from .experiment import (
-    DEFAULT_CLASS_COUNT,
-    DEFAULT_DIM,
-    DEFAULT_MARGINAL,
-    DEFAULT_NOISE,
-    DEFAULT_POOL_SIZE,
-    DEFAULT_SEPARATION,
     DEFAULT_SYNTHETIC_TAU,
-    DEFAULT_TEXT_NOISE,
     SOLVER_NAMES,
     SamplingSpec,
     SyntheticSpec,
@@ -111,14 +104,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic dataset")
-    gen.add_argument("--classes", type=int, default=DEFAULT_CLASS_COUNT)
-    gen.add_argument("--dim", type=int, default=DEFAULT_DIM)
-    gen.add_argument("--pool", type=int, default=DEFAULT_POOL_SIZE)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--separation", type=float, default=DEFAULT_SEPARATION,
+    gen.add_argument("--classes", type=int, default=SyntheticSpec.class_count)
+    gen.add_argument("--dim", type=int, default=SyntheticSpec.dim)
+    gen.add_argument("--pool", type=int, default=SyntheticSpec.pool_size)
+    gen.add_argument("--seed", type=int, default=SyntheticSpec.seed)
+    gen.add_argument("--separation", type=float, default=SyntheticSpec.separation,
                      help="minimum pairwise center angle in radians")
-    gen.add_argument("--noise", type=float, default=DEFAULT_NOISE)
-    gen.add_argument("--text-noise", type=float, default=DEFAULT_TEXT_NOISE)
+    gen.add_argument("--noise", type=float, default=SyntheticSpec.noise)
+    gen.add_argument("--text-noise", type=float, default=SyntheticSpec.text_noise)
     gen.add_argument("--marginal", type=str, default=None,
                      help="comma-separated class probabilities "
                           "(default: built-in imbalanced profile for 5 "
@@ -214,8 +207,8 @@ def _parse_marginal(args) -> tuple[float, ...]:
     if not 2 <= args.classes <= _MAX_SYNTHETIC_VALUES // 2:
         raise ConfigError(f"--classes must be in [2, {_MAX_SYNTHETIC_VALUES // 2}], "
                           f"got {args.classes}")
-    if args.classes == len(DEFAULT_MARGINAL):
-        return DEFAULT_MARGINAL
+    if args.classes == len(SyntheticSpec.marginal):
+        return SyntheticSpec.marginal
     return tuple([1.0 / args.classes] * args.classes)
 
 

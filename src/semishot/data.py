@@ -32,7 +32,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -477,11 +477,13 @@ def _prototype_blob(manifest_path: Path) -> Path:
 
 def _write_blobs(manifest_path: Path, manifest: dict, blobs: dict) -> None:
     """Write each array of ``blobs`` to the file its manifest key names,
-    in that key's blob dtype, then the manifest itself."""
+    in that key's blob dtype, then the manifest itself. The manifest is
+    serialised first, so one that JSON cannot hold writes no file."""
+    text = _json_text(manifest_path, manifest)
     for key, values in blobs.items():
         _write_file(manifest_path.parent / manifest[key],
                     np.ascontiguousarray(values, dtype=_blob_dtype(key)))
-    _write_json(manifest_path, manifest)
+    _write_file(manifest_path, text.encode())
 
 
 def _write_file(path: Path, data) -> None:
@@ -494,15 +496,21 @@ def _write_file(path: Path, data) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
-def _write_json(path: Path | None, payload: dict) -> None:
+def _json_text(path: Path | None, payload: dict) -> str:
     """``payload`` as ``json.dumps(payload, indent=2, sort_keys=True)``
-    and a newline, at ``path`` or on stdout when it is None. A NaN or
-    infinite number is a DataError, raised before anything is written:
-    JSON has no token for it."""
+    and a newline. A value JSON cannot hold (a NaN or infinite number,
+    or an object of another type) is a DataError naming ``path``, or
+    stdout when it is None."""
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError as exc:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except (TypeError, ValueError) as exc:
         raise DataError(f"cannot write {path or 'stdout'} as JSON: {exc}") from None
+
+
+def _write_json(path: Path | None, payload: dict) -> None:
+    """``payload`` as ``_json_text``, at ``path`` or on stdout when it is
+    None; a value JSON cannot hold is raised before anything is written."""
+    text = _json_text(path, payload)
     if path is None:
         sys.stdout.write(text)
     else:

@@ -59,7 +59,6 @@ from .errors import ConfigError, DataError, GenerationError, SamplingError
 from .objectives import _labeled_sums, _LabeledSums
 from .solvers import (FitResult, SolverConfig, _adapt, _checked_oracle, _fit_alone,
                       _simpleshot)
-from .solvers import fit_simpleshot  # noqa: F401  (a name perfbench/spans.py traces)
 from .zeroshot import (DEFAULT_TAU, _scores, check_array, check_count, check_marginal,
                        check_real, check_tau)
 
@@ -89,15 +88,7 @@ _MAX_SYNTHETIC_VALUES = 1 << 27
 # seeds; the default grid's 1000 rows take ~0.15 s.
 _MAX_ROWS = 1 << 20
 
-# Synthetic family defaults: 5 imbalanced classes in 64 dimensions with
-# noise calibrated so the zero-shot baseline lands mid-range (see tests)
-DEFAULT_MARGINAL = (0.35, 0.30, 0.20, 0.10, 0.05)
-DEFAULT_CLASS_COUNT = 5
-DEFAULT_DIM = 64
-DEFAULT_SEPARATION = 1.0
-DEFAULT_NOISE = 0.30
-DEFAULT_TEXT_NOISE = 0.20
-DEFAULT_POOL_SIZE = 1500
+# the synthetic family's temperature, which its manifests store
 DEFAULT_SYNTHETIC_TAU = 0.025
 
 
@@ -139,13 +130,15 @@ class SyntheticSpec:
     at most ``_MAX_SYNTHETIC_VALUES`` float64 values each.
     """
 
-    class_count: int = DEFAULT_CLASS_COUNT
-    dim: int = DEFAULT_DIM
-    separation: float = DEFAULT_SEPARATION
-    noise: float = DEFAULT_NOISE
-    marginal: tuple[float, ...] = DEFAULT_MARGINAL
-    text_noise: float = DEFAULT_TEXT_NOISE
-    pool_size: int = DEFAULT_POOL_SIZE
+    # defaults: 5 imbalanced classes in 64 dimensions with noise
+    # calibrated so the zero-shot baseline lands mid-range (see tests)
+    class_count: int = 5
+    dim: int = 64
+    separation: float = 1.0
+    noise: float = 0.30
+    marginal: tuple[float, ...] = (0.35, 0.30, 0.20, 0.10, 0.05)
+    text_noise: float = 0.20
+    pool_size: int = 1500
     seed: int = 0
 
     def __post_init__(self):
@@ -484,11 +477,10 @@ def _score(prototypes: list, embeddings: np.ndarray, truth: _Truth,
     split, or the exception that fails it: entry b's split is the rows
     of ``embeddings`` that row b of ``truth.masks`` marks. An entry that
     already is an exception (a failed fit) stays as it is. An empty split
-    fails its matrix, as does a matrix that is not (C, D) for the rows,
-    and one whose scores on its split are not all finite; the overflow
-    or invalid value behind such scores is silenced, so that its error
-    is the only signal. ``tau`` and the matrices are trusted: the public
-    entries and the fits check them.
+    fails its matrix, as does one whose scores on its split are not all
+    finite; the overflow or invalid value behind such scores is
+    silenced, so that its error is the only signal. ``tau`` and the
+    matrices are trusted: the public entries and the fits check them.
 
     Every distinct matrix that passes is scored against all P rows in
     one flat product (``_labels``); entries that are the same array
@@ -500,14 +492,11 @@ def _score(prototypes: list, embeddings: np.ndarray, truth: _Truth,
     that max, a tie it gives to the lower class.
     """
     outcomes, scored, which, distinct = list(prototypes), [], [], {}
-    shape = (truth.onehot.shape[1], embeddings.shape[1])
     for i, (p, size) in enumerate(zip(prototypes, truth.totals.sum(axis=1))):
         if isinstance(p, Exception):
             continue
         if not size:
             outcomes[i] = DataError("eval split is empty")
-        elif p.shape != shape:
-            outcomes[i] = DataError(f"prototypes shape {p.shape}, expected {shape}")
         else:
             scored.append(i)  # the list holds every entry, so ids stay distinct
             which.append(distinct.setdefault(id(p), (len(distinct), p))[0])
@@ -694,7 +683,6 @@ def _fit_splits(name: str, dataset: Dataset, labeled: _LabeledSums | None,
         return [FitResult(
             prototypes=dataset.prototypes,
             objective_trace=np.array([], dtype=np.float64),
-            runtime_ms=0.0,
         )] * len(oracles)
     if name == "simpleshot":
         return _simpleshot(labeled)

@@ -105,13 +105,15 @@ class FitResult:
     at the text-prototype start (under the first round's codes) and
     entry t follows round t's prototype step. For the labeled-only
     solver the trace is [start, final].
+    runtime_ms: wall time of the fit; 0 unless a public fit or the
+    benchmark harness timed it.
     missing_classes: indices of classes with no labeled sample, when the
     solver treats them specially.
     """
 
     prototypes: np.ndarray
     objective_trace: np.ndarray
-    runtime_ms: float
+    runtime_ms: float = 0.0
     marginal: np.ndarray | None = None
     ot_residuals: np.ndarray | None = None
     pseudolabel_trace: tuple[np.ndarray, ...] | None = None
@@ -201,7 +203,6 @@ def _simpleshot(labeled: _LabeledSums) -> list[FitResult]:
     return [FitResult(
         prototypes=p,
         objective_trace=np.array([], dtype=np.float64),
-        runtime_ms=0.0,
         missing_classes=np.flatnonzero(m),
     ) for p, m in zip(prototypes, missing)]
 
@@ -360,7 +361,6 @@ def _adapt(labeled: _LabeledSums, text_prototypes: np.ndarray, cfg: SolverConfig
     return [errors[b] or FitResult(
         prototypes=prototypes[b],
         objective_trace=objective[b],
-        runtime_ms=0.0,
         marginal=None if marginal is None else marginal[b],
         ot_residuals=None if residual is None else residual[b],
         pseudolabel_trace=tuple(c[b].T for c in code_snaps) if code_snaps else None,

@@ -1,5 +1,6 @@
 import argparse
 import ctypes
+import dataclasses
 import hashlib
 import inspect
 import io
@@ -424,7 +425,8 @@ def test_parser_defaults_are_the_librarys(tmp_path):
     grid = inspect.signature(semishot.run_benchmark).parameters
     library = {
         "t_bcm": cfg.bcm_iters, "t_ot": cfg.ot_iters, "ratio_r": cfg.marginal_ratio,
-        "marginal_source": cfg.marginal_source,
+        "marginal_source": cfg.marginal_source, "lambda_mode": cfg.lambdas.mode,
+        "lambda_text": cfg.lambdas.fixed_text, "lambda_unlabeled": cfg.lambdas.fixed_unlabeled,
         "unlabeled_mult": semishot.SamplingSpec(shots=1).unlabeled_multiplier,
     }
     parser = build_parser()
@@ -434,11 +436,16 @@ def test_parser_defaults_are_the_librarys(tmp_path):
         assert {name: args[name] for name in library} == library
     assert grid["unlabeled_multiplier"].default == library["unlabeled_mult"]
     bench = parser.parse_args(["benchmark", "--out-csv", "b.csv"])
-    assert (bench.shots_grid, bench.seeds) == (
-        ",".join(map(str, grid["shot_grid"].default)), grid["seeds"].default)
-    spec = semishot.SyntheticSpec()
+    assert (bench.solvers, bench.shots_grid, bench.seeds) == (
+        ",".join(grid["solvers"].default), ",".join(map(str, grid["shot_grid"].default)),
+        grid["seeds"].default)
     gen = parser.parse_args(["generate", "--out", "g"])
-    assert (gen.classes, gen.dim, gen.pool) == (spec.class_count, spec.dim, spec.pool_size)
+    assert {f.name: f.default for f in dataclasses.fields(semishot.SyntheticSpec)} == {
+        "class_count": gen.classes, "dim": gen.dim, "separation": gen.separation,
+        "noise": gen.noise, "marginal": cli._parse_marginal(gen),
+        "text_noise": gen.text_noise, "pool_size": gen.pool, "seed": gen.seed}
+    tau = inspect.signature(semishot.synthetic_dataset).parameters["tau"].default
+    assert gen.tau == tau == semishot.experiment.DEFAULT_SYNTHETIC_TAU
 
 
 # ---------------------------------------------------------------- adapt

@@ -641,6 +641,20 @@ def test_save_prototypes_refuses_extra_keys_of_its_own_manifest(tmp_path, rng, e
     assert not any(tmp_path.rglob("*"))
 
 
+@pytest.mark.parametrize("value", [np.float32(1), {1, 2}, float("nan")],
+                         ids=["float32", "set", "nan"])
+def test_save_prototypes_refuses_an_extra_json_cannot_hold_before_writing(tmp_path, rng,
+                                                                          value):
+    # the manifest is serialised before the blob is written: a value JSON
+    # cannot hold is a DataError naming the manifest, and no blob is left
+    # behind without one
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(DataError, match=re.escape(f"cannot write {out / 'p.json'} as JSON")):
+        save_prototypes(rng.standard_normal((4, 6)), out / "p.json", extra={"x": value})
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("loader,field,value,loads", [
     ("dataset", "n", "abc", False),
     ("dataset", "n", None, False),

@@ -1359,17 +1359,6 @@ def test_run_benchmark_non_finite_prototypes_fail_only_their_solver(monkeypatch,
         assert (row.aca, row.acc) == (report.aca, report.acc)
 
 
-def test_run_benchmark_misshapen_prototypes_fail_only_their_solver(monkeypatch):
-    ds = _bench_dataset()
-    monkeypatch.setattr(experiment, "_simpleshot", lambda labeled: [
-        solvers.FitResult(np.ones((2, 16)), np.array([]), 0.0)] * len(labeled.raw))
-    rows = run_benchmark(ds, shot_grid=(1,), seeds=2, cfg=SolverConfig(tau=ds.tau),
-                         unlabeled_multiplier=8, include_timing=False)
-    assert [r.error for r in rows if r.error] == [
-        "DataError: prototypes shape (2, 16), expected (3, 16)"] * 2
-    assert sum(1 for r in rows if not r.error) == 3 * 2
-
-
 def test_run_benchmark_checks_no_array_per_cell(monkeypatch, array_checks):
     # the harness trusts what the draw, the fits and the pool hand it:
     # a run of one batch makes as many array checks at 2 seeds as at 6,

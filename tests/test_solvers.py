@@ -390,6 +390,33 @@ def test_sstextu_trace_matches_public_objective(rng, case):
         assert entry == pytest.approx(direct, rel=1e-12, abs=0.0)
 
 
+def test_sstextu_prototype_half_steps_never_raise_the_objective():
+    # block coordinate descent, half-step by half-step: at round t's codes
+    # Z_t the prototype step is an exact minimiser, so f(W_t, Z_t) is at
+    # most f(W_{t-1}, Z_t) up to roundoff (W_0 the text prototypes). The
+    # code step may raise f, so nothing is asserted about it.
+    rng = np.random.default_rng(2024)
+    steps = 0
+    for _ in range(200):
+        c, d = int(rng.integers(2, 8)), int(rng.integers(2, 33))
+        sup = random_support(rng, int(rng.integers(1, 30)), c, d)  # classes may be absent
+        unl = random_unlabeled(rng, int(rng.integers(1, 80)), d)
+        t = unit_rows(rng, c, d)
+        lambdas = (LambdaPolicy.adaptive() if rng.random() < 0.5 else
+                   LambdaPolicy.fixed(rng.uniform(0.1, 3.0, c), rng.uniform(0.0, 3.0, c)))
+        tau = float(rng.choice([0.01, 0.025, 0.05, 0.2]))
+        cfg = SolverConfig(tau=tau, lambdas=lambdas, track_codes=True)
+        result = fit_sstextu(sup, unl, t, cfg)
+        prev = t
+        for z, w in zip(result.pseudolabel_trace, result.prototype_trace):
+            before = eval_semi_objective(sup, unl, z, prev, t, tau, lambdas).total
+            after = eval_semi_objective(sup, unl, z, w, t, tau, lambdas).total
+            assert before - after >= -1e-12 * max(1.0, abs(before))
+            prev = w
+            steps += 1
+    assert steps == 200 * SolverConfig().bcm_iters
+
+
 def test_sstextu_marginal_sources(rng):
     emb = unit_rows(rng, 4, 5)
     sup = SupportSet.from_indices(emb, np.array([0, 0, 1, 1]), 3)
