@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ratio-r", type=float, default=cfg.marginal_ratio,
                        help="marginal floor ratio for unseen classes")
         p.add_argument("--lambda-mode", choices=("adaptive", "fixed"),
-                       default="adaptive")
+                       default=LambdaPolicy.mode)
         p.add_argument("--lambda-text", type=float, default=None,
                        help="fixed text-penalty weight (lambda-mode fixed)")
         p.add_argument("--lambda-unlabeled", type=float, default=None,
@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     adapt.add_argument("--solver", choices=SOLVER_NAMES, required=True)
     _fit_flags(adapt)
     adapt.add_argument("--shots", type=int, default=1)
-    adapt.add_argument("--seed", type=int, default=0)
+    adapt.add_argument("--seed", type=int, default=SamplingSpec.seed)
     adapt.add_argument("--stratified", action="store_true",
                        help="force exactly --shots per class (contrast mode)")
     adapt.add_argument("--out", type=Path, required=True, help="output directory")
@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--eval-data", type=Path, default=None,
                        help="manifest of a fixed held-out eval split; default "
                             "re-splits the pool remainder per seed")
-    bench.add_argument("--gen-seed", type=int, default=0,
+    bench.add_argument("--gen-seed", type=int, default=SyntheticSpec.seed,
                        help="seed for the built-in synthetic dataset")
     bench.add_argument("--name", type=str, default=None,
                        help="dataset label in result rows")

@@ -57,8 +57,8 @@ NORM_VALID_TOL = 1e-4
 _NORM_CHUNK = 1 << 14
 
 
-def _class_labels(labels, n: int, class_count: int, what: str) -> np.ndarray:
-    """``labels`` as a length-``n`` vector of class indices in
+def _class_labels(labels, n: int | None, class_count: int, what: str) -> np.ndarray:
+    """``labels`` as a length-``n`` (None for any) vector of class indices in
     [0, ``class_count``), with no copy for an integer array. A
     non-integer dtype is a DataError: casting would truncate 1.7 to 1."""
     lab = check_array(labels, what, (n,), dtype=None)
@@ -130,12 +130,6 @@ def normalize_rows(x: np.ndarray, what: str = "embeddings") -> np.ndarray:
     """
     arr = check_array(x, what, (None, None), finite=True)
     return arr / _row_norms(arr, what)[:, None]
-
-
-def _checked_row_norms(x: np.ndarray, what: str = "embeddings") -> np.ndarray:
-    """The row norms that ``normalize_rows(x, what)`` divides by, under
-    its checks."""
-    return _row_norms(check_array(x, what, (None, None), finite=True), what)
 
 
 def _unit_rows_at(x: np.ndarray, norms: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -296,9 +290,10 @@ class Dataset:
     Construction checks the whole invariant and raises a typed error on
     the first violation: finite unit-norm embedding and unlabeled rows,
     finite (C, D) prototypes, integer labels in [0, C), finite (C, J, D)
-    templates and a positive finite tau. Its arrays follow the module's
-    ownership rule: ``create`` and ``load_dataset`` hand over the arrays
-    they build, and any other array is kept as a read-only copy.
+    templates, a positive finite tau and warnings that are strings. Its
+    arrays follow the module's ownership rule: ``create``,
+    ``load_dataset`` and ``experiment.synthetic_dataset`` hand over the
+    arrays they build, and any other array is kept as a read-only copy.
     """
 
     embeddings: np.ndarray  # (N, D), unit rows
@@ -322,9 +317,15 @@ class Dataset:
         if templates is not None:
             templates = _owned(templates, check_array(
                 templates, "templates", (c, None, d), finite=True))
+        try:  # a str would pass as a tuple of its characters
+            notes = None if isinstance(self.warnings, str) else tuple(self.warnings)
+        except TypeError:
+            notes = None
+        if notes is None or not all(isinstance(note, str) for note in notes):
+            raise ConfigError(f"warnings must be an iterable of strings, got {self.warnings!r}")
         _store(self, embeddings=emb, labels=labels, prototypes=protos, unlabeled=unl,
                templates=templates, tau=None if self.tau is None else check_tau(self.tau),
-               warnings=tuple(self.warnings))
+               warnings=notes)
 
     @classmethod
     def create(

@@ -53,8 +53,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import (Dataset, EvalSet, SupportSet, UnlabeledSet, _checked_row_norms,
-                   _class_labels, _Handed, _unit_rows_at, normalize_rows)
+from .data import (Dataset, EvalSet, SupportSet, UnlabeledSet, _class_labels, _Handed,
+                   _row_norms, _unit_rows_at, normalize_rows)
 from .errors import ConfigError, DataError, GenerationError, SamplingError
 from .objectives import _labeled_sums, _LabeledSums
 from .solvers import (FitResult, SolverConfig, _adapt, _checked_oracle, _fit_alone,
@@ -199,10 +199,11 @@ def split_indices(labels: np.ndarray, class_count: int,
 
     Support indices come first (uniform without replacement by default,
     per-class when stratified), then the unlabeled draw from the
-    remainder, then everything left.
+    remainder, then everything left. ``labels`` are integers in
+    [0, ``class_count``), as every container's are.
     """
-    labels = check_array(labels, "labels", (None,), dtype=None)
     class_count = check_count(class_count, "class_count", 1)
+    labels = _class_labels(labels, None, class_count, "labels")
     n, m = _split_sizes(labels.shape[0], class_count, spec)
     order = _draw_order(labels, class_count, spec)
     return order[:n], order[n:n + m], order[n + m:]
@@ -264,7 +265,7 @@ def sample_support(pool: EvalSet, spec: SamplingSpec) -> tuple[SupportSet,
 
 def _sample(pool: EvalSet, spec: SamplingSpec) -> tuple[_Split, UnlabeledSet]:
     """``spec``'s split of ``pool`` and its unlabeled set."""
-    split, = _draws(pool, _checked_row_norms(pool.embeddings), [spec])
+    split, = _draws(pool, _row_norms(pool.embeddings, "embeddings"), [spec])
     if isinstance(split, SamplingError):
         raise split
     return split, UnlabeledSet(embeddings=split.unlabeled.view(_Handed))
@@ -343,14 +344,13 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[EvalSet, np.ndarray]:
 
 def synthetic_dataset(spec: SyntheticSpec,
                       tau: float = DEFAULT_SYNTHETIC_TAU) -> Dataset:
-    """Bundle a generated pool and its text prototypes as a dataset."""
+    """``generate_synthetic(spec)``'s pool and text prototypes as a dataset
+    at temperature ``tau``, with no unlabeled rows. It keeps the generated
+    unit rows as they are, with no copy and no second normalisation."""
     pool, text = generate_synthetic(spec)
-    return Dataset.create(
-        embeddings=pool.embeddings,
-        labels=pool.labels,
-        prototypes=text,
-        tau=tau,
-    )
+    return Dataset(embeddings=pool.embeddings.view(_Handed), labels=pool.labels.view(_Handed),
+                   prototypes=text.view(_Handed),
+                   unlabeled=np.zeros((0, spec.dim)).view(_Handed), tau=tau)
 
 
 class _Truth(NamedTuple):
@@ -814,8 +814,8 @@ def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
     empty solver list, shot grid or seed list, an entry repeated in any of
     the three, a seed that is not a nonnegative integer, more seeds than
     keep the grid within ``_MAX_ROWS`` rows, a shot count or multiplier
-    that SamplingSpec rejects, or fixed lambda weights of another class
-    count raises ConfigError.
+    that SamplingSpec rejects, fixed lambda weights of another class
+    count, or an ``include_timing`` that is not a bool raises ConfigError.
 
     With ``include_timing`` a cell's ``runtime_ms`` is the wall time of
     its solver's one fit call on the batch, timed here, divided by the
@@ -849,6 +849,8 @@ def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
         raise DataError(
             f"eval dataset ({eval_set.class_count} classes, dim {eval_set.dim}) "
             f"does not fit ({dataset.class_count} classes, dim {dataset.dim})")
+    if not isinstance(include_timing, bool):
+        raise ConfigError(f"include_timing must be a bool, got {include_timing!r}")
     if cfg is None:
         cfg = SolverConfig(tau=_resolve_tau(None, dataset))
     solvers = _listed(solvers, "solvers", "solver names")
@@ -878,7 +880,7 @@ def run_benchmark(dataset: Dataset, solvers=SOLVER_NAMES,
             batches[-1].append(replace(spec, seed=seed))
             values += cell
     pool = dataset.pool()
-    norms = _checked_row_norms(pool.embeddings)
+    norms = _row_norms(pool.embeddings, "embeddings")  # a pool's rows are finite
     rows = {}
     for batch in batches:
         rows.update(_run_batch(dataset, dataset_name, pool, norms, solvers, batch, cfg,

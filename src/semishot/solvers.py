@@ -44,7 +44,7 @@ from .data import SupportSet, UnlabeledSet
 from .errors import ConfigError, DataError, SemishotError, SolverError
 from .objectives import (LambdaPolicy, _check_prototypes, _class_sums, _ClassSums,
                          _labeled_sums, _LabeledSums, _support_sums)
-from .transport import _class_codes, _solve
+from .transport import _class_codes, _residual, _solve
 from .zeroshot import (DEFAULT_TAU, _scores, check_array, check_count, check_marginal,
                        check_real, check_tau)
 
@@ -126,7 +126,8 @@ def estimate_marginal(support: SupportSet) -> np.ndarray:
     return support.shot_counts / support.n
 
 
-def correct_marginal(marginal: np.ndarray, ratio: float = 0.25) -> np.ndarray:
+def correct_marginal(marginal: np.ndarray,
+                     ratio: float = SolverConfig.marginal_ratio) -> np.ndarray:
     """Floor zero entries at ratio * (smallest positive entry), then
     renormalize. The result is always a new array; an estimate with no
     zeros comes back with its values unchanged. An all-zero estimate is
@@ -339,7 +340,7 @@ def _adapt(labeled: _LabeledSums, text_prototypes: np.ndarray, cfg: SolverConfig
         if unlabeled is not None:
             scores = _scores(prototypes, unlabeled, cfg.tau)
             values, bad = _solve(scores, marginal, cfg.ot_iters)
-            residuals.append(np.abs(values.sum(axis=-1) - marginal).sum(axis=-1))
+            residuals.append(_residual(values, marginal))
             codes, empty = _class_codes(values)  # over the plan, read just above
             for failed, reason in ((bad, "similarity matrix contains non-finite entries"),
                                    (empty, "plan has an empty column; codes are undefined")):

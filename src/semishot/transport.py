@@ -35,8 +35,8 @@ would give, to roundoff: row masses are normal floats, as
 ``check_marginal`` requires of every positive entry.
 ``init_plan`` plus ``sinkhorn`` scale an explicit kernel in the same
 loop, with no scores to rebuild it from, and are the tests' reference;
-``sinkhorn`` and ``solve_transport`` share one input check and one plan
-builder.
+``sinkhorn`` and ``solve_transport`` share one input check and one
+residual rule, ``_residual``, which the solvers' rounds take too.
 
 The scaling loop works over leading batch axes. The private ``_solve``
 balances a batch of same-shaped problems at once, and
@@ -106,7 +106,13 @@ def marginal_residual(plan, row_marginal: np.ndarray) -> float:
     """
     values = check_array(getattr(plan, "values", plan), "plan", (None, None))
     m = check_array(row_marginal, "row marginal", values.shape[:1])
-    return float(np.abs(values.sum(axis=1) - m).sum())
+    return float(_residual(values, m))
+
+
+def _residual(values: np.ndarray, row_marginal: np.ndarray) -> np.ndarray:
+    """The L1 gap between the row sums of plans (..., C, M) and their
+    row marginals (..., C), over leading batch axes, unchecked."""
+    return np.abs(values.sum(axis=-1) - row_marginal).sum(axis=-1)
 
 
 def _checked_matrix(matrix: np.ndarray, what: str) -> np.ndarray:
@@ -125,10 +131,6 @@ def _checked_inputs(matrix: np.ndarray, row_marginal: np.ndarray, iterations: in
     iterations = check_count(iterations, "iteration count")
     a = _checked_matrix(matrix, what)
     return a, check_marginal(row_marginal, a.shape[0], "row marginal"), iterations
-
-
-def _build_plan(values: np.ndarray, row_marginal: np.ndarray) -> TransportPlan:
-    return TransportPlan(values=values, residual=marginal_residual(values, row_marginal))
 
 
 def _scale(q: np.ndarray, m: np.ndarray, iterations: int, s: np.ndarray | None = None,
@@ -223,7 +225,8 @@ def sinkhorn(plan0: np.ndarray, row_marginal: np.ndarray,
     q, m, iterations = _checked_inputs(plan0, row_marginal, iterations, "plan")
     if np.any(q < 0):
         raise DataError("plan entries must be nonnegative")
-    return _build_plan(_scale(q.copy(), m, iterations), m)
+    values = _scale(q.copy(), m, iterations)
+    return TransportPlan(values=values, residual=float(_residual(values, m)))
 
 
 def solve_transport(similarities: np.ndarray, row_marginal: np.ndarray,
@@ -246,8 +249,8 @@ def solve_transport(similarities: np.ndarray, row_marginal: np.ndarray,
     """
     s, m, iterations = _checked_inputs(similarities, row_marginal, iterations,
                                        "similarity matrix")
-    values, _ = _solve(s[None], m[None], iterations)  # s is finite
-    return _build_plan(values[0], m)
+    (values,), _ = _solve(s[None], m[None], iterations)  # s is finite
+    return TransportPlan(values=values, residual=float(_residual(values, m)))
 
 
 def _solve(s: np.ndarray, m: np.ndarray, iterations: int) -> tuple[np.ndarray, np.ndarray]:

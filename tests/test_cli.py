@@ -420,8 +420,11 @@ def test_oversized_requests_fail_typed_before_they_allocate(tmp_path, argv, mess
 
 def test_parser_defaults_are_the_librarys(tmp_path):
     # one source per default: the CLI's fit, draw, grid and synthetic
-    # family flags start where the library's own defaults do
+    # family flags, and correct_marginal's floor, start where the
+    # library's own defaults do
     cfg = semishot.SolverConfig()
+    assert (inspect.signature(semishot.correct_marginal).parameters["ratio"].default
+            == cfg.marginal_ratio)
     grid = inspect.signature(semishot.run_benchmark).parameters
     library = {
         "t_bcm": cfg.bcm_iters, "t_ot": cfg.ot_iters, "ratio_r": cfg.marginal_ratio,
@@ -435,10 +438,12 @@ def test_parser_defaults_are_the_librarys(tmp_path):
         args = vars(parser.parse_args(argv))
         assert {name: args[name] for name in library} == library
     assert grid["unlabeled_multiplier"].default == library["unlabeled_mult"]
+    adapt = parser.parse_args(["adapt", "--data", "d", "--solver", "sstext", "--out", "o"])
+    assert adapt.seed == semishot.SamplingSpec(shots=1).seed
     bench = parser.parse_args(["benchmark", "--out-csv", "b.csv"])
-    assert (bench.solvers, bench.shots_grid, bench.seeds) == (
+    assert (bench.solvers, bench.shots_grid, bench.seeds, bench.gen_seed) == (
         ",".join(grid["solvers"].default), ",".join(map(str, grid["shot_grid"].default)),
-        grid["seeds"].default)
+        grid["seeds"].default, semishot.SyntheticSpec().seed)
     gen = parser.parse_args(["generate", "--out", "g"])
     assert {f.name: f.default for f in dataclasses.fields(semishot.SyntheticSpec)} == {
         "class_count": gen.classes, "dim": gen.dim, "separation": gen.separation,

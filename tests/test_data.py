@@ -96,7 +96,7 @@ def test_normalized_rows_gathered_are_the_rows_normalized_alone(seed, source, ta
     idx = rng.choice(x.shape[0], size=min(take, x.shape[0]), replace=False)
     alone = normalize_rows(x[idx]).tobytes()
     assert normalize_rows(x)[idx].tobytes() == alone
-    norms = ss.data._checked_row_norms(x)
+    norms = ss.data._row_norms(x, "x")
     assert ss.data._unit_rows_at(x, norms, idx).tobytes() == alone
     # a batch of draws gathered with one (B, M) index
     stacked = np.stack([idx, idx[::-1]])
@@ -139,8 +139,7 @@ def test_row_norms_refuse_the_rows_linalg_norm_finds_bad(layout):
         ref = np.linalg.norm(x, axis=1)
     bad = np.flatnonzero((ref < ss.data.MIN_ROW_NORM) | np.isinf(ref))
     assert bad.size == 11
-    for check in (lambda: ss.data._row_norms(x, "x"), lambda: normalize_rows(x, "x"),
-                  lambda: ss.data._checked_row_norms(x, "x")):
+    for check in (lambda: ss.data._row_norms(x, "x"), lambda: normalize_rows(x, "x")):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match=re.escape(f"x rows {bad[:8].tolist()} ")):
@@ -222,7 +221,7 @@ def test_drawn_support_is_the_pool_rows_normalized_without_a_second_check(rng):
     # them, and an empty draw still fails
     pool = EvalSet(embeddings=rng.standard_normal((60, 5)) * 3.0,
                    labels=rng.integers(0, 4, 60), class_count=4)
-    norms = ss.data._checked_row_norms(pool.embeddings)
+    norms = ss.data._row_norms(pool.embeddings, "embeddings")
     spec = ss.SamplingSpec(shots=2, unlabeled_multiplier=3, seed=5)
     split, = ss.experiment._draws(pool, norms, [spec])
     idx, _, _ = ss.split_indices(pool.labels, 4, spec)

@@ -273,13 +273,15 @@ def test_generate_is_the_out_of_place_expression(spec):
 
 
 def test_synthetic_dataset_bundles_pool_and_text():
+    # the generated rows are unit rows already; a second normalisation
+    # would round about a third of their values again
     spec = small_spec()
     ds = synthetic_dataset(spec)
     pool, text = generate_synthetic(spec)
-    assert np.allclose(ds.prototypes, text, atol=1e-12)
-    assert np.allclose(ds.embeddings, pool.embeddings, atol=1e-12)
-    assert np.array_equal(ds.labels, pool.labels)
-    assert ds.tau == DEFAULT_SYNTHETIC_TAU
+    assert ds.prototypes.tobytes() == text.tobytes()
+    assert ds.embeddings.tobytes() == pool.embeddings.tobytes()
+    assert ds.labels.tobytes() == pool.labels.tobytes()
+    assert ds.unlabeled.shape == (0, spec.dim) and ds.tau == DEFAULT_SYNTHETIC_TAU
 
 
 def test_harder_noise_never_helps_silhouette():
@@ -1002,18 +1004,14 @@ def test_run_benchmark_fits_a_sweep_grid_in_one_call_per_solver(monkeypatch):
     # every draw divides its rows by them: no row is normalized again
     ds = synthetic_dataset(SyntheticSpec())
     calls, norm_passes = [], []
-    real = data._row_norms
 
     def fitting(labeled, *args, **kwargs):
         calls.append(len(labeled.raw))
         return solvers._adapt(labeled, *args, **kwargs)
 
-    def norming(arr, what):
-        norm_passes.append(arr.shape)
-        return real(arr, what)
-
     monkeypatch.setattr(experiment, "_adapt", fitting)
-    monkeypatch.setattr(data, "_row_norms", norming)  # every norm pass, normalize_rows too
+    # every norm pass, normalize_rows too
+    spy(monkeypatch, data._row_norms, lambda arr, what: norm_passes.append(arr.shape))
     rows = run_benchmark(ds, shot_grid=(1, 2, 4, 8, 16), seeds=5, include_timing=False)
     assert len(rows) == 100 and not any(r.error for r in rows)
     assert calls == [25, 25]

@@ -65,6 +65,8 @@ EVAL = EvalSet(embeddings=EMB, labels=IDX, class_count=C)
 POLICY = LambdaPolicy.adaptive()
 ORACLE = SolverConfig(tau=0.1, marginal_source="oracle")
 SPEC = SamplingSpec(shots=1, unlabeled_multiplier=0)
+STRATIFIED = SamplingSpec(shots=1, unlabeled_multiplier=0, stratified=True)
+NO_UNLABELED = np.zeros((0, D))
 DATASET = Dataset.create(EMB, IDX, PROTOS)
 
 # each entry passes the malformed value ``a`` in one array argument
@@ -145,13 +147,20 @@ COUNT_CALLS = {
     "SolverConfig-text-track_codes": lambda tmp: SolverConfig(track_codes="no"),
     "SamplingSpec-text-stratified": lambda tmp: SamplingSpec(shots=2, seed=3,
                                                              stratified="no"),
+    "run_benchmark-text-include_timing": lambda tmp: run_benchmark(DATASET,
+                                                                   include_timing="no"),
+    # a str would be stored as the tuple of its characters
+    "Dataset-text-warnings": lambda tmp: Dataset(EMB, IDX, PROTOS, NO_UNLABELED,
+                                                 warnings="note"),
+    "Dataset-count-warnings": lambda tmp: Dataset(EMB, IDX, PROTOS, NO_UNLABELED, warnings=5),
 }
 
 NO_PROTOTYPES = np.empty((0, D))
 SUBNORMAL = np.array([1.0, 5e-324, 0.0])
 
 # well-formed arrays that a call cannot use: no prototype rows, no
-# classes, a positive class mass below the smallest normal float
+# classes, a positive class mass below the smallest normal float, labels
+# that are not class indices
 DATA_CALLS = {
     "similarity_matrix-no-prototypes": lambda tmp: similarity_matrix(NO_PROTOTYPES, EMB, 0.1),
     "predict_probs-no-prototypes": lambda tmp: predict_probs(EMB, NO_PROTOTYPES, 0.1),
@@ -160,6 +169,8 @@ DATA_CALLS = {
     "predict_labels-no-columns": lambda tmp: predict_labels(np.empty((N, 0))),
     "solve_transport-subnormal-marginal": lambda tmp: solve_transport(SCORES, SUBNORMAL),
     "fit_sstextu-subnormal-oracle": lambda tmp: fit_sstextu(SUP, UNL, PROTOS, ORACLE, SUBNORMAL),
+    "split_indices-out-of-range-labels": lambda tmp: split_indices([0, 1, 0, 7], 2, STRATIFIED),
+    "split_indices-fractional-labels": lambda tmp: split_indices([0.0, 1.5, 0.0, 1.0], 2, SPEC),
 }
 
 

@@ -87,3 +87,35 @@ def test_no_module_imports_a_name_it_never_uses():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def test_every_private_module_name_has_a_reader():
+    # a module-level private function, class or constant that no line of
+    # the package reads outside its own definition is a helper that a
+    # deletion left behind; tests do not count as readers
+    sources = sorted(Path(semishot.__file__).parent.glob("*.py"))
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sources}
+    defined = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                named = [(node.name, node)]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                named = [(target.id, None) for target in targets
+                         if isinstance(target, ast.Name)]
+            else:
+                continue
+            for name, body in named:
+                if name.startswith("_") and not name.endswith("__"):
+                    defined[(module, name)] = body
+    unread = []
+    for (module, name), body in defined.items():
+        inside = set() if body is None else {id(node) for node in ast.walk(body)}
+        if not any((isinstance(node, ast.Name) and node.id == name
+                    and isinstance(node.ctx, ast.Load))
+                   or (isinstance(node, ast.Attribute) and node.attr == name)
+                   for tree in trees.values() for node in ast.walk(tree)
+                   if id(node) not in inside):
+            unread.append(f"{module} {name}")
+    assert unread == []
